@@ -114,29 +114,33 @@ def _load_config_with_seed(args) -> ExperimentConfig:
 
 
 def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
-    """Build the moment model, honoring the on-disk cache."""
+    """Build the moment model from cached or freshly estimated cross statistics.
+
+    Only the cross statistics are cached: they take a long stream, while the
+    closed-form moments and the model built from them are cheaper to compute
+    than to read back. A record that is missing or unreadable is a miss.
+    """
     im = build_input_model(cfg)
-    key = moments_cache_key(cfg, d, im)
-    cache_file = cache_dir / f"moments_{key}.csv"
-    if cache_file.is_file():
-        info["moments_cache"] = str(cache_file)
-        info["moments_cache_hit"] = True
-        return load_moment_model(cache_file)
     kern = GaussianKernel(cfg.sigma)
-    stats = estimate_cross_stats(
-        build_system(cfg),
-        InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
-        d,
-        kern,
-        cfg.n_moment_samples,
-        cfg.seed,
-    )
-    model = build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_moment_model(model, cache_file)
+    cache_file = cache_dir / f"cross_stats_{moments_cache_key(cfg, d, im)}.json"
+    try:
+        stats = load_moment_model(cache_file, d.size)
+    except (OSError, ValueError):
+        stats = None
     info["moments_cache"] = str(cache_file)
-    info["moments_cache_hit"] = False
-    return model
+    info["moments_cache_hit"] = stats is not None
+    if stats is None:
+        stats = estimate_cross_stats(
+            build_system(cfg),
+            InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
+            d,
+            kern,
+            cfg.n_moment_samples,
+            cfg.seed,
+        )
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        save_moment_model(stats, cache_file)
+    return build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +264,12 @@ def compare_curves(sim: np.ndarray, theory: np.ndarray,
 
 
 def cmd_compare(args) -> int:
-    sim = load_learning_curve(args.sim, kind=CurveKind.SIMULATED)
-    theory = load_learning_curve(args.theory, kind=CurveKind.THEORETICAL)
+    try:
+        sim = load_learning_curve(args.sim, kind=CurveKind.SIMULATED)
+        theory = load_learning_curve(args.theory, kind=CurveKind.THEORETICAL)
+    except ValueError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if len(sim) != len(theory):
@@ -386,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cache-dir", default=None,
-                   help="moment-model cache directory (default: <out>/moments_cache)")
+                   help="cross-statistics cache directory (default: <out>/moments_cache)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("compare", help="overlay a simulated and a theoretical curve")

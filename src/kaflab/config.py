@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .kernel import (
     gram,
     grid_dictionary,
 )
-from .moments import InputModel
+from .moments import CROSS_STATS_BURN_IN, CROSS_STATS_FORMAT_VERSION, InputModel
 from .sim import (
     CALIBRATION_SALT,
     ExperimentSetup,
@@ -92,7 +93,7 @@ class _Section:
             ) from exc
 
     def floatv(self, key, **kw):
-        return self._get(key, float, **kw)
+        return self._get(key, _finite_float, **kw)
 
     def intv(self, key, **kw):
         return self._get(key, int, **kw)
@@ -101,7 +102,14 @@ class _Section:
         return self._get(key, str, **kw)
 
     def floats(self, key, **kw):
-        return self._get(key, lambda s: tuple(float(t) for t in s.split(",")), **kw)
+        return self._get(key, lambda s: tuple(_finite_float(t) for t in s.split(",")), **kw)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
 
 
 def _require(cond: bool, message: str) -> None:
@@ -306,18 +314,19 @@ def build_setup(cfg: ExperimentConfig, d: Dictionary | None = None) -> Experimen
 
 
 def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> str:
-    """Content hash identifying a cached moment model.
+    """Content hash identifying a cached cross-statistics record.
 
-    Keyed by everything the model depends on: the dictionary, kernel width
-    and input covariance for the closed forms, plus the plant, noise level,
-    seed and sample count behind the stream-estimated cross statistics.
+    Keyed by everything the record depends on: its format version, the
+    dictionary, kernel width and input covariance, and the plant, noise
+    level, seed, sample count and burn-in of the estimation stream.
     """
     h = hashlib.sha256()
+    h.update(f"cross-stats-v{CROSS_STATS_FORMAT_VERSION}".encode())
     h.update(d.centers.tobytes())
     h.update(np.float64(cfg.sigma).tobytes())
     h.update(im.r_u.tobytes())
     h.update(cfg.system_kind.value.encode())
     h.update(np.float64(cfg.sigma_nu).tobytes())
-    h.update(str(cfg.seed).encode())
-    h.update(str(cfg.n_moment_samples).encode())
+    # separated, so that seed 12 with 10^4 samples and seed 1 with 210,000 differ
+    h.update(f"{cfg.seed},{cfg.n_moment_samples},{CROSS_STATS_BURN_IN}".encode())
     return h.hexdigest()[:16]

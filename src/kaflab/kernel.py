@@ -3,9 +3,9 @@
 A dictionary of r centers spans an r-dimensional function subspace; the Gram
 matrix G of pairwise kernel values realizes that subspace's inner product on
 coefficient vectors. :class:`GramFactor` carries G together with its square
-root, inverse square root and inverse, which bridge between the coefficient
-parameterization and the orthonormalized ("tilde") coordinates used by the
-performance model.
+root, inverse square root and Cholesky factor, which bridge between the
+coefficient parameterization and the orthonormalized ("tilde") coordinates
+used by the performance model.
 """
 
 from __future__ import annotations
@@ -84,16 +84,15 @@ class Dictionary:
 class GramFactor:
     """Gram matrix of a dictionary with its PD factorizations.
 
-    ``g_sqrt @ g_sqrt == g`` and ``g_inv @ g == I`` to about 1e-10 relative.
-    ``solve`` applies ``g_inv`` through a cached Cholesky factorization, which
-    is both cheaper and better conditioned than multiplying by the explicit
-    inverse in per-sample filter updates.
+    ``g_sqrt @ g_sqrt == g`` to about 1e-10 relative. ``solve`` applies
+    ``G^-1`` through a cached Cholesky factorization, which is both cheaper
+    and better conditioned than an explicit inverse in per-sample filter
+    updates.
     """
 
     g: np.ndarray
     g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
-    g_inv: np.ndarray
     _cho: tuple = field(repr=False, compare=False, default=None)
 
     @property
@@ -132,7 +131,7 @@ def _closest_pair(centers: np.ndarray) -> tuple[int, int, float]:
 
 
 def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
-    """Gram matrix of the dictionary with square root, inverse square root and inverse.
+    """Gram matrix with its square root, inverse square root and Cholesky factor.
 
     Raises :class:`NotPositiveDefiniteError` naming the closest center pair if
     the dictionary contains (near-)duplicates or is otherwise too coherent for
@@ -156,9 +155,7 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
             f"at distance {dist:.6e}",
             smallest_eigenvalue=exc.smallest_eigenvalue,
         ) from exc
-    g_inv = symmetrize(g_inv_sqrt @ g_inv_sqrt)
-    cho = cho_factor(g)
-    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt, g_inv=g_inv, _cho=cho)
+    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt, _cho=cho_factor(g))
 
 
 def grid_dictionary(

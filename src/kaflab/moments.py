@@ -33,8 +33,11 @@ burn-in.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -85,14 +88,13 @@ class MomentModel:
     """Everything the analysis consumes, in one immutable bundle.
 
     Raw-coordinate quantities: ``r_kappa`` (autocorrelation of the kernelized
-    input), ``p`` and ``d2`` (stream-estimated cross statistics), ``s_tensor``
-    (fourth moments ``E[kappa_i kappa_j kappa_s kappa_t]``).
+    input), ``p`` and ``d2`` (stream-estimated cross statistics).
 
     Transformed quantities, with W the inverse Gram square root and g_l its
     l-th column: ``r_tilde = W r_kappa W``, ``p_tilde = W p``,
     ``alpha_star_tilde = r_tilde^-1 p_tilde``, ``j_min = d2 - p_tilde'
-    alpha_star_tilde``, ``h[m, p] = g_m' S_{i,j} g_p`` arranged as
-    ``h[m, p, i, j]``, and ``s_tilde[l, m, p, q] = g_l' h[m, p] g_q``.
+    alpha_star_tilde``, and ``s_tilde[l, m, p, q] = g_l' h[m, p] g_q`` with
+    ``h[m, p] = g_m' S_{i,j} g_p`` and S the :func:`fourth_tensor`.
     """
 
     r_kappa: np.ndarray
@@ -102,8 +104,6 @@ class MomentModel:
     p_tilde: np.ndarray
     alpha_star_tilde: np.ndarray
     j_min: float
-    s_tensor: np.ndarray
-    h: np.ndarray
     s_tilde: np.ndarray
     gram: GramFactor
 
@@ -115,6 +115,13 @@ class MomentModel:
 # ---------------------------------------------------------------------------
 # Closed-form moments
 # ---------------------------------------------------------------------------
+
+
+def _check_input_dim(centers: np.ndarray, im: InputModel) -> None:
+    if centers.shape[1] != im.dim:
+        raise DimensionMismatchError(
+            f"centers have length {centers.shape[1]}, input model expects {im.dim}"
+        )
 
 
 def _moment_batch(
@@ -138,10 +145,7 @@ def multi_point_moment(centers, k: GaussianKernel, im: InputModel) -> float:
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if c.shape[0] < 1:
         raise ValueError("at least one center is required")
-    if c.shape[1] != im.dim:
-        raise DimensionMismatchError(
-            f"centers have length {c.shape[1]}, input model expects {im.dim}"
-        )
+    _check_input_dim(c, im)
     val = _moment_batch(
         c.sum(axis=0)[None, :],
         np.array([(c**2).sum()]),
@@ -159,10 +163,7 @@ def second_moment(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
     mirrored.
     """
     c = d.centers
-    if c.shape[1] != im.dim:
-        raise DimensionMismatchError(
-            f"dictionary has input dim {c.shape[1]}, input model expects {im.dim}"
-        )
+    _check_input_dim(c, im)
     idx = np.array(list(itertools.combinations_with_replacement(range(d.size), 2)))
     vals = _moment_batch(
         c[idx[:, 0]] + c[idx[:, 1]],
@@ -184,10 +185,7 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
     all permutations, so the full 4-index symmetry holds exactly.
     """
     c = d.centers
-    if c.shape[1] != im.dim:
-        raise DimensionMismatchError(
-            f"dictionary has input dim {c.shape[1]}, input model expects {im.dim}"
-        )
+    _check_input_dim(c, im)
     r = d.size
     idx = np.array(list(itertools.combinations_with_replacement(range(r), 4)))
     gathered = c[idx]  # (n_multisets, 4, L)
@@ -208,6 +206,21 @@ def _kernel_columns(samples: np.ndarray, centers: np.ndarray, sigma: float) -> n
     return np.exp(-d2 / (2.0 * sigma**2))
 
 
+def _mc_kernel_chunks(centers, k: GaussianKernel, im: InputModel, n_samples: int,
+                      rng: np.random.Generator, chunk: int):
+    """Kernel columns of ``n_samples`` draws of ``u ~ N(0, R_u)``, ``chunk`` rows at a time."""
+    chol = np.linalg.cholesky(im.r_u)
+    for done in range(0, n_samples, chunk):
+        u = rng.standard_normal((min(chunk, n_samples - done), im.dim)) @ chol.T
+        yield _kernel_columns(u, centers, k.sigma)
+
+
+def _mean_and_stderr(s1, s2, n: int):
+    """Sample mean and its standard error from the sums of values and squares."""
+    mean = s1 / n
+    return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / n)
+
+
 def mc_second_moment(
     d: Dictionary,
     k: GaussianKernel,
@@ -217,22 +230,13 @@ def mc_second_moment(
     chunk: int = 200_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimate of the kernelized-input autocorrelation with standard errors."""
-    chol = np.linalg.cholesky(im.r_u)
-    r = d.size
-    s1 = np.zeros((r, r))
-    s2 = np.zeros((r, r))
-    done = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        u = rng.standard_normal((n, im.dim)) @ chol.T
-        km = _kernel_columns(u, d.centers, k.sigma)
+    s1 = np.zeros((d.size, d.size))
+    s2 = np.zeros((d.size, d.size))
+    for km in _mc_kernel_chunks(d.centers, k, im, n_samples, rng, chunk):
         s1 += km.T @ km
         km2 = km**2
         s2 += km2.T @ km2
-        done += n
-    mean = s1 / n_samples
-    var = np.maximum(s2 / n_samples - mean**2, 0.0)
-    return mean, np.sqrt(var / n_samples)
+    return _mean_and_stderr(s1, s2, n_samples)
 
 
 def mc_fourth_entries(
@@ -251,23 +255,14 @@ def mc_fourth_entries(
     entries = [tuple(int(a) for a in e) for e in entries]
     needed = sorted({a for e in entries for a in e})
     pos = {a: i for i, a in enumerate(needed)}
-    centers = d.centers[needed]
-    chol = np.linalg.cholesky(im.r_u)
     s1 = np.zeros(len(entries))
     s2 = np.zeros(len(entries))
-    done = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        u = rng.standard_normal((n, im.dim)) @ chol.T
-        km = _kernel_columns(u, centers, k.sigma)
+    for km in _mc_kernel_chunks(d.centers[needed], k, im, n_samples, rng, chunk):
         for e_i, (i, j, s, t) in enumerate(entries):
             prod = km[:, pos[i]] * km[:, pos[j]] * km[:, pos[s]] * km[:, pos[t]]
             s1[e_i] += prod.sum()
             s2[e_i] += (prod**2).sum()
-        done += n
-    mean = s1 / n_samples
-    var = np.maximum(s2 / n_samples - mean**2, 0.0)
-    return mean, np.sqrt(var / n_samples)
+    return _mean_and_stderr(s1, s2, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +317,10 @@ def estimate_cross_stats(
             s_dk2 += (dk**2).sum(axis=0)
         s_d2 += float((dd**2).sum())
         s_d4 += float((dd**4).sum())
-    p = s_dk / n_samples
-    d2 = s_d2 / n_samples
-    p_var = np.maximum(s_dk2 / n_samples - p**2, 0.0)
-    d2_var = max(s_d4 / n_samples - d2**2, 0.0)
-    return CrossStats(
-        p=p,
-        d2=d2,
-        p_stderr=np.sqrt(p_var / n_samples),
-        d2_stderr=float(np.sqrt(d2_var / n_samples)),
-        n_samples=n_samples,
-    )
+    p, p_stderr = _mean_and_stderr(s_dk, s_dk2, n_samples)
+    d2, d2_stderr = _mean_and_stderr(s_d2, s_d4, n_samples)
+    return CrossStats(p=p, d2=d2, p_stderr=p_stderr, d2_stderr=float(d2_stderr),
+                      n_samples=n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +339,8 @@ def build_model(
     """Assemble the full moment model from a dictionary, kernel and input law.
 
     Computes the closed-form second and fourth moments, applies the inverse
-    Gram square-root transform, and contracts the fourth tensor into the
-    ``h`` and ``s_tilde`` forms used by the transient recursion.
+    Gram square-root transform, and contracts the fourth tensor, through
+    ``h``, into the ``s_tilde`` form used by the transient recursion.
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size != d.size:
@@ -389,105 +377,47 @@ def build_model(
         p_tilde=p_tilde,
         alpha_star_tilde=alpha_star_tilde,
         j_min=j_min,
-        s_tensor=s_tensor,
-        h=h,
         s_tilde=s_tilde,
         gram=gf,
     )
 
 
 # ---------------------------------------------------------------------------
-# Serialization (CSV blocks with named headers, 17 significant digits)
+# Cross-statistics record: the analyze cache holds only what needs a stream
 # ---------------------------------------------------------------------------
 
-_FORMAT_TAG = "kaflab-moments,v1"
+CROSS_STATS_FORMAT_VERSION = 1
+_RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 
-def save_moment_model(m: MomentModel, path) -> None:
-    """Write every field of the model to one structured text file.
+def save_moment_model(stats: CrossStats, path) -> None:
+    """Write ``stats`` as JSON to a temporary file, then rename it into place.
 
-    Each block is ``#block,<name>,<rows>,<cols>`` followed by CSV rows at 17
-    significant digits, which round-trips IEEE doubles exactly.
+    JSON writes each double as its shortest round-tripping decimal, so
+    :func:`load_moment_model` reads the values back bit for bit.
     """
-    r = m.dim
-    blocks = [
-        ("r_kappa", m.r_kappa),
-        ("p", m.p[None, :]),
-        ("r_tilde", m.r_tilde),
-        ("p_tilde", m.p_tilde[None, :]),
-        ("alpha_star_tilde", m.alpha_star_tilde[None, :]),
-        ("s_tensor", m.s_tensor.reshape(r * r, r * r)),
-        ("h", m.h.reshape(r * r, r * r)),
-        ("s_tilde", m.s_tilde.reshape(r * r, r * r)),
-        ("g", m.gram.g),
-        ("g_sqrt", m.gram.g_sqrt),
-        ("g_inv_sqrt", m.gram.g_inv_sqrt),
-        ("g_inv", m.gram.g_inv),
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"#{_FORMAT_TAG}\n")
-        f.write(f"#meta,r,{r}\n")
-        f.write(f"#scalar,d2,{m.d2:.17g}\n")
-        f.write(f"#scalar,j_min,{m.j_min:.17g}\n")
-        for name, arr in blocks:
-            f.write(f"#block,{name},{arr.shape[0]},{arr.shape[1]}\n")
-            np.savetxt(f, arr, fmt="%.17g", delimiter=",")
+    record = {key: np.asarray(val).tolist() for key, val in vars(stats).items()}
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps({"format": _RECORD_FORMAT, **record}), encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_moment_model(path) -> MomentModel:
-    """Rebuild a :class:`MomentModel` written by :func:`save_moment_model`."""
-    from scipy.linalg import cho_factor
+def load_moment_model(path, r: int) -> CrossStats:
+    """Read a record written by :func:`save_moment_model` for ``r`` centers.
 
-    scalars: dict[str, float] = {}
-    arrays: dict[str, np.ndarray] = {}
-    r = None
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != f"#{_FORMAT_TAG}":
-            raise ValueError(f"{path} is not a moment-model file (header {header!r})")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if not line.startswith("#"):
-                raise ValueError(f"unexpected data line outside a block: {line[:40]!r}")
-            parts = line[1:].split(",")
-            if parts[0] == "meta" and parts[1] == "r":
-                r = int(parts[2])
-            elif parts[0] == "scalar":
-                scalars[parts[1]] = float(parts[2])
-            elif parts[0] == "block":
-                name, rows, cols = parts[1], int(parts[2]), int(parts[3])
-                data = np.loadtxt(
-                    itertools.islice(f, rows), delimiter=",", ndmin=2
-                )
-                if data.shape != (rows, cols):
-                    raise ValueError(
-                        f"block {name}: expected shape {(rows, cols)}, got {data.shape}"
-                    )
-                arrays[name] = data
-            else:
-                raise ValueError(f"unrecognized header line: {line[:40]!r}")
-    if r is None:
-        raise ValueError("missing meta,r header")
-    g = arrays["g"]
-    gf = GramFactor(
-        g=g,
-        g_sqrt=arrays["g_sqrt"],
-        g_inv_sqrt=arrays["g_inv_sqrt"],
-        g_inv=arrays["g_inv"],
-        _cho=cho_factor(g),
-    )
-    return MomentModel(
-        r_kappa=arrays["r_kappa"],
-        p=arrays["p"].ravel(),
-        d2=scalars["d2"],
-        r_tilde=arrays["r_tilde"],
-        p_tilde=arrays["p_tilde"].ravel(),
-        alpha_star_tilde=arrays["alpha_star_tilde"].ravel(),
-        j_min=scalars["j_min"],
-        s_tensor=arrays["s_tensor"].reshape(r, r, r, r),
-        h=arrays["h"].reshape(r, r, r, r),
-        s_tilde=arrays["s_tilde"].reshape(r, r, r, r),
-        gram=gf,
-    )
+    ``OSError`` if the file cannot be read, ``ValueError`` if it is not such a
+    record: truncated, foreign, of another version or of another length.
+    """
+    with open(path, encoding="utf-8") as f:
+        rec = json.load(f)
+    try:
+        p, p_stderr = (np.array(rec[key], dtype=float) for key in ("p", "p_stderr"))
+        if rec["format"] != _RECORD_FORMAT or p.shape != (r,) or p_stderr.shape != (r,):
+            raise ValueError(f"format {rec['format']!r}, shapes {p.shape}, {p_stderr.shape}")
+        return CrossStats(p, float(rec["d2"]), p_stderr, float(rec["d2_stderr"]),
+                          int(rec["n_samples"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path} is no cross-statistics record for {r} centers: {exc}") from exc

@@ -11,6 +11,7 @@ processes without changing the result.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -198,7 +199,18 @@ def save_learning_curve(curve: LearningCurve, path) -> None:
 
 
 def load_learning_curve(path, kind: CurveKind = CurveKind.SIMULATED, n_runs: int = 0) -> LearningCurve:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read an ``n,mse`` CSV; ``ValueError`` naming the file if it holds no curve."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file is reported below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not an 'n,mse' CSV: {exc}") from exc
+    if data.shape[0] < 1 or data.shape[1] < 2:
+        raise ValueError(
+            f"{path} holds no learning curve: expected a header and rows of 'n,mse', "
+            f"read {data.shape[0]} rows of {data.shape[1]} columns"
+        )
     return LearningCurve(mse=data[:, 1], n_runs=n_runs, kind=kind)
 
 

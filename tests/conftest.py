@@ -21,10 +21,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXP1_SEED = 20260809
 EXP2_SEED = 20260810
 
+# Kernel width of the toy model.
+TOY_SIGMA = 0.7
+
+
+def toy_dictionary():
+    """2x2 grid (r = 4) of the toy model."""
+    return grid_dictionary([-1, -1], [1, 1], 2)
+
+
+def input_model():
+    """Input law shared by every fixture model: AR(1), rho = 0.5, sigma_u = 0.5."""
+    return InputModel(stationary_covariance(0.5, 0.5))
+
 
 def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):
     kern = GaussianKernel(sigma)
-    im = InputModel(stationary_covariance(0.5, 0.5))
+    im = input_model()
     gen = InputGenerator(rho=0.5, sigma_u=0.5)
     system = SystemSimulator(kind=system_kind, noise_sigma=sigma_nu)
     stats = estimate_cross_stats(system, gen, dictionary, kern, n_samples, seed=seed)
@@ -36,8 +49,7 @@ def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):
 @pytest.fixture(scope="session")
 def toy_model():
     """Small (r = 4), fast-mixing model of the polynomial plant."""
-    d = grid_dictionary([-1, -1], [1, 1], 2)
-    model, _ = model_for(d, 0.7, SystemKind.POLYNOMIAL, 0.05, seed=301,
+    model, _ = model_for(toy_dictionary(), TOY_SIGMA, SystemKind.POLYNOMIAL, 0.05, seed=301,
                          n_samples=100_000)
     return model
 

@@ -15,10 +15,11 @@ from kaflab.analysis import (
     transient_mse,
     transient_states,
 )
+from conftest import TOY_SIGMA, input_model, toy_dictionary
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
-from kaflab.kernel import GramFactor
+from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig, unvec_lex, vec_lex
-from kaflab.moments import MomentModel
+from kaflab.moments import MomentModel, fourth_tensor
 
 
 def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
@@ -28,7 +29,7 @@ def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
     if alpha_star is None:
         alpha_star = np.zeros(r)
     eye = np.eye(r)
-    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye, g_inv=eye, _cho=None)
+    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye, _cho=None)
     return MomentModel(
         r_kappa=r_tilde.copy(),
         p=np.zeros(r),
@@ -37,8 +38,6 @@ def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
         p_tilde=np.zeros(r),
         alpha_star_tilde=np.asarray(alpha_star, dtype=float),
         j_min=j_min,
-        s_tensor=np.asarray(s_tilde, dtype=float).copy(),
-        h=np.asarray(s_tilde, dtype=float).copy(),
         s_tilde=np.asarray(s_tilde, dtype=float),
         gram=gf,
     )
@@ -185,7 +184,8 @@ class TestTransientMse:
         w = toy_model.gram.g_inv_sqrt
         t_trace = np.einsum("lmpq,qp->lm", toy_model.s_tilde, c)
         inner = w @ c @ w
-        t_full = w @ np.tensordot(toy_model.s_tensor, inner, axes=([2, 3], [0, 1])) @ w
+        s_tensor = fourth_tensor(toy_dictionary(), GaussianKernel(TOY_SIGMA), input_model())
+        t_full = w @ np.tensordot(s_tensor, inner, axes=([2, 3], [0, 1])) @ w
         assert np.abs(t_trace - t_full).max() < 1e-10 * max(1.0, np.abs(t_full).max())
 
     def test_warns_when_unstable(self, toy_model):

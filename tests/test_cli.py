@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS
-from kaflab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, compare_curves, main
+from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 
 TINY_CONFIG = """\
 [kernel]
@@ -113,11 +113,53 @@ class TestAnalyze:
               "--cache-dir", str(cache)])
         m1 = json.loads((out1 / "manifest.json").read_text())
         assert m1["dictionary"]["moments_cache_hit"] is False
+        (record,) = cache.iterdir()  # one small record, no leftover temporary file
+        assert record.name.startswith("cross_stats_") and record.suffix == ".json"
+        assert record.stat().st_size < 10_000
         main(["analyze", "--config", str(cfg), "--out", str(out2),
               "--cache-dir", str(cache)])
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["dictionary"]["moments_cache_hit"] is True
         assert (out1 / "theory.csv").read_bytes() == (out2 / "theory.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncate", "foreign"])
+    def test_damaged_cache_is_a_miss(self, tmp_path, damage):
+        cfg = write_tiny(tmp_path)
+        cache = tmp_path / "cache"
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["analyze", "--config", str(cfg), "--out", str(first),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        (record,) = cache.iterdir()
+        if damage == "truncate":
+            record.write_bytes(record.read_bytes()[: record.stat().st_size // 2])
+        else:
+            record.write_text("n,mse\n0,1.0\n")
+        assert main(["analyze", "--config", str(cfg), "--out", str(second),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest["dictionary"]["moments_cache_hit"] is False
+        for name in ("theory.csv", "steady_state.txt", "stability.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        # the miss rewrote a whole record, which the next run reads
+        third = tmp_path / "c"
+        assert main(["analyze", "--config", str(cfg), "--out", str(third),
+                     "--cache-dir", str(cache)]) == EXIT_OK
+        manifest = json.loads((third / "manifest.json").read_text())
+        assert manifest["dictionary"]["moments_cache_hit"] is True
+
+    def test_cache_key_separates_seed_from_sample_count(self):
+        import dataclasses
+
+        from kaflab.config import (
+            build_dictionary, build_input_model, load_config, moments_cache_key,
+        )
+
+        cfg = load_config(CONFIGS / "null.cfg")
+        d, _ = build_dictionary(cfg)
+        im = build_input_model(cfg)
+        a = dataclasses.replace(cfg, seed=12, n_moment_samples=10_000)
+        b = dataclasses.replace(cfg, seed=1, n_moment_samples=210_000)
+        assert moments_cache_key(a, d, im) != moments_cache_key(b, d, im)
 
     def test_single_center_matches_hand_formulas(self, tmp_path):
         # r = 1: every output is a scalar formula
@@ -211,6 +253,20 @@ class TestCompare:
         overlay = np.loadtxt(tmp_path / "cmp" / "overlay.csv", delimiter=",", skiprows=1)
         assert overlay.shape[0] == 7
 
+    @pytest.mark.parametrize("text", ["n,mse\n", "mse\n1.0\n2.0\n"],
+                             ids=["header_only", "one_column"])
+    def test_curve_without_data_is_io_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        good = tmp_path / "good.csv"
+        good.write_text("n,mse\n0,1.0\n1,0.5\n")
+        rc = main(["compare", "--sim", str(bad), "--theory", str(good),
+                   "--out", str(tmp_path / "cmp")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("io error: ") and str(bad) in err
+
     def test_compare_curves_metrics(self):
         sim = np.full(100, 2.0)
         theory = np.full(100, 1.0)
@@ -303,6 +359,26 @@ class TestErrorPaths:
         rc = main(["analyze", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "[input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("eta = 0.075", "eta = inf"),
+            ("sigma_nu = 0.0", "sigma_nu = inf"),
+            ("sigma = 0.7", "sigma = nan"),
+            ("lo = -1, -1", "lo = -1, inf"),
+        ],
+        ids=["eta_inf", "sigma_nu_inf", "sigma_nan", "lo_inf"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, command, old, new):
+        text = (CONFIGS / "null.cfg").read_text()
+        assert old in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(old, new))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
 
     def test_divergent_simulation_exits_numeric(self, tmp_path, capsys):
         cfg = write_tiny(tmp_path, eta=500.0, n_iters=2000)

@@ -7,6 +7,7 @@ import pytest
 from kaflab.errors import NotPositiveDefiniteError
 from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary
 from kaflab.moments import (
+    CrossStats,
     InputModel,
     build_model,
     estimate_cross_stats,
@@ -252,7 +253,7 @@ class TestBuildModel:
         assert np.abs(m.gram.g - np.eye(3)).max() < 1e-15
         assert np.abs(m.r_tilde - m.r_kappa).max() < 1e-12
         assert np.abs(m.p_tilde - p).max() < 1e-12
-        assert np.abs(m.s_tilde - m.s_tensor).max() < 1e-12
+        assert np.abs(m.s_tilde - fourth_tensor(d, k, im)).max() < 1e-12
 
     def test_j_min_noise_floor_for_null_system(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
@@ -266,21 +267,12 @@ class TestBuildModel:
         assert m.j_min <= stats.d2
 
     def test_contraction_order_oracle(self):
-        _, _, _, _, m = small_model()
+        d, k, im, _, m = small_model()
         w = m.gram.g_inv_sqrt
         direct = np.einsum(
-            "la,mb,pc,qd,abcd->lmpq", w, w, w, w, m.s_tensor, optimize=True
+            "la,mb,pc,qd,abcd->lmpq", w, w, w, w, fourth_tensor(d, k, im), optimize=True
         )
         assert np.abs(m.s_tilde - direct).max() < 1e-10
-
-    def test_h_definitional_entries(self):
-        _, _, _, _, m = small_model()
-        w = m.gram.g_inv_sqrt
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            mm, pp, i, j = rng.integers(0, m.dim, 4)
-            expected = w[:, mm] @ m.s_tensor[i, j] @ w[:, pp]
-            assert m.h[mm, pp, i, j] == pytest.approx(expected, rel=1e-10)
 
     def test_s_tilde_symmetry_pairs(self):
         _, _, _, _, m = small_model()
@@ -327,31 +319,35 @@ class TestBuildModel:
 
 class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path):
-        _, _, _, _, m = small_model()
-        path = tmp_path / "moments.csv"
-        save_moment_model(m, path)
-        loaded = load_moment_model(path)
-        assert np.array_equal(loaded.r_kappa, m.r_kappa)
-        assert np.array_equal(loaded.p, m.p)
-        assert loaded.d2 == m.d2
-        assert np.array_equal(loaded.r_tilde, m.r_tilde)
-        assert np.array_equal(loaded.p_tilde, m.p_tilde)
-        assert np.array_equal(loaded.alpha_star_tilde, m.alpha_star_tilde)
-        assert loaded.j_min == m.j_min
-        assert np.array_equal(loaded.s_tensor, m.s_tensor)
-        assert np.array_equal(loaded.h, m.h)
-        assert np.array_equal(loaded.s_tilde, m.s_tilde)
-        assert np.array_equal(loaded.gram.g, m.gram.g)
-        assert np.array_equal(loaded.gram.g_sqrt, m.gram.g_sqrt)
-        assert np.array_equal(loaded.gram.g_inv_sqrt, m.gram.g_inv_sqrt)
-        assert np.array_equal(loaded.gram.g_inv, m.gram.g_inv)
-        # the rebuilt factorization must be usable
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(m.dim)
-        assert np.allclose(loaded.gram.solve(b), m.gram.solve(b))
+        _, _, _, stats, _ = small_model()
+        path = tmp_path / "cross_stats.json"
+        save_moment_model(stats, path)
+        loaded = load_moment_model(path, stats.p.size)
+        assert isinstance(loaded, CrossStats)
+        assert np.array_equal(loaded.p, stats.p)
+        assert np.array_equal(loaded.p_stderr, stats.p_stderr)
+        assert loaded.d2 == stats.d2
+        assert loaded.d2_stderr == stats.d2_stderr
+        assert loaded.n_samples == stats.n_samples
+        # the record is small and the temporary file is gone
+        assert [f.name for f in tmp_path.iterdir()] == ["cross_stats.json"]
+        assert path.stat().st_size < 10_000
 
     def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "not_moments.csv"
+        path = tmp_path / "not_cross_stats.json"
         path.write_text("n,mse\n0,1.0\n")
         with pytest.raises(ValueError):
-            load_moment_model(path)
+            load_moment_model(path, 4)
+        path.write_text('{"format": "something-else", "p": [1.0]}')
+        with pytest.raises(ValueError):
+            load_moment_model(path, 1)
+
+    def test_rejects_truncated_and_wrong_length_records(self, tmp_path):
+        _, _, _, stats, _ = small_model()
+        path = tmp_path / "cross_stats.json"
+        save_moment_model(stats, path)
+        with pytest.raises(ValueError):
+            load_moment_model(path, stats.p.size + 1)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(ValueError):
+            load_moment_model(path, stats.p.size)
