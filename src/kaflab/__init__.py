@@ -49,7 +49,7 @@ from .filters import (
     selective_step,
 )
 from .analysis import (
-    KMatrix,
+    KSpectrum,
     build_k,
     complexity_report,
     mean_recursion,

@@ -16,6 +16,7 @@ import datetime
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -165,25 +166,49 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Laps:
+    """Wall time of consecutive stages, in seconds, for the manifest."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = round(now - self._last, 6)
+        self._last = now
+
+
 def cmd_analyze(args) -> int:
     cfg = _load_config_with_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "moments_cache"
+    laps = _Laps()
     d, info = build_dictionary(cfg)
+    laps.lap("dictionary")
     model = _obtain_model(cfg, d, info, cache_dir)
+    laps.lap("moments")
 
     bound = mean_stability_bound(model)
     mean_ok = 0 < cfg.eta < bound
-    stable, radius = mean_square_stable(build_k(model, cfg.eta))
+    km = build_k(model, cfg.eta)
+    stable, radius = mean_square_stable(km)
+    laps.lap("spectrum")
 
-    theory_path = out / "theory.csv"
-    transient_note = "ok"
+    curve, transient_note = None, "ok"
     try:
-        curve = transient_mse(model, cfg.eta, cfg.n_iters - 1, check_stability=False)
-        save_learning_curve(curve, theory_path)
+        curve = transient_mse(model, cfg.eta, cfg.n_iters - 1, check_stability=False, km=km)
     except DivergenceError as exc:
         transient_note = f"diverged_at_step_{exc.last_finite_step + 1}"
+    laps.lap("transient")
+    mse_inf = steady_state_mse(model, cfg.eta, km=km)[0] if stable else None
+    laps.lap("steady_state")
+
+    theory_path = out / "theory.csv"
+    if curve is not None:
+        save_learning_curve(curve, theory_path)
+    else:
         with open(theory_path, "w", encoding="utf-8", newline="\n") as f:
             f.write("n,mse\n")
 
@@ -192,8 +217,7 @@ def cmd_analyze(args) -> int:
         f.write(f"eta = {cfg.eta:.17g}\n")
         f.write(f"j_min = {model.j_min:.17g}\n")
         f.write(f"d2 = {model.d2:.17g}\n")
-        if stable:
-            mse_inf, _ = steady_state_mse(model, cfg.eta)
+        if mse_inf is not None:
             f.write(f"steady_state_mse = {mse_inf:.17g}\n")
         else:
             f.write("steady_state_mse = unavailable\n")
@@ -206,8 +230,11 @@ def cmd_analyze(args) -> int:
         f.write(f"k_spectral_radius = {radius:.17g}\n")
         f.write(f"mean_square_stable = {'PASS' if stable else 'FAIL'}\n")
         f.write(f"transient = {transient_note}\n")
+    laps.lap("write")
 
-    _write_manifest(out, "analyze", cfg, {"dictionary": info},
+    counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius}
+    _write_manifest(out, "analyze", cfg,
+                    {"dictionary": info, "counters": counters, "timings": laps.seconds},
                     [theory_path, steady_path, stab_path])
     print(f"wrote {theory_path}, {steady_path}, {stab_path}")
     return EXIT_OK

@@ -185,12 +185,14 @@ def grid_dictionary(
     return Dictionary(np.array(list(itertools.product(*axes))))
 
 
-def coherence_select(samples, k: GaussianKernel, mu0: float) -> Dictionary:
+def coherence_select(samples, k: GaussianKernel, mu0: float,
+                     stop_after: int | None = None) -> Dictionary:
     """Greedy coherence-based selection of dictionary centers from a sample stream.
 
     The first sample is always admitted; a later sample is admitted iff its
     largest kernel value against the centers admitted so far is at most
-    ``mu0``. Order-dependent by construction.
+    ``mu0``. Order-dependent by construction. With ``stop_after``, the
+    selection ends as soon as it holds that many centers.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 1:
@@ -198,13 +200,17 @@ def coherence_select(samples, k: GaussianKernel, mu0: float) -> Dictionary:
     if not 0.0 < mu0 < 1.0:
         raise ValueError(f"mu0 must lie in (0, 1), got {mu0}")
     two_s2 = 2.0 * k.sigma**2
-    centers = [samples[0]]
+    centers = np.empty_like(samples)
+    centers[0] = samples[0]
+    kept = 1
     for u in samples[1:]:
-        c = np.asarray(centers)
-        coh = np.exp(-((c - u) ** 2).sum(axis=1) / two_s2).max()
+        if kept == stop_after:
+            break
+        coh = np.exp(-((centers[:kept] - u) ** 2).sum(axis=1) / two_s2).max()
         if coh <= mu0:
-            centers.append(u)
-    return Dictionary(np.asarray(centers))
+            centers[kept] = u
+            kept += 1
+    return Dictionary(centers[:kept].copy())
 
 
 def coherence_threshold_for_size(
@@ -217,6 +223,8 @@ def coherence_threshold_for_size(
 
     Selection size is nondecreasing in the threshold, so a plain bisection over
     (0, 1) converges; raises if no threshold yields the target on this stream.
+    Only "more than the target" matters above it, so each trial selection
+    stops at ``target_size + 1`` centers.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if target_size < 1:
@@ -225,14 +233,14 @@ def coherence_threshold_for_size(
     last = (0, 0)
     for _ in range(max_iter):
         mid = (lo + hi) / 2.0
-        size = coherence_select(samples, k, mid).size
+        size = coherence_select(samples, k, mid, stop_after=target_size + 1).size
         if size == target_size:
             return mid
         if size < target_size:
             lo = mid
         else:
             hi = mid
-        last = (size, mid)
+        last = (size if size < target_size else f"above {target_size}", mid)
     raise KaflabError(
         f"bisection did not reach a dictionary of size {target_size} on this "
         f"stream (last size {last[0]} at threshold {last[1]:.6g}); the size "

@@ -118,3 +118,35 @@ def unvec_lex(v: np.ndarray, dim: int) -> np.ndarray:
             f"cannot reshape a length-{v.size} vector into a {dim}x{dim} matrix"
         )
     return v.reshape((dim, dim), order="F")
+
+
+def sym_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis of the symmetric ``dim x dim`` matrices.
+
+    Returns the row and column indices ``(i, j)`` of the upper triangle,
+    row by row, and the scale of each coordinate: 1 on the diagonal,
+    sqrt(2) off it, so that the coordinates preserve the Frobenius inner
+    product.
+    """
+    i, j = np.triu_indices(dim)
+    return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
+def vec_sym(c: np.ndarray) -> np.ndarray:
+    """Coordinates of a symmetric matrix in the basis of :func:`sym_basis`."""
+    c = check_square(c, "vec_sym input")
+    i, j, scale = sym_basis(c.shape[0])
+    return c[i, j] * scale
+
+
+def unvec_sym(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec_sym`: rebuild the symmetric ``dim x dim`` matrix."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != dim * (dim + 1) // 2:
+        raise DimensionMismatchError(
+            f"a length-{v.size} vector holds no symmetric {dim}x{dim} matrix"
+        )
+    i, j, scale = sym_basis(dim)
+    c = np.empty((dim, dim))
+    c[i, j] = c[j, i] = v / scale
+    return c

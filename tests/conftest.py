@@ -6,12 +6,14 @@ fourth-moment tensor are the expensive pieces.
 """
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from kaflab.config import build_dictionary, load_config
 from kaflab.kernel import GaussianKernel, grid_dictionary
+from kaflab.linalg import kron
 from kaflab.moments import InputModel, build_model, estimate_cross_stats
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
 
@@ -33,6 +35,30 @@ def toy_dictionary():
 def input_model():
     """Input law shared by every fixture model: AR(1), rho = 0.5, sigma_u = 0.5."""
     return InputModel(stationary_covariance(0.5, 0.5))
+
+
+class LexK(NamedTuple):
+    """Lexicographic transition matrix ``k = I - eta (k1 + k2) + eta^2 k3``."""
+
+    k: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
+
+
+def lex_k(m, eta):
+    """The r^2 x r^2 transition matrix in the Kronecker form of Parreira,
+    Bermudez, Richard and Tourneret (IEEE TSP 2012): ``k1 = I (x) r_tilde``,
+    ``k2 = r_tilde (x) I`` and ``k3[l + m r, p + q r] = s_tilde[l, m, p, q]``.
+
+    The oracle that the symmetric-block engine of ``kaflab.analysis`` is
+    checked against; the library itself never builds it.
+    """
+    r = m.dim
+    k1 = kron(np.eye(r), m.r_tilde)
+    k2 = kron(m.r_tilde, np.eye(r))
+    k3 = m.s_tilde.transpose(1, 0, 3, 2).reshape(r * r, r * r)
+    return LexK(np.eye(r * r) - eta * (k1 + k2) + eta**2 * k3, k1, k2, k3)
 
 
 def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):

@@ -67,7 +67,7 @@ from kaflab.sim import (
     mc_learning_curve,
     stationary_covariance,
 )
-from conftest import CONFIGS, model_for
+from conftest import CONFIGS, lex_k, model_for
 
 BUILD_SECONDS: dict[str, float] = {}
 
@@ -315,7 +315,7 @@ def test_criterion_7_steady_state_self_consistency(exp1):
         mse_inf, c_inf = steady_state_mse(model, cfg.eta)
         curve = transient_mse(model, cfg.eta, 100_000, check_stability=False)
         gap = curve.mse[-1] - mse_inf
-        km = build_k(model, cfg.eta)
+        km = lex_k(model, cfg.eta)
         lam, vk = np.linalg.eig(km.k)
         r_vec = vec_lex(model.r_tilde)
         z0 = vec_lex(np.outer(model.alpha_star_tilde, model.alpha_star_tilde)) - vec_lex(c_inf)

@@ -1,5 +1,6 @@
-"""Theory engine: mean recursion and its bound, the lexicographic transition
-matrix, transient and steady-state MSE, complexity accounting."""
+"""Theory engine: mean recursion and its bound, the transition matrix (the
+lexicographic oracle and the symmetric block the engine decomposes),
+transient and steady-state MSE, complexity accounting."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kaflab.analysis import (
     transient_mse,
     transient_states,
 )
-from conftest import TOY_SIGMA, input_model, toy_dictionary
+from conftest import TOY_SIGMA, input_model, lex_k, toy_dictionary
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig, unvec_lex, vec_lex
@@ -88,16 +89,17 @@ class TestMeanRecursion:
 class TestBuildK:
     def test_eta_zero_gives_identity(self, toy_model):
         km = build_k(toy_model, 0.0)
-        assert np.array_equal(km.k, np.eye(toy_model.dim**2))
+        r = toy_model.dim
+        assert np.array_equal(km.k_sym, np.eye(r * (r + 1) // 2))
 
     def test_scalar_case(self):
         m = fabricate_model(np.array([[0.5]]), np.full((1, 1, 1, 1), 0.3))
         km = build_k(m, 0.1)
-        assert km.k.shape == (1, 1)
-        assert km.k[0, 0] == pytest.approx(1 - 2 * 0.1 * 0.5 + 0.1**2 * 0.3)
+        assert km.k_sym.shape == (1, 1)
+        assert km.k_sym[0, 0] == pytest.approx(1 - 2 * 0.1 * 0.5 + 0.1**2 * 0.3)
 
     def test_reconstruction_invariant(self, toy_model):
-        km = build_k(toy_model, 0.075)
+        km = lex_k(toy_model, 0.075)
         rebuilt = (
             np.eye(toy_model.dim**2)
             - 0.075 * (km.k1 + km.k2)
@@ -106,13 +108,13 @@ class TestBuildK:
         assert np.array_equal(km.k, rebuilt)
 
     def test_kron_structure(self, toy_model):
-        km = build_k(toy_model, 0.075)
+        km = lex_k(toy_model, 0.075)
         r = toy_model.dim
         assert np.array_equal(km.k1, np.kron(np.eye(r), toy_model.r_tilde))
         assert np.array_equal(km.k2, np.kron(toy_model.r_tilde, np.eye(r)))
 
     def test_k3_lexicographic_mapping(self, toy_model):
-        km = build_k(toy_model, 0.075)
+        km = lex_k(toy_model, 0.075)
         r = toy_model.dim
         rng = np.random.default_rng(82)
         for _ in range(30):
@@ -123,7 +125,7 @@ class TestBuildK:
         # one step of the matrix recursion equals the lexicographic map:
         # a dual-route check between the recursion and the K form
         eta = 0.075
-        km = build_k(toy_model, eta)
+        km = lex_k(toy_model, eta)
         rng = np.random.default_rng(83)
         a = rng.standard_normal((toy_model.dim, toy_model.dim))
         c = (a + a.T) / 2
@@ -155,6 +157,20 @@ class TestMeanSquareStable:
         stable, radius = mean_square_stable(build_k(toy_model, eta))
         assert not stable
         assert radius >= 1
+
+    def test_antisymmetric_block_can_set_the_radius(self):
+        # Gaussian fourth moments of x ~ N(0, c I): T is small, so at eta = 1.5
+        # the antisymmetric eigenvalue 1 - 2 eta = -2 dominates the symmetric
+        # block (-0.875 and 0.25) and must enter the radius
+        c, eye = 0.5, np.eye(2)
+        s = c**2 * (np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("ik,jl->ijkl", eye, eye)
+                    + np.einsum("il,jk->ijkl", eye, eye))
+        m = fabricate_model(eye, s)
+        km = build_k(m, 1.5)
+        assert np.abs(km.eigenvalues).max() == pytest.approx(0.875)
+        assert km.radius == pytest.approx(2.0, rel=1e-12)
+        assert km.radius == pytest.approx(np.abs(np.linalg.eigvals(lex_k(m, 1.5).k)).max(),
+                                          rel=1e-12)
 
 
 class TestTransientMse:
@@ -208,7 +224,7 @@ class TestSteadyStateMse:
     def test_fixed_point_residual(self, toy_model):
         eta = 0.075
         mse_inf, c_inf = steady_state_mse(toy_model, eta)
-        km = build_k(toy_model, eta)
+        km = lex_k(toy_model, eta)
         c_vec = vec_lex(c_inf)
         resid = km.k @ c_vec + eta**2 * toy_model.j_min * vec_lex(toy_model.r_tilde) - c_vec
         assert np.abs(resid).max() < 1e-10 * max(np.abs(c_vec).max(), 1e-30)

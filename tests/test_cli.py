@@ -122,6 +122,26 @@ class TestAnalyze:
         assert m2["dictionary"]["moments_cache_hit"] is True
         assert (out1 / "theory.csv").read_bytes() == (out2 / "theory.csv").read_bytes()
 
+    def test_manifest_records_counters_and_timings(self, tmp_path):
+        cfg = write_tiny(tmp_path)
+        cache = tmp_path / "cache"
+        manifests = []
+        for name in ("cold", "warm"):
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--cache-dir", str(cache)]) == EXIT_OK
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        cold, warm = manifests
+        assert cold["outputs"] == warm["outputs"]
+        for m in manifests:
+            assert m["counters"]["r"] == 4
+            assert m["counters"]["k_dim"] == 10
+            stability = dict(line.split(" = ") for line in
+                             (tmp_path / "cold" / "stability.txt").read_text().splitlines())
+            assert m["counters"]["k_spectral_radius"] == float(stability["k_spectral_radius"])
+            assert set(m["timings"]) == {"dictionary", "moments", "spectrum", "transient",
+                                         "steady_state", "write"}
+            assert all(t >= 0 for t in m["timings"].values())
+
     @pytest.mark.parametrize("damage", ["truncate", "foreign"])
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
         cfg = write_tiny(tmp_path)

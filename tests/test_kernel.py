@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import CONFIGS
+from kaflab.config import calibration_samples, load_config
 from kaflab.errors import DimensionMismatchError, KaflabError, NotPositiveDefiniteError
 from kaflab.kernel import (
     Dictionary,
@@ -181,6 +183,46 @@ class TestCoherenceSelect:
         mu0 = coherence_threshold_for_size(samples, k, 12)
         assert 0 < mu0 < 1
         assert coherence_select(samples, k, mu0).size == 12
+
+
+def list_select(samples, k, mu0):
+    """Coherence selection as a plain list-growing loop: the bit-exact reference."""
+    two_s2 = 2.0 * k.sigma**2
+    centers = [samples[0]]
+    for u in samples[1:]:
+        c = np.asarray(centers)
+        if np.exp(-((c - u) ** 2).sum(axis=1) / two_s2).max() <= mu0:
+            centers.append(u)
+    return np.asarray(centers)
+
+
+class TestCoherenceSelectExact:
+    """The buffered, early-stopping selection keeps exactly the reference centers."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        cfg = load_config(CONFIGS / "experiment2.cfg")
+        return calibration_samples(cfg)[:2000], GaussianKernel(cfg.sigma)
+
+    @pytest.mark.parametrize("mu0", [0.05, 0.3, 0.6, 0.8, 0.9])
+    def test_same_centers(self, stream, mu0):
+        samples, k = stream
+        ref = list_select(samples, k, mu0)
+        assert np.array_equal(coherence_select(samples, k, mu0).centers, ref)
+        for stop in (1, 2, ref.shape[0] // 2 + 1, ref.shape[0] + 1):
+            head = coherence_select(samples, k, mu0, stop_after=stop).centers
+            assert np.array_equal(head, ref[:stop])
+
+    def test_same_calibrated_threshold(self, stream):
+        samples, k = stream
+        lo, hi = 0.0, 1.0
+        for _ in range(60):  # the bisection on full selections
+            mid = (lo + hi) / 2.0
+            size = list_select(samples, k, mid).shape[0]
+            if size == 12:
+                break
+            lo, hi = (mid, hi) if size < 12 else (lo, mid)
+        assert coherence_threshold_for_size(samples, k, 12) == mid
 
 
 class TestDictionaryCsv:
