@@ -64,6 +64,7 @@ from .sim import (
     InputGenerator,
     load_learning_curve,
     mc_learning_curve,
+    run_chunk_size,
     save_learning_curve,
 )
 
@@ -149,23 +150,6 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config_with_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    d, info = build_dictionary(cfg)
-    setup = build_setup(cfg, d)
-    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed,
-                              workers=args.workers)
-    sim_path = out / "simulated.csv"
-    save_learning_curve(curve, sim_path)
-    _write_manifest(out, "simulate", cfg,
-                    {"dictionary": info, "n_runs": cfg.n_runs,
-                     "n_iters": cfg.n_iters}, [sim_path])
-    print(f"wrote {sim_path} ({cfg.n_runs} runs x {cfg.n_iters} iterations)")
-    return EXIT_OK
-
-
 class _Laps:
     """Wall time of consecutive stages, in seconds, for the manifest."""
 
@@ -177,6 +161,28 @@ class _Laps:
         now = time.perf_counter()
         self.seconds[stage] = round(now - self._last, 6)
         self._last = now
+
+
+def cmd_simulate(args) -> int:
+    cfg = _load_config_with_seed(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    laps = _Laps()
+    d, info = build_dictionary(cfg)
+    setup = build_setup(cfg, d)
+    laps.lap("dictionary")
+    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed)
+    laps.lap("monte_carlo")
+    sim_path = out / "simulated.csv"
+    save_learning_curve(curve, sim_path)
+    laps.lap("write")
+    counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
+                "run_chunk": min(cfg.n_runs, run_chunk_size(d.input_dim, cfg.n_iters))}
+    _write_manifest(out, "simulate", cfg,
+                    {"dictionary": info, "counters": counters, "timings": laps.seconds},
+                    [sim_path])
+    print(f"wrote {sim_path} ({cfg.n_runs} runs x {cfg.n_iters} iterations)")
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -413,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="process fan-out (default: KAFLAB_THREADS or 1)")
+                   help="accepted for old scripts and ignored: all runs step in one process")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="compute the theoretical curves and verdicts")

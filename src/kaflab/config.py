@@ -260,7 +260,8 @@ def build_dictionary(cfg: ExperimentConfig) -> tuple[Dictionary, dict]:
 
     For a coherence dictionary with ``target_size``, the threshold is found by
     bisection over a fixed pregenerated input stream; the resolved value is
-    reported in the info dict.
+    reported in the info dict, and ``truncated`` says whether the size jumped
+    past the target so that only the first ``target_size`` centers were kept.
     """
     kern = GaussianKernel(cfg.sigma)
     if cfg.dictionary_kind == "grid":
@@ -271,19 +272,14 @@ def build_dictionary(cfg: ExperimentConfig) -> tuple[Dictionary, dict]:
         return d, {"kind": "grid", "size": d.size}
     samples = calibration_samples(cfg)
     if cfg.mu0 is not None:
-        mu0 = cfg.mu0
+        mu0, d, truncated = cfg.mu0, coherence_select(samples, kern, cfg.mu0), False
     else:
         try:
-            mu0 = coherence_threshold_for_size(samples, kern, cfg.target_size)
+            mu0, d, truncated = coherence_threshold_for_size(samples, kern, cfg.target_size)
         except KaflabError as exc:
             raise ConfigError(f"coherence calibration failed: {exc}") from exc
-    d = coherence_select(samples, kern, mu0)
-    if cfg.target_size is not None and d.size != cfg.target_size:
-        raise ConfigError(
-            f"coherence selection produced {d.size} centers, wanted {cfg.target_size}"
-        )
     return d, {"kind": "coherence", "size": d.size, "mu0": mu0,
-               "calib_samples": cfg.calib_samples}
+               "calib_samples": cfg.calib_samples, "truncated": truncated}
 
 
 def build_input_model(cfg: ExperimentConfig) -> InputModel:

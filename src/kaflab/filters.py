@@ -1,10 +1,9 @@
 """Online adaptive filters over a fixed kernel dictionary.
 
 All filters share the same step shape: compute the a-priori error
-``e = d - <alpha, kappa(u)>``, then move the coefficient vector. Steps are
-pure state transitions returning a fresh :class:`FilterState`, so independent
-Monte-Carlo runs can share the read-only :class:`~kaflab.kernel.GramFactor`
-without coordination.
+``e = d - <alpha, kappa(u)>``, then move the coefficient vector. :func:`update`
+moves a batch of coefficient vectors, one row per independent run, in place;
+the step functions are wrappers over it on a batch of one.
 
 The main algorithm updates along the Gram-preconditioned direction
 ``G^-1 kappa``, i.e. steepest descent in the function-space metric restricted
@@ -17,11 +16,18 @@ baseline works in plain coefficient space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
+
+
+class FilterKind(Enum):
+    NATURAL_KLMS = "natural_klms"
+    SELECTIVE = "selective"
+    KNLMS = "knlms"
 
 
 @dataclass(frozen=True)
@@ -54,7 +60,73 @@ class StepRecord:
 
 def predict(s: FilterState, k: GaussianKernel, u: np.ndarray) -> float:
     """Filter output ``<alpha, kappa(u)>`` at the current state."""
-    return float(s.alpha @ kernelized_input(s.dictionary, k, u))
+    return float(np.vecdot(s.alpha, kernelized_input(s.dictionary, k, u)))
+
+
+def select_update_indices(kap: np.ndarray, s_n: int) -> np.ndarray:
+    """Indices of the ``s_n`` largest kernel values, ties broken by lowest index.
+
+    ``kap`` is one kernel vector or a stack of them (one per row); indices are
+    returned in ascending order per row. A pure function of the inputs, so
+    repeated calls with equal inputs select identical sets.
+    """
+    order = np.argsort(-kap, axis=-1, kind="stable")[..., :s_n]
+    return np.sort(order, axis=-1)
+
+
+def update(
+    alpha: np.ndarray,
+    kap: np.ndarray,
+    e: np.ndarray,
+    kind: FilterKind,
+    gf: GramFactor | None,
+    eta: float,
+    s_n: int = 1,
+    eps_reg: float = 1e-2,
+) -> None:
+    """Move each row of ``alpha`` (n, r) in place, given its kernel vector and error.
+
+    ``kap`` is (n, r) and ``e`` (n,). The natural update adds
+    ``eta e G^-1 kappa``; the selective one solves the ``s_n x s_n``
+    principal Gram subsystem of each row's selection, and with ``s_n = r`` is
+    the natural update; the normalized baseline adds
+    ``eta e kappa / (eps_reg + ||kappa||^2)``.
+    """
+    if not eta > 0:
+        raise ValueError(f"step size must be positive, got {eta}")
+    r = alpha.shape[1]
+    if kind is FilterKind.SELECTIVE and not 1 <= s_n <= r:
+        raise ValueError(f"s_n must lie in [1, {r}], got {s_n}")
+    if kind is FilterKind.KNLMS and not eps_reg > 0:
+        raise ValueError(f"regularizer must be positive, got {eps_reg}")
+    step = (eta * e)[:, None]
+    if kind is FilterKind.KNLMS:
+        alpha += step * kap / (eps_reg + np.vecdot(kap, kap))[:, None]
+    elif kind is FilterKind.SELECTIVE and s_n < r:
+        idx = select_update_indices(kap, s_n)
+        rows = np.arange(alpha.shape[0])[:, None]
+        sub_g = gf.g[idx[:, :, None], idx[:, None, :]]
+        sub = np.linalg.solve(sub_g, kap[rows, idx][:, :, None])[:, :, 0]
+        alpha[rows, idx] += step * sub
+    else:
+        alpha += step * (kap @ gf.g_inv)
+
+
+def _step(s, gf, k, u, d, kind, eta, s_n=1, eps_reg=1e-2):
+    """One step of one filter, as a batch of one through :func:`update`.
+
+    ``np.vecdot`` gives a row the same value whatever rows are stacked with
+    it, so a run stepped here and in a chunk of runs sees the same errors.
+    """
+    kap = kernelized_input(s.dictionary, k, u)[None]
+    alpha = s.alpha[None].copy()
+    pred = np.vecdot(alpha, kap)
+    e = float(d) - pred
+    update(alpha, kap, e, kind, gf, eta, s_n, eps_reg)
+    return (
+        StepRecord(prior_error=float(e[0]), prediction=float(pred[0])),
+        FilterState(alpha=alpha[0], dictionary=s.dictionary, iteration=s.iteration + 1),
+    )
 
 
 def natural_klms_step(
@@ -66,26 +138,7 @@ def natural_klms_step(
     eta: float,
 ) -> tuple[StepRecord, FilterState]:
     """Full Gram-preconditioned update: ``alpha += eta * e * G^-1 kappa``."""
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    kap = kernelized_input(s.dictionary, k, u)
-    pred = float(s.alpha @ kap)
-    e = float(d) - pred
-    alpha = s.alpha + eta * e * gf.solve(kap)
-    return (
-        StepRecord(prior_error=e, prediction=pred),
-        FilterState(alpha=alpha, dictionary=s.dictionary, iteration=s.iteration + 1),
-    )
-
-
-def select_update_indices(kap: np.ndarray, s_n: int) -> np.ndarray:
-    """Indices of the ``s_n`` largest kernel values, ties broken by lowest index.
-
-    Returned in ascending order; a pure function of the inputs, so repeated
-    calls with equal inputs select identical sets.
-    """
-    order = np.argsort(-kap, kind="stable")[:s_n]
-    return np.sort(order)
+    return _step(s, gf, k, u, d, FilterKind.NATURAL_KLMS, eta)
 
 
 def selective_step(
@@ -104,26 +157,7 @@ def selective_step(
     full solve. With ``s_n`` equal to the dictionary size this reproduces
     :func:`natural_klms_step` exactly.
     """
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    r = s.dictionary.size
-    if not 1 <= s_n <= r:
-        raise ValueError(f"s_n must lie in [1, {r}], got {s_n}")
-    kap = kernelized_input(s.dictionary, k, u)
-    pred = float(s.alpha @ kap)
-    e = float(d) - pred
-    alpha = s.alpha.copy()
-    if s_n == r:
-        # degenerate selection covers every index; reuse the cached factorization
-        alpha += eta * e * gf.solve(kap)
-    else:
-        idx = select_update_indices(kap, s_n)
-        sub = np.linalg.solve(gf.g[np.ix_(idx, idx)], kap[idx])
-        alpha[idx] += eta * e * sub
-    return (
-        StepRecord(prior_error=e, prediction=pred),
-        FilterState(alpha=alpha, dictionary=s.dictionary, iteration=s.iteration + 1),
-    )
+    return _step(s, gf, k, u, d, FilterKind.SELECTIVE, eta, s_n=s_n)
 
 
 def knlms_step(
@@ -135,15 +169,4 @@ def knlms_step(
     eps_reg: float,
 ) -> tuple[StepRecord, FilterState]:
     """Normalized baseline in coefficient space: ``alpha += eta e kappa / (eps + ||kappa||^2)``."""
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    if not eps_reg > 0:
-        raise ValueError(f"regularizer must be positive, got {eps_reg}")
-    kap = kernelized_input(s.dictionary, k, u)
-    pred = float(s.alpha @ kap)
-    e = float(d) - pred
-    alpha = s.alpha + eta * e * kap / (eps_reg + kap @ kap)
-    return (
-        StepRecord(prior_error=e, prediction=pred),
-        FilterState(alpha=alpha, dictionary=s.dictionary, iteration=s.iteration + 1),
-    )
+    return _step(s, None, k, u, d, FilterKind.KNLMS, eta, eps_reg=eps_reg)

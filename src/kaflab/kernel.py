@@ -3,9 +3,9 @@
 A dictionary of r centers spans an r-dimensional function subspace; the Gram
 matrix G of pairwise kernel values realizes that subspace's inner product on
 coefficient vectors. :class:`GramFactor` carries G together with its square
-root, inverse square root and Cholesky factor, which bridge between the
-coefficient parameterization and the orthonormalized ("tilde") coordinates
-used by the performance model.
+root, inverse square root and inverse, which bridge between the coefficient
+parameterization and the orthonormalized ("tilde") coordinates used by the
+performance model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatchError, KaflabError, NotPositiveDefiniteError
 from .linalg import pd_sqrt, symmetrize
@@ -84,34 +83,37 @@ class Dictionary:
 class GramFactor:
     """Gram matrix of a dictionary with its PD factorizations.
 
-    ``g_sqrt @ g_sqrt == g`` to about 1e-10 relative. ``solve`` applies
-    ``G^-1`` through a cached Cholesky factorization, which is both cheaper
-    and better conditioned than an explicit inverse in per-sample filter
-    updates.
+    ``g_sqrt @ g_sqrt == g`` to about 1e-10 relative. ``g_inv`` is the
+    symmetric inverse ``g_inv_sqrt @ g_inv_sqrt``, built once so that a batch
+    of filter updates applies ``G^-1`` with one matrix product per step.
     """
 
     g: np.ndarray
     g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
-    _cho: tuple = field(repr=False, compare=False, default=None)
+    g_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]
+    def __post_init__(self):
+        object.__setattr__(self, "g_inv", symmetrize(self.g_inv_sqrt @ self.g_inv_sqrt))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``g x = b`` against the cached factorization."""
-        return cho_solve(self._cho, b, check_finite=False)
+        """Solve ``g x = b`` through the stored inverse."""
+        return self.g_inv @ b
 
 
 def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray) -> np.ndarray:
-    """Vector of kernel values between ``u`` and every dictionary center."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != d.input_dim:
+    """Kernel values between ``u`` and every dictionary center.
+
+    ``u`` is one input of length L, giving shape (r,), or a stack (..., L),
+    giving (..., r). Distances are summed one input axis at a time, so an
+    input gets the same values alone as in any stack.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (d.input_dim,):
         raise DimensionMismatchError(
-            f"input has length {u.size}, dictionary expects {d.input_dim}"
+            f"input has shape {u.shape}, dictionary expects length {d.input_dim}"
         )
-    d2 = ((d.centers - u) ** 2).sum(axis=1)
+    d2 = sum((d.centers[:, a] - u[..., a, None]) ** 2 for a in range(d.input_dim))
     return np.exp(-d2 / (2.0 * k.sigma**2))
 
 
@@ -131,7 +133,7 @@ def _closest_pair(centers: np.ndarray) -> tuple[int, int, float]:
 
 
 def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
-    """Gram matrix with its square root, inverse square root and Cholesky factor.
+    """Gram matrix with its square root, inverse square root and inverse.
 
     Raises :class:`NotPositiveDefiniteError` naming the closest center pair if
     the dictionary contains (near-)duplicates or is otherwise too coherent for
@@ -155,7 +157,7 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
             f"at distance {dist:.6e}",
             smallest_eigenvalue=exc.smallest_eigenvalue,
         ) from exc
-    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt, _cho=cho_factor(g))
+    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt)
 
 
 def grid_dictionary(
@@ -218,31 +220,34 @@ def coherence_threshold_for_size(
     k: GaussianKernel,
     target_size: int,
     max_iter: int = 60,
-) -> float:
-    """Bisect the coherence threshold until exactly ``target_size`` centers are kept.
+) -> tuple[float, Dictionary, bool]:
+    """Bisect the coherence threshold for a dictionary of ``target_size`` centers.
 
-    Selection size is nondecreasing in the threshold, so a plain bisection over
-    (0, 1) converges; raises if no threshold yields the target on this stream.
-    Only "more than the target" matters above it, so each trial selection
-    stops at ``target_size + 1`` centers.
+    Returns ``(mu0, dictionary, truncated)``. Selection size is nondecreasing
+    in the threshold, and each trial stops at ``target_size + 1`` centers,
+    since only "more than the target" matters above it. Where the size jumps
+    past the target between adjacent doubles, the smallest bisected threshold
+    keeping more is taken with its first ``target_size`` centers, and
+    ``truncated`` is true. Raises if no threshold keeps as many as the target.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
-    lo, hi = 0.0, 1.0
-    last = (0, 0)
+    lo, hi, above = 0.0, 1.0, None  # above: the selection at hi, once one kept more
     for _ in range(max_iter):
         mid = (lo + hi) / 2.0
-        size = coherence_select(samples, k, mid, stop_after=target_size + 1).size
-        if size == target_size:
-            return mid
-        if size < target_size:
+        if not lo < mid < hi:
+            break
+        d = coherence_select(samples, k, mid, stop_after=target_size + 1)
+        if d.size == target_size:
+            return mid, d, False
+        if d.size < target_size:
             lo = mid
         else:
-            hi = mid
-        last = (size if size < target_size else f"above {target_size}", mid)
-    raise KaflabError(
-        f"bisection did not reach a dictionary of size {target_size} on this "
-        f"stream (last size {last[0]} at threshold {last[1]:.6g}); the size "
-        f"may jump past the target between adjacent thresholds"
-    )
+            hi, above = mid, d
+    if above is None:
+        raise KaflabError(
+            f"bisection did not reach a dictionary of size {target_size} on this "
+            f"stream (fewer centers at every threshold up to {lo:.6g})"
+        )
+    return hi, Dictionary(above.centers[:target_size]), True

@@ -1,18 +1,17 @@
-"""Signal generation and the Monte-Carlo learning-curve harness.
+"""Signal generation and the Monte-Carlo learning-curve engine.
 
 Streams are fully determined by ``(master seed, configuration)``: every run,
 estimation shard and calibration stream derives its generator from a
-``SeedSequence`` keyed on the master seed, a purpose salt and an index, and
-aggregation sums per-run curves in fixed run order. Runs are embarrassingly
-parallel; ``KAFLAB_THREADS`` (or the ``workers`` argument) fans them out over
-processes without changing the result.
+``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
+engine steps a chunk of independent runs in lockstep, one row per run, through
+:func:`kaflab.filters.update`, and adds the chunks' summed squared errors in
+run order. Chunk and block sizes follow from one byte budget and the run
+shape, so the curve is fixed by configuration and seed.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,8 +19,11 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import DimensionMismatchError, DivergenceError
-from .filters import FilterState, knlms_step, natural_klms_step, selective_step
-from .kernel import Dictionary, GaussianKernel, GramFactor
+from .filters import FilterKind, update
+from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
+
+# Unused here, like ``_run_single`` below: perfbench/tracing.py wraps them by name.
+from .filters import knlms_step, natural_klms_step, selective_step  # noqa: F401
 
 # Purpose salts folded into SeedSequence entropy so that concurrent uses of
 # one master seed (runs, estimation shards, calibration) never share streams.
@@ -29,6 +31,12 @@ MC_RUN_SALT = 1
 CROSS_STATS_SALT = 2
 CALIBRATION_SALT = 3
 MOMENTS_CHECK_SALT = 4
+
+# Working memory of the Monte-Carlo engine: a chunk of runs holds its streams
+# in at most this many bytes, and a block of time steps holds its kernel values
+# in a sixteenth of it. That is still tens of steps per block, so the per-block
+# calls cost little next to the per-step update.
+MC_WORK_BYTES = 3 * 2**20
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -40,12 +48,6 @@ class SystemKind(Enum):
     POLYNOMIAL = "polynomial"
     FLUID_FLOW = "fluid_flow"
     NULL = "null"
-
-
-class FilterKind(Enum):
-    NATURAL_KLMS = "natural_klms"
-    SELECTIVE = "selective"
-    KNLMS = "knlms"
 
 
 class CurveKind(Enum):
@@ -121,10 +123,6 @@ class SystemSimulator:
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
-    def reset(self) -> None:
-        self.x_prev = 0.0
-        self.x_prev2 = 0.0
-
     @property
     def warmup_samples(self) -> int:
         """Measurement delay needed for the plant output to be stationary."""
@@ -146,8 +144,9 @@ class SystemSimulator:
         """Vectorized run over a scalar stream, from a rested plant.
 
         ``u`` has length m+1 (one priming sample); returns ``d`` of length m
-        for the pairs ``(u_n, u_{n-1})``, n = 1..m. Leaves the plant state at
-        the end-of-stream values.
+        for the pairs ``(u_n, u_{n-1})``, n = 1..m. The state that
+        :meth:`step` carries is neither read nor changed, so one simulator
+        serves any number of independent streams.
         """
         u = np.asarray(u, dtype=float).ravel()
         noise = np.asarray(noise, dtype=float).ravel()
@@ -155,17 +154,12 @@ class SystemSimulator:
             raise DimensionMismatchError(
                 f"need len(noise) == len(u) - 1 >= 1, got {noise.size} and {u.size}"
             )
-        self.reset()
         if self.kind is SystemKind.POLYNOMIAL:
             x = 0.5 * u[1:] - 0.3 * u[:-1]
             return x - 0.5 * x**2 + 0.1 * x**3 + noise
         if self.kind is SystemKind.FLUID_FLOW:
             v = 0.1044 * u[1:] + 0.0883 * u[:-1]
             x, _ = lfilter([1.0], [1.0, -1.4138, 0.6065], v, zi=np.zeros(2))
-            if x.size >= 2:
-                self.x_prev, self.x_prev2 = x[-1], x[-2]
-            elif x.size == 1:
-                self.x_prev = x[-1]
             return 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
         return noise.copy()
 
@@ -268,73 +262,71 @@ class ExperimentSetup:
     eps_reg: float = 1e-2
 
 
+def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> np.ndarray:
+    """Squared a-priori errors summed over ``runs``, all stepped in lockstep.
+
+    A diverging run is stepped on with non-finite values, so that the
+    :class:`DivergenceError` names the lowest-index run that diverges, as when
+    runs were stepped one by one: its first iteration with a non-finite
+    squared error, its ``||alpha||`` there and its last finite error.
+    """
+    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
+    m, r = len(runs), setup.dictionary.size
+    u = np.empty((n_iters, m, setup.dictionary.input_dim))
+    d = np.empty((n_iters, m))
+    for j, run in enumerate(runs):
+        u[:, j], d[:, j] = experiment_stream(
+            setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run)
+        )
+    alpha, e, total = np.zeros((m, r)), np.full(m, np.nan), np.empty(n_iters)
+    diverged = {}  # row -> (iteration, ||alpha||, last finite error)
+    block = max(1, MC_WORK_BYTES // 16 // (8 * m * r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, n_iters, block):
+            kap = kernelized_input(setup.dictionary, setup.kernel, u[t0:t0 + block])
+            e2 = np.empty(kap.shape[:2])
+            for i, kap_i, d_i, e2_i in zip(range(t0, n_iters), kap, d[t0:], e2):
+                last, e = e, d_i - np.vecdot(alpha, kap_i)
+                np.multiply(e, e, out=e2_i)
+                if not e2_i.max() < np.inf:  # also true for a NaN
+                    for j in np.flatnonzero(~np.isfinite(e2_i)):
+                        diverged.setdefault(j, (i, np.linalg.norm(alpha[j]), last[j]))
+                update(alpha, kap_i, e, setup.filter_kind, setup.gram, setup.eta,
+                       setup.s_n, setup.eps_reg)
+            total[t0:t0 + block] = e2.sum(axis=1)
+    if diverged:
+        i, norm, last_e = diverged[min(diverged)]
+        raise DivergenceError(
+            f"run {runs[min(diverged)]} produced a non-finite error at iteration {i} "
+            f"(||alpha|| = {norm:.6g}, last finite error {last_e:.6g})",
+            last_finite_step=i - 1,
+        )
+    return total
+
+
+def run_chunk_size(input_dim: int, n_iters: int) -> int:
+    """Runs stepped together: as many as keep their streams in ``MC_WORK_BYTES``."""
+    return max(1, MC_WORK_BYTES // (8 * (input_dim + 1) * n_iters))
+
+
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
     """Squared a-priori error sequence of one independently seeded run."""
-    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
-    u_vecs, d = experiment_stream(
-        setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run_idx)
-    )
-    state = FilterState.zeros(setup.dictionary)
-    e2 = np.empty(n_iters)
-    for i in range(n_iters):
-        if setup.filter_kind is FilterKind.NATURAL_KLMS:
-            rec, state = natural_klms_step(
-                state, setup.gram, setup.kernel, u_vecs[i], d[i], setup.eta
-            )
-        elif setup.filter_kind is FilterKind.SELECTIVE:
-            rec, state = selective_step(
-                state, setup.gram, setup.kernel, u_vecs[i], d[i], setup.eta, setup.s_n
-            )
-        else:
-            rec, state = knlms_step(
-                state, setup.kernel, u_vecs[i], d[i], setup.eta, setup.eps_reg
-            )
-        e2[i] = rec.prior_error * rec.prior_error
-        if not np.isfinite(e2[i]):
-            raise DivergenceError(
-                f"run {run_idx} produced a non-finite error at iteration {i}",
-                last_finite_step=i - 1,
-            )
-    return e2
+    return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get("KAFLAB_THREADS", "1"))
-    return max(1, workers)
-
-
-def mc_learning_curve(
-    setup: ExperimentSetup,
-    n_runs: int,
-    n_iters: int,
-    seed: int,
-    workers: int | None = None,
-) -> LearningCurve:
+def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
+                      seed: int) -> LearningCurve:
     """Pointwise average of squared a-priori errors over independent runs.
 
-    Each run derives its generators from ``(seed, run index)``; curves are
-    summed in run-index order, so the result is bit-identical for a given
-    ``(seed, setup, n_runs, n_iters)`` regardless of worker count.
+    Each run derives its generators from ``(seed, run index)``; runs are
+    stepped in chunks of :func:`run_chunk_size` and the chunk sums added in
+    run order, so the result is bit-identical for a given
+    ``(seed, setup, n_runs, n_iters)``.
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
-    workers = _worker_count(workers)
-    if workers == 1:
-        curves = [_run_single(setup, seed, i, n_iters) for i in range(n_runs)]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            curves = list(
-                pool.map(
-                    _run_single,
-                    [setup] * n_runs,
-                    [seed] * n_runs,
-                    range(n_runs),
-                    [n_iters] * n_runs,
-                    chunksize=max(1, n_runs // (4 * workers)),
-                )
-            )
+    chunk = run_chunk_size(setup.dictionary.input_dim, n_iters)
     total = np.zeros(n_iters)
-    for c in curves:
-        total += c
+    for start in range(0, n_runs, chunk):
+        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters)
     return LearningCurve(mse=total / n_runs, n_runs=n_runs, kind=CurveKind.SIMULATED)

@@ -71,8 +71,6 @@ from conftest import CONFIGS, lex_k, model_for
 
 BUILD_SECONDS: dict[str, float] = {}
 
-WORKERS = 2
-
 
 @contextmanager
 def criterion(num, name):
@@ -103,7 +101,7 @@ def exp1(exp1_model):
     sim = _timed(
         "exp1_sim",
         lambda: mc_learning_curve(
-            build_setup(cfg, d), cfg.n_runs, cfg.n_iters, cfg.seed, workers=WORKERS
+            build_setup(cfg, d), cfg.n_runs, cfg.n_iters, cfg.seed
         ),
     )
     return cfg, d, model, theory, mse_inf, sim
@@ -121,7 +119,7 @@ def exp2(exp2_model):
     sim = _timed(
         "exp2_sim",
         lambda: mc_learning_curve(
-            build_setup(cfg, d), cfg.n_runs, cfg.n_iters, cfg.seed, workers=WORKERS
+            build_setup(cfg, d), cfg.n_runs, cfg.n_iters, cfg.seed
         ),
     )
     return cfg, d, model, theory, mse_inf, sim
@@ -340,8 +338,7 @@ def exp1_selective_curve(exp1):
     setup = dataclasses.replace(setup, filter_kind=FilterKind.SELECTIVE, s_n=1)
     return _timed(
         "exp1_selective",
-        lambda: mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed,
-                                  workers=WORKERS),
+        lambda: mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed),
     )
 
 

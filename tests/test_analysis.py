@@ -30,7 +30,7 @@ def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
     if alpha_star is None:
         alpha_star = np.zeros(r)
     eye = np.eye(r)
-    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye, _cho=None)
+    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye)
     return MomentModel(
         r_kappa=r_tilde.copy(),
         p=np.zeros(r),

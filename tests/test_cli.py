@@ -80,6 +80,24 @@ class TestSimulate:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["outputs"] == m2["outputs"]
 
+    def test_workers_option_is_ignored(self, tmp_path):
+        cfg = write_tiny(tmp_path)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
+        assert main(["simulate", "--config", str(cfg), "--out", str(out2),
+                     "--workers", "2"]) == EXIT_OK
+        assert (out1 / "simulated.csv").read_bytes() == (out2 / "simulated.csv").read_bytes()
+
+    def test_manifest_records_counters_and_timings(self, tmp_path):
+        cfg = write_tiny(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2}
+        assert set(m["timings"]) == {"dictionary", "monte_carlo", "write"}
+        assert all(t >= 0 for t in m["timings"].values())
+        assert set(m["outputs"]) == {"simulated.csv"}
+
     def test_seed_override_changes_stream(self, tmp_path):
         cfg = write_tiny(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

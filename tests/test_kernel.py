@@ -1,13 +1,14 @@
 """Gaussian kernel, dictionary construction, Gram factorization and the
 inner-product-preserving coordinate transform."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import CONFIGS
-from kaflab.config import calibration_samples, load_config
+from conftest import CONFIGS, EXP2_SEED
+from kaflab.config import build_dictionary, calibration_samples, load_config
 from kaflab.errors import DimensionMismatchError, KaflabError, NotPositiveDefiniteError
 from kaflab.kernel import (
     Dictionary,
@@ -180,9 +181,10 @@ class TestCoherenceSelect:
         rng = np.random.default_rng(13)
         samples = rng.normal(0, 0.5, size=(500, 2))
         k = GaussianKernel(0.75)
-        mu0 = coherence_threshold_for_size(samples, k, 12)
-        assert 0 < mu0 < 1
-        assert coherence_select(samples, k, mu0).size == 12
+        mu0, d, truncated = coherence_threshold_for_size(samples, k, 12)
+        assert 0 < mu0 < 1 and not truncated
+        assert np.array_equal(coherence_select(samples, k, mu0).centers, d.centers)
+        assert d.size == 12
 
 
 def list_select(samples, k, mu0):
@@ -222,7 +224,33 @@ class TestCoherenceSelectExact:
             if size == 12:
                 break
             lo, hi = (mid, hi) if size < 12 else (lo, mid)
-        assert coherence_threshold_for_size(samples, k, 12) == mid
+        assert coherence_threshold_for_size(samples, k, 12)[0] == mid
+
+
+class TestCalibrationJump:
+    """On some seeds no threshold keeps exactly ``target_size`` centers."""
+
+    @pytest.mark.parametrize("seed", [110, 155])
+    def test_size_jump_keeps_the_first_target_centers(self, seed):
+        cfg = dataclasses.replace(load_config(CONFIGS / "experiment2.cfg"), seed=seed)
+        d, info = build_dictionary(cfg)
+        assert d.size == info["size"] == cfg.target_size == 31
+        assert info["truncated"] is True
+        samples, k, mu0 = calibration_samples(cfg), GaussianKernel(cfg.sigma), info["mu0"]
+        # mu0 is the smallest threshold above the target: the next double
+        # down keeps fewer centers
+        below = coherence_select(samples, k, np.nextafter(mu0, 0.0)).size
+        full = coherence_select(samples, k, mu0).centers
+        assert below < cfg.target_size < full.shape[0]
+        assert np.array_equal(d.centers, full[:cfg.target_size])
+
+    def test_shipped_seed_is_not_truncated(self):
+        cfg = load_config(CONFIGS / "experiment2.cfg")
+        assert cfg.seed == EXP2_SEED
+        d, info = build_dictionary(cfg)
+        assert info["truncated"] is False and info["mu0"] == 0.84375
+        samples, k = calibration_samples(cfg), GaussianKernel(cfg.sigma)
+        assert np.array_equal(d.centers, coherence_select(samples, k, 0.84375).centers)
 
 
 class TestDictionaryCsv:

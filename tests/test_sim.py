@@ -1,12 +1,20 @@
-"""Input streams, benchmark plants, and the Monte-Carlo harness."""
+"""Input streams, benchmark plants, and the Monte-Carlo engine."""
+
+import dataclasses
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kaflab.sim as sim
 from kaflab.errors import DivergenceError
-from kaflab.filters import FilterState, natural_klms_step
+from kaflab.filters import FilterState, knlms_step, natural_klms_step, selective_step
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
 from kaflab.sim import (
+    MC_RUN_SALT,
     CurveKind,
     ExperimentSetup,
     FilterKind,
@@ -230,11 +238,9 @@ class TestMcLearningCurve:
 
     def test_deterministic_and_worker_invariant(self):
         setup = tiny_setup()
-        a = mc_learning_curve(setup, n_runs=4, n_iters=60, seed=9, workers=1)
-        b = mc_learning_curve(setup, n_runs=4, n_iters=60, seed=9, workers=1)
-        c = mc_learning_curve(setup, n_runs=4, n_iters=60, seed=9, workers=2)
+        a = mc_learning_curve(setup, n_runs=4, n_iters=60, seed=9)
+        b = mc_learning_curve(setup, n_runs=4, n_iters=60, seed=9)
         assert np.array_equal(a.mse, b.mse)
-        assert np.array_equal(a.mse, c.mse)
 
     def test_learning_brings_mse_below_start(self):
         setup = tiny_setup()
@@ -253,6 +259,102 @@ class TestMcLearningCurve:
             with pytest.raises(DivergenceError) as err:
                 mc_learning_curve(setup, n_runs=1, n_iters=2000, seed=13)
         assert err.value.last_finite_step is not None
+        i, norm, last_e = stepped_divergence(setup, 13, 0, 2000)
+        assert err.value.last_finite_step == i - 1
+        assert str(err.value) == (
+            f"run 0 produced a non-finite error at iteration {i} "
+            f"(||alpha|| = {norm:.6g}, last finite error {last_e:.6g})"
+        )
+
+    def test_divergence_names_the_lowest_diverging_run(self):
+        # every run diverges, run 1 first in time, yet run 0 is reported,
+        # as when the runs were stepped one after another
+        setup = tiny_setup(eta=3.0)
+        stepped = [stepped_divergence(setup, 13, run, 2000) for run in range(4)]
+        assert min(s[0] for s in stepped) < stepped[0][0]
+        with pytest.raises(DivergenceError) as err:
+            mc_learning_curve(setup, n_runs=4, n_iters=2000, seed=13)
+        i, norm, last_e = stepped[0]
+        assert err.value.last_finite_step == i - 1
+        found = re.fullmatch(
+            r"run 0 produced a non-finite error at iteration (\d+) "
+            r"\(\|\|alpha\|\| = (\S+), last finite error (\S+)\)", str(err.value))
+        assert found is not None, str(err.value)
+        assert int(found[1]) == i
+        assert float(found[2]) == pytest.approx(norm, rel=1e-5)
+        assert float(found[3]) == pytest.approx(last_e, rel=1e-5)
+
+
+STEPS = {
+    FilterKind.NATURAL_KLMS: lambda s, setup, u, d: natural_klms_step(
+        s, setup.gram, setup.kernel, u, d, setup.eta),
+    FilterKind.SELECTIVE: lambda s, setup, u, d: selective_step(
+        s, setup.gram, setup.kernel, u, d, setup.eta, setup.s_n),
+    FilterKind.KNLMS: lambda s, setup, u, d: knlms_step(
+        s, setup.kernel, u, d, setup.eta, setup.eps_reg),
+}
+
+
+def stepped_run(setup, seed, run, n_iters):
+    """Squared a-priori errors of one run stepped alone by the step functions."""
+    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
+    u, d = experiment_stream(setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run))
+    state = FilterState.zeros(setup.dictionary)
+    e2 = np.empty(n_iters)
+    for i in range(n_iters):
+        rec, state = STEPS[setup.filter_kind](state, setup, u[i], d[i])
+        e2[i] = rec.prior_error * rec.prior_error
+    return e2
+
+
+def stepped_divergence(setup, seed, run, n_iters):
+    """First iteration with a non-finite squared error of a run stepped alone,
+    with ``||alpha||`` there and the error before it."""
+    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
+    u, d = experiment_stream(setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run))
+    state, last = FilterState.zeros(setup.dictionary), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_iters):
+            rec, after = STEPS[setup.filter_kind](state, setup, u[i], d[i])
+            if not np.isfinite(rec.prior_error * rec.prior_error):
+                return i, float(np.linalg.norm(state.alpha)), last
+            state, last = after, rec.prior_error
+    raise AssertionError(f"run {run} did not diverge")
+
+
+class TestEngineProperties:
+    """The lockstep engine against the step functions, run by run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        s_n=st.integers(1, 9),
+        eta=st.floats(0.01, 0.5),
+        system=st.sampled_from([SystemKind.POLYNOMIAL, SystemKind.FLUID_FLOW]),
+        seed=st.integers(0, 2**32 - 1),
+        n_runs=st.integers(2, 5),
+        n_iters=st.integers(1, 40),
+    )
+    def test_engine_matches_step_functions(self, kind, s_n, eta, system, seed, n_runs,
+                                           n_iters):
+        setup = tiny_setup(filter_kind=kind, system=system, eta=eta)
+        setup = dataclasses.replace(setup, s_n=s_n)
+        stepped = np.array([stepped_run(setup, seed, run, n_iters) for run in range(n_runs)])
+        # one run is stepped exactly as the step functions step it
+        for run in range(n_runs):
+            assert np.array_equal(sim._run_single(setup, seed, run, n_iters), stepped[run])
+        assert np.array_equal(mc_learning_curve(setup, 1, n_iters, seed).mse, stepped[0])
+        # in a chunk, a row's matrix product may round differently
+        curve = mc_learning_curve(setup, n_runs, n_iters, seed).mse
+        mean = stepped.mean(axis=0)
+        assert (np.abs(curve - mean) <= 1e-12 * mean).all()
+        # one-run chunks and one-step blocks: the sum of the runs stepped alone
+        with mock.patch.object(sim, "MC_WORK_BYTES", 1):
+            alone = mc_learning_curve(setup, n_runs, n_iters, seed).mse
+        total = np.zeros(n_iters)
+        for e2 in stepped:
+            total += e2
+        assert np.array_equal(alone, total / n_runs)
 
 
 class TestLearningCurveCsv:
