@@ -7,6 +7,7 @@ step-size bound, and the correlation recursion ``C <- K(C) + eta^2 j_min r_tilde
 trace(s_tilde[l, m] C)`` (Parreira, Bermudez, Richard and Tourneret, IEEE TSP
 2012). One eigendecomposition of K on symmetric matrices (:func:`build_k`) gives
 mean-square stability, the steady-state MSE and the whole transient curve.
+:func:`compare_curves` measures how far a simulated curve lies from it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .sim import CurveKind, LearningCurve
 K_CAP = 10_000
 
 TRANSIENT_BLOCK = 1024  # curve steps per block of powers: memory does not grow with n
+
+# Window of the moving average applied to curves before the smoothed gap
+# metrics; wide enough to suppress per-iteration Monte-Carlo noise, narrow
+# relative to any transient feature of interest.
+SMOOTH_WINDOW = 51
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,56 @@ def steady_state_mse(m: MomentModel, eta: float,
         raise NotStableError(f"transition matrix has spectral radius {km.radius:.6f} >= 1; "
                              f"no steady state exists", spectral_radius=km.radius)
     return _fixed_point(m, km)
+
+
+def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    if window <= 1:
+        return x
+    ones = np.ones(window)
+    return np.convolve(x, ones, mode="same") / np.convolve(
+        np.ones_like(x), ones, mode="same"
+    )
+
+
+def _log10_gap(sim: np.ndarray, theory: np.ndarray) -> np.ndarray:
+    gap = np.zeros_like(sim)
+    both_pos = (sim > 0) & (theory > 0)
+    gap[both_pos] = np.abs(np.log10(sim[both_pos]) - np.log10(theory[both_pos]))
+    one_zero = (sim > 0) != (theory > 0)
+    gap[one_zero] = np.inf
+    return gap
+
+
+def compare_curves(sim: np.ndarray, theory: np.ndarray,
+                   smooth_window: int = SMOOTH_WINDOW) -> dict:
+    """Gap metrics between a simulated and a theoretical MSE curve.
+
+    ``steady_band_rel_error`` averages over the final 10% of iterations;
+    the log-gap metrics come in raw and moving-average-smoothed variants,
+    each overall and restricted to iterations after 50.
+    """
+    n = min(sim.size, theory.size)
+    sim, theory = sim[:n], theory[:n]
+    band = slice(max(0, n - max(1, n // 10)), n)
+    t_band = theory[band].mean()
+    steady_err = abs(sim[band].mean() - t_band) / t_band if t_band > 0 else 0.0
+    raw = _log10_gap(sim, theory)
+    smoothed = _log10_gap(_moving_average(sim, smooth_window),
+                          _moving_average(theory, smooth_window))
+    after = slice(min(51, n), n)
+    return {
+        "n_compared": n,
+        "steady_band_rel_error": float(steady_err),
+        "max_log10_gap": float(raw.max()) if n else 0.0,
+        "max_log10_gap_after_50": float(raw[after].max()) if raw[after].size else 0.0,
+        "max_log10_gap_smoothed": float(smoothed.max()) if n else 0.0,
+        "max_log10_gap_smoothed_after_50": (
+            float(smoothed[after].max()) if smoothed[after].size else 0.0
+        ),
+        "smooth_window": smooth_window,
+        "initial_mse_sim": float(sim[0]) if n else 0.0,
+        "initial_mse_theory": float(theory[0]) if n else 0.0,
+    }
 
 
 def complexity_report(r: int, L: int, s_n: int) -> tuple[int, int]:

@@ -23,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    SMOOTH_WINDOW,
     build_k,
+    compare_curves,
     complexity_report,
     mean_square_stable,
     mean_stability_bound,
@@ -47,6 +49,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotStableError,
 )
+from .filters import FilterKind
 from .kernel import GaussianKernel
 from .moments import (
     build_model,
@@ -73,10 +76,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# Window of the moving average applied to curves before the smoothed gap
-# metrics; wide enough to suppress per-iteration Monte-Carlo noise, narrow
-# relative to any transient feature of interest.
-SMOOTH_WINDOW = 51
+# The update whose theory ``analyze`` writes, whatever the configured filter:
+# for a selective or normalized filter it is a reference curve, and
+# stability.txt says so.
+THEORY_MODELS = FilterKind.NATURAL_KLMS
 
 
 def _sha256(path: Path) -> str:
@@ -236,64 +239,17 @@ def cmd_analyze(args) -> int:
         f.write(f"k_spectral_radius = {radius:.17g}\n")
         f.write(f"mean_square_stable = {'PASS' if stable else 'FAIL'}\n")
         f.write(f"transient = {transient_note}\n")
+        if cfg.filter_kind is not THEORY_MODELS:
+            f.write(f"theory_models = {THEORY_MODELS.value}\n")
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius}
     _write_manifest(out, "analyze", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.seconds},
+                    {"dictionary": info, "counters": counters, "timings": laps.seconds,
+                     "theory_models": THEORY_MODELS.value},
                     [theory_path, steady_path, stab_path])
     print(f"wrote {theory_path}, {steady_path}, {stab_path}")
     return EXIT_OK
-
-
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return x
-    ones = np.ones(window)
-    return np.convolve(x, ones, mode="same") / np.convolve(
-        np.ones_like(x), ones, mode="same"
-    )
-
-
-def _log10_gap(sim: np.ndarray, theory: np.ndarray) -> np.ndarray:
-    gap = np.zeros_like(sim)
-    both_pos = (sim > 0) & (theory > 0)
-    gap[both_pos] = np.abs(np.log10(sim[both_pos]) - np.log10(theory[both_pos]))
-    one_zero = (sim > 0) != (theory > 0)
-    gap[one_zero] = np.inf
-    return gap
-
-
-def compare_curves(sim: np.ndarray, theory: np.ndarray,
-                   smooth_window: int = SMOOTH_WINDOW) -> dict:
-    """Gap metrics between a simulated and a theoretical MSE curve.
-
-    ``steady_band_rel_error`` averages over the final 10% of iterations;
-    the log-gap metrics come in raw and moving-average-smoothed variants,
-    each overall and restricted to iterations after 50.
-    """
-    n = min(sim.size, theory.size)
-    sim, theory = sim[:n], theory[:n]
-    band = slice(max(0, n - max(1, n // 10)), n)
-    t_band = theory[band].mean()
-    steady_err = abs(sim[band].mean() - t_band) / t_band if t_band > 0 else 0.0
-    raw = _log10_gap(sim, theory)
-    smoothed = _log10_gap(_moving_average(sim, smooth_window),
-                          _moving_average(theory, smooth_window))
-    after = slice(min(51, n), n)
-    return {
-        "n_compared": n,
-        "steady_band_rel_error": float(steady_err),
-        "max_log10_gap": float(raw.max()) if n else 0.0,
-        "max_log10_gap_after_50": float(raw[after].max()) if raw[after].size else 0.0,
-        "max_log10_gap_smoothed": float(smoothed.max()) if n else 0.0,
-        "max_log10_gap_smoothed_after_50": (
-            float(smoothed[after].max()) if smoothed[after].size else 0.0
-        ),
-        "smooth_window": smooth_window,
-        "initial_mse_sim": float(sim[0]) if n else 0.0,
-        "initial_mse_theory": float(theory[0]) if n else 0.0,
-    }
 
 
 def cmd_compare(args) -> int:

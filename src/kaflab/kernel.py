@@ -195,6 +195,13 @@ def coherence_select(samples, k: GaussianKernel, mu0: float,
     largest kernel value against the centers admitted so far is at most
     ``mu0``. Order-dependent by construction. With ``stop_after``, the
     selection ends as soon as it holds that many centers.
+
+    Each sample's largest kernel value is kept as a running maximum over the
+    admitted centers, so a center costs one vector operation over the samples
+    after it: admitting it raises their maxima, and the next center is the
+    first of them whose maximum stays at or below ``mu0``. Each pair's kernel
+    value is computed with the same operations as in a loop over the samples,
+    so both keep the same centers.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 1:
@@ -202,17 +209,18 @@ def coherence_select(samples, k: GaussianKernel, mu0: float,
     if not 0.0 < mu0 < 1.0:
         raise ValueError(f"mu0 must lie in (0, 1), got {mu0}")
     two_s2 = 2.0 * k.sigma**2
-    centers = np.empty_like(samples)
-    centers[0] = samples[0]
-    kept = 1
-    for u in samples[1:]:
-        if kept == stop_after:
+    coherence = np.full(samples.shape[0], -np.inf)  # running maximum over the centers
+    kept = [0]
+    while len(kept) != stop_after:
+        i = kept[-1]
+        later = coherence[i + 1:]
+        np.maximum(later, np.exp(-((samples[i + 1:] - samples[i]) ** 2).sum(axis=1) / two_s2),
+                   out=later)
+        admissible = np.flatnonzero(later <= mu0)
+        if admissible.size == 0:
             break
-        coh = np.exp(-((centers[:kept] - u) ** 2).sum(axis=1) / two_s2).max()
-        if coh <= mu0:
-            centers[kept] = u
-            kept += 1
-    return Dictionary(centers[:kept].copy())
+        kept.append(i + 1 + int(admissible[0]))
+    return Dictionary(samples[kept])
 
 
 def coherence_threshold_for_size(

@@ -90,11 +90,6 @@ def pd_sqrt(a: np.ndarray, pd_floor_rel: float = PD_FLOOR_REL) -> tuple[np.ndarr
     return sq, inv_sq
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square (not necessarily symmetric) matrix."""
     a = check_square(a, "spectral_radius input")
@@ -102,22 +97,6 @@ def spectral_radius(a: np.ndarray) -> float:
         return float(np.abs(np.linalg.eigvals(a)).max())
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenSolverError(f"eigenvalue computation failed: {exc}") from exc
-
-
-def vec_lex(c: np.ndarray) -> np.ndarray:
-    """Stack the columns of a square matrix into one vector (top to bottom)."""
-    c = check_square(c, "vec_lex input")
-    return c.flatten(order="F")
-
-
-def unvec_lex(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec_lex`: rebuild the ``dim x dim`` matrix."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != dim * dim:
-        raise DimensionMismatchError(
-            f"cannot reshape a length-{v.size} vector into a {dim}x{dim} matrix"
-        )
-    return v.reshape((dim, dim), order="F")
 
 
 def sym_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

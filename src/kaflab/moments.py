@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
-from .kernel import Dictionary, GaussianKernel, GramFactor, gram
+from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
 from .linalg import symmetrize, sym_eig
 
 # Samples discarded from the head of estimation streams so that the AR input
@@ -201,18 +201,13 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _kernel_columns(samples: np.ndarray, centers: np.ndarray, sigma: float) -> np.ndarray:
-    d2 = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-d2 / (2.0 * sigma**2))
-
-
-def _mc_kernel_chunks(centers, k: GaussianKernel, im: InputModel, n_samples: int,
+def _mc_kernel_chunks(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples: int,
                       rng: np.random.Generator, chunk: int):
     """Kernel columns of ``n_samples`` draws of ``u ~ N(0, R_u)``, ``chunk`` rows at a time."""
     chol = np.linalg.cholesky(im.r_u)
     for done in range(0, n_samples, chunk):
         u = rng.standard_normal((min(chunk, n_samples - done), im.dim)) @ chol.T
-        yield _kernel_columns(u, centers, k.sigma)
+        yield kernelized_input(d, k, u)
 
 
 def _mean_and_stderr(s1, s2, n: int):
@@ -232,7 +227,7 @@ def mc_second_moment(
     """Sample estimate of the kernelized-input autocorrelation with standard errors."""
     s1 = np.zeros((d.size, d.size))
     s2 = np.zeros((d.size, d.size))
-    for km in _mc_kernel_chunks(d.centers, k, im, n_samples, rng, chunk):
+    for km in _mc_kernel_chunks(d, k, im, n_samples, rng, chunk):
         s1 += km.T @ km
         km2 = km**2
         s2 += km2.T @ km2
@@ -257,7 +252,7 @@ def mc_fourth_entries(
     pos = {a: i for i, a in enumerate(needed)}
     s1 = np.zeros(len(entries))
     s2 = np.zeros(len(entries))
-    for km in _mc_kernel_chunks(d.centers[needed], k, im, n_samples, rng, chunk):
+    for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng, chunk):
         for e_i, (i, j, s, t) in enumerate(entries):
             prod = km[:, pos[i]] * km[:, pos[j]] * km[:, pos[s]] * km[:, pos[t]]
             s1[e_i] += prod.sum()
@@ -311,7 +306,7 @@ def estimate_cross_stats(
             warmup=burn_in,
         )
         for i in range(0, n_shard, chunk):
-            km = _kernel_columns(u_vecs[i : i + chunk], d.centers, k.sigma)
+            km = kernelized_input(d, k, u_vecs[i : i + chunk])
             dk = km * dd[i : i + chunk, None]
             s_dk += dk.sum(axis=0)
             s_dk2 += (dk**2).sum(axis=0)

@@ -3,7 +3,10 @@
 Streams are fully determined by ``(master seed, configuration)``: every run,
 estimation shard and calibration stream derives its generator from a
 ``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
-engine steps a chunk of independent runs in lockstep, one row per run, through
+AR(1) input and the recursive plant are one all-pole recurrence in plain
+Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
+The engine draws a chunk of independent runs' streams time-major and steps
+the runs in lockstep, one row per run, through
 :func:`kaflab.filters.update`, and adds the chunks' summed squared errors in
 run order. Chunk and block sizes follow from one byte budget and the run
 shape, so the curve is fixed by configuration and seed.
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DimensionMismatchError, DivergenceError
 from .filters import FilterKind, update
@@ -33,10 +35,12 @@ CALIBRATION_SALT = 3
 MOMENTS_CHECK_SALT = 4
 
 # Working memory of the Monte-Carlo engine: a chunk of runs holds its streams
-# in at most this many bytes, and a block of time steps holds its kernel values
-# in a sixteenth of it. That is still tens of steps per block, so the per-block
-# calls cost little next to the per-step update.
-MC_WORK_BYTES = 3 * 2**20
+# in at most this many bytes (69 runs of 10^4 two-tap iterations), and a block
+# of time steps holds its kernel values in a sixteenth of it. That is still tens
+# of steps per block, so the per-block calls cost little next to the per-step
+# update, and few chunks keep the per-step Python overhead of the stream
+# recurrences and of the filter loop small.
+MC_WORK_BYTES = 16 * 2**20
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -70,30 +74,63 @@ class InputGenerator:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
+def all_pole(x: np.ndarray, a1: float, a2: float = 0.0) -> np.ndarray:
+    """``y_n = x_n - a1 y_{n-1} - a2 y_{n-2}`` along axis 0, from a rested state.
+
+    The filter ``1 / (1 + a1 z^-1 + a2 z^-2)``. ``x`` is one stream of shape
+    (T,), stepped over Python floats, or a time-major chunk (T, m) of
+    independent streams, stepped one row of m columns at a time.
+
+    Each output is ``((-(a2 y_{n-2}) + 0.0) - a1 y_{n-1}) + x_n``, rounded after
+    every operation. That is the order in which the direct-form-II-transposed
+    ``lfilter([1], [1, a1, a2], x)`` computes it, and keeping it is what makes
+    the result equal to that filter's bit for bit, in either layout: a
+    reassociated or fused form would round differently.
+    """
+    x = np.asarray(x, dtype=float)
+
+    def outputs(rows, y1, y2):
+        for xn in rows:
+            y1, y2 = ((-(a2 * y2) + 0.0) - a1 * y1) + xn, y1
+            yield y1
+
+    if x.size == x.shape[0]:  # one stream, also in a (T, 1) chunk
+        return np.fromiter(outputs(x.ravel().tolist(), 0.0, 0.0), float, x.size).reshape(x.shape)
+    rest = np.zeros(x.shape[1:])
+    return np.fromiter(outputs(x, rest, rest), np.dtype((float, x.shape[1:])), x.shape[0])
+
+
+def _ar1_drives(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``u_0 ~ N(0, sigma_u^2)``, then the n - 1 innovations ``sigma_u sqrt(1 - rho^2) w_n``."""
+    x = np.empty(n)
+    x[0] = rng.normal(0.0, g.sigma_u)
+    x[1:] = g.sigma_u * np.sqrt(1.0 - g.rho**2) * rng.standard_normal(n - 1)
+    return x
+
+
 def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """``u_n = rho u_{n-1} + sigma_u sqrt(1 - rho^2) w_n`` with a stationary start.
 
-    ``u_0`` is drawn from N(0, sigma_u^2) so the whole stream is stationary.
+    ``u_0`` is drawn from N(0, sigma_u^2) so the whole stream is stationary;
+    the stream is :func:`all_pole` with ``a1 = -rho`` over ``u_0`` and the
+    innovations.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
     if rng is None:
         rng = np.random.default_rng(g.seed)
-    u0 = rng.normal(0.0, g.sigma_u)
-    if n == 1:
-        return np.array([u0])
-    w = rng.standard_normal(n - 1)
-    scale = g.sigma_u * np.sqrt(1.0 - g.rho**2)
-    rest, _ = lfilter([1.0], [1.0, -g.rho], scale * w, zi=np.array([g.rho * u0]))
-    return np.concatenate([[u0], rest])
+    return all_pole(_ar1_drives(g, n, rng), -g.rho)
 
 
 def embed_input(u: np.ndarray) -> np.ndarray:
-    """Two-tap embedding: row n is ``[u_n, u_{n-1}]`` for n = 1..len(u)-1."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size < 2:
+    """Two-tap embedding: row n is ``[u_n, u_{n-1}]`` for n = 1..len(u)-1.
+
+    A time-major chunk ``u`` of shape (T, m) embeds to (T - 1, m, 2).
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[0] < 2:
         raise DimensionMismatchError("embedding needs a stream of length >= 2")
-    return np.stack([u[1:], u[:-1]], axis=1)
+    return np.stack([u[1:], u[:-1]], axis=-1)
 
 
 def stationary_covariance(rho: float, sigma_u: float, L: int = 2) -> np.ndarray:
@@ -144,22 +181,23 @@ class SystemSimulator:
         """Vectorized run over a scalar stream, from a rested plant.
 
         ``u`` has length m+1 (one priming sample); returns ``d`` of length m
-        for the pairs ``(u_n, u_{n-1})``, n = 1..m. The state that
-        :meth:`step` carries is neither read nor changed, so one simulator
-        serves any number of independent streams.
+        for the pairs ``(u_n, u_{n-1})``, n = 1..m. A time-major chunk of
+        streams, ``u`` of shape (m+1, runs) and ``noise`` of (m, runs), gives
+        one column of ``d`` per stream. The state that :meth:`step` carries is
+        neither read nor changed, so one simulator serves any number of
+        independent streams.
         """
-        u = np.asarray(u, dtype=float).ravel()
-        noise = np.asarray(noise, dtype=float).ravel()
-        if u.size < 2 or noise.size != u.size - 1:
+        u = np.asarray(u, dtype=float)
+        noise = np.asarray(noise, dtype=float)
+        if u.ndim not in (1, 2) or u.shape[0] < 2 or noise.shape != (len(u) - 1, *u.shape[1:]):
             raise DimensionMismatchError(
-                f"need len(noise) == len(u) - 1 >= 1, got {noise.size} and {u.size}"
+                f"need len(noise) == len(u) - 1 >= 1, got shapes {noise.shape} and {u.shape}"
             )
         if self.kind is SystemKind.POLYNOMIAL:
             x = 0.5 * u[1:] - 0.3 * u[:-1]
             return x - 0.5 * x**2 + 0.1 * x**3 + noise
         if self.kind is SystemKind.FLUID_FLOW:
-            v = 0.1044 * u[1:] + 0.0883 * u[:-1]
-            x, _ = lfilter([1.0], [1.0, -1.4138, 0.6065], v, zi=np.zeros(2))
+            x = all_pole(0.1044 * u[1:] + 0.0883 * u[:-1], -1.4138, 0.6065)
             return 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
         return noise.copy()
 
@@ -217,27 +255,38 @@ def experiment_stream(
     input_gen: InputGenerator,
     system: SystemSimulator,
     n: int,
-    seed,
+    seed=None,
     warmup: int | None = None,
+    *,
+    seeds=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (input vectors, desired signal) stream of length ``n``.
 
-    ``seed`` may be an int or a tuple of ints (SeedSequence entropy). The
-    stream carries ``warmup`` extra leading samples (default: the plant's own
-    requirement) that are run through the plant and then discarded, so the
+    ``seed`` may be an int or a tuple of ints (SeedSequence entropy); the
+    arrays are then (n, 2) and (n,). Given ``seeds``, a sequence of such
+    seeds instead, the streams of all of them come back time-major, (n, m, 2)
+    and (n, m) for m seeds, column j equal to the stream of ``seeds[j]`` alone.
+    The stream carries ``warmup`` extra leading samples (default: the plant's
+    own requirement) that are run through the plant and then discarded, so the
     returned pairs are stationary.
     """
+    if (seed is None) == (seeds is None):
+        raise TypeError("experiment_stream takes exactly one of seed and seeds")
     if warmup is None:
         warmup = system.warmup_samples
-    ss = np.random.SeedSequence(entropy=seed)
-    rng_input, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
     total = n + warmup
-    u = ar1_stream(input_gen, total + 1, rng_input)
-    noise = (
-        rng_noise.normal(0.0, system.noise_sigma, total)
-        if system.noise_sigma > 0
-        else np.zeros(total)
-    )
+    streams = [seed] if seeds is None else list(seeds)
+    drives = np.empty((total + 1, len(streams)))
+    noise = np.zeros((total, len(streams)))
+    for j, entropy in enumerate(streams):
+        ss = np.random.SeedSequence(entropy=entropy)
+        rng_input, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
+        drives[:, j] = _ar1_drives(input_gen, total + 1, rng_input)
+        if system.noise_sigma > 0:
+            noise[:, j] = rng_noise.normal(0.0, system.noise_sigma, total)
+    if seeds is None:
+        drives, noise = drives[:, 0], noise[:, 0]
+    u = all_pole(drives, -input_gen.rho)
     d = system.respond(u, noise)
     return embed_input(u)[warmup:], d[warmup:]
 
@@ -272,12 +321,8 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> 
     """
     system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
     m, r = len(runs), setup.dictionary.size
-    u = np.empty((n_iters, m, setup.dictionary.input_dim))
-    d = np.empty((n_iters, m))
-    for j, run in enumerate(runs):
-        u[:, j], d[:, j] = experiment_stream(
-            setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run)
-        )
+    u, d = experiment_stream(setup.input_gen, system, n_iters,
+                             seeds=[(seed, MC_RUN_SALT, run) for run in runs])
     alpha, e, total = np.zeros((m, r)), np.full(m, np.nan), np.empty(n_iters)
     diverged = {}  # row -> (iteration, ||alpha||, last finite error)
     block = max(1, MC_WORK_BYTES // 16 // (8 * m * r))

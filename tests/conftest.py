@@ -2,7 +2,8 @@
 
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
-fourth-moment tensor are the expensive pieces.
+fourth-moment tensor are the expensive pieces. The Kronecker product and the
+lexicographic vectorization live here too: only the test oracles use them.
 """
 
 from pathlib import Path
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from kaflab.config import build_dictionary, load_config
+from kaflab.errors import DimensionMismatchError
 from kaflab.kernel import GaussianKernel, grid_dictionary
-from kaflab.linalg import kron
+from kaflab.linalg import check_square
 from kaflab.moments import InputModel, build_model, estimate_cross_stats
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
 
@@ -35,6 +37,27 @@ def toy_dictionary():
 def input_model():
     """Input law shared by every fixture model: AR(1), rho = 0.5, sigma_u = 0.5."""
     return InputModel(stationary_covariance(0.5, 0.5))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product: block (i, j) of the result is ``a[i, j] * b``."""
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def vec_lex(c: np.ndarray) -> np.ndarray:
+    """Stack the columns of a square matrix into one vector (top to bottom)."""
+    c = check_square(c, "vec_lex input")
+    return c.flatten(order="F")
+
+
+def unvec_lex(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec_lex`: rebuild the ``dim x dim`` matrix."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != dim * dim:
+        raise DimensionMismatchError(
+            f"cannot reshape a length-{v.size} vector into a {dim}x{dim} matrix"
+        )
+    return v.reshape((dim, dim), order="F")
 
 
 class LexK(NamedTuple):

@@ -49,7 +49,7 @@ from kaflab.kernel import (
     grid_dictionary,
     kernelized_input,
 )
-from kaflab.linalg import kron, pd_sqrt, sym_eig, unvec_lex, vec_lex
+from kaflab.linalg import pd_sqrt, sym_eig
 from kaflab.moments import (
     InputModel,
     fourth_tensor,
@@ -67,7 +67,7 @@ from kaflab.sim import (
     mc_learning_curve,
     stationary_covariance,
 )
-from conftest import CONFIGS, lex_k, model_for
+from conftest import CONFIGS, kron, lex_k, model_for, unvec_lex, vec_lex
 
 BUILD_SECONDS: dict[str, float] = {}
 

@@ -16,10 +16,10 @@ from kaflab.analysis import (
     transient_mse,
     transient_states,
 )
-from conftest import TOY_SIGMA, input_model, lex_k, toy_dictionary
+from conftest import TOY_SIGMA, input_model, lex_k, toy_dictionary, unvec_lex, vec_lex
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
-from kaflab.linalg import sym_eig, unvec_lex, vec_lex
+from kaflab.linalg import sym_eig
 from kaflab.moments import MomentModel, fourth_tensor
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,22 @@ class TestAnalyze:
             assert set(m["timings"]) == {"dictionary", "moments", "spectrum", "transient",
                                          "steady_state", "write"}
             assert all(t >= 0 for t in m["timings"].values())
+
+    @pytest.mark.parametrize("kind", ["natural_klms", "selective", "knlms"])
+    def test_says_which_theory_it_wrote(self, tmp_path, kind):
+        cfg = write_tiny(tmp_path)
+        cfg.write_text(cfg.read_text().replace("kind = natural_klms", f"kind = {kind}"))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["filter"]["kind"] == kind
+        assert manifest["theory_models"] == "natural_klms"
+        lines = (out / "stability.txt").read_text().splitlines()
+        if kind == "natural_klms":  # the file is as it always was
+            assert lines[-1].startswith("transient = ")
+            assert not any(line.startswith("theory_models") for line in lines)
+        else:
+            assert lines[-1] == "theory_models = natural_klms"
 
     @pytest.mark.parametrize("damage", ["truncate", "foreign"])
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
@@ -424,6 +442,22 @@ class TestErrorPaths:
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+
+def test_import_needs_no_scipy():
+    """A fresh interpreter imports the command line without loading any scipy module."""
+    import kaflab
+
+    src = str(Path(kaflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kaflab.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs():

@@ -215,6 +215,23 @@ class TestCoherenceSelectExact:
             head = coherence_select(samples, k, mu0, stop_after=stop).centers
             assert np.array_equal(head, ref[:stop])
 
+    @pytest.fixture(scope="class")
+    def stream3(self, stream):
+        """Three-tap inputs ``[u_n, u_{n-1}, u_{n-2}]`` from the same calibration stream."""
+        samples, k = stream
+        return np.column_stack([samples[1:], samples[:-1, 1]]), k
+
+    @pytest.mark.parametrize("mu0", [0.05, 0.3, 0.6, 0.8, 0.9])
+    def test_same_centers_three_taps(self, stream3, mu0):
+        samples, k = stream3
+        ref = list_select(samples, k, mu0)
+        assert ref.shape[1] == 3
+        assert np.array_equal(coherence_select(samples, k, mu0).centers, ref)
+        n = ref.shape[0]
+        for stop in sorted({1, 2, 3, max(1, n // 3), n // 2 + 1, max(1, n - 1), n, n + 1, n + 5}):
+            head = coherence_select(samples, k, mu0, stop_after=stop).centers
+            assert np.array_equal(head, ref[:stop])
+
     def test_same_calibrated_threshold(self, stream):
         samples, k = stream
         lo, hi = 0.0, 1.0

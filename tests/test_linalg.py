@@ -6,13 +6,11 @@ import pytest
 
 from kaflab.errors import DimensionMismatchError, NotPositiveDefiniteError
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
+from conftest import kron, unvec_lex, vec_lex
 from kaflab.linalg import (
-    kron,
     pd_sqrt,
     spectral_radius,
     sym_eig,
-    unvec_lex,
-    vec_lex,
 )
 
 

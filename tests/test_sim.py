@@ -374,3 +374,69 @@ class TestLearningCurveCsv:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             LearningCurve(mse=np.array([1.0, -0.1]), n_runs=1, kind=CurveKind.SIMULATED)
+
+
+@pytest.fixture(scope="module")
+def lfilter():
+    """scipy's filter, the oracle of the recurrences; the package itself needs no scipy."""
+    return pytest.importorskip("scipy.signal").lfilter
+
+
+FLUID_POLES = [1.0, -1.4138, 0.6065]
+
+
+class TestRecurrencesMatchLfilter:
+    """The pure-Python recurrences equal ``lfilter`` to the last bit."""
+
+    @pytest.mark.parametrize("n", [10_000, 1_000_000])
+    def test_ar1_stream(self, lfilter, n):
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        u = ar1_stream(gen, n, np.random.default_rng(81))
+        rng = np.random.default_rng(81)  # the same draws, in the same order
+        u0 = rng.normal(0.0, gen.sigma_u)
+        scaled = gen.sigma_u * np.sqrt(1.0 - gen.rho**2) * rng.standard_normal(n - 1)
+        rest, _ = lfilter([1.0], [1.0, -gen.rho], scaled, zi=np.array([gen.rho * u0]))
+        assert np.array_equal(u, np.concatenate([[u0], rest]))
+
+    @pytest.mark.parametrize("n", [10_000, 1_000_000])
+    def test_fluid_flow_plant(self, lfilter, n):
+        v = np.random.default_rng(82).standard_normal(n)
+        x, _ = lfilter([1.0], FLUID_POLES, v, zi=np.zeros(2))
+        assert np.array_equal(sim.all_pole(v, *FLUID_POLES[1:]), x)
+
+    def test_fluid_flow_respond(self, lfilter):
+        rng = np.random.default_rng(83)
+        u, noise = rng.standard_normal(10_001), rng.normal(0.0, 0.05, 10_000)
+        x, _ = lfilter([1.0], FLUID_POLES, 0.1044 * u[1:] + 0.0883 * u[:-1], zi=np.zeros(2))
+        expected = 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
+        d = SystemSimulator(kind=SystemKind.FLUID_FLOW).respond(u, noise)
+        assert np.array_equal(d, expected)
+
+    @pytest.mark.parametrize("poles", [[1.0, -0.5], FLUID_POLES])
+    def test_time_major_chunk(self, lfilter, poles):
+        x = np.random.default_rng(84).standard_normal((10_000, 7))
+        y, _ = lfilter([1.0], poles, x, axis=0, zi=np.zeros((len(poles) - 1, 7)))
+        assert np.array_equal(sim.all_pole(x, *poles[1:]), y)
+        # a single column goes through the scalar path, with the same bytes
+        assert np.array_equal(sim.all_pole(x[:, 3:4], *poles[1:]), y[:, 3:4])
+
+
+class TestChunkedExperimentStream:
+    """Streams drawn together, time-major, equal each seed's stream drawn alone."""
+
+    @pytest.mark.parametrize("system", [
+        SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05),
+        SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.05),
+        SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.0),
+        SystemSimulator(kind=SystemKind.NULL, noise_sigma=0.05),
+    ], ids=["polynomial", "fluid_flow", "fluid_flow_noiseless", "null"])
+    @pytest.mark.parametrize("runs", [(0, 1, 5, 2), (3,)], ids=["four_runs", "one_run"])
+    def test_columns_equal_single_streams(self, system, runs):
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        seeds = [(17, MC_RUN_SALT, run) for run in runs]
+        u, d = experiment_stream(gen, system, 300, seeds=seeds)
+        assert u.shape == (300, len(runs), 2) and d.shape == (300, len(runs))
+        for j, seed in enumerate(seeds):
+            u_j, d_j = experiment_stream(gen, system, 300, seed=seed)
+            assert np.array_equal(u[:, j], u_j)
+            assert np.array_equal(d[:, j], d_j)

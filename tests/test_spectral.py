@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lex_k
+from conftest import lex_k, vec_lex
 from kaflab.analysis import (
     build_k,
     mean_stability_bound,
@@ -23,7 +23,7 @@ from kaflab.analysis import (
 )
 from kaflab.errors import DivergenceError
 from kaflab.kernel import Dictionary, GaussianKernel
-from kaflab.linalg import sym_eig, unvec_sym, vec_lex
+from kaflab.linalg import sym_eig, unvec_sym
 from kaflab.moments import InputModel, build_model, second_moment
 from kaflab.sim import stationary_covariance
 
