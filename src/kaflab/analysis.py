@@ -3,9 +3,11 @@
 Works in the transformed ("tilde") coordinates of a
 :class:`~kaflab.moments.MomentModel`: the mean weight-error recursion and its
 step-size bound, and the correlation recursion ``C <- K(C) + eta^2 j_min r_tilde``,
-``K(C) = C - eta (r_tilde C + C r_tilde) + eta^2 T(C)``, ``T(C)[l, m] =
-trace(s_tilde[l, m] C)`` (Parreira, Bermudez, Richard and Tourneret, IEEE TSP
-2012). One eigendecomposition of K on symmetric matrices (:func:`build_k`) gives
+``K(C) = C - eta (r_tilde C + C r_tilde) + eta^2 T(C)`` (Parreira, Bermudez,
+Richard and Tourneret, IEEE TSP 2012). C is symmetric, so K is only ever needed on
+symmetric matrices: an m x m matrix, m = r(r+1)/2, in the orthonormal coordinates
+of :func:`~kaflab.linalg.sym_basis`, where the fourth-moment operator T is the
+model's ``t_sym``. One eigendecomposition of that block (:func:`build_k`) gives
 mean-square stability, the steady-state MSE and the whole transient curve.
 :func:`compare_curves` measures how far a simulated curve lies from it.
 """
@@ -33,19 +35,6 @@ TRANSIENT_BLOCK = 1024  # curve steps per block of powers: memory does not grow 
 # metrics; wide enough to suppress per-iteration Monte-Carlo noise, narrow
 # relative to any transient feature of interest.
 SMOOTH_WINDOW = 51
-
-
-@dataclass(frozen=True)
-class TransientState:
-    """One step of the transient recursion.
-
-    ``mse`` always equals ``j_min + trace(r_tilde @ c_tilde)`` for the model
-    that produced it; ``c_tilde`` is kept exactly symmetric.
-    """
-
-    c_tilde: np.ndarray
-    n: int
-    mse: float
 
 
 @dataclass(frozen=True)
@@ -88,9 +77,10 @@ def build_k(m: MomentModel, eta: float, k_cap: int = K_CAP) -> KSpectrum:
     """K on symmetric matrices for step size ``eta`` (dimension r(r+1)/2), decomposed.
 
     Entry (a, b) is ``<E_a, K(E_b)>``, ``E_a = (e_i e_j' + e_j e_i') scale_a / 2`` for
-    a = (i, j), i <= j (:func:`~kaflab.linalg.sym_basis`). On antisymmetric C, T is zero
-    (s_tilde is fully symmetric) and K has the eigenvalues ``1 - eta (mu_i + mu_j)``,
-    i < j, mu those of r_tilde; ``radius`` is that of the whole r^2 x r^2 K.
+    a = (i, j), i <= j (:func:`~kaflab.linalg.sym_basis`); T contributes ``eta^2 t_sym``.
+    On antisymmetric C, T is zero (the fourth moments are fully symmetric) and K has the
+    eigenvalues ``1 - eta (mu_i + mu_j)``, i < j, mu those of r_tilde; ``radius`` is that
+    of the whole r^2 x r^2 K.
     """
     if not eta >= 0:
         raise ValueError(f"step size must be nonnegative, got {eta}")
@@ -104,7 +94,7 @@ def build_k(m: MomentModel, eta: float, k_cap: int = K_CAP) -> KSpectrum:
            + r_t[i, p] * eye[q, j] + r_t[i, q] * eye[p, j])
     outer = np.outer(scale, scale)
     k_sym = symmetrize(np.eye(scale.size) - eta * (outer / 2 * lin)
-                       + eta**2 * (outer * m.s_tilde[i, j, p, q]))
+                       + eta**2 * m.t_sym)
     lam, vecs = sym_eig(k_sym)
     mu = sym_eig(r_t).eigenvalues
     anti = 1.0 - eta * (mu[:, None] + mu[None, :])[np.triu_indices(r, 1)]
@@ -125,47 +115,27 @@ def _fixed_point(m: MomentModel, km: KSpectrum) -> tuple[float, np.ndarray]:
     return float(m.j_min + np.trace(m.r_tilde @ c_inf)), c_inf
 
 
-def transient_states(m: MomentModel, eta: float, n_steps: int):
-    """Yield the states of the step-by-step recursion at iterations 0..n_steps.
-
-    Starts from zero coefficients (C is the outer product of the optimal
-    transformed weights, so the MSE starts at the signal power) and
-    re-symmetrizes C after each step. The reference for :func:`transient_mse`.
-    """
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    r_t = m.r_tilde
-    c = np.outer(m.alpha_star_tilde, m.alpha_star_tilde)
-    yield TransientState(c_tilde=c, n=0, mse=m.j_min + np.trace(r_t @ c))
-    for n in range(1, n_steps + 1):
-        t = np.tensordot(m.s_tilde, c, axes=([3, 2], [0, 1]))
-        c = c + eta**2 * (t + m.j_min * r_t) - eta * (r_t @ c + c @ r_t)
-        c = symmetrize(c)
-        val = m.j_min + np.trace(r_t @ c)
-        if not np.isfinite(val):
-            raise DivergenceError(f"transient recursion produced a non-finite MSE at step {n}",
-                                  last_finite_step=n - 1)
-        yield TransientState(c_tilde=c, n=n, mse=val)
-
-
 def transient_mse(m: MomentModel, eta: float, n_steps: int, check_stability: bool = True,
                   km: KSpectrum | None = None) -> LearningCurve:
     """Theoretical MSE at iterations 0..n_steps from the spectrum ``km = build_k(m, eta)``.
 
     ``MSE(n) = MSE_inf + sum_k w_k lambda_k^n``, ``w_k = (q_k' vec(r_tilde))
-    (q_k' vec(C_0 - C_inf))``, row 0 as in :func:`transient_states`. With
-    ``check_stability``, a radius >= 1 warns; a non-finite MSE raises :class:`DivergenceError`.
+    (q_k' vec(C_0 - C_inf))``; C_0 is the outer product of the optimal transformed weights
+    (zero coefficients), so row 0 is the signal power. With ``check_stability``, a radius
+    >= 1 warns; a non-finite MSE raises :class:`DivergenceError`.
     """
-    s0 = next(transient_states(m, eta, 0))
+    if not eta > 0:
+        raise ValueError(f"step size must be positive, got {eta}")
+    c0 = np.outer(m.alpha_star_tilde, m.alpha_star_tilde)
     km = build_k(m, eta) if km is None else km
     if check_stability and km.radius >= 1.0:
         warnings.warn(f"transition matrix has spectral radius {km.radius:.6f} >= 1; "
                       f"the transient recursion may diverge", stacklevel=2)
     mse = np.empty(n_steps + 1)
-    mse[0] = s0.mse
+    mse[0] = m.j_min + np.trace(m.r_tilde @ c0)
     mse_inf, c_inf = _fixed_point(m, km)
     q = km.eigenvectors
-    w = (q.T @ vec_sym(m.r_tilde)) * (q.T @ vec_sym(s0.c_tilde - c_inf))
+    w = (q.T @ vec_sym(m.r_tilde)) * (q.T @ vec_sym(c0 - c_inf))
     lam, w = km.eigenvalues[w != 0], w[w != 0]  # a zero weight must not meet an infinite power
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, TRANSIENT_BLOCK):

@@ -51,6 +51,7 @@ from .errors import (
 )
 from .filters import FilterKind
 from .kernel import GaussianKernel
+from .linalg import sym_index
 from .moments import (
     build_model,
     estimate_cross_stats,
@@ -320,12 +321,12 @@ def cmd_moments_check(args) -> int:
     entries = sorted(
         {tuple(rng4.integers(0, d.size, 4)) for _ in range(args.fourth_entries)}
     )
-    tensor = fourth_tensor(d, kern, im)
+    block = fourth_tensor(d, kern, im)
     mc4, stderr4 = mc_fourth_entries(d, mc_kern, im, entries, n4, rng4)
     print(f"# fourth-moment check: {len(entries)} entries over {n4} samples")
     print("i,j,s,t,closed,mc,stderr,z,verdict")
     for e_i, e in enumerate(entries):
-        val = tensor[e]
+        val = block[sym_index(e[0], e[1], d.size), sym_index(e[2], e[3], d.size)]
         z = abs(val - mc4[e_i]) / max(stderr4[e_i], 1e-300)
         worst = max(worst, z)
         ok = z <= 4.0

@@ -120,12 +120,14 @@ def _require(cond: bool, message: str) -> None:
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file."""
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         # configparser errors carry line numbers in their message
         raise ConfigError(f"config parse error: {exc}") from exc

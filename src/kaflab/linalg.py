@@ -111,6 +111,22 @@ def sym_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
 
 
+def sym_index(i, j, dim: int):
+    """Position of the pair ``(i, j)``, in either order, among the coordinates of
+    :func:`sym_basis`; works elementwise on index arrays."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return lo * (2 * dim - lo + 1) // 2 + hi - lo
+
+
+def sym_congruence(w: np.ndarray) -> np.ndarray:
+    """Matrix of ``C -> W C W'`` on symmetric C in the coordinates of :func:`sym_basis`:
+    entry (a, b), a = (i, j), b = (s, t), is ``scale_a scale_b (W_is W_jt + W_it W_js) / 2``."""
+    w = check_square(w, "sym_congruence input")
+    i, j, scale = sym_basis(w.shape[0])
+    out = w[np.ix_(i, i)] * w[np.ix_(j, j)] + w[np.ix_(i, j)] * w[np.ix_(j, i)]
+    return out * np.outer(scale, scale / 2.0)
+
+
 def vec_sym(c: np.ndarray) -> np.ndarray:
     """Coordinates of a symmetric matrix in the basis of :func:`sym_basis`."""
     c = check_square(c, "vec_sym input")

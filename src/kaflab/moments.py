@@ -19,8 +19,8 @@ so the expectation is a Gaussian integral with the closed form
 (a truly singular ``R_u`` must be regularized by the caller, e.g. ``eps * I``).
 
 The same formula with K = 2 gives every entry of the kernelized-input
-autocorrelation matrix, and with K = 4 the fourth-moment tensor used by the
-transient recursion.
+autocorrelation matrix, and with K = 4 the fourth moments, kept as one m x m
+block on symmetric index pairs (m = r(r+1)/2), so the theory's memory grows as m^2.
 
 Cross statistics
 ----------------
@@ -32,7 +32,6 @@ burn-in.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import warnings
@@ -43,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
-from .linalg import symmetrize, sym_eig
+from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
 
 # Samples discarded from the head of estimation streams so that the AR input
 # and recursive plants reach stationarity.
@@ -90,11 +89,12 @@ class MomentModel:
     Raw-coordinate quantities: ``r_kappa`` (autocorrelation of the kernelized
     input), ``p`` and ``d2`` (stream-estimated cross statistics).
 
-    Transformed quantities, with W the inverse Gram square root and g_l its
-    l-th column: ``r_tilde = W r_kappa W``, ``p_tilde = W p``,
-    ``alpha_star_tilde = r_tilde^-1 p_tilde``, ``j_min = d2 - p_tilde'
-    alpha_star_tilde``, and ``s_tilde[l, m, p, q] = g_l' h[m, p] g_q`` with
-    ``h[m, p] = g_m' S_{i,j} g_p`` and S the :func:`fourth_tensor`.
+    Transformed quantities, with W the inverse Gram square root: ``r_tilde = W
+    r_kappa W``, ``p_tilde = W p``, ``alpha_star_tilde = r_tilde^-1 p_tilde``,
+    ``j_min = d2 - p_tilde' alpha_star_tilde``, and ``t_sym``, the symmetric PSD
+    matrix of ``T(C) = W E[kappa kappa' (W C W) kappa kappa'] W`` in the coordinates
+    of :func:`~kaflab.linalg.sym_basis`: ``t_sym = B S_o B'``, B that of ``C -> W C W``,
+    ``S_o = diag(scale) S diag(scale)`` and S the :func:`fourth_tensor` block.
     """
 
     r_kappa: np.ndarray
@@ -104,7 +104,7 @@ class MomentModel:
     p_tilde: np.ndarray
     alpha_star_tilde: np.ndarray
     j_min: float
-    s_tilde: np.ndarray
+    t_sym: np.ndarray
     gram: GramFactor
 
     @property
@@ -164,35 +164,36 @@ def second_moment(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
     """
     c = d.centers
     _check_input_dim(c, im)
-    idx = np.array(list(itertools.combinations_with_replacement(range(d.size), 2)))
-    vals = _moment_batch(
-        c[idx[:, 0]] + c[idx[:, 1]],
-        (c[idx[:, 0]] ** 2).sum(axis=1) + (c[idx[:, 1]] ** 2).sum(axis=1),
-        2,
-        k,
-        im,
-    )
+    i, j, _ = sym_basis(d.size)
+    vals = _moment_batch(c[i] + c[j], (c[i] ** 2).sum(axis=1) + (c[j] ** 2).sum(axis=1), 2, k, im)
     out = np.empty((d.size, d.size))
-    out[idx[:, 0], idx[:, 1]] = vals
-    out[idx[:, 1], idx[:, 0]] = vals
+    out[i, j] = vals
+    out[j, i] = vals
     return out
 
 
 def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarray:
-    """Fourth-moment tensor ``S[i, j, s, t] = E[kappa_i kappa_j kappa_s kappa_t]``.
+    """Fourth moments on symmetric pairs, ``S[a, b] = E[kappa_i kappa_j kappa_s kappa_t]``.
 
-    Only the distinct index multisets are evaluated; each value is mirrored to
-    all permutations, so the full 4-index symmetry holds exactly.
+    a = (i, j) and b = (s, t) run over the m = r(r+1)/2 pairs of
+    :func:`~kaflab.linalg.sym_basis`. Only the distinct index multisets are evaluated;
+    each value is written to the multiset's three pairings in both orders, so S is
+    exactly symmetric and equal on every pairing of a multiset.
     """
     c = d.centers
     _check_input_dim(c, im)
     r = d.size
-    idx = np.array(list(itertools.combinations_with_replacement(range(r), 4)))
-    gathered = c[idx]  # (n_multisets, 4, L)
+    pi, pj, _ = sym_basis(r)
+    # sorted multisets w <= x <= y <= z in lexicographic order: pairs (w, x), (y, z), x <= y
+    first, second = np.nonzero(pj[:, None] <= pi[None, :])
+    w, x, y, z = pi[first], pj[first], pi[second], pj[second]
+    gathered = c[np.stack([w, x, y, z], axis=1)]  # (n_multisets, 4, L)
     vals = _moment_batch(gathered.sum(axis=1), (gathered**2).sum(axis=(1, 2)), 4, k, im)
-    out = np.empty((r, r, r, r))
-    for perm in itertools.permutations(range(4)):
-        out[tuple(idx[:, a] for a in perm)] = vals
+    out = np.empty((pi.size, pi.size))
+    for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
+        a, b = sym_index(*p, r), sym_index(*q, r)
+        out[a, b] = vals
+        out[b, a] = vals
     return out
 
 
@@ -272,48 +273,32 @@ def estimate_cross_stats(
     k: GaussianKernel,
     n_samples: int,
     seed: int,
-    shards: int = 1,
     burn_in: int = CROSS_STATS_BURN_IN,
     chunk: int = 100_000,
 ) -> CrossStats:
     """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from stationary streams.
 
     ``system`` is a :class:`kaflab.sim.SystemSimulator` and ``input_gen`` a
-    :class:`kaflab.sim.InputGenerator`. Each shard runs an independent stream
-    (sub-seeded deterministically from ``seed``) whose first ``burn_in``
-    samples are discarded; shard results merge by sample-count weighting, so
-    ``(seed, n_samples, shards)`` fully determines the output.
+    :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
+    CROSS_STATS_SALT, 0)``, runs for ``burn_in`` discarded samples and then
+    ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the output.
     """
     from . import sim  # local import: sim depends on kernel/filters, not on moments
 
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
-    if shards < 1 or shards > n_samples:
-        raise ValueError(f"shards must lie in [1, n_samples], got {shards}")
-    r = d.size
-    s_dk = np.zeros(r)
-    s_dk2 = np.zeros(r)
-    s_d2 = 0.0
-    s_d4 = 0.0
-    base = n_samples // shards
-    for shard in range(shards):
-        n_shard = base + (n_samples - base * shards if shard == 0 else 0)
-        u_vecs, dd = sim.experiment_stream(
-            input_gen,
-            system,
-            n_shard,
-            seed=(seed, sim.CROSS_STATS_SALT, shard),
-            warmup=burn_in,
-        )
-        for i in range(0, n_shard, chunk):
-            km = kernelized_input(d, k, u_vecs[i : i + chunk])
-            dk = km * dd[i : i + chunk, None]
-            s_dk += dk.sum(axis=0)
-            s_dk2 += (dk**2).sum(axis=0)
-        s_d2 += float((dd**2).sum())
-        s_d4 += float((dd**4).sum())
+    s_dk = np.zeros(d.size)
+    s_dk2 = np.zeros(d.size)
+    u_vecs, dd = sim.experiment_stream(
+        input_gen, system, n_samples, seed=(seed, sim.CROSS_STATS_SALT, 0), warmup=burn_in
+    )
+    for i in range(0, n_samples, chunk):
+        km = kernelized_input(d, k, u_vecs[i : i + chunk])
+        dk = km * dd[i : i + chunk, None]
+        s_dk += dk.sum(axis=0)
+        s_dk2 += (dk**2).sum(axis=0)
     p, p_stderr = _mean_and_stderr(s_dk, s_dk2, n_samples)
-    d2, d2_stderr = _mean_and_stderr(s_d2, s_d4, n_samples)
+    d2, d2_stderr = _mean_and_stderr(float((dd**2).sum()), float((dd**4).sum()), n_samples)
     return CrossStats(p=p, d2=d2, p_stderr=p_stderr, d2_stderr=float(d2_stderr),
                       n_samples=n_samples)
 
@@ -333,16 +318,14 @@ def build_model(
 ) -> MomentModel:
     """Assemble the full moment model from a dictionary, kernel and input law.
 
-    Computes the closed-form second and fourth moments, applies the inverse
-    Gram square-root transform, and contracts the fourth tensor, through
-    ``h``, into the ``s_tilde`` form used by the transient recursion.
+    Computes the closed-form second and fourth moments and applies the inverse
+    Gram square-root transform, to the fourth moments as two m x m products.
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size != d.size:
         raise DimensionMismatchError(f"p has length {p.size}, dictionary size is {d.size}")
     gf = gram(d, k)
     r_kappa = second_moment(d, k, im)
-    s_tensor = fourth_tensor(d, k, im)
     w = gf.g_inv_sqrt
     r_tilde = symmetrize(w @ r_kappa @ w)
     eig = sym_eig(r_tilde).eigenvalues
@@ -362,8 +345,12 @@ def build_model(
             f"statistics are likely too noisy for this configuration",
             stacklevel=2,
         )
-    h = np.einsum("ms,ijst,tp->mpij", w, s_tensor, w, optimize=True)
-    s_tilde = np.einsum("il,mpij,jq->lmpq", w, h, w, optimize=True)
+    scale = sym_basis(d.size)[2]
+    s_o = fourth_tensor(d, k, im)
+    s_o *= scale[:, None]
+    s_o *= scale
+    b = sym_congruence(w)
+    t_sym = symmetrize(b @ s_o @ b.T)
     return MomentModel(
         r_kappa=r_kappa,
         p=p,
@@ -372,7 +359,7 @@ def build_model(
         p_tilde=p_tilde,
         alpha_star_tilde=alpha_star_tilde,
         j_min=j_min,
-        s_tilde=s_tilde,
+        t_sym=t_sym,
         gram=gf,
     )
 

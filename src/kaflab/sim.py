@@ -1,8 +1,8 @@
 """Signal generation and the Monte-Carlo learning-curve engine.
 
 Streams are fully determined by ``(master seed, configuration)``: every run,
-estimation shard and calibration stream derives its generator from a
-``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
+the cross-statistics stream and the calibration stream take their generators
+from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
 AR(1) input and the recursive plant are one all-pole recurrence in plain
 Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
 The engine draws a chunk of independent runs' streams time-major and steps
@@ -28,7 +28,7 @@ from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
 from .filters import knlms_step, natural_klms_step, selective_step  # noqa: F401
 
 # Purpose salts folded into SeedSequence entropy so that concurrent uses of
-# one master seed (runs, estimation shards, calibration) never share streams.
+# one master seed (runs, cross statistics, calibration) never share streams.
 MC_RUN_SALT = 1
 CROSS_STATS_SALT = 2
 CALIBRATION_SALT = 3

@@ -2,10 +2,13 @@
 
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
-fourth-moment tensor are the expensive pieces. The Kronecker product and the
-lexicographic vectorization live here too: only the test oracles use them.
+fourth moments are the expensive pieces. The test oracles live here too: the
+Kronecker product, the lexicographic vectorization, the full r^4 fourth-moment
+tensors expanded from the library's block on symmetric pairs, and the
+step-by-step transient recursion. The library itself never builds an r^4 array.
 """
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -13,10 +16,10 @@ import numpy as np
 import pytest
 
 from kaflab.config import build_dictionary, load_config
-from kaflab.errors import DimensionMismatchError
+from kaflab.errors import DimensionMismatchError, DivergenceError
 from kaflab.kernel import GaussianKernel, grid_dictionary
-from kaflab.linalg import check_square
-from kaflab.moments import InputModel, build_model, estimate_cross_stats
+from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
+from kaflab.moments import InputModel, build_model, estimate_cross_stats, fourth_tensor
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -60,6 +63,69 @@ def unvec_lex(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def expand_pairs(block: np.ndarray, dim: int) -> np.ndarray:
+    """The r^4 tensor ``X[i, j, s, t] = block[pair(i, j), pair(s, t)]`` of an m x m
+    block indexed by the pairs of ``sym_basis``."""
+    pair = sym_index(*np.indices((dim, dim)), dim)
+    return block[pair[:, :, None, None], pair[None, None, :, :]]
+
+
+def full_fourth_tensor(d, k, im) -> np.ndarray:
+    """``S[i, j, s, t] = E[kappa_i kappa_j kappa_s kappa_t]`` over all r^4 index tuples."""
+    return expand_pairs(fourth_tensor(d, k, im), d.size)
+
+
+def s_tilde(m) -> np.ndarray:
+    """The transformed fourth moments ``s_tilde[l, m, p, q] = sum W_la W_mb W_pc W_qd
+    S[a, b, c, d]`` of a model, read back from its ``t_sym``."""
+    scale = sym_basis(m.dim)[2]
+    return expand_pairs(m.t_sym / np.outer(scale, scale), m.dim)
+
+
+def t_sym_of(s_tilde_full: np.ndarray) -> np.ndarray:
+    """The ``t_sym`` of a model whose transformed fourth moments are ``s_tilde_full``."""
+    i, j, scale = sym_basis(s_tilde_full.shape[0])
+    i, j, p, q = i[:, None], j[:, None], i[None, :], j[None, :]
+    return np.outer(scale, scale) * s_tilde_full[i, j, p, q]
+
+
+@dataclass(frozen=True)
+class TransientState:
+    """One step of the transient recursion.
+
+    ``mse`` always equals ``j_min + trace(r_tilde @ c_tilde)`` for the model
+    that produced it; ``c_tilde`` is kept exactly symmetric.
+    """
+
+    c_tilde: np.ndarray
+    n: int
+    mse: float
+
+
+def transient_states(m, eta, n_steps):
+    """Yield the states of the step-by-step recursion at iterations 0..n_steps.
+
+    Starts from zero coefficients (C is the outer product of the optimal
+    transformed weights, so the MSE starts at the signal power) and
+    re-symmetrizes C after each step, with ``T(C)[l, m] = trace(s_tilde[l, m] C)``.
+    The reference for ``kaflab.analysis.transient_mse``.
+    """
+    if not eta > 0:
+        raise ValueError(f"step size must be positive, got {eta}")
+    r_t, s_t = m.r_tilde, s_tilde(m)
+    c = np.outer(m.alpha_star_tilde, m.alpha_star_tilde)
+    yield TransientState(c_tilde=c, n=0, mse=m.j_min + np.trace(r_t @ c))
+    for n in range(1, n_steps + 1):
+        t = np.tensordot(s_t, c, axes=([3, 2], [0, 1]))
+        c = c + eta**2 * (t + m.j_min * r_t) - eta * (r_t @ c + c @ r_t)
+        c = symmetrize(c)
+        val = m.j_min + np.trace(r_t @ c)
+        if not np.isfinite(val):
+            raise DivergenceError(f"transient recursion produced a non-finite MSE at step {n}",
+                                  last_finite_step=n - 1)
+        yield TransientState(c_tilde=c, n=n, mse=val)
+
+
 class LexK(NamedTuple):
     """Lexicographic transition matrix ``k = I - eta (k1 + k2) + eta^2 k3``."""
 
@@ -72,7 +138,8 @@ class LexK(NamedTuple):
 def lex_k(m, eta):
     """The r^2 x r^2 transition matrix in the Kronecker form of Parreira,
     Bermudez, Richard and Tourneret (IEEE TSP 2012): ``k1 = I (x) r_tilde``,
-    ``k2 = r_tilde (x) I`` and ``k3[l + m r, p + q r] = s_tilde[l, m, p, q]``.
+    ``k2 = r_tilde (x) I`` and ``k3[l + m r, p + q r] = s_tilde[l, m, p, q]``, s_tilde
+    from :func:`s_tilde`.
 
     The oracle that the symmetric-block engine of ``kaflab.analysis`` is
     checked against; the library itself never builds it.
@@ -80,7 +147,7 @@ def lex_k(m, eta):
     r = m.dim
     k1 = kron(np.eye(r), m.r_tilde)
     k2 = kron(m.r_tilde, np.eye(r))
-    k3 = m.s_tilde.transpose(1, 0, 3, 2).reshape(r * r, r * r)
+    k3 = s_tilde(m).transpose(1, 0, 3, 2).reshape(r * r, r * r)
     return LexK(np.eye(r * r) - eta * (k1 + k2) + eta**2 * k3, k1, k2, k3)
 
 

@@ -52,7 +52,6 @@ from kaflab.kernel import (
 from kaflab.linalg import pd_sqrt, sym_eig
 from kaflab.moments import (
     InputModel,
-    fourth_tensor,
     mc_fourth_entries,
     mc_second_moment,
     second_moment,
@@ -67,7 +66,7 @@ from kaflab.sim import (
     mc_learning_curve,
     stationary_covariance,
 )
-from conftest import CONFIGS, kron, lex_k, model_for, unvec_lex, vec_lex
+from conftest import CONFIGS, full_fourth_tensor, kron, lex_k, model_for, unvec_lex, vec_lex
 
 BUILD_SECONDS: dict[str, float] = {}
 
@@ -140,7 +139,7 @@ def test_criterion_1_moment_formulas_vs_mc(exp1_model):
         z2 = np.abs(closed - mc) / stderr
         assert z2.max() < 4.0, f"second-moment worst z = {z2.max():.2f}"
 
-        tensor = fourth_tensor(d, kern, im)
+        tensor = full_fourth_tensor(d, kern, im)
         rng4 = np.random.default_rng(
             np.random.SeedSequence(entropy=(cfg.seed, MOMENTS_CHECK_SALT, 1))
         )
@@ -410,7 +409,7 @@ def test_criterion_9_property_suite():
 
         # fourth-tensor permutation symmetry (closed form, small dictionary)
         d_small = grid_dictionary([-1, -1], [1, 1], 2)
-        tensor = fourth_tensor(
+        tensor = full_fourth_tensor(
             d_small, GaussianKernel(0.7), InputModel(stationary_covariance(0.5, 0.5))
         )
         for perm in itertools.permutations(range(4)):

@@ -2,6 +2,12 @@
 lexicographic oracle and the symmetric block the engine decomposes),
 transient and steady-state MSE, complexity accounting."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,17 +20,18 @@ from kaflab.analysis import (
     mean_stability_bound,
     steady_state_mse,
     transient_mse,
-    transient_states,
 )
-from conftest import TOY_SIGMA, input_model, lex_k, toy_dictionary, unvec_lex, vec_lex
+from conftest import (TOY_SIGMA, full_fourth_tensor, input_model, lex_k, s_tilde, t_sym_of,
+                      toy_dictionary, transient_states, unvec_lex, vec_lex)
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig
-from kaflab.moments import MomentModel, fourth_tensor
+from kaflab.moments import MomentModel
 
 
-def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
-    """Minimal hand-built model: only the fields the analysis reads are live."""
+def fabricate_model(r_tilde, s_t, j_min=0.0, alpha_star=None, d2=1.0):
+    """Minimal hand-built model: only the fields the analysis reads are live; ``s_t``
+    is the r^4 s_tilde, carried into ``t_sym`` by ``conftest.t_sym_of``."""
     r_tilde = np.asarray(r_tilde, dtype=float)
     r = r_tilde.shape[0]
     if alpha_star is None:
@@ -39,7 +46,7 @@ def fabricate_model(r_tilde, s_tilde, j_min=0.0, alpha_star=None, d2=1.0):
         p_tilde=np.zeros(r),
         alpha_star_tilde=np.asarray(alpha_star, dtype=float),
         j_min=j_min,
-        s_tilde=np.asarray(s_tilde, dtype=float),
+        t_sym=t_sym_of(np.asarray(s_t, dtype=float)),
         gram=gf,
     )
 
@@ -116,10 +123,11 @@ class TestBuildK:
     def test_k3_lexicographic_mapping(self, toy_model):
         km = lex_k(toy_model, 0.075)
         r = toy_model.dim
+        s_t = s_tilde(toy_model)
         rng = np.random.default_rng(82)
         for _ in range(30):
             l, mm, p, q = rng.integers(0, r, 4)
-            assert km.k3[l + mm * r, p + q * r] == toy_model.s_tilde[l, mm, p, q]
+            assert km.k3[l + mm * r, p + q * r] == s_t[l, mm, p, q]
 
     def test_k_encodes_matrix_recursion(self, toy_model):
         # one step of the matrix recursion equals the lexicographic map:
@@ -130,7 +138,7 @@ class TestBuildK:
         a = rng.standard_normal((toy_model.dim, toy_model.dim))
         c = (a + a.T) / 2
         r_t = toy_model.r_tilde
-        t = np.tensordot(toy_model.s_tilde, c, axes=([3, 2], [0, 1]))
+        t = np.tensordot(s_tilde(toy_model), c, axes=([3, 2], [0, 1]))
         step = c + eta**2 * t - eta * (r_t @ c + c @ r_t)
         via_k = unvec_lex(km.k @ vec_lex(c), toy_model.dim)
         assert np.abs(step - via_k).max() < 1e-12 * max(1.0, np.abs(step).max())
@@ -198,9 +206,9 @@ class TestTransientMse:
         a = rng.standard_normal((toy_model.dim, toy_model.dim))
         c = (a + a.T) / 2
         w = toy_model.gram.g_inv_sqrt
-        t_trace = np.einsum("lmpq,qp->lm", toy_model.s_tilde, c)
+        t_trace = np.einsum("lmpq,qp->lm", s_tilde(toy_model), c)
         inner = w @ c @ w
-        s_tensor = fourth_tensor(toy_dictionary(), GaussianKernel(TOY_SIGMA), input_model())
+        s_tensor = full_fourth_tensor(toy_dictionary(), GaussianKernel(TOY_SIGMA), input_model())
         t_full = w @ np.tensordot(s_tensor, inner, axes=([2, 3], [0, 1])) @ w
         assert np.abs(t_trace - t_full).max() < 1e-10 * max(1.0, np.abs(t_full).max())
 
@@ -268,3 +276,36 @@ class TestComplexityReport:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             complexity_report(0, 2, 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_theory_memory_grows_with_the_pair_block():
+    """In a fresh interpreter, build_model + build_k on a 7 x 7 grid (r = 49, m = 1,225)
+    raise the peak resident set by less than 160 MB: the theory keeps m x m arrays, and
+    an r^4 tensor alone would take 46 MB."""
+    import kaflab
+
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from kaflab.analysis import build_k
+        from kaflab.kernel import GaussianKernel, grid_dictionary
+        from kaflab.moments import InputModel, build_model, second_moment
+        from kaflab.sim import stationary_covariance
+
+        d = grid_dictionary([-1, -1], [1, 1], 7)
+        k, im = GaussianKernel(0.7), InputModel(stationary_covariance(0.5, 0.5))
+        alpha = np.full(d.size, 0.1)
+        p = second_moment(d, k, im) @ alpha
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        build_k(build_model(d, k, im, p, float(p @ alpha) + 0.01), 0.075)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    src = str(Path(kaflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    growth_mb = int(proc.stdout) / 1024
+    assert growth_mb < 160, f"peak resident set grew by {growth_mb:.0f} MB"

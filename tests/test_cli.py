@@ -239,7 +239,7 @@ class TestAnalyze:
         im = build_input_model(cfg)
         kern = GaussianKernel(cfg.sigma)
         r_t = second_moment(d, kern, im)[0, 0]  # G = [[1]], so no transform
-        s_t = fourth_tensor(d, kern, im)[0, 0, 0, 0]
+        s_t = fourth_tensor(d, kern, im)[0, 0]
         stats = estimate_cross_stats(
             SystemSimulator(kind=cfg.system_kind, noise_sigma=cfg.sigma_nu),
             InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
@@ -435,6 +435,27 @@ class TestErrorPaths:
         rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            (b"sigma = 0.7", b"sigma = 0.75%"),
+            (b"# Noise-free", b"# Bruit nul (\xe9crit en Latin-1), noise-free"),
+        ],
+        ids=["percent_in_value", "not_utf8"],
+    )
+    def test_malformed_text_is_one_line_config_error(self, tmp_path, capsys, command, old,
+                                                     new):
+        text = (CONFIGS / "null.cfg").read_bytes()
+        assert text.count(old) == 1
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(text.replace(old, new))
+        rc = main([command, "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
 
     def test_divergent_simulation_exits_numeric(self, tmp_path, capsys):
         cfg = write_tiny(tmp_path, eta=500.0, n_iters=2000)

@@ -11,7 +11,6 @@ from kaflab.moments import (
     InputModel,
     build_model,
     estimate_cross_stats,
-    fourth_tensor,
     load_moment_model,
     mc_fourth_entries,
     mc_second_moment,
@@ -20,6 +19,7 @@ from kaflab.moments import (
     second_moment,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
+from conftest import full_fourth_tensor, s_tilde
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -135,7 +135,7 @@ class TestFourthTensor:
         d = grid_dictionary([-1, -1], [1, 1], 2)
         k = GaussianKernel(0.7)
         im = InputModel(EXP1_RU)
-        s = fourth_tensor(d, k, im)
+        s = full_fourth_tensor(d, k, im)
         for i in range(d.size):
             c = d.centers[i]
             assert s[i, i, i, i] == pytest.approx(
@@ -144,7 +144,7 @@ class TestFourthTensor:
 
     def test_permutation_symmetry_exact(self):
         d = grid_dictionary([-1, -1], [1, 1], 3)
-        s = fourth_tensor(d, GaussianKernel(0.7), InputModel(EXP1_RU))
+        s = full_fourth_tensor(d, GaussianKernel(0.7), InputModel(EXP1_RU))
         rng = np.random.default_rng(36)
         for _ in range(50):
             i, j, a, b = rng.integers(0, d.size, 4)
@@ -157,7 +157,7 @@ class TestFourthTensor:
         d = grid_dictionary([-1, -1], [1, 1], 3)
         k = GaussianKernel(0.7)
         im = InputModel(EXP1_RU)
-        s = fourth_tensor(d, k, im)
+        s = full_fourth_tensor(d, k, im)
         rng = np.random.default_rng(37)
         entries = [tuple(rng.integers(0, d.size, 4)) for _ in range(5)]
         mc, stderr = mc_fourth_entries(d, k, im, entries, 1_000_000, rng)
@@ -211,13 +211,13 @@ class TestEstimateCrossStats:
         joint = np.hypot(s1.d2_stderr, s2.d2_stderr)
         assert abs(s1.d2 - s2.d2) < 4 * joint
 
-    def test_deterministic_given_seed_and_shards(self):
+    def test_deterministic_given_seed(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
         k = GaussianKernel(0.7)
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05)
-        a = estimate_cross_stats(system, gen, d, k, 20_000, seed=7, shards=2)
-        b = estimate_cross_stats(system, gen, d, k, 20_000, seed=7, shards=2)
+        a = estimate_cross_stats(system, gen, d, k, 20_000, seed=7)
+        b = estimate_cross_stats(system, gen, d, k, 20_000, seed=7)
         assert np.array_equal(a.p, b.p)
         assert a.d2 == b.d2
 
@@ -253,7 +253,7 @@ class TestBuildModel:
         assert np.abs(m.gram.g - np.eye(3)).max() < 1e-15
         assert np.abs(m.r_tilde - m.r_kappa).max() < 1e-12
         assert np.abs(m.p_tilde - p).max() < 1e-12
-        assert np.abs(m.s_tilde - fourth_tensor(d, k, im)).max() < 1e-12
+        assert np.abs(s_tilde(m) - full_fourth_tensor(d, k, im)).max() < 1e-12
 
     def test_j_min_noise_floor_for_null_system(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
@@ -270,17 +270,18 @@ class TestBuildModel:
         d, k, im, _, m = small_model()
         w = m.gram.g_inv_sqrt
         direct = np.einsum(
-            "la,mb,pc,qd,abcd->lmpq", w, w, w, w, fourth_tensor(d, k, im), optimize=True
+            "la,mb,pc,qd,abcd->lmpq", w, w, w, w, full_fourth_tensor(d, k, im), optimize=True
         )
-        assert np.abs(m.s_tilde - direct).max() < 1e-10
+        assert np.abs(s_tilde(m) - direct).max() < 1e-10
 
     def test_s_tilde_symmetry_pairs(self):
         _, _, _, _, m = small_model()
+        s_t = s_tilde(m)
         rng = np.random.default_rng(45)
         for _ in range(20):
             l, mm, p, q = rng.integers(0, m.dim, 4)
-            assert m.s_tilde[l, mm, p, q] == pytest.approx(
-                m.s_tilde[mm, l, q, p], rel=1e-9, abs=1e-12
+            assert s_t[l, mm, p, q] == pytest.approx(
+                s_t[mm, l, q, p], rel=1e-9, abs=1e-12
             )
 
     def test_transformed_autocorrelation_matches_mc(self):

@@ -6,25 +6,24 @@ random kernel width and input law, and cross statistics with a known
 minimum MSE. The step size ranges from deep inside the mean-square stable
 region to far beyond it. The engine's symmetric block, eigenvalues, radius
 and transient curve are checked against the lexicographic matrix
-``conftest.lex_k`` and the step-by-step recursion ``transient_states``.
+``conftest.lex_k`` and the step-by-step recursion ``conftest.transient_states``.
+The fourth moments are checked too: the block of ``fourth_tensor`` is exactly
+symmetric, equal on the three pairings of each index multiset and bounded by
+Cauchy-Schwarz, and the model's ``t_sym`` is symmetric and PSD.
 """
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lex_k, vec_lex
-from kaflab.analysis import (
-    build_k,
-    mean_stability_bound,
-    steady_state_mse,
-    transient_mse,
-    transient_states,
-)
+from conftest import lex_k, transient_states, vec_lex
+from kaflab.analysis import build_k, mean_stability_bound, steady_state_mse, transient_mse
 from kaflab.errors import DivergenceError
 from kaflab.kernel import Dictionary, GaussianKernel
-from kaflab.linalg import sym_eig, unvec_sym
-from kaflab.moments import InputModel, build_model, second_moment
+from kaflab.linalg import sym_eig, sym_index, unvec_sym
+from kaflab.moments import InputModel, build_model, fourth_tensor, second_moment
 from kaflab.sim import stationary_covariance
 
 # Deterministic examples, no example database on disk.
@@ -35,12 +34,19 @@ GRID = np.array([(x, y) for x in np.linspace(-1, 1, 5) for y in np.linspace(-1, 
 
 
 @st.composite
-def models(draw):
-    """A moment model and a step size, as a multiple of the mean stability bound."""
+def laws(draw):
+    """A dictionary of 1 to 5 grid centers, a kernel and an input law."""
     r = draw(st.integers(1, 5))
     d = Dictionary(GRID[draw(st.permutations(range(len(GRID))))[:r]])
     kern = GaussianKernel(draw(st.floats(0.3, 0.7)))
     im = InputModel(stationary_covariance(draw(st.floats(-0.5, 0.9)), draw(st.floats(0.3, 1.0))))
+    return d, kern, im
+
+
+@st.composite
+def models(draw):
+    """A moment model and a step size, as a multiple of the mean stability bound."""
+    d, kern, im = draw(laws())
     alpha = np.array(draw(st.lists(st.floats(-1, 1), min_size=d.size, max_size=d.size)))
     # p = R alpha makes alpha the Wiener solution; d2 sets j_min > 0
     p = second_moment(d, kern, im) @ alpha
@@ -122,3 +128,39 @@ def test_correlation_stays_psd_when_stable(case):
     for state in transient_states(m, eta, 300):
         w = np.linalg.eigvalsh(state.c_tilde)
         assert w[0] >= -1e-12 * max(w[-1], 1e-300)
+
+
+@PROPERTY
+@given(laws())
+def test_fourth_moment_block_is_symmetric(law):
+    s = fourth_tensor(*law)
+    assert np.array_equal(s, s.T)
+
+
+@PROPERTY
+@given(laws())
+def test_fourth_moment_block_agrees_on_every_pairing(law):
+    s, r = fourth_tensor(*law), law[0].size
+    for w, x, y, z in itertools.combinations_with_replacement(range(r), 4):
+        value = s[sym_index(w, x, r), sym_index(y, z, r)]
+        assert s[sym_index(w, y, r), sym_index(x, z, r)] == value
+        assert s[sym_index(w, z, r), sym_index(x, y, r)] == value
+
+
+@PROPERTY
+@given(laws())
+def test_fourth_moment_block_obeys_cauchy_schwarz(law):
+    # S[a, b] = E[(kappa_i kappa_j)(kappa_s kappa_t)]; equality holds when the two
+    # pairs share a midpoint, so rounding is allowed one part in 10^12
+    s = fourth_tensor(*law)
+    diag = np.diag(s)
+    assert (np.abs(s) <= np.sqrt(np.outer(diag, diag)) * (1 + 1e-12)).all()
+
+
+@PROPERTY
+@given(models())
+def test_fourth_moment_operator_is_symmetric_psd(case):
+    t = case[0].t_sym
+    assert np.array_equal(t, t.T)
+    w = np.linalg.eigvalsh(t)
+    assert w[0] >= -1e-12 * w[-1]
