@@ -181,7 +181,7 @@ def cmd_simulate(args) -> int:
     save_learning_curve(curve, sim_path)
     laps.lap("write")
     counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
-                "run_chunk": min(cfg.n_runs, run_chunk_size(d.input_dim, cfg.n_iters))}
+                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size))}
     _write_manifest(out, "simulate", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.seconds},
                     [sim_path])

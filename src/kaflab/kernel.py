@@ -101,20 +101,29 @@ class GramFactor:
         return self.g_inv @ b
 
 
-def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray) -> np.ndarray:
+def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values between ``u`` and every dictionary center.
 
     ``u`` is one input of length L, giving shape (r,), or a stack (..., L),
     giving (..., r). Distances are summed one input axis at a time, so an
-    input gets the same values alone as in any stack.
+    input gets the same values alone as in any stack. The values are formed in
+    the output array (``out``, if given, of that shape), with one temporary of
+    its size for inputs of length > 1.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (d.input_dim,):
         raise DimensionMismatchError(
             f"input has shape {u.shape}, dictionary expects length {d.input_dim}"
         )
-    d2 = sum((d.centers[:, a] - u[..., a, None]) ** 2 for a in range(d.input_dim))
-    return np.exp(-d2 / (2.0 * k.sigma**2))
+    c = d.centers
+    d2 = np.subtract(c[:, 0], u[..., 0, None], out=out)
+    np.square(d2, out=d2)
+    tmp = np.empty_like(d2) if d.input_dim > 1 else None
+    for a in range(1, d.input_dim):
+        d2 += np.square(np.subtract(c[:, a], u[..., a, None], out=tmp), out=tmp)
+    np.divide(d2, -(2.0 * k.sigma**2), out=d2)
+    return np.exp(d2, out=d2)
 
 
 def gram_matrix(d: Dictionary, k: GaussianKernel) -> np.ndarray:

@@ -282,6 +282,8 @@ def estimate_cross_stats(
     :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
     CROSS_STATS_SALT, 0)``, runs for ``burn_in`` discarded samples and then
     ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the output.
+    The stream is drawn and reduced ``chunk`` samples at a time; only ``d_n`` is
+    kept whole, for its moments over the whole array.
     """
     from . import sim  # local import: sim depends on kernel/filters, not on moments
 
@@ -289,14 +291,15 @@ def estimate_cross_stats(
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
     s_dk = np.zeros(d.size)
     s_dk2 = np.zeros(d.size)
-    u_vecs, dd = sim.experiment_stream(
-        input_gen, system, n_samples, seed=(seed, sim.CROSS_STATS_SALT, 0), warmup=burn_in
-    )
-    for i in range(0, n_samples, chunk):
-        km = kernelized_input(d, k, u_vecs[i : i + chunk])
-        dk = km * dd[i : i + chunk, None]
+    dd = np.empty(n_samples)
+    blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
+                               warmup=burn_in, block=chunk)
+    for i, (u_vecs, d_blk) in zip(range(0, n_samples, chunk), blocks):
+        dd[i : i + chunk] = d_blk[:, 0]
+        dk = kernelized_input(d, k, u_vecs[:, 0])
+        np.multiply(dk, d_blk, out=dk)
         s_dk += dk.sum(axis=0)
-        s_dk2 += (dk**2).sum(axis=0)
+        s_dk2 += np.square(dk, out=dk).sum(axis=0)
     p, p_stderr = _mean_and_stderr(s_dk, s_dk2, n_samples)
     d2, d2_stderr = _mean_and_stderr(float((dd**2).sum()), float((dd**4).sum()), n_samples)
     return CrossStats(p=p, d2=d2, p_stderr=p_stderr, d2_stderr=float(d2_stderr),

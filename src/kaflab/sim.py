@@ -5,11 +5,14 @@ the cross-statistics stream and the calibration stream take their generators
 from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
 AR(1) input and the recursive plant are one all-pole recurrence in plain
 Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
-The engine draws a chunk of independent runs' streams time-major and steps
-the runs in lockstep, one row per run, through
-:func:`kaflab.filters.update`, and adds the chunks' summed squared errors in
-run order. Chunk and block sizes follow from one byte budget and the run
-shape, so the curve is fixed by configuration and seed.
+:func:`stream_blocks` draws the streams of many seeds a block of time steps
+at a time, carrying every generator and recurrence state across blocks, so
+neither the Monte-Carlo engine nor the cross-statistics estimator holds a
+whole stream. The engine steps a chunk of independent runs in lockstep over
+those blocks, one row per run, through :func:`kaflab.filters.update`, and
+adds the chunks' summed squared errors in run order. Chunk and block sizes
+follow from one byte budget and the dictionary size, so the curve is fixed by
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -34,13 +37,20 @@ CROSS_STATS_SALT = 2
 CALIBRATION_SALT = 3
 MOMENTS_CHECK_SALT = 4
 
-# Working memory of the Monte-Carlo engine: a chunk of runs holds its streams
-# in at most this many bytes (69 runs of 10^4 two-tap iterations), and a block
-# of time steps holds its kernel values in a sixteenth of it. That is still tens
-# of steps per block, so the per-block calls cost little next to the per-step
-# update, and few chunks keep the per-step Python overhead of the stream
-# recurrences and of the filter loop small.
-MC_WORK_BYTES = 16 * 2**20
+# Working memory of the Monte-Carlo engine, none of which grows with the
+# number of iterations. A chunk of runs draws its streams MC_STREAM_STEPS steps
+# at a time, enough that each run's two generator calls per block cost little
+# next to its steps. The kernel values of all the chunk's runs are formed for a
+# block of those steps at a time, in one reused buffer of at most
+# MC_WORK_BYTES (steps x runs x r doubles): with the evaluation's temporary of
+# the same size, that stays within a core's cache, and a larger block was
+# slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS steps
+# (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
+# overhead of the stream recurrences and of the filter loop serves every run
+# of the shipped configs.
+MC_WORK_BYTES = 2**20
+MC_BLOCK_STEPS = 8
+MC_STREAM_STEPS = 256
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -74,12 +84,18 @@ class InputGenerator:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
-def all_pole(x: np.ndarray, a1: float, a2: float = 0.0) -> np.ndarray:
-    """``y_n = x_n - a1 y_{n-1} - a2 y_{n-2}`` along axis 0, from a rested state.
+def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None = None):
+    """``y_n = x_n - a1 y_{n-1} - a2 y_{n-2}`` along axis 0.
 
     The filter ``1 / (1 + a1 z^-1 + a2 z^-2)``. ``x`` is one stream of shape
     (T,), stepped over Python floats, or a time-major chunk (T, m) of
     independent streams, stepped one row of m columns at a time.
+
+    Without ``state`` the filter starts at rest and ``y`` is returned. Given
+    ``state``, the two outputs ``(y_{-1}, y_{-2})`` before the first, an array
+    (2, ...) of one row's shape, it continues from them and returns ``y`` with
+    the state after its last output, so a stream filtered block by block, the
+    state carried across, equals the stream filtered whole.
 
     Each output is ``((-(a2 y_{n-2}) + 0.0) - a1 y_{n-1}) + x_n``, rounded after
     every operation. That is the order in which the direct-form-II-transposed
@@ -88,6 +104,7 @@ def all_pole(x: np.ndarray, a1: float, a2: float = 0.0) -> np.ndarray:
     reassociated or fused form would round differently.
     """
     x = np.asarray(x, dtype=float)
+    start = np.zeros((2, *x.shape[1:])) if state is None else np.asarray(state, dtype=float)
 
     def outputs(rows, y1, y2):
         for xn in rows:
@@ -95,9 +112,13 @@ def all_pole(x: np.ndarray, a1: float, a2: float = 0.0) -> np.ndarray:
             yield y1
 
     if x.size == x.shape[0]:  # one stream, also in a (T, 1) chunk
-        return np.fromiter(outputs(x.ravel().tolist(), 0.0, 0.0), float, x.size).reshape(x.shape)
-    rest = np.zeros(x.shape[1:])
-    return np.fromiter(outputs(x, rest, rest), np.dtype((float, x.shape[1:])), x.shape[0])
+        y = np.fromiter(outputs(x.ravel().tolist(), *start.ravel().tolist()), float, x.size)
+        y = y.reshape(x.shape)
+    else:
+        y = np.fromiter(outputs(x, *start), np.dtype((float, x.shape[1:])), x.shape[0])
+    if state is None:
+        return y
+    return y, np.concatenate([y[:-3:-1], start])[:2]
 
 
 def _ar1_drives(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,8 +198,8 @@ class SystemSimulator:
             return 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
         return float(noise)
 
-    def respond(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Vectorized run over a scalar stream, from a rested plant.
+    def respond(self, u: np.ndarray, noise: np.ndarray, state: np.ndarray | None = None):
+        """Vectorized run over a scalar stream.
 
         ``u`` has length m+1 (one priming sample); returns ``d`` of length m
         for the pairs ``(u_n, u_{n-1})``, n = 1..m. A time-major chunk of
@@ -186,6 +207,10 @@ class SystemSimulator:
         one column of ``d`` per stream. The state that :meth:`step` carries is
         neither read nor changed, so one simulator serves any number of
         independent streams.
+
+        The fluid-flow plant starts at rest, or, given ``state``, from its
+        :func:`all_pole` state; ``d`` is then returned with the state after the
+        last pair (for the memoryless plants, ``state`` itself).
         """
         u = np.asarray(u, dtype=float)
         noise = np.asarray(noise, dtype=float)
@@ -193,13 +218,17 @@ class SystemSimulator:
             raise DimensionMismatchError(
                 f"need len(noise) == len(u) - 1 >= 1, got shapes {noise.shape} and {u.shape}"
             )
+        after = state
         if self.kind is SystemKind.POLYNOMIAL:
             x = 0.5 * u[1:] - 0.3 * u[:-1]
-            return x - 0.5 * x**2 + 0.1 * x**3 + noise
-        if self.kind is SystemKind.FLUID_FLOW:
-            x = all_pole(0.1044 * u[1:] + 0.0883 * u[:-1], -1.4138, 0.6065)
-            return 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
-        return noise.copy()
+            d = x - 0.5 * x**2 + 0.1 * x**3 + noise
+        elif self.kind is SystemKind.FLUID_FLOW:
+            x, after = all_pole(0.1044 * u[1:] + 0.0883 * u[:-1], -1.4138, 0.6065,
+                                np.zeros((2, *u.shape[1:])) if state is None else state)
+            d = 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
+        else:
+            d = noise.copy()
+        return d if state is None else (d, after)
 
 
 @dataclass(frozen=True)
@@ -268,27 +297,58 @@ def experiment_stream(
     and (n, m) for m seeds, column j equal to the stream of ``seeds[j]`` alone.
     The stream carries ``warmup`` extra leading samples (default: the plant's
     own requirement) that are run through the plant and then discarded, so the
-    returned pairs are stationary.
+    returned pairs are stationary. The concatenation of :func:`stream_blocks`.
     """
     if (seed is None) == (seeds is None):
         raise TypeError("experiment_stream takes exactly one of seed and seeds")
+    blocks = stream_blocks(input_gen, system, n, [seed] if seeds is None else seeds, warmup)
+    u, d = (np.concatenate(parts) for parts in zip(*blocks))
+    return (u[:, 0], d[:, 0]) if seeds is None else (u, d)
+
+
+def stream_blocks(
+    input_gen: InputGenerator,
+    system: SystemSimulator,
+    n: int,
+    seeds,
+    warmup: int | None = None,
+    block: int | None = None,
+):
+    """The streams of ``seeds`` as time-major blocks ``(u (b, m, 2), d (b, m))``.
+
+    Blocks of ``block`` steps (default: all ``n``; the last may be shorter)
+    whose concatenation is ``experiment_stream(..., seeds=seeds)``. Each seed's
+    two generators draw its drives and noise one block at a time, which gives
+    the same numbers as one draw; the AR(1) input and the fluid-flow plant carry
+    their :func:`all_pole` states across blocks; and the ``warmup`` leading
+    samples are drawn with the first block and dropped from it.
+    """
+    if n < 1:
+        raise ValueError(f"stream length must be >= 1, got {n}")
     if warmup is None:
         warmup = system.warmup_samples
-    total = n + warmup
-    streams = [seed] if seeds is None else list(seeds)
-    drives = np.empty((total + 1, len(streams)))
-    noise = np.zeros((total, len(streams)))
-    for j, entropy in enumerate(streams):
-        ss = np.random.SeedSequence(entropy=entropy)
-        rng_input, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
-        drives[:, j] = _ar1_drives(input_gen, total + 1, rng_input)
-        if system.noise_sigma > 0:
-            noise[:, j] = rng_noise.normal(0.0, system.noise_sigma, total)
-    if seeds is None:
-        drives, noise = drives[:, 0], noise[:, 0]
-    u = all_pole(drives, -input_gen.rho)
-    d = system.respond(u, noise)
-    return embed_input(u)[warmup:], d[warmup:]
+    block = n if block is None else block
+    rngs = [[np.random.default_rng(s) for s in np.random.SeedSequence(entropy=e).spawn(2)]
+            for e in seeds]
+    scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
+    u_state = plant_state = np.zeros((2, len(rngs)))
+    u_last = np.empty((0, len(rngs)))  # the sample before a block's first
+    for t0 in range(0, n, block):
+        first, skip = (1, warmup) if t0 == 0 else (0, 0)  # u_0 comes with the first block
+        steps = skip + min(block, n - t0)
+        drives, noise = np.empty((len(rngs), first + steps)), np.zeros((len(rngs), steps))
+        for j, (rng_input, rng_noise) in enumerate(rngs):
+            if first:
+                drives[j, 0] = rng_input.normal(0.0, input_gen.sigma_u)
+            rng_input.standard_normal(out=drives[j, first:])
+            if system.noise_sigma > 0:
+                noise[j] = rng_noise.normal(0.0, system.noise_sigma, steps)
+        np.multiply(scale, drives[:, first:], out=drives[:, first:])
+        u, u_state = all_pole(drives.T, -input_gen.rho, state=u_state)
+        u = np.concatenate([u_last, u])
+        u_last = u[-1:]
+        d, plant_state = system.respond(u, noise.T, plant_state)
+        yield embed_input(u)[skip:], d[skip:]
 
 
 @dataclass(frozen=True)
@@ -321,16 +381,20 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> 
     """
     system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
     m, r = len(runs), setup.dictionary.size
-    u, d = experiment_stream(setup.input_gen, system, n_iters,
-                             seeds=[(seed, MC_RUN_SALT, run) for run in runs])
     alpha, e, total = np.zeros((m, r)), np.full(m, np.nan), np.empty(n_iters)
     diverged = {}  # row -> (iteration, ||alpha||, last finite error)
-    block = max(1, MC_WORK_BYTES // 16 // (8 * m * r))
+    block = max(1, MC_WORK_BYTES // (8 * m * r))
+    streams = stream_blocks(setup.input_gen, system, n_iters,
+                            [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
+    blocks = ((t0 + k0, u[k0:k0 + block], d[k0:k0 + block])
+              for t0, (u, d) in zip(range(0, n_iters, MC_STREAM_STEPS), streams)
+              for k0 in range(0, len(d), block))
+    kap_buf = np.empty((block, m, r))  # reused: fresh pages for every block cost page faults
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, n_iters, block):
-            kap = kernelized_input(setup.dictionary, setup.kernel, u[t0:t0 + block])
+        for t0, u, d in blocks:
+            kap = kernelized_input(setup.dictionary, setup.kernel, u, out=kap_buf[:len(d)])
             e2 = np.empty(kap.shape[:2])
-            for i, kap_i, d_i, e2_i in zip(range(t0, n_iters), kap, d[t0:], e2):
+            for i, kap_i, d_i, e2_i in zip(range(t0, n_iters), kap, d, e2):
                 last, e = e, d_i - np.vecdot(alpha, kap_i)
                 np.multiply(e, e, out=e2_i)
                 if not e2_i.max() < np.inf:  # also true for a NaN
@@ -338,7 +402,7 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> 
                         diverged.setdefault(j, (i, np.linalg.norm(alpha[j]), last[j]))
                 update(alpha, kap_i, e, setup.filter_kind, setup.gram, setup.eta,
                        setup.s_n, setup.eps_reg)
-            total[t0:t0 + block] = e2.sum(axis=1)
+            total[t0:t0 + len(d)] = e2.sum(axis=1)
     if diverged:
         i, norm, last_e = diverged[min(diverged)]
         raise DivergenceError(
@@ -349,9 +413,9 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> 
     return total
 
 
-def run_chunk_size(input_dim: int, n_iters: int) -> int:
-    """Runs stepped together: as many as keep their streams in ``MC_WORK_BYTES``."""
-    return max(1, MC_WORK_BYTES // (8 * (input_dim + 1) * n_iters))
+def run_chunk_size(r: int) -> int:
+    """Runs stepped together: as many as leave a kernel block ``MC_BLOCK_STEPS`` steps."""
+    return max(1, MC_WORK_BYTES // (8 * r * MC_BLOCK_STEPS))
 
 
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
@@ -370,7 +434,7 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
-    chunk = run_chunk_size(setup.dictionary.input_dim, n_iters)
+    chunk = run_chunk_size(setup.dictionary.size)
     total = np.zeros(n_iters)
     for start in range(0, n_runs, chunk):
         total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters)

@@ -4,8 +4,9 @@ The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
 Kronecker product, the lexicographic vectorization, the full r^4 fourth-moment
-tensors expanded from the library's block on symmetric pairs, and the
-step-by-step transient recursion. The library itself never builds an r^4 array.
+tensors expanded from the library's block on symmetric pairs, the
+step-by-step transient recursion, and the seeded streams drawn whole. The
+library itself never builds an r^4 array or a whole Monte-Carlo stream.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from kaflab.errors import DimensionMismatchError, DivergenceError
 from kaflab.kernel import GaussianKernel, grid_dictionary
 from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
 from kaflab.moments import InputModel, build_model, estimate_cross_stats, fourth_tensor
-from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
+from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
+                        stationary_covariance)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -149,6 +151,33 @@ def lex_k(m, eta):
     k2 = kron(m.r_tilde, np.eye(r))
     k3 = s_tilde(m).transpose(1, 0, 3, 2).reshape(r * r, r * r)
     return LexK(np.eye(r * r) - eta * (k1 + k2) + eta**2 * k3, k1, k2, k3)
+
+
+def whole_stream(input_gen, system, n, seeds, warmup=None):
+    """The streams of ``seeds``, time-major (n, m, 2) and (n, m), drawn whole.
+
+    Each seed's drives (``u_0 ~ N(0, sigma_u^2)``, then the scaled innovations)
+    and noise come from one draw each, the AR(1) input and the plant run over
+    the whole stream from rest, and the ``warmup`` leading pairs (default: the
+    plant's own requirement) are dropped. The reference for the block generator
+    ``kaflab.sim.stream_blocks``.
+    """
+    if warmup is None:
+        warmup = system.warmup_samples
+    total = n + warmup
+    drives = np.empty((total + 1, len(seeds)))
+    noise = np.zeros((total, len(seeds)))
+    for j, entropy in enumerate(seeds):
+        ss = np.random.SeedSequence(entropy=entropy)
+        rng_input, rng_noise = (np.random.default_rng(s) for s in ss.spawn(2))
+        drives[0, j] = rng_input.normal(0.0, input_gen.sigma_u)
+        drives[1:, j] = (input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
+                         * rng_input.standard_normal(total))
+        if system.noise_sigma > 0:
+            noise[:, j] = rng_noise.normal(0.0, system.noise_sigma, total)
+    u = all_pole(drives, -input_gen.rho)
+    d = system.respond(u, noise)
+    return embed_input(u)[warmup:], d[warmup:]
 
 
 def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):

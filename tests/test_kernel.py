@@ -77,6 +77,24 @@ class TestKernelizedInput:
         with pytest.raises(DimensionMismatchError):
             kernelized_input(d, GaussianKernel(1.0), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(), (27, 5)], ids=["one_input", "stacked"])
+    def test_equals_the_summed_expression(self, dim, shape):
+        """In place, the values keep the bits of the sum over axes and the
+        exponent ``-d2 / (2 sigma^2)``."""
+        rng = np.random.default_rng(dim)
+        d = Dictionary(rng.uniform(-1, 1, (7, dim)))
+        k = GaussianKernel(0.7)
+        u = rng.normal(0.0, 0.5, (*shape, dim))
+        d2 = sum((d.centers[:, a] - u[..., a, None]) ** 2 for a in range(dim))
+        expected = np.exp(-d2 / (2.0 * k.sigma**2))
+        vec = kernelized_input(d, k, u)
+        assert vec.shape == (*shape, 7)
+        assert np.array_equal(vec, expected)
+        out = np.full((*shape, 7), np.nan)
+        assert kernelized_input(d, k, u, out=out) is out
+        assert np.array_equal(out, expected)
+
 
 class TestGram:
     def test_single_center(self):

@@ -1,6 +1,12 @@
 """Closed-form Gaussian kernel moments, their Monte-Carlo oracles, the
 stream-estimated cross statistics, and moment-model assembly."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +25,7 @@ from kaflab.moments import (
     second_moment,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
-from conftest import full_fourth_tensor, s_tilde
+from conftest import CONFIGS, full_fourth_tensor, s_tilde
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -174,10 +180,11 @@ class _KernelPlant:
         self.noise_sigma = 0.0
         self.warmup_samples = 0
 
-    def respond(self, u, noise):
+    def respond(self, u, noise, state=None):
         u = np.asarray(u, float)
-        vecs = np.stack([u[1:], u[:-1]], axis=1)
-        return np.exp(-((vecs - self.center) ** 2).sum(axis=1) / (2 * self.sigma**2)) + noise
+        vecs = np.stack([u[1:], u[:-1]], axis=-1)
+        d = np.exp(-((vecs - self.center) ** 2).sum(axis=-1) / (2 * self.sigma**2)) + noise
+        return d if state is None else (d, state)
 
 
 class TestEstimateCrossStats:
@@ -220,6 +227,39 @@ class TestEstimateCrossStats:
         b = estimate_cross_stats(system, gen, d, k, 20_000, seed=7)
         assert np.array_equal(a.p, b.p)
         assert a.d2 == b.d2
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_maxrss is in kilobytes on Linux only")
+    def test_memory_grows_with_the_block_not_the_stream(self):
+        """In a fresh interpreter, 2 x 10^6 samples on the second experiment's
+        dictionary (r = 31) raise the peak resident set by less than 130 MB: the
+        stream is drawn in blocks of 10^5 samples and only d_n is kept whole. The
+        whole stream and its full-length temporaries took over 170 MB."""
+        import kaflab
+
+        script = textwrap.dedent(f"""
+            import resource
+            from kaflab.config import build_dictionary, build_system, load_config
+            from kaflab.kernel import GaussianKernel
+            from kaflab.moments import estimate_cross_stats
+            from kaflab.sim import InputGenerator
+
+            cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
+            d, _ = build_dictionary(cfg)
+            gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma),
+                                 2_000_000, cfg.seed)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        src = str(Path(kaflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        growth_mb = int(proc.stdout) / 1024
+        assert growth_mb < 130, f"peak resident set grew by {growth_mb:.0f} MB"
 
     def test_rejects_small_sample_count(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)

@@ -29,7 +29,9 @@ from kaflab.sim import (
     mc_learning_curve,
     save_learning_curve,
     stationary_covariance,
+    stream_blocks,
 )
+from conftest import whole_stream
 
 
 class TestAr1Stream:
@@ -348,6 +350,9 @@ class TestEngineProperties:
         curve = mc_learning_curve(setup, n_runs, n_iters, seed).mse
         mean = stepped.mean(axis=0)
         assert (np.abs(curve - mean) <= 1e-12 * mean).all()
+        # streams drawn three steps at a time give the same bits
+        with mock.patch.object(sim, "MC_STREAM_STEPS", 3):
+            assert np.array_equal(mc_learning_curve(setup, n_runs, n_iters, seed).mse, curve)
         # one-run chunks and one-step blocks: the sum of the runs stepped alone
         with mock.patch.object(sim, "MC_WORK_BYTES", 1):
             alone = mc_learning_curve(setup, n_runs, n_iters, seed).mse
@@ -412,6 +417,25 @@ class TestRecurrencesMatchLfilter:
         d = SystemSimulator(kind=SystemKind.FLUID_FLOW).respond(u, noise)
         assert np.array_equal(d, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cuts=st.lists(st.integers(1, 199), max_size=6),
+        poles=st.sampled_from([[1.0, -0.5], FLUID_POLES]),
+        columns=st.sampled_from([(), (1,), (3,)]),
+    )
+    def test_state_carried_across_splits(self, lfilter, seed, cuts, poles, columns):
+        x = np.random.default_rng(seed).standard_normal((200, *columns))
+        state, pieces = np.zeros((2, *columns)), []
+        for piece in np.split(x, sorted(set(cuts))):
+            y, state = sim.all_pole(piece, *poles[1:], state=state)
+            pieces.append(y)
+        whole = sim.all_pole(x, *poles[1:])
+        assert np.array_equal(np.concatenate(pieces), whole)
+        assert np.array_equal(state, whole[:-3:-1])
+        expected, _ = lfilter([1.0], poles, x, axis=0, zi=np.zeros((len(poles) - 1, *columns)))
+        assert np.array_equal(whole, expected)
+
     @pytest.mark.parametrize("poles", [[1.0, -0.5], FLUID_POLES])
     def test_time_major_chunk(self, lfilter, poles):
         x = np.random.default_rng(84).standard_normal((10_000, 7))
@@ -440,3 +464,38 @@ class TestChunkedExperimentStream:
             u_j, d_j = experiment_stream(gen, system, 300, seed=seed)
             assert np.array_equal(u[:, j], u_j)
             assert np.array_equal(d[:, j], d_j)
+
+
+class TestStreamBlocks:
+    """Streams drawn a block at a time equal the streams drawn whole."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 50),
+        block_share=st.floats(0.0, 1.0),
+        warmup=st.sampled_from([0, 200]),
+        kind=st.sampled_from([SystemKind.POLYNOMIAL, SystemKind.FLUID_FLOW]),
+        noise_sigma=st.sampled_from([0.0, 0.05]),
+        n_seeds=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_concatenate_to_the_whole_stream(self, n, block_share, warmup, kind,
+                                                   noise_sigma, n_seeds, seed):
+        block = 1 + round(block_share * (n - 1))  # 1..n
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        system = SystemSimulator(kind=kind, noise_sigma=noise_sigma)
+        seeds = [(seed, MC_RUN_SALT, j) for j in range(n_seeds)]
+        u_ref, d_ref = whole_stream(gen, system, n, seeds, warmup)
+        blocks = list(stream_blocks(gen, system, n, seeds, warmup, block))
+        assert [len(d) for _, d in blocks] == [min(block, n - t) for t in range(0, n, block)]
+        assert np.array_equal(np.concatenate([u for u, _ in blocks]), u_ref)
+        assert np.array_equal(np.concatenate([d for _, d in blocks]), d_ref)
+        u, d = experiment_stream(gen, system, n, warmup=warmup, seeds=seeds)
+        assert np.array_equal(u, u_ref) and np.array_equal(d, d_ref)
+        u, d = experiment_stream(gen, system, n, seeds[0], warmup)
+        assert np.array_equal(u, u_ref[:, 0]) and np.array_equal(d, d_ref[:, 0])
+
+    def test_rejects_empty_stream(self):
+        system = SystemSimulator(kind=SystemKind.POLYNOMIAL)
+        with pytest.raises(ValueError):
+            next(stream_blocks(InputGenerator(rho=0.5, sigma_u=0.5), system, 0, [(1, 2, 3)]))
