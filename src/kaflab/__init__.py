@@ -25,7 +25,6 @@ from .kernel import (
     coherence_threshold_for_size,
     gram,
     grid_dictionary,
-    kappa,
     kernelized_input,
 )
 from .moments import (
@@ -59,7 +58,6 @@ from .analysis import (
     transient_mse,
 )
 from .sim import (
-    CurveKind,
     ExperimentSetup,
     FilterKind,
     InputGenerator,

@@ -14,7 +14,6 @@ mean-square stability, the steady-state MSE and the whole transient curve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import DivergenceError, KaflabError, NotStableError
 from .linalg import (spectral_radius, sym_basis, sym_eig,  # noqa: F401
                      symmetrize, unvec_sym, vec_sym)
 from .moments import MomentModel
-from .sim import CurveKind, LearningCurve
+from .sim import LearningCurve
 
 # Largest allowed number of rows of the lexicographic r^2 x r^2 transition matrix.
 K_CAP = 10_000
@@ -73,7 +72,7 @@ def mean_recursion(m: MomentModel, eta: float, v0: np.ndarray, n_steps: int) -> 
     return out
 
 
-def build_k(m: MomentModel, eta: float, k_cap: int = K_CAP) -> KSpectrum:
+def build_k(m: MomentModel, eta: float) -> KSpectrum:
     """K on symmetric matrices for step size ``eta`` (dimension r(r+1)/2), decomposed.
 
     Entry (a, b) is ``<E_a, K(E_b)>``, ``E_a = (e_i e_j' + e_j e_i') scale_a / 2`` for
@@ -85,8 +84,8 @@ def build_k(m: MomentModel, eta: float, k_cap: int = K_CAP) -> KSpectrum:
     if not eta >= 0:
         raise ValueError(f"step size must be nonnegative, got {eta}")
     r = m.dim
-    if r * r > k_cap:
-        raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {k_cap}")
+    if r * r > K_CAP:
+        raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {K_CAP}")
     i, j, scale = sym_basis(r)
     i, j, p, q = i[:, None], j[:, None], i[None, :], j[None, :]
     r_t, eye = m.r_tilde, np.eye(r)
@@ -115,22 +114,17 @@ def _fixed_point(m: MomentModel, km: KSpectrum) -> tuple[float, np.ndarray]:
     return float(m.j_min + np.trace(m.r_tilde @ c_inf)), c_inf
 
 
-def transient_mse(m: MomentModel, eta: float, n_steps: int, check_stability: bool = True,
-                  km: KSpectrum | None = None) -> LearningCurve:
+def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
     """Theoretical MSE at iterations 0..n_steps from the spectrum ``km = build_k(m, eta)``.
 
-    ``MSE(n) = MSE_inf + sum_k w_k lambda_k^n``, ``w_k = (q_k' vec(r_tilde))
-    (q_k' vec(C_0 - C_inf))``; C_0 is the outer product of the optimal transformed weights
-    (zero coefficients), so row 0 is the signal power. With ``check_stability``, a radius
-    >= 1 warns; a non-finite MSE raises :class:`DivergenceError`.
+    The step size is ``km.eta``. ``MSE(n) = MSE_inf + sum_k w_k lambda_k^n``, ``w_k =
+    (q_k' vec(r_tilde)) (q_k' vec(C_0 - C_inf))``; C_0 is the outer product of the optimal
+    transformed weights (zero coefficients), so row 0 is the signal power. An unstable K
+    gives a growing curve; a non-finite MSE raises :class:`DivergenceError`.
     """
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
+    if not km.eta > 0:
+        raise ValueError(f"step size must be positive, got {km.eta}")
     c0 = np.outer(m.alpha_star_tilde, m.alpha_star_tilde)
-    km = build_k(m, eta) if km is None else km
-    if check_stability and km.radius >= 1.0:
-        warnings.warn(f"transition matrix has spectral radius {km.radius:.6f} >= 1; "
-                      f"the transient recursion may diverge", stacklevel=2)
     mse = np.empty(n_steps + 1)
     mse[0] = m.j_min + np.trace(m.r_tilde @ c0)
     mse_inf, c_inf = _fixed_point(m, km)
@@ -145,14 +139,12 @@ def transient_mse(m: MomentModel, eta: float, n_steps: int, check_stability: boo
             if bad.size:
                 raise DivergenceError(f"transient curve is non-finite at step {bad[0]}",
                                       last_finite_step=int(bad[0]) - 1)
-    return LearningCurve(mse=mse, n_runs=0, kind=CurveKind.THEORETICAL)
+    return LearningCurve(mse=mse)
 
 
-def steady_state_mse(m: MomentModel, eta: float,
-                     km: KSpectrum | None = None) -> tuple[float, np.ndarray]:
-    """Steady-state MSE and weight-error correlation, from ``km = build_k(m, eta)``;
-    refuses when K is not a contraction (the fixed point is then not reached)."""
-    km = build_k(m, eta) if km is None else km
+def steady_state_mse(m: MomentModel, km: KSpectrum) -> tuple[float, np.ndarray]:
+    """Steady-state MSE and weight-error correlation at step size ``km.eta``, from ``km =
+    build_k(m, eta)``; refuses when K is not a contraction (no fixed point is reached)."""
     if km.radius >= 1.0:
         raise NotStableError(f"transition matrix has spectral radius {km.radius:.6f} >= 1; "
                              f"no steady state exists", spectral_radius=km.radius)

@@ -64,7 +64,6 @@ from .moments import (
 )
 from .sim import (
     MOMENTS_CHECK_SALT,
-    CurveKind,
     InputGenerator,
     load_learning_curve,
     mc_learning_curve,
@@ -208,11 +207,11 @@ def cmd_analyze(args) -> int:
 
     curve, transient_note = None, "ok"
     try:
-        curve = transient_mse(model, cfg.eta, cfg.n_iters - 1, check_stability=False, km=km)
+        curve = transient_mse(model, km, cfg.n_iters - 1)
     except DivergenceError as exc:
         transient_note = f"diverged_at_step_{exc.last_finite_step + 1}"
     laps.lap("transient")
-    mse_inf = steady_state_mse(model, cfg.eta, km=km)[0] if stable else None
+    mse_inf = steady_state_mse(model, km)[0] if stable else None
     laps.lap("steady_state")
 
     theory_path = out / "theory.csv"
@@ -255,8 +254,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        sim = load_learning_curve(args.sim, kind=CurveKind.SIMULATED)
-        theory = load_learning_curve(args.theory, kind=CurveKind.THEORETICAL)
+        sim = load_learning_curve(args.sim)
+        theory = load_learning_curve(args.theory)
     except ValueError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -363,6 +362,13 @@ def cmd_complexity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _window(text: str) -> int:
+    """A moving-average window: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kaflab",
@@ -391,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--smooth-window", type=int, default=SMOOTH_WINDOW)
+    p.add_argument("--smooth-window", type=_window, default=SMOOTH_WINDOW)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("moments-check", help="closed-form moments vs Monte-Carlo")

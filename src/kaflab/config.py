@@ -292,10 +292,10 @@ def build_system(cfg: ExperimentConfig) -> SystemSimulator:
     return SystemSimulator(kind=cfg.system_kind, noise_sigma=cfg.sigma_nu)
 
 
-def build_setup(cfg: ExperimentConfig, d: Dictionary | None = None) -> ExperimentSetup:
-    """Assemble the frozen Monte-Carlo bundle (dictionary may be prebuilt)."""
-    if d is None:
-        d, _ = build_dictionary(cfg)
+def build_setup(cfg: ExperimentConfig, d: Dictionary) -> ExperimentSetup:
+    """The frozen Monte-Carlo bundle over ``d``, whose size bounds a selective ``s_n``."""
+    _require(cfg.filter_kind is not FilterKind.SELECTIVE or cfg.s_n <= d.size,
+             f"[filter] s_n = {cfg.s_n} exceeds the dictionary size r = {d.size}")
     kern = GaussianKernel(cfg.sigma)
     return ExperimentSetup(
         kernel=kern,

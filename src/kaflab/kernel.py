@@ -22,8 +22,10 @@ from .linalg import pd_sqrt, symmetrize
 # error than the PD check would give.
 DUPLICATE_DISTANCE = 1e-9
 
-# Default cap on dictionary size for grid construction.
+# Largest grid dictionary that grid construction builds.
 MAX_DICTIONARY_SIZE = 10_000
+
+THRESHOLD_BISECTION_STEPS = 60  # at most; fewer once no double lies between the ends
 
 
 @dataclass(frozen=True)
@@ -35,19 +37,6 @@ class GaussianKernel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError(f"kernel width must be positive, got {self.sigma}")
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
-        return kappa(x, y, self)
-
-
-def kappa(x: np.ndarray, y: np.ndarray, k: GaussianKernel) -> float:
-    """Kernel value between two input vectors of equal length."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"input lengths differ: {x.size} vs {y.size}")
-    d2 = float(((x - y) ** 2).sum())
-    return float(np.exp(-d2 / (2.0 * k.sigma**2)))
 
 
 @dataclass(frozen=True)
@@ -70,14 +59,6 @@ class Dictionary:
     def input_dim(self) -> int:
         return self.centers.shape[1]
 
-    def save_csv(self, path) -> None:
-        """One center per row, full double precision (17 significant digits)."""
-        np.savetxt(path, self.centers, fmt="%.17g", delimiter=",")
-
-    @classmethod
-    def load_csv(cls, path) -> "Dictionary":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
 
 @dataclass(frozen=True)
 class GramFactor:
@@ -95,10 +76,6 @@ class GramFactor:
 
     def __post_init__(self):
         object.__setattr__(self, "g_inv", symmetrize(self.g_inv_sqrt @ self.g_inv_sqrt))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``g x = b`` through the stored inverse."""
-        return self.g_inv @ b
 
 
 def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray,
@@ -169,9 +146,7 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
     return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt)
 
 
-def grid_dictionary(
-    lo, hi, points_per_axis: int, max_size: int = MAX_DICTIONARY_SIZE
-) -> Dictionary:
+def grid_dictionary(lo, hi, points_per_axis: int) -> Dictionary:
     """Cartesian-product dictionary over a uniform grid, endpoints inclusive.
 
     Axis samples are ``points_per_axis`` values spaced ``(hi-lo)/(points-1)``
@@ -186,9 +161,9 @@ def grid_dictionary(
     if np.any(hi <= lo):
         raise ValueError("hi must exceed lo elementwise")
     r = points_per_axis ** lo.size
-    if r > max_size:
+    if r > MAX_DICTIONARY_SIZE:
         raise KaflabError(
-            f"grid would contain {r} centers, above the cap of {max_size}"
+            f"grid would contain {r} centers, above the cap of {MAX_DICTIONARY_SIZE}"
         )
     if points_per_axis == 1:
         return Dictionary(lo[None, :])
@@ -232,12 +207,8 @@ def coherence_select(samples, k: GaussianKernel, mu0: float,
     return Dictionary(samples[kept])
 
 
-def coherence_threshold_for_size(
-    samples,
-    k: GaussianKernel,
-    target_size: int,
-    max_iter: int = 60,
-) -> tuple[float, Dictionary, bool]:
+def coherence_threshold_for_size(samples, k: GaussianKernel,
+                                 target_size: int) -> tuple[float, Dictionary, bool]:
     """Bisect the coherence threshold for a dictionary of ``target_size`` centers.
 
     Returns ``(mu0, dictionary, truncated)``. Selection size is nondecreasing
@@ -251,7 +222,7 @@ def coherence_threshold_for_size(
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
     lo, hi, above = 0.0, 1.0, None  # above: the selection at hi, once one kept more
-    for _ in range(max_iter):
+    for _ in range(THRESHOLD_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:
             break

@@ -69,16 +69,16 @@ def sym_eig(a: np.ndarray) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
-def pd_sqrt(a: np.ndarray, pd_floor_rel: float = PD_FLOOR_REL) -> tuple[np.ndarray, np.ndarray]:
+def pd_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unique symmetric PD square root and its inverse.
 
     Returns ``(sqrt, inv_sqrt)`` with ``sqrt @ sqrt == a`` and
     ``inv_sqrt @ sqrt == I`` to about 1e-10 relative. The input must be
-    positive definite: eigenvalues at or below ``pd_floor_rel * max(eig)``
+    positive definite: eigenvalues at or below ``PD_FLOOR_REL * max(eig)``
     raise :class:`NotPositiveDefiniteError` rather than being regularized.
     """
     w, v = sym_eig(a)
-    floor = pd_floor_rel * w[-1]
+    floor = PD_FLOOR_REL * w[-1]
     if w[0] <= floor:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.6e} "

@@ -48,6 +48,11 @@ from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
 # and recursive plants reach stationarity.
 CROSS_STATS_BURN_IN = 1000
 
+# Samples per block of the cross-statistics stream: the blocks' sums are added
+# in turn, so the block size fixes the bits of ``p``.
+CROSS_STATS_CHUNK = 100_000
+MC_MOMENT_CHUNK = 200_000  # draws per block of the Monte-Carlo moment oracles
+
 
 @dataclass(frozen=True)
 class InputModel:
@@ -203,11 +208,11 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
 
 
 def _mc_kernel_chunks(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples: int,
-                      rng: np.random.Generator, chunk: int):
-    """Kernel columns of ``n_samples`` draws of ``u ~ N(0, R_u)``, ``chunk`` rows at a time."""
+                      rng: np.random.Generator):
+    """Kernel columns of ``n_samples`` draws of ``u ~ N(0, R_u)``, a block at a time."""
     chol = np.linalg.cholesky(im.r_u)
-    for done in range(0, n_samples, chunk):
-        u = rng.standard_normal((min(chunk, n_samples - done), im.dim)) @ chol.T
+    for done in range(0, n_samples, MC_MOMENT_CHUNK):
+        u = rng.standard_normal((min(MC_MOMENT_CHUNK, n_samples - done), im.dim)) @ chol.T
         yield kernelized_input(d, k, u)
 
 
@@ -223,12 +228,11 @@ def mc_second_moment(
     im: InputModel,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimate of the kernelized-input autocorrelation with standard errors."""
     s1 = np.zeros((d.size, d.size))
     s2 = np.zeros((d.size, d.size))
-    for km in _mc_kernel_chunks(d, k, im, n_samples, rng, chunk):
+    for km in _mc_kernel_chunks(d, k, im, n_samples, rng):
         s1 += km.T @ km
         km2 = km**2
         s2 += km2.T @ km2
@@ -242,7 +246,6 @@ def mc_fourth_entries(
     entries,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 200_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimates of selected fourth-tensor entries with standard errors.
 
@@ -253,7 +256,7 @@ def mc_fourth_entries(
     pos = {a: i for i, a in enumerate(needed)}
     s1 = np.zeros(len(entries))
     s2 = np.zeros(len(entries))
-    for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng, chunk):
+    for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng):
         for e_i, (i, j, s, t) in enumerate(entries):
             prod = km[:, pos[i]] * km[:, pos[j]] * km[:, pos[s]] * km[:, pos[t]]
             s1[e_i] += prod.sum()
@@ -273,17 +276,15 @@ def estimate_cross_stats(
     k: GaussianKernel,
     n_samples: int,
     seed: int,
-    burn_in: int = CROSS_STATS_BURN_IN,
-    chunk: int = 100_000,
 ) -> CrossStats:
-    """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from stationary streams.
+    """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from a stationary stream.
 
     ``system`` is a :class:`kaflab.sim.SystemSimulator` and ``input_gen`` a
     :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
-    CROSS_STATS_SALT, 0)``, runs for ``burn_in`` discarded samples and then
-    ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the output.
-    The stream is drawn and reduced ``chunk`` samples at a time; only ``d_n`` is
-    kept whole, for its moments over the whole array.
+    CROSS_STATS_SALT, 0)``, runs for ``CROSS_STATS_BURN_IN`` discarded samples and
+    then ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the
+    output. The stream is drawn and reduced ``CROSS_STATS_CHUNK`` samples at a time;
+    only ``d_n`` is kept whole, for its moments over the whole array.
     """
     from . import sim  # local import: sim depends on kernel/filters, not on moments
 
@@ -293,9 +294,9 @@ def estimate_cross_stats(
     s_dk2 = np.zeros(d.size)
     dd = np.empty(n_samples)
     blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
-                               warmup=burn_in, block=chunk)
-    for i, (u_vecs, d_blk) in zip(range(0, n_samples, chunk), blocks):
-        dd[i : i + chunk] = d_blk[:, 0]
+                               warmup=CROSS_STATS_BURN_IN, block=CROSS_STATS_CHUNK)
+    for i, (u_vecs, d_blk) in zip(range(0, n_samples, CROSS_STATS_CHUNK), blocks):
+        dd[i : i + CROSS_STATS_CHUNK] = d_blk[:, 0]
         dk = kernelized_input(d, k, u_vecs[:, 0])
         np.multiply(dk, d_blk, out=dk)
         s_dk += dk.sum(axis=0)

@@ -64,18 +64,12 @@ class SystemKind(Enum):
     NULL = "null"
 
 
-class CurveKind(Enum):
-    SIMULATED = "simulated"
-    THEORETICAL = "theoretical"
-
-
 @dataclass(frozen=True)
 class InputGenerator:
     """First-order autoregressive scalar input with stationary variance sigma_u^2."""
 
     rho: float
     sigma_u: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
@@ -121,15 +115,7 @@ def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None
     return y, np.concatenate([y[:-3:-1], start])[:2]
 
 
-def _ar1_drives(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``u_0 ~ N(0, sigma_u^2)``, then the n - 1 innovations ``sigma_u sqrt(1 - rho^2) w_n``."""
-    x = np.empty(n)
-    x[0] = rng.normal(0.0, g.sigma_u)
-    x[1:] = g.sigma_u * np.sqrt(1.0 - g.rho**2) * rng.standard_normal(n - 1)
-    return x
-
-
-def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarray:
     """``u_n = rho u_{n-1} + sigma_u sqrt(1 - rho^2) w_n`` with a stationary start.
 
     ``u_0`` is drawn from N(0, sigma_u^2) so the whole stream is stationary;
@@ -138,9 +124,10 @@ def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator | None = None
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
-    if rng is None:
-        rng = np.random.default_rng(g.seed)
-    return all_pole(_ar1_drives(g, n, rng), -g.rho)
+    drives = np.empty(n)
+    drives[0] = rng.normal(0.0, g.sigma_u)
+    drives[1:] = g.sigma_u * np.sqrt(1.0 - g.rho**2) * rng.standard_normal(n - 1)
+    return all_pole(drives, -g.rho)
 
 
 def embed_input(u: np.ndarray) -> np.ndarray:
@@ -162,20 +149,18 @@ def stationary_covariance(rho: float, sigma_u: float, L: int = 2) -> np.ndarray:
     return sigma_u**2 * rho**lags
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemSimulator:
     """Plant producing the desired signal ``d_n`` from the scalar input stream.
 
     ``POLYNOMIAL``: memoryless cubic distortion of a two-tap FIR output.
-    ``FLUID_FLOW``: saturated output of a second-order IIR plant; carries the
-    plant state ``(x_{n-1}, x_{n-2})``, zero-initialized.
+    ``FLUID_FLOW``: saturated output of a second-order IIR plant, whose state
+    ``(x_{n-1}, x_{n-2})`` :meth:`respond` takes and returns.
     ``NULL``: pure noise.
     """
 
     kind: SystemKind
     noise_sigma: float = 0.0
-    x_prev: float = 0.0
-    x_prev2: float = 0.0
 
     def __post_init__(self):
         if self.noise_sigma < 0:
@@ -186,27 +171,14 @@ class SystemSimulator:
         """Measurement delay needed for the plant output to be stationary."""
         return FLUID_FLOW_WARMUP if self.kind is SystemKind.FLUID_FLOW else 0
 
-    def step(self, u_n: float, u_prev: float, noise: float = 0.0) -> float:
-        """Advance the plant by one sample and return ``d_n``."""
-        if self.kind is SystemKind.POLYNOMIAL:
-            x = 0.5 * u_n - 0.3 * u_prev
-            return x - 0.5 * x**2 + 0.1 * x**3 + noise
-        if self.kind is SystemKind.FLUID_FLOW:
-            x = 0.1044 * u_n + 0.0883 * u_prev + 1.4138 * self.x_prev - 0.6065 * self.x_prev2
-            self.x_prev2 = self.x_prev
-            self.x_prev = x
-            return 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
-        return float(noise)
-
     def respond(self, u: np.ndarray, noise: np.ndarray, state: np.ndarray | None = None):
-        """Vectorized run over a scalar stream.
+        """The plant's output over a scalar stream.
 
         ``u`` has length m+1 (one priming sample); returns ``d`` of length m
         for the pairs ``(u_n, u_{n-1})``, n = 1..m. A time-major chunk of
         streams, ``u`` of shape (m+1, runs) and ``noise`` of (m, runs), gives
-        one column of ``d`` per stream. The state that :meth:`step` carries is
-        neither read nor changed, so one simulator serves any number of
-        independent streams.
+        one column of ``d`` per stream. The simulator holds no state, so one
+        serves any number of independent streams.
 
         The fluid-flow plant starts at rest, or, given ``state``, from its
         :func:`all_pole` state; ``d`` is then returned with the state after the
@@ -236,8 +208,6 @@ class LearningCurve:
     """MSE-versus-iteration series, simulated (MC-averaged) or theoretical."""
 
     mse: np.ndarray
-    n_runs: int
-    kind: CurveKind
 
     def __post_init__(self):
         mse = np.asarray(self.mse, dtype=float).ravel()
@@ -259,7 +229,7 @@ def save_learning_curve(curve: LearningCurve, path) -> None:
             f.write(f"{n},{v:.17g}\n")
 
 
-def load_learning_curve(path, kind: CurveKind = CurveKind.SIMULATED, n_runs: int = 0) -> LearningCurve:
+def load_learning_curve(path) -> LearningCurve:
     """Read an ``n,mse`` CSV; ``ValueError`` naming the file if it holds no curve."""
     try:
         with warnings.catch_warnings():
@@ -272,7 +242,7 @@ def load_learning_curve(path, kind: CurveKind = CurveKind.SIMULATED, n_runs: int
             f"{path} holds no learning curve: expected a header and rows of 'n,mse', "
             f"read {data.shape[0]} rows of {data.shape[1]} columns"
         )
-    return LearningCurve(mse=data[:, 1], n_runs=n_runs, kind=kind)
+    return LearningCurve(mse=data[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -438,4 +408,4 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
     total = np.zeros(n_iters)
     for start in range(0, n_runs, chunk):
         total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters)
-    return LearningCurve(mse=total / n_runs, n_runs=n_runs, kind=CurveKind.SIMULATED)
+    return LearningCurve(mse=total / n_runs)

@@ -3,10 +3,11 @@
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
-Kronecker product, the lexicographic vectorization, the full r^4 fourth-moment
-tensors expanded from the library's block on symmetric pairs, the
-step-by-step transient recursion, and the seeded streams drawn whole. The
-library itself never builds an r^4 array or a whole Monte-Carlo stream.
+scalar kernel value, the Kronecker product, the lexicographic vectorization,
+the full r^4 fourth-moment tensors expanded from the library's block on
+symmetric pairs, the step-by-step transient recursion, and the seeded streams
+drawn whole. The library itself never builds an r^4 array or a whole
+Monte-Carlo stream.
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,17 @@ def toy_dictionary():
 def input_model():
     """Input law shared by every fixture model: AR(1), rho = 0.5, sigma_u = 0.5."""
     return InputModel(stationary_covariance(0.5, 0.5))
+
+
+def kappa(x, y, k) -> float:
+    """Kernel value ``exp(-||x - y||^2 / (2 sigma^2))`` between two input vectors of equal
+    length: the scalar reference for ``kaflab.kernel.kernelized_input``."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise DimensionMismatchError(f"input lengths differ: {x.size} vs {y.size}")
+    d2 = float(((x - y) ** 2).sum())
+    return float(np.exp(-d2 / (2.0 * k.sigma**2)))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from kaflab.analysis import (
     transient_mse,
 )
 from kaflab.cli import compare_curves
-from kaflab.config import build_setup, load_config
+from kaflab.config import build_dictionary, build_setup, load_config
 from kaflab.errors import DivergenceError
 from kaflab.filters import FilterState, natural_klms_step, selective_step
 from kaflab.kernel import (
@@ -94,9 +94,9 @@ def exp1(exp1_model):
     cfg = load_config(CONFIGS / "experiment1.cfg")
     theory = _timed(
         "exp1_theory",
-        lambda: transient_mse(model, cfg.eta, cfg.n_iters - 1, check_stability=False),
+        lambda: transient_mse(model, build_k(model, cfg.eta), cfg.n_iters - 1),
     )
-    mse_inf, _ = steady_state_mse(model, cfg.eta)
+    mse_inf, _ = steady_state_mse(model, build_k(model, cfg.eta))
     sim = _timed(
         "exp1_sim",
         lambda: mc_learning_curve(
@@ -112,9 +112,9 @@ def exp2(exp2_model):
     cfg = load_config(CONFIGS / "experiment2.cfg")
     theory = _timed(
         "exp2_theory",
-        lambda: transient_mse(model, cfg.eta, cfg.n_iters - 1, check_stability=False),
+        lambda: transient_mse(model, build_k(model, cfg.eta), cfg.n_iters - 1),
     )
-    mse_inf, _ = steady_state_mse(model, cfg.eta)
+    mse_inf, _ = steady_state_mse(model, build_k(model, cfg.eta))
     sim = _timed(
         "exp2_sim",
         lambda: mc_learning_curve(
@@ -278,7 +278,7 @@ def test_criterion_6_stability_boundaries(exp1):
         assert radius >= 1.05
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                curve = transient_mse(model, eta_bad, 10_000, check_stability=False)
+                curve = transient_mse(model, build_k(model, eta_bad), 10_000)
                 tail = curve.mse[-1000:]
                 assert (np.diff(tail) > 0).all() and tail[-1] > 1e6 * curve.mse[0]
                 outcome = "monotone growth"
@@ -300,8 +300,9 @@ def test_criterion_7_steady_state_self_consistency(exp1):
         toy, _ = model_for(d_toy, 0.7, SystemKind.POLYNOMIAL, 0.05, seed=701,
                            n_samples=100_000)
         eta_toy = 0.3
-        mse_inf_toy, _ = steady_state_mse(toy, eta_toy)
-        curve_toy = transient_mse(toy, eta_toy, 100_000, check_stability=False)
+        km_toy = build_k(toy, eta_toy)
+        mse_inf_toy, _ = steady_state_mse(toy, km_toy)
+        curve_toy = transient_mse(toy, km_toy, 100_000)
         rel = abs(curve_toy.mse[-1] - mse_inf_toy) / mse_inf_toy
         assert rel < 1e-6, f"fast-mixing route disagreement {rel:.2e}"
 
@@ -309,8 +310,9 @@ def test_criterion_7_steady_state_self_consistency(exp1):
         # fixed point at 1e5 steps must equal the spectral prediction of the
         # transition matrix (an independent oracle), to 1e-6 of the MSE
         cfg = load_config(CONFIGS / "experiment1.cfg")
-        mse_inf, c_inf = steady_state_mse(model, cfg.eta)
-        curve = transient_mse(model, cfg.eta, 100_000, check_stability=False)
+        km_sym = build_k(model, cfg.eta)
+        mse_inf, c_inf = steady_state_mse(model, km_sym)
+        curve = transient_mse(model, km_sym, 100_000)
         gap = curve.mse[-1] - mse_inf
         km = lex_k(model, cfg.eta)
         lam, vk = np.linalg.eig(km.k)
@@ -418,10 +420,11 @@ def test_criterion_9_property_suite():
         # seed determinism: streams and learning curves
         from kaflab.sim import InputGenerator
 
-        gen = InputGenerator(rho=0.5, sigma_u=0.5, seed=5)
-        assert np.array_equal(ar1_stream(gen, 2000), ar1_stream(gen, 2000))
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        assert np.array_equal(ar1_stream(gen, 2000, np.random.default_rng(5)),
+                              ar1_stream(gen, 2000, np.random.default_rng(5)))
         cfg = load_config(CONFIGS / "null.cfg")
-        setup = build_setup(cfg)
+        setup = build_setup(cfg, build_dictionary(cfg)[0])
         c1 = mc_learning_curve(setup, 3, 100, seed=cfg.seed)
         c2 = mc_learning_curve(setup, 3, 100, seed=cfg.seed)
         assert np.array_equal(c1.mse, c2.mse)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kaflab.analysis
 from kaflab.analysis import (
     K_CAP,
     build_k,
@@ -143,10 +144,11 @@ class TestBuildK:
         via_k = unvec_lex(km.k @ vec_lex(c), toy_model.dim)
         assert np.abs(step - via_k).max() < 1e-12 * max(1.0, np.abs(step).max())
 
-    def test_size_cap(self, toy_model):
-        with pytest.raises(KaflabError):
-            build_k(toy_model, 0.075, k_cap=toy_model.dim**2 - 1)
+    def test_size_cap(self, toy_model, monkeypatch):
         assert K_CAP == 10_000
+        monkeypatch.setattr(kaflab.analysis, "K_CAP", toy_model.dim**2 - 1)
+        with pytest.raises(KaflabError):
+            build_k(toy_model, 0.075)
 
 
 class TestMeanSquareStable:
@@ -183,13 +185,13 @@ class TestMeanSquareStable:
 
 class TestTransientMse:
     def test_initial_value_is_signal_power(self, toy_model):
-        curve = transient_mse(toy_model, 0.075, 5)
+        curve = transient_mse(toy_model, build_k(toy_model, 0.075), 5)
         assert curve.mse[0] == pytest.approx(toy_model.d2, rel=1e-12)
 
     def test_null_model_stays_zero(self):
         r_t = np.diag([0.5, 0.25])
         m = fabricate_model(r_t, np.zeros((2, 2, 2, 2)), j_min=0.0)
-        curve = transient_mse(m, 0.1, 50, check_stability=False)
+        curve = transient_mse(m, build_k(m, 0.1), 50)
         assert np.array_equal(curve.mse, np.zeros(51))
 
     def test_mse_recomputable_from_state(self, toy_model):
@@ -212,26 +214,17 @@ class TestTransientMse:
         t_full = w @ np.tensordot(s_tensor, inner, axes=([2, 3], [0, 1])) @ w
         assert np.abs(t_trace - t_full).max() < 1e-10 * max(1.0, np.abs(t_full).max())
 
-    def test_warns_when_unstable(self, toy_model):
-        eta = 10.0 * mean_stability_bound(toy_model)
-        with pytest.warns(UserWarning, match="spectral radius"):
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    transient_mse(toy_model, eta, 500)
-                except DivergenceError:
-                    pass
-
     def test_divergence_raises(self, toy_model):
         eta = 10.0 * mean_stability_bound(toy_model)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
-                transient_mse(toy_model, eta, 20_000, check_stability=False)
+                transient_mse(toy_model, build_k(toy_model, eta), 20_000)
 
 
 class TestSteadyStateMse:
     def test_fixed_point_residual(self, toy_model):
         eta = 0.075
-        mse_inf, c_inf = steady_state_mse(toy_model, eta)
+        mse_inf, c_inf = steady_state_mse(toy_model, build_k(toy_model, eta))
         km = lex_k(toy_model, eta)
         c_vec = vec_lex(c_inf)
         resid = km.k @ c_vec + eta**2 * toy_model.j_min * vec_lex(toy_model.r_tilde) - c_vec
@@ -240,21 +233,22 @@ class TestSteadyStateMse:
     def test_zero_floor_gives_zero(self):
         r_t = np.diag([0.5, 0.25])
         m = fabricate_model(r_t, np.zeros((2, 2, 2, 2)), j_min=0.0)
-        mse_inf, c_inf = steady_state_mse(m, 0.1)
+        mse_inf, c_inf = steady_state_mse(m, build_k(m, 0.1))
         assert mse_inf == 0.0
         assert np.array_equal(c_inf, np.zeros((2, 2)))
 
     def test_matches_long_transient(self, toy_model):
         # the recursion route and the solve route agree at the fixed point
         eta = 0.3
-        mse_inf, _ = steady_state_mse(toy_model, eta)
-        curve = transient_mse(toy_model, eta, 20_000, check_stability=False)
+        km = build_k(toy_model, eta)
+        mse_inf, _ = steady_state_mse(toy_model, km)
+        curve = transient_mse(toy_model, km, 20_000)
         assert abs(curve.mse[-1] - mse_inf) / mse_inf < 1e-6
 
     def test_refuses_unstable(self, toy_model):
         eta = 10.0 * mean_stability_bound(toy_model)
         with pytest.raises(NotStableError) as err:
-            steady_state_mse(toy_model, eta)
+            steady_state_mse(toy_model, build_k(toy_model, eta))
         assert err.value.spectral_radius >= 1
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -323,6 +325,17 @@ class TestCompare:
         assert err.count("\n") == 1
         assert err.startswith("io error: ") and str(bad) in err
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_smooth_window_below_one_is_rejected(self, tmp_path, capsys, window):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("n,mse\n0,1.0\n1,0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--sim", str(curve), "--theory", str(curve),
+                  "--out", str(tmp_path / "cmp"), "--smooth-window", window])
+        assert exc.value.code == 2
+        assert "--smooth-window" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_compare_curves_metrics(self):
         sim = np.full(100, 2.0)
         theory = np.full(100, 1.0)
@@ -333,10 +346,11 @@ class TestCompare:
     def test_converged_transient_vs_fixed_point_constant(self, toy_model):
         # comparing a converged theoretical curve against its own fixed-point
         # level leaves only the recursion-vs-solve residual
-        from kaflab.analysis import steady_state_mse, transient_mse
+        from kaflab.analysis import build_k, steady_state_mse, transient_mse
 
-        mse_inf, _ = steady_state_mse(toy_model, 0.3)
-        curve = transient_mse(toy_model, 0.3, 20_000, check_stability=False)
+        km = build_k(toy_model, 0.3)
+        mse_inf, _ = steady_state_mse(toy_model, km)
+        curve = transient_mse(toy_model, km, 20_000)
         metrics = compare_curves(curve.mse, np.full(curve.mse.size, mse_inf))
         assert metrics["steady_band_rel_error"] < 1e-6
 
@@ -457,12 +471,62 @@ class TestErrorPaths:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("dictionary,r", [
+        ("kind = grid\nlo = -1, -1\nhi = 1, 1\npoints_per_axis = 2", 4),
+        ("kind = coherence\ntarget_size = 3\ncalib_samples = 500", 3),
+    ], ids=["grid", "coherence"])
+    def test_selective_s_n_above_the_dictionary_is_config_error(self, tmp_path, capsys,
+                                                                 dictionary, r):
+        # a coherence dictionary's size is known only after its calibration
+        text = TINY_CONFIG.format(eta=0.075, n_iters=20, seed=5).replace(
+            "kind = grid\nlo = -1, -1\nhi = 1, 1\npoints_per_axis = 2", dictionary)
+        for s_n, expected in ((r + 1, EXIT_CONFIG), (r, EXIT_OK)):
+            cfg = tmp_path / f"s_n{s_n}.cfg"
+            cfg.write_text(text.replace("kind = natural_klms", f"kind = selective\ns_n = {s_n}"))
+            rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"o{s_n}")])
+            assert rc == expected
+        err = capsys.readouterr().err
+        assert err == f"config error: [filter] s_n = {r + 1} exceeds the dictionary size r = {r}\n"
+
     def test_divergent_simulation_exits_numeric(self, tmp_path, capsys):
         cfg = write_tiny(tmp_path, eta=500.0, n_iters=2000)
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+
+def benchmark_lookups(perfbench: Path) -> set[tuple[str, str]]:
+    """The ``(module, attribute)`` pairs of kaflab that the benchmark's scripts import
+    by name or read off an imported kaflab module."""
+    pairs = set()
+    for path in perfbench.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # name bound in the script -> kaflab module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kaflab"):
+                pairs.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names
+                               if alias.name.startswith("kaflab."))
+        pairs.update((modules[ast.unparse(node.value)], node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules)
+    return pairs
+
+
+def test_names_the_benchmark_looks_up_resolve(monkeypatch):
+    """Every kaflab name that perfbench/ wraps or imports exists: its tracer's ``WRAPS``,
+    the private ``kaflab.sim._run_single`` it wraps besides, and the names its scripts
+    import, so pruning one fails here and not only in the benchmark's self-test."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracing = importlib.import_module("tracing")
+    wanted = {(module, attr) for module, attr, _, _ in tracing.WRAPS}
+    wanted |= {("kaflab.sim", "_run_single")} | benchmark_lookups(perfbench)
+    assert ("kaflab.sim", "experiment_stream") in wanted and ("kaflab.cli", "main") in wanted
+    missing = sorted((module, attr) for module, attr in wanted
+                     if not hasattr(importlib.import_module(module), attr))
+    assert not missing, f"names the benchmark looks up are gone: {missing}"
 
 
 def test_import_needs_no_scipy():

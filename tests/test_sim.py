@@ -15,7 +15,6 @@ from kaflab.filters import FilterState, knlms_step, natural_klms_step, selective
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
 from kaflab.sim import (
     MC_RUN_SALT,
-    CurveKind,
     ExperimentSetup,
     FilterKind,
     InputGenerator,
@@ -57,8 +56,9 @@ class TestAr1Stream:
         assert u.var() == pytest.approx(0.25, rel=0.02)
 
     def test_deterministic_given_seed(self):
-        gen = InputGenerator(rho=0.5, sigma_u=0.5, seed=77)
-        assert np.array_equal(ar1_stream(gen, 1000), ar1_stream(gen, 1000))
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        assert np.array_equal(ar1_stream(gen, 1000, np.random.default_rng(77)),
+                              ar1_stream(gen, 1000, np.random.default_rng(77)))
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
@@ -102,12 +102,12 @@ class TestStationaryCovariance:
 class TestPolynomialSystem:
     def test_zero_input(self):
         s = SystemSimulator(kind=SystemKind.POLYNOMIAL)
-        assert s.step(0.0, 0.0) == 0.0
+        assert s.respond([0.0, 0.0], [0.0])[0] == 0.0
 
     def test_scalar_oracle(self):
-        # x = 0.5, d = 0.5 - 0.5 * 0.25 + 0.1 * 0.125 = 0.3875
+        # u_n = 1, u_{n-1} = 0: x = 0.5, d = 0.5 - 0.5 * 0.25 + 0.1 * 0.125 = 0.3875
         s = SystemSimulator(kind=SystemKind.POLYNOMIAL)
-        assert s.step(1.0, 0.0) == pytest.approx(0.3875, rel=1e-15)
+        assert s.respond([0.0, 1.0], [0.0])[0] == pytest.approx(0.3875, rel=1e-15)
 
     def test_noise_standard_deviation(self):
         s = SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05)
@@ -121,31 +121,34 @@ class TestPolynomialSystem:
         assert resid.std() == pytest.approx(0.05, rel=0.02)
 
     def test_step_matches_respond(self):
+        """The batch output against the plant stepped one sample at a time."""
         rng = np.random.default_rng(66)
         u = rng.standard_normal(101)
         noise = rng.standard_normal(100)
         sim = SystemSimulator(kind=SystemKind.POLYNOMIAL)
         batch = sim.respond(u, noise)
-        stepped = np.array(
-            [sim.step(u[i + 1], u[i], noise[i]) for i in range(100)]
-        )
+        stepped = np.empty(100)
+        for i in range(100):
+            x = 0.5 * u[i + 1] - 0.3 * u[i]
+            stepped[i] = x - 0.5 * x**2 + 0.1 * x**3 + noise[i]
         assert np.abs(batch - stepped).max() < 1e-12
 
 
 class TestFluidFlowSystem:
     def test_zero_input(self):
         s = SystemSimulator(kind=SystemKind.FLUID_FLOW)
-        assert s.step(0.0, 0.0) == 0.0
+        assert s.respond([0.0, 0.0], [0.0])[0] == 0.0
 
     def test_impulse_oracle(self):
         s = SystemSimulator(kind=SystemKind.FLUID_FLOW)
+        d = s.respond([0.0, 1.0, 0.0], [0.0, 0.0])  # a unit impulse at n = 1
         x1 = 0.1044
         expected = 0.3163 * x1 / np.sqrt(0.1 + 0.9 * x1**2)
-        assert s.step(1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert d[0] == pytest.approx(expected, rel=1e-14)
         # next step sees the impulse through u_{n-1} and the plant state
         x2 = 0.0883 + 1.4138 * x1
         expected2 = 0.3163 * x2 / np.sqrt(0.1 + 0.9 * x2**2)
-        assert s.step(0.0, 1.0) == pytest.approx(expected2, rel=1e-14)
+        assert d[1] == pytest.approx(expected2, rel=1e-14)
 
     def test_plant_poles_inside_unit_circle(self):
         roots = np.roots([1.0, -1.4138, 0.6065])
@@ -162,15 +165,18 @@ class TestFluidFlowSystem:
         assert np.abs(d).max() <= 0.3163 / np.sqrt(0.9) + 1e-12
 
     def test_step_matches_respond(self):
+        """The batch output against the plant stepped one sample at a time, its state
+        ``(x_{n-1}, x_{n-2})`` starting at rest."""
         rng = np.random.default_rng(68)
         u = rng.standard_normal(201)
         noise = rng.standard_normal(200)
         sim = SystemSimulator(kind=SystemKind.FLUID_FLOW)
         batch = sim.respond(u, noise)
-        sim2 = SystemSimulator(kind=SystemKind.FLUID_FLOW)
-        stepped = np.array(
-            [sim2.step(u[i + 1], u[i], noise[i]) for i in range(200)]
-        )
+        stepped, x_prev, x_prev2 = np.empty(200), 0.0, 0.0
+        for i in range(200):
+            x = 0.1044 * u[i + 1] + 0.0883 * u[i] + 1.4138 * x_prev - 0.6065 * x_prev2
+            x_prev2, x_prev = x_prev, x
+            stepped[i] = 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise[i]
         assert np.abs(batch - stepped).max() < 1e-10
 
 
@@ -365,7 +371,7 @@ class TestEngineProperties:
 class TestLearningCurveCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
-        curve = LearningCurve(mse=rng.uniform(0, 1, 50), n_runs=7, kind=CurveKind.SIMULATED)
+        curve = LearningCurve(mse=rng.uniform(0, 1, 50))
         path = tmp_path / "curve.csv"
         save_learning_curve(curve, path)
         loaded = load_learning_curve(path)
@@ -374,11 +380,11 @@ class TestLearningCurveCsv:
 
     def test_rejects_non_finite(self):
         with pytest.raises(DivergenceError):
-            LearningCurve(mse=np.array([1.0, np.nan]), n_runs=1, kind=CurveKind.SIMULATED)
+            LearningCurve(mse=np.array([1.0, np.nan]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            LearningCurve(mse=np.array([1.0, -0.1]), n_runs=1, kind=CurveKind.SIMULATED)
+            LearningCurve(mse=np.array([1.0, -0.1]))
 
 
 @pytest.fixture(scope="module")

@@ -101,7 +101,7 @@ def test_spectral_curve_matches_recursion(case):
             ref = np.array([s.mse for s in transient_states(m, eta, n)])
         except DivergenceError:
             return
-        curve = transient_mse(m, eta, n, check_stability=False, km=km).mse
+        curve = transient_mse(m, km, n).mse
     assert curve[0] == ref[0]
     assert (np.abs(curve - ref) / np.abs(ref)).max() <= 1e-10
 
@@ -113,7 +113,7 @@ def test_steady_state_is_the_lexicographic_fixed_point(case):
     km = build_k(m, eta)
     if km.radius >= 1:
         return
-    _, c_inf = steady_state_mse(m, eta, km=km)
+    _, c_inf = steady_state_mse(m, km)
     c = vec_lex(c_inf)
     resid = lex_k(m, eta).k @ c + eta**2 * m.j_min * vec_lex(m.r_tilde) - c
     assert np.abs(resid).max() <= 1e-10 * np.abs(c).max()
