@@ -25,7 +25,8 @@ from .linalg import (spectral_radius, sym_basis, sym_eig,  # noqa: F401
 from .moments import MomentModel
 from .sim import LearningCurve
 
-# Largest allowed number of rows of the lexicographic r^2 x r^2 transition matrix.
+# Largest allowed r^2 (r <= 100). It bounds the m x m block of K on symmetric
+# matrices, m = r(r+1)/2, that build_k decomposes: 5,050 x 5,050 at r = 100.
 K_CAP = 10_000
 
 TRANSIENT_BLOCK = 1024  # curve steps per block of powers: memory does not grow with n
@@ -152,12 +153,16 @@ def steady_state_mse(m: MomentModel, km: KSpectrum) -> tuple[float, np.ndarray]:
 
 
 def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean over the ``window`` points centred on each point, cut at the ends of ``x``.
+
+    Has as many values as ``x``, also for a curve shorter than the window: the
+    centred slice of the full convolution, which is ``mode="same"`` for
+    ``x.size >= window``.
+    """
     if window <= 1:
         return x
-    ones = np.ones(window)
-    return np.convolve(x, ones, mode="same") / np.convolve(
-        np.ones_like(x), ones, mode="same"
-    )
+    ones, keep = np.ones(window), slice((window - 1) // 2, (window - 1) // 2 + x.size)
+    return np.convolve(x, ones)[keep] / np.convolve(np.ones_like(x), ones)[keep]
 
 
 def _log10_gap(sim: np.ndarray, theory: np.ndarray) -> np.ndarray:
@@ -206,10 +211,12 @@ def complexity_report(r: int, L: int, s_n: int) -> tuple[int, int]:
 
     Full update costs ``(L + r + 2) r``; the selective update costs
     ``(L + s_n + 1) r`` for distances and selection plus ``s_n^3`` for the
-    small solve.
+    small solve. The selective update picks at most all r centers: ``s_n <= r``.
     """
     if r < 1 or L < 1 or s_n < 1:
         raise ValueError("r, L and s_n must all be positive")
+    if s_n > r:
+        raise ValueError(f"a selective update of s_n = {s_n} centers needs r >= s_n, got r = {r}")
     full = (L + r + 2) * r
     selective = (L + s_n + 1) * r + s_n**3
     return full, selective

@@ -285,6 +285,20 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _check_rows(rows) -> tuple[float, int]:
+    """Print each ``(index, closed, mc, stderr)`` row with its z score and verdict.
+
+    Returns the largest z and the number of rows beyond four standard errors.
+    """
+    worst, n_fail = 0.0, 0
+    for index, closed, mc, stderr in rows:
+        z = abs(closed - mc) / max(stderr, 1e-300)
+        worst, ok = max(worst, z), z <= 4.0
+        n_fail += not ok
+        print(f"{index},{closed:.10g},{mc:.10g},{stderr:.3g},{z:.2f},{'PASS' if ok else 'FAIL'}")
+    return worst, n_fail
+
+
 def cmd_moments_check(args) -> int:
     cfg = _load_config_with_seed(args)
     d, _ = build_dictionary(cfg)
@@ -298,22 +312,11 @@ def cmd_moments_check(args) -> int:
         np.random.SeedSequence(entropy=(cfg.seed, MOMENTS_CHECK_SALT, 0))
     )
     mc, stderr = mc_second_moment(d, mc_kern, im, n, rng)
-    worst = 0.0
-    n_fail = 0
     print(f"# second-moment check over {n} samples")
     print("l,m,closed,mc,stderr,z,verdict")
-    for l in range(d.size):
-        for mcol in range(l, d.size):
-            z = abs(closed[l, mcol] - mc[l, mcol]) / max(stderr[l, mcol], 1e-300)
-            worst = max(worst, z)
-            ok = z <= 4.0
-            n_fail += 0 if ok else 1
-            print(
-                f"{l},{mcol},{closed[l, mcol]:.10g},{mc[l, mcol]:.10g},"
-                f"{stderr[l, mcol]:.3g},{z:.2f},{'PASS' if ok else 'FAIL'}"
-            )
+    worst2, fail2 = _check_rows((f"{l},{c}", closed[l, c], mc[l, c], stderr[l, c])
+                                for l in range(d.size) for c in range(l, d.size))
 
-    n4 = args.fourth_samples or n
     rng4 = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, MOMENTS_CHECK_SALT, 1))
     )
@@ -321,19 +324,12 @@ def cmd_moments_check(args) -> int:
         {tuple(rng4.integers(0, d.size, 4)) for _ in range(args.fourth_entries)}
     )
     block = fourth_tensor(d, kern, im)
-    mc4, stderr4 = mc_fourth_entries(d, mc_kern, im, entries, n4, rng4)
-    print(f"# fourth-moment check: {len(entries)} entries over {n4} samples")
+    mc4, stderr4 = mc_fourth_entries(d, mc_kern, im, entries, n, rng4)
+    print(f"# fourth-moment check: {len(entries)} entries over {n} samples")
     print("i,j,s,t,closed,mc,stderr,z,verdict")
-    for e_i, e in enumerate(entries):
-        val = block[sym_index(e[0], e[1], d.size), sym_index(e[2], e[3], d.size)]
-        z = abs(val - mc4[e_i]) / max(stderr4[e_i], 1e-300)
-        worst = max(worst, z)
-        ok = z <= 4.0
-        n_fail += 0 if ok else 1
-        print(
-            f"{e[0]},{e[1]},{e[2]},{e[3]},{val:.10g},{mc4[e_i]:.10g},"
-            f"{stderr4[e_i]:.3g},{z:.2f},{'PASS' if ok else 'FAIL'}"
-        )
+    closed4 = (block[sym_index(i, j, d.size), sym_index(s, t, d.size)] for i, j, s, t in entries)
+    worst4, fail4 = _check_rows(zip((",".join(map(str, e)) for e in entries), closed4, mc4, stderr4))
+    worst, n_fail = max(worst2, worst4), fail2 + fail4
     print(f"# worst |z| = {worst:.2f}, failures = {n_fail}")
     if n_fail:
         print("# RESULT: FAIL")
@@ -343,12 +339,14 @@ def cmd_moments_check(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    if args.s_n > args.r_max:
+        raise ConfigError(f"--s-n {args.s_n} exceeds --r-max {args.r_max}: no r holds s_n centers")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "complexity.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("r,full,selective\n")
-        for r in range(1, args.r_max + 1):
+        for r in range(args.s_n, args.r_max + 1):
             full, sel = complexity_report(r, args.L, args.s_n)
             f.write(f"{r},{full},{sel}\n")
     _write_manifest(out, "complexity", None,
@@ -362,8 +360,8 @@ def cmd_complexity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _window(text: str) -> int:
-    """A moving-average window: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """An integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
@@ -397,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--smooth-window", type=_window, default=SMOOTH_WINDOW)
+    p.add_argument("--smooth-window", type=_positive_int, default=SMOOTH_WINDOW)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("moments-check", help="closed-form moments vs Monte-Carlo")
@@ -405,16 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fourth-entries", type=int, default=10)
-    p.add_argument("--fourth-samples", type=int, default=None)
     p.add_argument("--mc-sigma-scale", type=float, default=1.0,
                    help="scale the kernel width used by the MC estimator only; "
                         "values != 1 should make the checks fail (self-test)")
     p.set_defaults(func=cmd_moments_check)
 
     p = sub.add_parser("complexity", help="per-iteration multiply counts vs r")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--s-n", type=int, required=True)
+    p.add_argument("--L", type=_positive_int, required=True)
+    p.add_argument("--r-max", type=_positive_int, required=True)
+    p.add_argument("--s-n", type=_positive_int, required=True)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_complexity)
     return parser
@@ -424,10 +421,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotPositiveDefiniteError as exc:
+    except (ConfigError, NotPositiveDefiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NotStableError, EigenSolverError) as exc:

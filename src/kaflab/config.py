@@ -78,8 +78,10 @@ class _Section:
             raise ConfigError(f"missing required section [{name}]")
         self.name = name
         self.sec = parser[name]
+        self.read: set[str] = set()  # keys asked for, present or not
 
     def _get(self, key: str, cast, required: bool = True, default=None):
+        self.read.add(key)
         if key not in self.sec:
             if required:
                 raise ConfigError(f"missing required key {key!r} in section [{self.name}]")
@@ -118,7 +120,11 @@ def _require(cond: bool, message: str) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a configuration file."""
+    """Parse and validate a configuration file.
+
+    A section or key that the chosen kinds do not read is an error, so that a
+    misspelt name is not silently replaced by its default.
+    """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -221,6 +227,12 @@ def load_config(path) -> ExperimentConfig:
     )
     _require(n_moment_samples >= 10_000, "[moments] n_samples must be >= 10^4")
 
+    read = {sec.name: sec.read for sec in (kernel, inp, system, dic, filt, run, moments) if sec}
+    for name in parser.sections():
+        _require(name in read, f"unknown section [{name}]")
+        for key in parser[name]:
+            _require(key in read[name], f"[{name}] {key} is unknown or unused by the chosen kinds")
+
     echo = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(
         sigma=sigma,
@@ -302,8 +314,7 @@ def build_setup(cfg: ExperimentConfig, d: Dictionary) -> ExperimentSetup:
         dictionary=d,
         gram=gram(d, kern),
         input_gen=InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
-        system_kind=cfg.system_kind,
-        noise_sigma=cfg.sigma_nu,
+        system=build_system(cfg),
         filter_kind=cfg.filter_kind,
         eta=cfg.eta,
         s_n=cfg.s_n,

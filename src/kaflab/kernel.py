@@ -103,40 +103,29 @@ def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray,
     return np.exp(d2, out=d2)
 
 
-def gram_matrix(d: Dictionary, k: GaussianKernel) -> np.ndarray:
-    """Plain Gram matrix of pairwise kernel values (diagonal identically 1)."""
-    diff2 = ((d.centers[:, None, :] - d.centers[None, :, :]) ** 2).sum(axis=-1)
-    g = np.exp(-diff2 / (2.0 * k.sigma**2))
-    np.fill_diagonal(g, 1.0)
-    return symmetrize(g)
-
-
-def _closest_pair(centers: np.ndarray) -> tuple[int, int, float]:
-    diff2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    np.fill_diagonal(diff2, np.inf)
-    i, j = np.unravel_index(np.argmin(diff2), diff2.shape)
-    return int(i), int(j), float(np.sqrt(diff2[i, j]))
-
-
 def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
     """Gram matrix with its square root, inverse square root and inverse.
 
     Raises :class:`NotPositiveDefiniteError` naming the closest center pair if
     the dictionary contains (near-)duplicates or is otherwise too coherent for
-    a PD Gram matrix.
+    a PD Gram matrix. One computation of the pairwise distances serves G and
+    that pair.
     """
-    if d.size > 1:
-        i, j, dist = _closest_pair(d.centers)
-        if dist < DUPLICATE_DISTANCE:
-            raise NotPositiveDefiniteError(
-                f"dictionary centers {i} and {j} are near-duplicates "
-                f"(distance {dist:.3e}); Gram matrix cannot be positive definite"
-            )
-    g = gram_matrix(d, k)
+    diff2 = ((d.centers[:, None, :] - d.centers[None, :, :]) ** 2).sum(axis=-1)
+    g = np.exp(-diff2 / (2.0 * k.sigma**2))
+    np.fill_diagonal(g, 1.0)
+    g = symmetrize(g)
+    np.fill_diagonal(diff2, np.inf)  # a one-center dictionary has no pair: distance inf
+    i, j = np.unravel_index(np.argmin(diff2), diff2.shape)
+    dist = float(np.sqrt(diff2[i, j]))
+    if dist < DUPLICATE_DISTANCE:
+        raise NotPositiveDefiniteError(
+            f"dictionary centers {i} and {j} are near-duplicates "
+            f"(distance {dist:.3e}); Gram matrix cannot be positive definite"
+        )
     try:
         g_sqrt, g_inv_sqrt = pd_sqrt(g)
     except NotPositiveDefiniteError as exc:
-        i, j, dist = _closest_pair(d.centers) if d.size > 1 else (0, 0, np.inf)
         raise NotPositiveDefiniteError(
             f"Gram matrix is not positive definite (smallest eigenvalue "
             f"{exc.smallest_eigenvalue:.6e}); closest center pair is ({i}, {j}) "

@@ -250,30 +250,17 @@ def load_learning_curve(path) -> LearningCurve:
 # ---------------------------------------------------------------------------
 
 
-def experiment_stream(
-    input_gen: InputGenerator,
-    system: SystemSimulator,
-    n: int,
-    seed=None,
-    warmup: int | None = None,
-    *,
-    seeds=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (input vectors, desired signal) stream of length ``n``.
+def experiment_stream(input_gen: InputGenerator, system: SystemSimulator, n: int, seed,
+                      warmup: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (input vectors (n, 2), desired signal (n,)) stream of one seed.
 
-    ``seed`` may be an int or a tuple of ints (SeedSequence entropy); the
-    arrays are then (n, 2) and (n,). Given ``seeds``, a sequence of such
-    seeds instead, the streams of all of them come back time-major, (n, m, 2)
-    and (n, m) for m seeds, column j equal to the stream of ``seeds[j]`` alone.
-    The stream carries ``warmup`` extra leading samples (default: the plant's
-    own requirement) that are run through the plant and then discarded, so the
-    returned pairs are stationary. The concatenation of :func:`stream_blocks`.
+    ``seed`` is an int or a tuple of ints (SeedSequence entropy). The stream
+    carries ``warmup`` extra leading samples (default: the plant's own
+    requirement) that are run through the plant and then discarded, so the
+    returned pairs are stationary. The one block of :func:`stream_blocks`.
     """
-    if (seed is None) == (seeds is None):
-        raise TypeError("experiment_stream takes exactly one of seed and seeds")
-    blocks = stream_blocks(input_gen, system, n, [seed] if seeds is None else seeds, warmup)
-    u, d = (np.concatenate(parts) for parts in zip(*blocks))
-    return (u[:, 0], d[:, 0]) if seeds is None else (u, d)
+    u, d = next(stream_blocks(input_gen, system, n, [seed], warmup))
+    return u[:, 0], d[:, 0]
 
 
 def stream_blocks(
@@ -286,12 +273,13 @@ def stream_blocks(
 ):
     """The streams of ``seeds`` as time-major blocks ``(u (b, m, 2), d (b, m))``.
 
-    Blocks of ``block`` steps (default: all ``n``; the last may be shorter)
-    whose concatenation is ``experiment_stream(..., seeds=seeds)``. Each seed's
-    two generators draw its drives and noise one block at a time, which gives
-    the same numbers as one draw; the AR(1) input and the fluid-flow plant carry
-    their :func:`all_pole` states across blocks; and the ``warmup`` leading
-    samples are drawn with the first block and dropped from it.
+    Blocks of ``block`` steps (default: all ``n``; the last may be shorter);
+    column j of their concatenation is ``experiment_stream`` of ``seeds[j]``.
+    Each seed's two generators draw its drives and noise one block at a time,
+    which gives the same numbers as one draw; the AR(1) input and the
+    fluid-flow plant carry their :func:`all_pole` states across blocks; and the
+    ``warmup`` leading samples are drawn with the first block and dropped from
+    it.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
@@ -333,8 +321,7 @@ class ExperimentSetup:
     dictionary: Dictionary
     gram: GramFactor
     input_gen: InputGenerator
-    system_kind: SystemKind
-    noise_sigma: float
+    system: SystemSimulator
     filter_kind: FilterKind
     eta: float
     s_n: int = 1
@@ -349,12 +336,11 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> 
     runs were stepped one by one: its first iteration with a non-finite
     squared error, its ``||alpha||`` there and its last finite error.
     """
-    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
     m, r = len(runs), setup.dictionary.size
     alpha, e, total = np.zeros((m, r)), np.full(m, np.nan), np.empty(n_iters)
     diverged = {}  # row -> (iteration, ||alpha||, last finite error)
     block = max(1, MC_WORK_BYTES // (8 * m * r))
-    streams = stream_blocks(setup.input_gen, system, n_iters,
+    streams = stream_blocks(setup.input_gen, setup.system, n_iters,
                             [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
     blocks = ((t0 + k0, u[k0:k0 + block], d[k0:k0 + block])
               for t0, (u, d) in zip(range(0, n_iters, MC_STREAM_STEPS), streams)

@@ -271,6 +271,11 @@ class TestComplexityReport:
         with pytest.raises(ValueError):
             complexity_report(0, 2, 1)
 
+    def test_rejects_selection_wider_than_the_dictionary(self):
+        complexity_report(4, 2, 4)
+        with pytest.raises(ValueError, match="s_n = 5"):
+            complexity_report(4, 2, 5)
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
 def test_theory_memory_grows_with_the_pair_block():

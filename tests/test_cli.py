@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,16 @@ class TestCompare:
         assert "--smooth-window" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    def test_short_curve_is_smoothed_to_its_own_length(self):
+        """A curve shorter than the window keeps its length, and every point of a
+        two-point curve averages both: the gap of [1, 1] against [10, 1] is that of
+        1 against 5.5, not the raw first point's 1.0."""
+        from kaflab.analysis import _moving_average
+
+        assert _moving_average(np.linspace(1.0, 2.0, 40), 51).shape == (40,)
+        metrics = compare_curves(np.array([1.0, 1.0]), np.array([10.0, 1.0]))
+        assert metrics["max_log10_gap_smoothed"] == pytest.approx(np.log10(5.5), rel=1e-12)
+
     def test_compare_curves_metrics(self):
         sim = np.full(100, 2.0)
         theory = np.full(100, 1.0)
@@ -401,6 +412,30 @@ class TestComplexity:
                           dtype=int, ndmin=2)
         assert rows.shape == (1, 3)
         assert tuple(rows[0]) == (1, (3 + 1 + 2) * 1, (3 + 1 + 1) * 1 + 1)
+
+    def test_table_starts_at_s_n(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["complexity", "--L", "2", "--r-max", "5", "--s-n", "3",
+                     "--out", str(out)]) == EXIT_OK
+        rows = np.loadtxt(out / "complexity.csv", delimiter=",", skiprows=1, dtype=int)
+        assert rows[:, 0].tolist() == [3, 4, 5]
+
+    def test_s_n_above_r_max_is_config_error(self, tmp_path, capsys):
+        rc = main(["complexity", "--L", "2", "--r-max", "4", "--s-n", "10",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "--s-n 10 exceeds --r-max 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--L", "--r-max", "--s-n"])
+    def test_nonpositive_argument_is_rejected(self, tmp_path, capsys, flag):
+        argv = {"--L": "2", "--r-max": "4", "--s-n": "1", flag: "0"}
+        with pytest.raises(SystemExit) as exc:
+            main(["complexity", *(a for kv in argv.items() for a in kv),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestErrorPaths:
@@ -543,6 +578,31 @@ def test_import_needs_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_need_numpy_only(tmp_path):
+    """simulate, analyze and compare run on the null config in an interpreter where
+    scipy and hypothesis cannot be imported: kaflab depends on numpy alone."""
+    import kaflab
+
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = sys.modules["hypothesis"] = None
+        from kaflab.cli import main
+        cfg, out = sys.argv[1], sys.argv[2]
+        print([main(argv) for argv in (
+            ["simulate", "--config", cfg, "--out", out + "/sim"],
+            ["analyze", "--config", cfg, "--out", out + "/th"],
+            ["compare", "--sim", out + "/sim/simulated.csv",
+             "--theory", out + "/th/theory.csv", "--out", out + "/cmp"])])
+    """)
+    src = str(Path(kaflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "null.cfg"),
+                           str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout + proc.stderr
 
 
 def test_console_script_runs():

@@ -1,9 +1,12 @@
 """Config loading at the boundary: mutated config text is either a config or a
 :class:`ConfigError`, never any other exception."""
 
+import importlib
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +62,32 @@ def test_mutated_config_loads_or_raises_config_error(data):
         except ConfigError:
             pass
 
+
+
+UNREAD_NAMES = [  # (text of null.cfg, its replacement, the name the error gives)
+    ("n_samples = 10000", "n_sample = 10000", "[moments] n_sample"),
+    ("[moments]", "[moment]", "[moment]"),
+    ("points_per_axis = 2", "points_per_axis = 2\nmu0 = 0.5", "[dictionary] mu0"),
+    ("[run]", "[plotting]\nwidth = 3\n\n[run]", "[plotting]"),
+]
+
+
+def test_only_names_the_chosen_kinds_read_are_accepted(tmp_path, monkeypatch):
+    """A section or key the chosen kinds do not read is refused, not replaced by its
+    default (``[moments] n_sample = 10000`` used to leave the sample count at 10^6),
+    while every shipped config and every config the benchmark writes from them loads."""
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        load_config(path)
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for w in workloads.WORKLOADS.values():
+        for overrides in (w.overrides, workloads.one_run_overrides(w)):
+            load_config(workloads.write_config(CONFIGS / w.base, overrides, 1,
+                                               tmp_path / f"{w.name}.cfg"))
+    text = BASE.decode("utf-8")
+    for old, new, named in UNREAD_NAMES:
+        assert old in text
+        path = tmp_path / "edited.cfg"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(path)

@@ -217,8 +217,7 @@ def tiny_setup(filter_kind=FilterKind.NATURAL_KLMS, system=SystemKind.POLYNOMIAL
         dictionary=d,
         gram=gram(d, k),
         input_gen=InputGenerator(rho=0.5, sigma_u=0.5),
-        system_kind=system,
-        noise_sigma=noise,
+        system=SystemSimulator(kind=system, noise_sigma=noise),
         filter_kind=filter_kind,
         eta=eta,
     )
@@ -233,8 +232,7 @@ class TestMcLearningCurve:
     def test_single_run_equals_manual_stepping(self):
         setup = tiny_setup()
         curve = mc_learning_curve(setup, n_runs=1, n_iters=100, seed=5)
-        system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
-        u_vecs, dd = experiment_stream(setup.input_gen, system, 100, seed=(5, 1, 0))
+        u_vecs, dd = experiment_stream(setup.input_gen, setup.system, 100, seed=(5, 1, 0))
         state = FilterState.zeros(setup.dictionary)
         expected = np.empty(100)
         for i in range(100):
@@ -305,8 +303,8 @@ STEPS = {
 
 def stepped_run(setup, seed, run, n_iters):
     """Squared a-priori errors of one run stepped alone by the step functions."""
-    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
-    u, d = experiment_stream(setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run))
+    u, d = experiment_stream(setup.input_gen, setup.system, n_iters,
+                             seed=(seed, MC_RUN_SALT, run))
     state = FilterState.zeros(setup.dictionary)
     e2 = np.empty(n_iters)
     for i in range(n_iters):
@@ -318,8 +316,8 @@ def stepped_run(setup, seed, run, n_iters):
 def stepped_divergence(setup, seed, run, n_iters):
     """First iteration with a non-finite squared error of a run stepped alone,
     with ``||alpha||`` there and the error before it."""
-    system = SystemSimulator(kind=setup.system_kind, noise_sigma=setup.noise_sigma)
-    u, d = experiment_stream(setup.input_gen, system, n_iters, seed=(seed, MC_RUN_SALT, run))
+    u, d = experiment_stream(setup.input_gen, setup.system, n_iters,
+                             seed=(seed, MC_RUN_SALT, run))
     state, last = FilterState.zeros(setup.dictionary), None
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_iters):
@@ -464,7 +462,7 @@ class TestChunkedExperimentStream:
     def test_columns_equal_single_streams(self, system, runs):
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         seeds = [(17, MC_RUN_SALT, run) for run in runs]
-        u, d = experiment_stream(gen, system, 300, seeds=seeds)
+        u, d = next(stream_blocks(gen, system, 300, seeds))
         assert u.shape == (300, len(runs), 2) and d.shape == (300, len(runs))
         for j, seed in enumerate(seeds):
             u_j, d_j = experiment_stream(gen, system, 300, seed=seed)
@@ -496,7 +494,7 @@ class TestStreamBlocks:
         assert [len(d) for _, d in blocks] == [min(block, n - t) for t in range(0, n, block)]
         assert np.array_equal(np.concatenate([u for u, _ in blocks]), u_ref)
         assert np.array_equal(np.concatenate([d for _, d in blocks]), d_ref)
-        u, d = experiment_stream(gen, system, n, warmup=warmup, seeds=seeds)
+        u, d = next(stream_blocks(gen, system, n, seeds, warmup))
         assert np.array_equal(u, u_ref) and np.array_equal(d, d_ref)
         u, d = experiment_stream(gen, system, n, seeds[0], warmup)
         assert np.array_equal(u, u_ref[:, 0]) and np.array_equal(d, d_ref[:, 0])
