@@ -360,11 +360,20 @@ def cmd_complexity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """An integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _checked(convert, ok, need: str):
+    """An argparse type: ``convert(text)`` if ``ok`` holds for it, else a usage error."""
+    def parse(text: str):
+        if not ok(convert(text)):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return convert(text)
+
+    parse.__name__ = convert.__name__  # argparse names it on bad text: "invalid int value"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "at least 0")
+_positive_float = _checked(float, lambda v: 0.0 < v < float("inf"), "finite and above 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the Monte-Carlo learning curve")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_nonnegative_int, default=None,
+                   help="override the config seed")
     p.add_argument("--workers", type=int, default=None,
                    help="accepted for old scripts and ignored: all runs step in one process")
     p.set_defaults(func=cmd_simulate)
@@ -386,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compute the theoretical curves and verdicts")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--cache-dir", default=None,
                    help="cross-statistics cache directory (default: <out>/moments_cache)")
     p.set_defaults(func=cmd_analyze)
@@ -400,10 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments-check", help="closed-form moments vs Monte-Carlo")
     p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fourth-entries", type=int, default=10)
-    p.add_argument("--mc-sigma-scale", type=float, default=1.0,
+    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
+    p.add_argument("--fourth-entries", type=_positive_int, default=10)
+    p.add_argument("--mc-sigma-scale", type=_positive_float, default=1.0,
                    help="scale the kernel width used by the MC estimator only; "
                         "values != 1 should make the checks fail (self-test)")
     p.set_defaults(func=cmd_moments_check)

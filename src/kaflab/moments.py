@@ -27,7 +27,7 @@ Cross statistics
 The cross-correlation vector ``p = E[d_n kappa_n]`` and the signal power
 ``E[d_n^2]`` cannot be written in closed form for a black-box plant; they are
 estimated from a long stationary stream with the leading samples discarded as
-burn-in.
+burn-in, in blocks whose kernel values are formed within the engine's byte budget.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
 CROSS_STATS_BURN_IN = 1000
 
 # Samples per block of the cross-statistics stream: the blocks' sums are added
-# in turn, so the block size fixes the bits of ``p``.
+# in turn, so the block size fixes the bits of ``p`` (its sub-blocks' size does not).
 CROSS_STATS_CHUNK = 100_000
 MC_MOMENT_CHUNK = 200_000  # draws per block of the Monte-Carlo moment oracles
 
@@ -284,24 +284,31 @@ def estimate_cross_stats(
     CROSS_STATS_SALT, 0)``, runs for ``CROSS_STATS_BURN_IN`` discarded samples and
     then ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the
     output. The stream is drawn and reduced ``CROSS_STATS_CHUNK`` samples at a time;
-    only ``d_n`` is kept whole, for its moments over the whole array.
+    only ``d_n`` is kept whole, for its moments over the whole array. Kernel values are
+    formed ``sim.MC_WORK_BYTES`` at a time, the sums so far in row 0: numpy sums over
+    axis 0 row by row, so the bits are those of one sum over the block.
     """
     from . import sim  # local import: sim depends on kernel/filters, not on moments
 
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
-    s_dk = np.zeros(d.size)
-    s_dk2 = np.zeros(d.size)
+    sums = np.zeros((2, d.size))  # of d_n kappa_n and of its square
     dd = np.empty(n_samples)
+    sub = max(1, sim.MC_WORK_BYTES // (8 * d.size))
+    buf = np.empty((2, sub + 1, d.size))
     blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
                                warmup=CROSS_STATS_BURN_IN, block=CROSS_STATS_CHUNK)
     for i, (u_vecs, d_blk) in zip(range(0, n_samples, CROSS_STATS_CHUNK), blocks):
         dd[i : i + CROSS_STATS_CHUNK] = d_blk[:, 0]
-        dk = kernelized_input(d, k, u_vecs[:, 0])
-        np.multiply(dk, d_blk, out=dk)
-        s_dk += dk.sum(axis=0)
-        s_dk2 += np.square(dk, out=dk).sum(axis=0)
-    p, p_stderr = _mean_and_stderr(s_dk, s_dk2, n_samples)
+        buf[:, 0] = 0.0
+        for j in range(0, len(d_blk), sub):
+            dk, dk2 = buf[:, :min(sub, len(d_blk) - j) + 1]
+            kernelized_input(d, k, u_vecs[j:j + sub, 0], out=dk[1:])
+            np.multiply(dk[1:], d_blk[j:j + sub], out=dk[1:])
+            np.square(dk[1:], out=dk2[1:])
+            buf[:, 0] = dk.sum(axis=0), dk2.sum(axis=0)  # row 0 carries the fold
+        sums += buf[:, 0]
+    p, p_stderr = _mean_and_stderr(*sums, n_samples)
     d2, d2_stderr = _mean_and_stderr(float((dd**2).sum()), float((dd**4).sum()), n_samples)
     return CrossStats(p=p, d2=d2, p_stderr=p_stderr, d2_stderr=float(d2_stderr),
                       n_samples=n_samples)

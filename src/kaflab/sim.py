@@ -47,7 +47,7 @@ MOMENTS_CHECK_SALT = 4
 # slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS steps
 # (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
 # overhead of the stream recurrences and of the filter loop serves every run
-# of the shipped configs.
+# of the shipped configs. It bounds kaflab.moments' cross-statistics kernel values too.
 MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 256

@@ -523,6 +523,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"config error: [filter] s_n = {r + 1} exceeds the dictionary size r = {r}\n"
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("moments-check", "--samples", "0"),
+        ("moments-check", "--samples", "-5"),
+        ("moments-check", "--fourth-entries", "0"),
+        ("moments-check", "--mc-sigma-scale", "0"),
+        ("moments-check", "--mc-sigma-scale", "inf"),
+        ("moments-check", "--mc-sigma-scale", "nan"),
+        ("moments-check", "--seed", "-1"),
+        ("simulate", "--seed", "-1"),
+        ("analyze", "--seed", "-1"),
+    ])
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        # the last occurrence of an option wins, so "--samples 40000 --samples 0" reads 0
+        valid = (["--samples", "40000"] if command == "moments-check"
+                 else ["--out", str(tmp_path / "o")])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(write_tiny(tmp_path)), *valid, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_divergent_simulation_exits_numeric(self, tmp_path, capsys):
         cfg = write_tiny(tmp_path, eta=500.0, n_iters=2000)
         with np.errstate(over="ignore", invalid="ignore"):

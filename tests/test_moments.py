@@ -6,13 +6,17 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kaflab import sim
 from kaflab.errors import NotPositiveDefiniteError
-from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary
+from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
 from kaflab.moments import (
+    CROSS_STATS_BURN_IN,
+    CROSS_STATS_CHUNK,
     CrossStats,
     InputModel,
     build_model,
@@ -25,7 +29,8 @@ from kaflab.moments import (
     second_moment,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
-from conftest import CONFIGS, full_fourth_tensor, s_tilde
+from conftest import (CONFIGS, EXP1_SEED, exact_cross_stats, full_fourth_tensor, input_model,
+                      s_tilde, whole_stream)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -187,7 +192,59 @@ class _KernelPlant:
         return d if state is None else (d, state)
 
 
+def one_block_cross_stats(system, gen, d, k, n_samples, seed):
+    """``(p, p_stderr, d2, d2_stderr)`` reduced as before sub-blocks: the whole stream,
+    one kernel block per ``CROSS_STATS_CHUNK`` samples, the blocks' column sums added
+    in turn."""
+    u, dd = whole_stream(gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
+                         warmup=CROSS_STATS_BURN_IN)
+    s_dk, s_dk2 = np.zeros(d.size), np.zeros(d.size)
+    for i in range(0, n_samples, CROSS_STATS_CHUNK):
+        dk = kernelized_input(d, k, u[i:i + CROSS_STATS_CHUNK, 0]) * dd[i:i + CROSS_STATS_CHUNK]
+        s_dk += dk.sum(axis=0)
+        s_dk2 += np.square(dk).sum(axis=0)
+    p = s_dk / n_samples
+    d2 = float((dd**2).sum()) / n_samples
+    return (p, np.sqrt(np.maximum(s_dk2 / n_samples - p**2, 0.0) / n_samples), d2,
+            float(np.sqrt(max(float((dd**4).sum()) / n_samples - d2**2, 0.0) / n_samples)))
+
+
 class TestEstimateCrossStats:
+    @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.FLUID_FLOW])
+    @pytest.mark.parametrize("r,work_bytes", [(25, None), (31, None), (25, 3000)],
+                             ids=["r25", "r31", "r25-15-row-blocks"])
+    def test_sub_blocks_keep_the_bits_of_one_block_per_chunk(self, kind, r, work_bytes):
+        """Two full chunks and a half one. The sub-blocks hold 5242 rows at r = 25 and
+        4228 at r = 31, neither of which divides a chunk, and 15 under a 3000-byte
+        budget: the bits do not depend on the sub-block size."""
+        d = (grid_dictionary([-1, -1], [1, 1], 5) if r == 25
+             else Dictionary(np.random.default_rng(31).uniform(-1, 1, (r, 2))))
+        k = GaussianKernel(0.7)
+        gen = InputGenerator(rho=0.5, sigma_u=0.5)
+        system = SystemSimulator(kind=kind, noise_sigma=0.05)
+        with mock.patch.object(sim, "MC_WORK_BYTES", work_bytes or sim.MC_WORK_BYTES):
+            stats = estimate_cross_stats(system, gen, d, k, 250_000, seed=9)
+        p, p_stderr, d2, d2_stderr = one_block_cross_stats(system, gen, d, k, 250_000, 9)
+        assert np.array_equal(stats.p, p) and np.array_equal(stats.p_stderr, p_stderr)
+        assert stats.d2 == d2 and stats.d2_stderr == d2_stderr
+
+    @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
+    def test_matches_the_closed_form_cross_statistics(self, kind, exp1_model):
+        """Experiment 1's dictionary and input at 10^6 samples. The bound, fixed in
+        advance, is 4 standard errors widened by sqrt((1 + rho) / (1 - rho)), because
+        the AR(1) samples are correlated; the polynomial plant read max |z| 1.25 for p
+        and 0.17 for E[d^2]."""
+        _, stats, d = exp1_model
+        k, im, rho = GaussianKernel(0.7), input_model(), 0.5
+        system = SystemSimulator(kind=kind, noise_sigma=0.05)
+        if kind is SystemKind.NULL:
+            stats = estimate_cross_stats(system, InputGenerator(rho=rho, sigma_u=0.5), d, k,
+                                         1_000_000, seed=EXP1_SEED)
+        p, d2 = exact_cross_stats(system, d, k, im)
+        bound = 4.0 * np.sqrt((1.0 + rho) / (1.0 - rho))
+        assert (np.abs(stats.p - p) <= bound * stats.p_stderr).all()
+        assert abs(stats.d2 - d2) <= bound * stats.d2_stderr
+
     def test_null_system_noise_floor(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
         k = GaussianKernel(0.7)
@@ -260,6 +317,45 @@ class TestEstimateCrossStats:
         assert proc.returncode == 0, proc.stderr
         growth_mb = int(proc.stdout) / 1024
         assert growth_mb < 130, f"peak resident set grew by {growth_mb:.0f} MB"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+    def test_memory_grows_with_the_sub_block_not_the_chunk(self):
+        """In a fresh interpreter, 2 x 10^6 samples at r = 31 raise the peak resident
+        set by less than 60 MB (42 MB measured): the kernel values of a chunk are
+        formed in sub-blocks within the engine's byte budget, so what remains is d_n
+        (16 MB), its whole-array moments and a chunk of the stream. One kernel block
+        per 10^5-sample chunk took 97 MB. The peak is read as VmHWM, which starts
+        afresh at exec; ru_maxrss starts at the spawning process's own peak, so a
+        large test process would hide the estimator's growth."""
+        import kaflab
+
+        script = textwrap.dedent(f"""
+            import re
+            from kaflab.config import build_dictionary, build_system, load_config
+            from kaflab.kernel import GaussianKernel
+            from kaflab.moments import estimate_cross_stats
+            from kaflab.sim import InputGenerator
+
+            def peak_kb():
+                with open("/proc/self/status", encoding="ascii") as f:
+                    return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
+
+            cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
+            d, _ = build_dictionary(cfg)
+            gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
+            before = peak_kb()
+            estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma),
+                                 2_000_000, cfg.seed)
+            print(peak_kb() - before)
+        """)
+        src = str(Path(kaflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        growth_mb = int(proc.stdout) / 1024
+        assert growth_mb < 60, f"peak resident set grew by {growth_mb:.0f} MB"
 
     def test_rejects_small_sample_count(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
