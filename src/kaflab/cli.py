@@ -118,7 +118,7 @@ def _load_config_with_seed(args) -> ExperimentConfig:
     return cfg
 
 
-def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
+def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers: dict):
     """Build the moment model from cached or freshly estimated cross statistics.
 
     Only the cross statistics are cached: they take a long stream, while the
@@ -142,6 +142,7 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
             kern,
             cfg.n_moment_samples,
             cfg.seed,
+            layers,
         )
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_moment_model(stats, cache_file)
@@ -196,7 +197,8 @@ def cmd_analyze(args) -> int:
     laps = _Laps()
     d, info = build_dictionary(cfg)
     laps.lap("dictionary")
-    model = _obtain_model(cfg, d, info, cache_dir)
+    layers = {"samples": 0, "blocks": 0, "stream_s": 0.0, "kernels_s": 0.0}
+    model = _obtain_model(cfg, d, info, cache_dir, layers)
     laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -243,10 +245,13 @@ def cmd_analyze(args) -> int:
             f.write(f"theory_models = {THEORY_MODELS.value}\n")
     laps.lap("write")
 
-    counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius}
+    counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
+                "cross_stats_samples": layers["samples"], "cross_stats_blocks": layers["blocks"]}
+    within = {"moments": {"cross_stats_stream": round(layers["stream_s"], 6),
+                          "cross_stats_kernels": round(layers["kernels_s"], 6)}}
     _write_manifest(out, "analyze", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.seconds,
-                     "theory_models": THEORY_MODELS.value},
+                     "timings_within": within, "theory_models": THEORY_MODELS.value},
                     [theory_path, steady_path, stab_path])
     print(f"wrote {theory_path}, {steady_path}, {stab_path}")
     return EXIT_OK

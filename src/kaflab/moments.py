@@ -26,14 +26,15 @@ Cross statistics
 ----------------
 The cross-correlation vector ``p = E[d_n kappa_n]`` and the signal power
 ``E[d_n^2]`` cannot be written in closed form for a black-box plant; they are
-estimated from a long stationary stream with the leading samples discarded as
-burn-in, in blocks whose kernel values are formed within the engine's byte budget.
+estimated from a long stationary stream, burn-in discarded, drawn in blocks whose
+kernel values fit the engine's byte budget: only the desired signal is kept whole.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +49,8 @@ from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
 # and recursive plants reach stationarity.
 CROSS_STATS_BURN_IN = 1000
 
-# Samples per block of the cross-statistics stream: the blocks' sums are added
-# in turn, so the block size fixes the bits of ``p`` (its sub-blocks' size does not).
+# Samples per fold of the cross-statistics sums: the chunks' sums are added in
+# turn, so the chunk size fixes the bits of ``p`` (the stream blocks' size does not).
 CROSS_STATS_CHUNK = 100_000
 MC_MOMENT_CHUNK = 200_000  # draws per block of the Monte-Carlo moment oracles
 
@@ -276,6 +277,7 @@ def estimate_cross_stats(
     k: GaussianKernel,
     n_samples: int,
     seed: int,
+    layers: dict | None = None,
 ) -> CrossStats:
     """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from a stationary stream.
 
@@ -283,10 +285,13 @@ def estimate_cross_stats(
     :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
     CROSS_STATS_SALT, 0)``, runs for ``CROSS_STATS_BURN_IN`` discarded samples and
     then ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the
-    output. The stream is drawn and reduced ``CROSS_STATS_CHUNK`` samples at a time;
-    only ``d_n`` is kept whole, for its moments over the whole array. Kernel values are
-    formed ``sim.MC_WORK_BYTES`` at a time, the sums so far in row 0: numpy sums over
-    axis 0 row by row, so the bits are those of one sum over the block.
+    output. It is drawn in blocks of ``sim.MC_WORK_BYTES // (8 r)`` samples, whose
+    kernel values are formed in one reused buffer with the sums so far in row 0: numpy
+    sums over axis 0 row by row, so the bits are those of one sum per
+    ``CROSS_STATS_CHUNK`` samples, the chunks' sums added in turn. Only ``d_n`` is
+    kept whole, squared in place for ``E[d_n^2]`` and again for ``E[d_n^4]``.
+    ``layers``, if given, receives the ``samples`` and ``blocks`` drawn and the seconds
+    spent drawing them (``stream_s``) and forming kernel values and sums (``kernels_s``).
     """
     from . import sim  # local import: sim depends on kernel/filters, not on moments
 
@@ -295,21 +300,35 @@ def estimate_cross_stats(
     sums = np.zeros((2, d.size))  # of d_n kappa_n and of its square
     dd = np.empty(n_samples)
     sub = max(1, sim.MC_WORK_BYTES // (8 * d.size))
-    buf = np.empty((2, sub + 1, d.size))
+    buf = np.zeros((2, sub + 1, d.size))
     blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
-                               warmup=CROSS_STATS_BURN_IN, block=CROSS_STATS_CHUNK)
-    for i, (u_vecs, d_blk) in zip(range(0, n_samples, CROSS_STATS_CHUNK), blocks):
-        dd[i : i + CROSS_STATS_CHUNK] = d_blk[:, 0]
-        buf[:, 0] = 0.0
-        for j in range(0, len(d_blk), sub):
-            dk, dk2 = buf[:, :min(sub, len(d_blk) - j) + 1]
-            kernelized_input(d, k, u_vecs[j:j + sub, 0], out=dk[1:])
-            np.multiply(dk[1:], d_blk[j:j + sub], out=dk[1:])
+                               warmup=CROSS_STATS_BURN_IN, block=sub)
+    stream_s = kernels_s = 0.0
+    t = time.perf_counter()
+    for t0, (u_vecs, d_blk) in zip(range(0, n_samples, sub), blocks):
+        drawn = time.perf_counter()
+        stream_s += drawn - t
+        end = t0 + len(d_blk)
+        dd[t0:end] = d_blk[:, 0]
+        cuts = [*range((t0 // CROSS_STATS_CHUNK + 1) * CROSS_STATS_CHUNK, end, CROSS_STATS_CHUNK)]
+        for a, b in zip([t0, *cuts], [*cuts, end]):
+            if a % CROSS_STATS_CHUNK == 0:  # a chunk starts: add the last one's sums
+                sums += buf[:, 0]
+                buf[:, 0] = 0.0
+            dk, dk2 = buf[:, :b - a + 1]
+            kernelized_input(d, k, u_vecs[a - t0:b - t0, 0], out=dk[1:])
+            np.multiply(dk[1:], d_blk[a - t0:b - t0], out=dk[1:])
             np.square(dk[1:], out=dk2[1:])
             buf[:, 0] = dk.sum(axis=0), dk2.sum(axis=0)  # row 0 carries the fold
-        sums += buf[:, 0]
+        t = time.perf_counter()
+        kernels_s += t - drawn
+    sums += buf[:, 0]
     p, p_stderr = _mean_and_stderr(*sums, n_samples)
-    d2, d2_stderr = _mean_and_stderr(float((dd**2).sum()), float((dd**4).sum()), n_samples)
+    d2_sum = float(np.square(dd, out=dd).sum())  # dd now holds d_n^2, and next d_n^4
+    d2, d2_stderr = _mean_and_stderr(d2_sum, float(np.square(dd, out=dd).sum()), n_samples)
+    if layers is not None:
+        layers.update(samples=n_samples, blocks=-(-n_samples // sub), stream_s=stream_s,
+                      kernels_s=kernels_s)
     return CrossStats(p=p, d2=d2, p_stderr=p_stderr, d2_stderr=float(d2_stderr),
                       n_samples=n_samples)
 
@@ -379,7 +398,7 @@ def build_model(
 # Cross-statistics record: the analyze cache holds only what needs a stream
 # ---------------------------------------------------------------------------
 
-CROSS_STATS_FORMAT_VERSION = 1
+CROSS_STATS_FORMAT_VERSION = 2
 _RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 

@@ -8,19 +8,27 @@ null plants, the Kronecker product, the lexicographic vectorization, the full
 r^4 fourth-moment tensors expanded from the library's block on symmetric
 pairs, the step-by-step transient recursion, and the seeded streams drawn
 whole. The library itself never builds an r^4 array or a whole Monte-Carlo
-stream.
+stream. The memory guards measure a fresh interpreter with
+:func:`peak_growth_mb`.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kaflab
 from kaflab.config import build_dictionary, load_config
 from kaflab.errors import DimensionMismatchError, DivergenceError
-from kaflab.kernel import GaussianKernel, grid_dictionary
+from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary
 from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
 from kaflab.moments import (InputModel, build_model, estimate_cross_stats, fourth_tensor,
                              multi_point_moment)
@@ -83,6 +91,39 @@ def exact_cross_stats(system, d, k, im):
     p = e_kappa * (m - 0.5 * (m**2 + s2) + 0.1 * (m**3 + 3.0 * m * s2))
     v = a @ im.r_u @ a
     return p, v + 1.35 * v**2 + 0.15 * v**3 + noise
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    centers=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=6),
+    sigma=st.floats(0.4, 2.0),
+    rho=st.floats(0.0, 0.8),
+    sigma_u=st.floats(0.2, 1.0),
+    noise_sigma=st.one_of(st.just(0.0), st.floats(0.01, 0.3)),
+    kind=st.sampled_from([SystemKind.POLYNOMIAL, SystemKind.NULL]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def check_cross_stats_against_closed_form(centers, sigma, rho, sigma_u, noise_sigma, kind,
+                                          seed):
+    """``estimate_cross_stats`` at 10^4 samples against :func:`exact_cross_stats` on a
+    random small dictionary (r <= 6), kernel width, input law and noise level.
+
+    The bound, fixed in advance, is 4 standard errors widened by sqrt((1 + rho) / (1 -
+    rho)) for the correlated AR(1) samples. The domain keeps the centers within about
+    five input deviations and the kernel no narrower than 0.4, where the weights of
+    ``d kappa`` are not so rare that 10^4 samples misjudge their standard error: 500
+    random cases there read at most 0.62 of the bound. A nonzero noise level is at
+    least 0.01: below about 1e-154 the squares behind the standard errors underflow to
+    0. A property of the acceptance suite's criterion 9, which times it.
+    """
+    d, k = Dictionary(np.array(centers)), GaussianKernel(sigma)
+    system = SystemSimulator(kind=kind, noise_sigma=noise_sigma)
+    stats = estimate_cross_stats(system, InputGenerator(rho=rho, sigma_u=sigma_u), d, k,
+                                 10_000, seed)
+    p, d2 = exact_cross_stats(system, d, k, InputModel(stationary_covariance(rho, sigma_u)))
+    bound = 4.0 * np.sqrt((1.0 + rho) / (1.0 - rho))
+    assert (np.abs(stats.p - p) <= bound * stats.p_stderr).all()
+    assert abs(stats.d2 - d2) <= bound * stats.d2_stderr
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,6 +260,33 @@ def whole_stream(input_gen, system, n, seeds, warmup=None):
     u = all_pole(drives, -input_gen.rho)
     d = system.respond(u, noise)
     return embed_input(u)[warmup:], d[warmup:]
+
+
+def peak_growth_mb(setup: str, measured: str) -> float:
+    """MB by which running ``measured`` after ``setup`` raises the peak resident set of
+    a fresh interpreter that imports this checkout's kaflab.
+
+    The peak is read as VmHWM from ``/proc/self/status`` (Linux only), which starts
+    afresh at exec. ``ru_maxrss`` would not do: a child's starts at the peak of the
+    process that spawned it, so a large test process would hide the growth.
+    """
+    script = "\n".join([
+        "import re",
+        "def peak_kb():",
+        "    with open('/proc/self/status', encoding='ascii') as f:",
+        "        return int(re.search(r'VmHWM:\\s+(\\d+) kB', f.read()).group(1))",
+        textwrap.dedent(setup),
+        "before = peak_kb()",
+        textwrap.dedent(measured),
+        "print(peak_kb() - before)",
+    ])
+    src = str(Path(kaflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024
 
 
 def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):

@@ -19,7 +19,8 @@ Numbered criteria:
     slow-mixing experiment-1 model, vs an independent eigen-expansion oracle
  8. selective update: 3 dB steady band vs full update, exact reproduction
     at full selection width, complexity table formulas
- 9. property suite with no experiments, < 1 min
+ 9. property suite with no experiments, < 1 min, including the cross-statistics
+    estimator against its closed form on 100 random small cases
 """
 
 import itertools
@@ -66,7 +67,8 @@ from kaflab.sim import (
     mc_learning_curve,
     stationary_covariance,
 )
-from conftest import CONFIGS, full_fourth_tensor, kron, lex_k, model_for, unvec_lex, vec_lex
+from conftest import (CONFIGS, check_cross_stats_against_closed_form, full_fourth_tensor, kron,
+                      lex_k, model_for, unvec_lex, vec_lex)
 
 BUILD_SECONDS: dict[str, float] = {}
 
@@ -428,6 +430,9 @@ def test_criterion_9_property_suite():
         c1 = mc_learning_curve(setup, 3, 100, seed=cfg.seed)
         c2 = mc_learning_curve(setup, 3, 100, seed=cfg.seed)
         assert np.array_equal(c1.mse, c2.mse)
+
+        # the cross-statistics estimator against its closed form, 100 random small cases
+        check_cross_stats_against_closed_form()
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"

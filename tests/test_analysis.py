@@ -2,11 +2,7 @@
 lexicographic oracle and the symmetric block the engine decomposes),
 transient and steady-state MSE, complexity accounting."""
 
-import os
-import subprocess
 import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +18,8 @@ from kaflab.analysis import (
     steady_state_mse,
     transient_mse,
 )
-from conftest import (TOY_SIGMA, full_fourth_tensor, input_model, lex_k, s_tilde, t_sym_of,
-                      toy_dictionary, transient_states, unvec_lex, vec_lex)
+from conftest import (TOY_SIGMA, full_fourth_tensor, input_model, lex_k, peak_growth_mb,
+                      s_tilde, t_sym_of, toy_dictionary, transient_states, unvec_lex, vec_lex)
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig
@@ -277,15 +273,12 @@ class TestComplexityReport:
             complexity_report(4, 2, 5)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
 def test_theory_memory_grows_with_the_pair_block():
     """In a fresh interpreter, build_model + build_k on a 7 x 7 grid (r = 49, m = 1,225)
     raise the peak resident set by less than 160 MB: the theory keeps m x m arrays, and
     an r^4 tensor alone would take 46 MB."""
-    import kaflab
-
-    script = textwrap.dedent("""
-        import resource
+    growth_mb = peak_growth_mb("""
         import numpy as np
         from kaflab.analysis import build_k
         from kaflab.kernel import GaussianKernel, grid_dictionary
@@ -296,15 +289,5 @@ def test_theory_memory_grows_with_the_pair_block():
         k, im = GaussianKernel(0.7), InputModel(stationary_covariance(0.5, 0.5))
         alpha = np.full(d.size, 0.1)
         p = second_moment(d, k, im) @ alpha
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        build_k(build_model(d, k, im, p, float(p @ alpha) + 0.01), 0.075)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-    """)
-    src = str(Path(kaflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    growth_mb = int(proc.stdout) / 1024
+    """, "build_k(build_model(d, k, im, p, float(p @ alpha) + 0.01), 0.075)")
     assert growth_mb < 160, f"peak resident set grew by {growth_mb:.0f} MB"

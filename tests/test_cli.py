@@ -165,6 +165,30 @@ class TestAnalyze:
                                          "steady_state", "write"}
             assert all(t >= 0 for t in m["timings"].values())
 
+    def test_manifest_records_the_estimator_layers(self, tmp_path):
+        """A cold run records the cross-statistics stream and kernel seconds within
+        ``timings.moments``, and the samples and stream blocks it drew: 10^5 samples
+        at r = 4 are 4 blocks of at most MC_WORK_BYTES // 32 = 32,768. A warm run
+        draws none."""
+        cfg = write_tiny(tmp_path)
+        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 100000"))
+        cache = tmp_path / "cache"
+        manifests = []
+        for name in ("cold", "warm"):
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--cache-dir", str(cache)]) == EXIT_OK
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        cold, warm = manifests
+        layers = cold["timings_within"]["moments"]
+        assert set(layers) == {"cross_stats_stream", "cross_stats_kernels"}
+        assert all(t > 0 for t in layers.values())
+        assert sum(layers.values()) <= cold["timings"]["moments"]
+        assert (cold["counters"]["cross_stats_samples"], cold["counters"]["cross_stats_blocks"]) \
+            == (100_000, 4)
+        assert warm["timings_within"]["moments"] == dict.fromkeys(layers, 0.0)
+        assert (warm["counters"]["cross_stats_samples"], warm["counters"]["cross_stats_blocks"]) \
+            == (0, 0)
+
     @pytest.mark.parametrize("kind", ["natural_klms", "selective", "knlms"])
     def test_says_which_theory_it_wrote(self, tmp_path, kind):
         cfg = write_tiny(tmp_path)

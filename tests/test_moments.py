@@ -1,11 +1,8 @@
 """Closed-form Gaussian kernel moments, their Monte-Carlo oracles, the
 stream-estimated cross statistics, and moment-model assembly."""
 
-import os
-import subprocess
+import functools
 import sys
-import textwrap
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,7 +27,7 @@ from kaflab.moments import (
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
 from conftest import (CONFIGS, EXP1_SEED, exact_cross_stats, full_fourth_tensor, input_model,
-                      s_tilde, whole_stream)
+                      peak_growth_mb, s_tilde, whole_stream)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -205,8 +202,26 @@ def one_block_cross_stats(system, gen, d, k, n_samples, seed):
         s_dk2 += np.square(dk).sum(axis=0)
     p = s_dk / n_samples
     d2 = float((dd**2).sum()) / n_samples
+    d4 = float(np.square(np.square(dd)).sum())  # as the estimator forms it, in place
     return (p, np.sqrt(np.maximum(s_dk2 / n_samples - p**2, 0.0) / n_samples), d2,
-            float(np.sqrt(max(float((dd**4).sum()) / n_samples - d2**2, 0.0) / n_samples)))
+            float(np.sqrt(max(d4 / n_samples - d2**2, 0.0) / n_samples)))
+
+
+@functools.cache
+def estimator_peak_growth_mb() -> float:
+    """Peak growth of a fresh interpreter over 2 x 10^6 samples on the second
+    experiment's dictionary (r = 31), measured once for both memory guards."""
+    return peak_growth_mb(f"""
+        from kaflab.config import build_dictionary, build_system, load_config
+        from kaflab.kernel import GaussianKernel
+        from kaflab.moments import estimate_cross_stats
+        from kaflab.sim import InputGenerator
+
+        cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
+        d, _ = build_dictionary(cfg)
+        gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
+    """, "estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma), "
+         "2_000_000, cfg.seed)")
 
 
 class TestEstimateCrossStats:
@@ -214,9 +229,10 @@ class TestEstimateCrossStats:
     @pytest.mark.parametrize("r,work_bytes", [(25, None), (31, None), (25, 3000)],
                              ids=["r25", "r31", "r25-15-row-blocks"])
     def test_sub_blocks_keep_the_bits_of_one_block_per_chunk(self, kind, r, work_bytes):
-        """Two full chunks and a half one. The sub-blocks hold 5242 rows at r = 25 and
-        4228 at r = 31, neither of which divides a chunk, and 15 under a 3000-byte
-        budget: the bits do not depend on the sub-block size."""
+        """Two full chunks and a half one. The stream blocks, and with them the kernel
+        sub-blocks, hold 5242 rows at r = 25 and 4228 at r = 31, neither of which divides
+        a chunk, and 15 under a 3000-byte budget, so blocks straddle the chunk
+        boundaries: the bits do not depend on the block size."""
         d = (grid_dictionary([-1, -1], [1, 1], 5) if r == 25
              else Dictionary(np.random.default_rng(31).uniform(-1, 1, (r, 2))))
         k = GaussianKernel(0.7)
@@ -285,77 +301,25 @@ class TestEstimateCrossStats:
         assert np.array_equal(a.p, b.p)
         assert a.d2 == b.d2
 
-    @pytest.mark.skipif(sys.platform != "linux",
-                        reason="ru_maxrss is in kilobytes on Linux only")
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
     def test_memory_grows_with_the_block_not_the_stream(self):
         """In a fresh interpreter, 2 x 10^6 samples on the second experiment's
         dictionary (r = 31) raise the peak resident set by less than 130 MB: the
-        stream is drawn in blocks of 10^5 samples and only d_n is kept whole. The
-        whole stream and its full-length temporaries took over 170 MB."""
-        import kaflab
-
-        script = textwrap.dedent(f"""
-            import resource
-            from kaflab.config import build_dictionary, build_system, load_config
-            from kaflab.kernel import GaussianKernel
-            from kaflab.moments import estimate_cross_stats
-            from kaflab.sim import InputGenerator
-
-            cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
-            d, _ = build_dictionary(cfg)
-            gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma),
-                                 2_000_000, cfg.seed)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-        """)
-        src = str(Path(kaflab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        growth_mb = int(proc.stdout) / 1024
+        stream is drawn in blocks and only d_n is kept whole. The whole stream and its
+        full-length temporaries took over 170 MB."""
+        growth_mb = estimator_peak_growth_mb()
         assert growth_mb < 130, f"peak resident set grew by {growth_mb:.0f} MB"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
     def test_memory_grows_with_the_sub_block_not_the_chunk(self):
         """In a fresh interpreter, 2 x 10^6 samples at r = 31 raise the peak resident
-        set by less than 60 MB (42 MB measured): the kernel values of a chunk are
-        formed in sub-blocks within the engine's byte budget, so what remains is d_n
-        (16 MB), its whole-array moments and a chunk of the stream. One kernel block
-        per 10^5-sample chunk took 97 MB. The peak is read as VmHWM, which starts
-        afresh at exec; ru_maxrss starts at the spawning process's own peak, so a
-        large test process would hide the estimator's growth."""
-        import kaflab
-
-        script = textwrap.dedent(f"""
-            import re
-            from kaflab.config import build_dictionary, build_system, load_config
-            from kaflab.kernel import GaussianKernel
-            from kaflab.moments import estimate_cross_stats
-            from kaflab.sim import InputGenerator
-
-            def peak_kb():
-                with open("/proc/self/status", encoding="ascii") as f:
-                    return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
-
-            cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
-            d, _ = build_dictionary(cfg)
-            gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
-            before = peak_kb()
-            estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma),
-                                 2_000_000, cfg.seed)
-            print(peak_kb() - before)
-        """)
-        src = str(Path(kaflab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        growth_mb = int(proc.stdout) / 1024
-        assert growth_mb < 60, f"peak resident set grew by {growth_mb:.0f} MB"
+        set by less than 25 MB (19 MB measured): the stream is drawn and its kernel
+        values formed in blocks within the engine's byte budget, and d_n (16 MB) is
+        squared in place, so d_n is the only array that grows with the stream. Drawing
+        10^5-sample blocks and taking d_n's powers into new arrays took 42 MB, and one
+        kernel block per 10^5-sample chunk 97 MB."""
+        growth_mb = estimator_peak_growth_mb()
+        assert growth_mb < 25, f"peak resident set grew by {growth_mb:.0f} MB"
 
     def test_rejects_small_sample_count(self):
         d = grid_dictionary([-1, -1], [1, 1], 2)
@@ -476,6 +440,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_moment_model(path, 4)
         path.write_text('{"format": "something-else", "p": [1.0]}')
+        with pytest.raises(ValueError):
+            load_moment_model(path, 1)
+        # a record of the first format, whose d2_stderr took d_n**4 in one rounding
+        path.write_text('{"format": "kaflab-cross-stats-v1", "p": [1.0], "d2": 1.0, '
+                        '"p_stderr": [0.1], "d2_stderr": 0.1, "n_samples": 10000}')
         with pytest.raises(ValueError):
             load_moment_model(path, 1)
 
