@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -65,10 +66,12 @@ from .moments import (
 from .sim import (
     MOMENTS_CHECK_SALT,
     InputGenerator,
+    LearningCurve,
     load_learning_curve,
     mc_learning_curve,
     run_chunk_size,
     save_learning_curve,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -105,10 +108,14 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig | None,
         manifest["seed"] = cfg.seed
     manifest.update(extra)
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return path
+
+
+def _write_values(path: Path, values: dict) -> None:
+    """One ``key = value`` line per entry: a float to 17 digits, anything else as text."""
+    write_atomic(path, (f"{key} = {val:.17g}\n" if isinstance(val, float) else f"{key} = {val}\n"
+                        for key, val in values.items()))
 
 
 def _load_config_with_seed(args) -> ExperimentConfig:
@@ -207,7 +214,7 @@ def cmd_analyze(args) -> int:
     stable, radius = mean_square_stable(km)
     laps.lap("spectrum")
 
-    curve, transient_note = None, "ok"
+    curve, transient_note = LearningCurve(mse=np.empty(0)), "ok"  # header only if it diverges
     try:
         curve = transient_mse(model, km, cfg.n_iters - 1)
     except DivergenceError as exc:
@@ -217,32 +224,18 @@ def cmd_analyze(args) -> int:
     laps.lap("steady_state")
 
     theory_path = out / "theory.csv"
-    if curve is not None:
-        save_learning_curve(curve, theory_path)
-    else:
-        with open(theory_path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("n,mse\n")
-
+    save_learning_curve(curve, theory_path)
     steady_path = out / "steady_state.txt"
-    with open(steady_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"eta = {cfg.eta:.17g}\n")
-        f.write(f"j_min = {model.j_min:.17g}\n")
-        f.write(f"d2 = {model.d2:.17g}\n")
-        if mse_inf is not None:
-            f.write(f"steady_state_mse = {mse_inf:.17g}\n")
-        else:
-            f.write("steady_state_mse = unavailable\n")
-
+    _write_values(steady_path, {"eta": cfg.eta, "j_min": model.j_min, "d2": model.d2,
+                                "steady_state_mse": "unavailable" if mse_inf is None else mse_inf})
     stab_path = out / "stability.txt"
-    with open(stab_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"eta = {cfg.eta:.17g}\n")
-        f.write(f"mean_stability_bound = {bound:.17g}\n")
-        f.write(f"mean_stable = {'PASS' if mean_ok else 'FAIL'}\n")
-        f.write(f"k_spectral_radius = {radius:.17g}\n")
-        f.write(f"mean_square_stable = {'PASS' if stable else 'FAIL'}\n")
-        f.write(f"transient = {transient_note}\n")
-        if cfg.filter_kind is not THEORY_MODELS:
-            f.write(f"theory_models = {THEORY_MODELS.value}\n")
+    _write_values(stab_path, {
+        "eta": cfg.eta, "mean_stability_bound": bound,
+        "mean_stable": "PASS" if mean_ok else "FAIL",
+        "k_spectral_radius": radius, "mean_square_stable": "PASS" if stable else "FAIL",
+        "transient": transient_note,
+        **({} if cfg.filter_kind is THEORY_MODELS else {"theory_models": THEORY_MODELS.value}),
+    })
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
@@ -274,15 +267,11 @@ def cmd_compare(args) -> int:
         )
     n = min(len(sim), len(theory))
     overlay_path = out / "overlay.csv"
-    with open(overlay_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("n,mse_sim,mse_theory\n")
-        for i in range(n):
-            f.write(f"{i},{sim.mse[i]:.17g},{theory.mse[i]:.17g}\n")
-    metrics = compare_curves(sim.mse, theory.mse, smooth_window=args.smooth_window)
+    rows = (f"{i},{a:.17g},{b:.17g}\n" for i, a, b in zip(range(n), sim.mse, theory.mse))
+    write_atomic(overlay_path, itertools.chain(["n,mse_sim,mse_theory\n"], rows))
     metrics_path = out / "metrics.txt"
-    with open(metrics_path, "w", encoding="utf-8", newline="\n") as f:
-        for key, val in metrics.items():
-            f.write(f"{key} = {val:.17g}\n" if isinstance(val, float) else f"{key} = {val}\n")
+    _write_values(metrics_path, compare_curves(sim.mse, theory.mse,
+                                               smooth_window=args.smooth_window))
     _write_manifest(out, "compare", None,
                     {"sim_csv": str(args.sim), "theory_csv": str(args.theory)},
                     [overlay_path, metrics_path])
@@ -349,11 +338,9 @@ def cmd_complexity(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "complexity.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("r,full,selective\n")
-        for r in range(args.s_n, args.r_max + 1):
-            full, sel = complexity_report(r, args.L, args.s_n)
-            f.write(f"{r},{full},{sel}\n")
+    rows = ("{},{},{}\n".format(r, *complexity_report(r, args.L, args.s_n))
+            for r in range(args.s_n, args.r_max + 1))
+    write_atomic(path, itertools.chain(["r,full,selective\n"], rows))
     _write_manifest(out, "complexity", None,
                     {"L": args.L, "r_max": args.r_max, "s_n": args.s_n}, [path])
     print(f"wrote {path}")

@@ -33,14 +33,13 @@ kernel values fit the engine's byte budget: only the desired signal is kept whol
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import sim
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
 from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
@@ -293,8 +292,6 @@ def estimate_cross_stats(
     ``layers``, if given, receives the ``samples`` and ``blocks`` drawn and the seconds
     spent drawing them (``stream_s``) and forming kernel values and sums (``kernels_s``).
     """
-    from . import sim  # local import: sim depends on kernel/filters, not on moments
-
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
     sums = np.zeros((2, d.size))  # of d_n kappa_n and of its square
@@ -403,18 +400,13 @@ _RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 
 def save_moment_model(stats: CrossStats, path) -> None:
-    """Write ``stats`` as JSON to a temporary file, then rename it into place.
+    """Write ``stats`` as JSON through :func:`kaflab.sim.write_atomic`.
 
     JSON writes each double as its shortest round-tripping decimal, so
     :func:`load_moment_model` reads the values back bit for bit.
     """
     record = {key: np.asarray(val).tolist() for key, val in vars(stats).items()}
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps({"format": _RECORD_FORMAT, **record}), encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    sim.write_atomic(path, [json.dumps({"format": _RECORD_FORMAT, **record})])
 
 
 def load_moment_model(path, r: int) -> CrossStats:

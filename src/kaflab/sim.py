@@ -17,9 +17,12 @@ configuration and seed.
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -222,12 +225,25 @@ class LearningCurve:
         return self.mse.size
 
 
+def write_atomic(path, chunks) -> None:
+    """Write the strings ``chunks`` (UTF-8, ``\\n`` line ends) to ``<path>.<pid>.tmp``, then
+    rename it onto ``path``: a reader finds the old file or the whole new one. On an error
+    the temporary file is removed and ``path`` keeps its bytes; only a kill can leave the
+    temporary. ``chunks`` may be a generator, so a long file is never held whole.
+    """
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_learning_curve(curve: LearningCurve, path) -> None:
     """CSV with header ``n,mse``, one row per iteration, full double precision."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("n,mse\n")
-        for n, v in enumerate(curve.mse):
-            f.write(f"{n},{v:.17g}\n")
+    rows = (f"{n},{v:.17g}\n" for n, v in enumerate(curve.mse))
+    write_atomic(path, itertools.chain(["n,mse\n"], rows))
 
 
 def load_learning_curve(path) -> LearningCurve:

@@ -57,6 +57,15 @@ def read_curve(path):
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+def read_manifest(out, *also):
+    """``out``'s manifest, once ``out`` is seen to hold its outputs, the manifest and
+    the entries ``also`` and nothing else, such as a temporary file."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json",
+                                                            *also])
+    return manifest
+
+
 class TestSimulate:
     def test_null_system_writes_zero_curve(self, tmp_path):
         out = tmp_path / "out"
@@ -70,7 +79,7 @@ class TestSimulate:
         cfg = write_tiny(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out)
         assert "simulated.csv" in manifest["outputs"]
         assert manifest["seed"] == 5
         assert manifest["resolved_config"]["filter"]["eta"] == "0.075"
@@ -81,8 +90,8 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out1)])
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert (out1 / "simulated.csv").read_bytes() == (out2 / "simulated.csv").read_bytes()
-        m1 = json.loads((out1 / "manifest.json").read_text())
-        m2 = json.loads((out2 / "manifest.json").read_text())
+        m1 = read_manifest(out1)
+        m2 = read_manifest(out2)
         assert m1["outputs"] == m2["outputs"]
 
     def test_workers_option_is_ignored(self, tmp_path):
@@ -97,7 +106,7 @@ class TestSimulate:
         cfg = write_tiny(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        m = json.loads((out / "manifest.json").read_text())
+        m = read_manifest(out)
         assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2}
         assert set(m["timings"]) == {"dictionary", "monte_carlo", "write"}
         assert all(t >= 0 for t in m["timings"].values())
@@ -111,7 +120,7 @@ class TestSimulate:
         a = read_curve(out1 / "simulated.csv")
         b = read_curve(out2 / "simulated.csv")
         assert not np.array_equal(a, b)
-        assert json.loads((out2 / "manifest.json").read_text())["seed"] == 99
+        assert read_manifest(out2)["seed"] == 99
 
 
 class TestAnalyze:
@@ -134,14 +143,14 @@ class TestAnalyze:
         cache = tmp_path / "cache"
         main(["analyze", "--config", str(cfg), "--out", str(out1),
               "--cache-dir", str(cache)])
-        m1 = json.loads((out1 / "manifest.json").read_text())
+        m1 = read_manifest(out1)
         assert m1["dictionary"]["moments_cache_hit"] is False
         (record,) = cache.iterdir()  # one small record, no leftover temporary file
         assert record.name.startswith("cross_stats_") and record.suffix == ".json"
         assert record.stat().st_size < 10_000
         main(["analyze", "--config", str(cfg), "--out", str(out2),
               "--cache-dir", str(cache)])
-        m2 = json.loads((out2 / "manifest.json").read_text())
+        m2 = read_manifest(out2)
         assert m2["dictionary"]["moments_cache_hit"] is True
         assert (out1 / "theory.csv").read_bytes() == (out2 / "theory.csv").read_bytes()
 
@@ -152,7 +161,7 @@ class TestAnalyze:
         for name in ("cold", "warm"):
             assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name),
                          "--cache-dir", str(cache)]) == EXIT_OK
-            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+            manifests.append(read_manifest(tmp_path / name))
         cold, warm = manifests
         assert cold["outputs"] == warm["outputs"]
         for m in manifests:
@@ -177,7 +186,7 @@ class TestAnalyze:
         for name in ("cold", "warm"):
             assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name),
                          "--cache-dir", str(cache)]) == EXIT_OK
-            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+            manifests.append(read_manifest(tmp_path / name))
         cold, warm = manifests
         layers = cold["timings_within"]["moments"]
         assert set(layers) == {"cross_stats_stream", "cross_stats_kernels"}
@@ -195,7 +204,7 @@ class TestAnalyze:
         cfg.write_text(cfg.read_text().replace("kind = natural_klms", f"kind = {kind}"))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out, "moments_cache")  # the default cache directory
         assert manifest["resolved_config"]["filter"]["kind"] == kind
         assert manifest["theory_models"] == "natural_klms"
         lines = (out / "stability.txt").read_text().splitlines()
@@ -219,7 +228,7 @@ class TestAnalyze:
             record.write_text("n,mse\n0,1.0\n")
         assert main(["analyze", "--config", str(cfg), "--out", str(second),
                      "--cache-dir", str(cache)]) == EXIT_OK
-        manifest = json.loads((second / "manifest.json").read_text())
+        manifest = read_manifest(second)
         assert manifest["dictionary"]["moments_cache_hit"] is False
         for name in ("theory.csv", "steady_state.txt", "stability.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
@@ -227,7 +236,7 @@ class TestAnalyze:
         third = tmp_path / "c"
         assert main(["analyze", "--config", str(cfg), "--out", str(third),
                      "--cache-dir", str(cache)]) == EXIT_OK
-        manifest = json.loads((third / "manifest.json").read_text())
+        manifest = read_manifest(third)
         assert manifest["dictionary"]["moments_cache_hit"] is True
 
     def test_cache_key_separates_seed_from_sample_count(self):
@@ -314,6 +323,7 @@ class TestCompare:
         rc = main(["compare", "--sim", str(out / "simulated.csv"),
                    "--theory", str(out / "simulated.csv"), "--out", str(cmp_out)])
         assert rc == EXIT_OK
+        assert set(read_manifest(cmp_out)["outputs"]) == {"overlay.csv", "metrics.txt"}
         metrics = dict(
             line.split(" = ") for line in
             (cmp_out / "metrics.txt").read_text().splitlines()
@@ -323,6 +333,27 @@ class TestCompare:
         assert float(metrics["max_log10_gap_smoothed"]) == 0.0
         overlay = np.loadtxt(cmp_out / "overlay.csv", delimiter=",", skiprows=1)
         assert np.array_equal(overlay[:, 1], overlay[:, 2])
+
+    def test_failed_metrics_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        """A metric that cannot be formatted fails the write of metrics.txt after it
+        began: the error propagates, the previous file stays whole and no temporary
+        file is left."""
+        curve, cmp_out = tmp_path / "curve.csv", tmp_path / "cmp"
+        curve.write_text("n,mse\n0,1.0\n1,0.5\n")
+        argv = ["compare", "--sim", str(curve), "--theory", str(curve), "--out", str(cmp_out)]
+        assert main(argv) == EXIT_OK
+        before = (cmp_out / "metrics.txt").read_bytes()
+
+        class Unformattable:
+            def __format__(self, spec):
+                raise RuntimeError("cannot format")
+
+        monkeypatch.setattr("kaflab.cli.compare_curves",
+                            lambda *args, **kwargs: {"first": 1.0, "second": Unformattable()})
+        with pytest.raises(RuntimeError, match="cannot format"):
+            main(argv)
+        assert (cmp_out / "metrics.txt").read_bytes() == before
+        assert not list(cmp_out.glob("*.tmp"))
 
     def test_length_mismatch_truncates_with_warning(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -414,6 +445,7 @@ class TestComplexity:
         rc = main(["complexity", "--L", "2", "--r-max", "25", "--s-n", "1",
                    "--out", str(out)])
         assert rc == EXIT_OK
+        assert set(read_manifest(out)["outputs"]) == {"complexity.csv"}
         rows = np.loadtxt(out / "complexity.csv", delimiter=",", skiprows=1, dtype=int)
         assert rows.shape == (25, 3)
         assert tuple(rows[24]) == (25, 725, 101)

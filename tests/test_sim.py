@@ -29,6 +29,7 @@ from kaflab.sim import (
     save_learning_curve,
     stationary_covariance,
     stream_blocks,
+    write_atomic,
 )
 from conftest import whole_stream
 
@@ -383,6 +384,39 @@ class TestLearningCurveCsv:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             LearningCurve(mse=np.array([1.0, -0.1]))
+
+
+class TestWriteAtomic:
+    """A write that fails leaves the previous file as it was and no temporary file."""
+
+    def test_failing_chunks_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("n,mse\n0,1\n")
+
+        def chunks():
+            yield "n,mse\n"
+            raise RuntimeError("stream broke")
+
+        with pytest.raises(RuntimeError, match="stream broke"):
+            write_atomic(path, chunks())
+        assert path.read_text() == "n,mse\n0,1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_failing_rename_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.mkdir()  # os.replace cannot put a file in a directory's place
+        (path / "kept.csv").write_text("n,mse\n0,1\n")
+        with pytest.raises(IsADirectoryError):
+            write_atomic(path, ["n,mse\n"])
+        assert [p.name for p in path.iterdir()] == ["kept.csv"]
+        assert (path / "kept.csv").read_text() == "n,mse\n0,1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        (tmp_path / "plain.csv").write_text("n,mse\n")
+        write_atomic(tmp_path / "atomic.csv", iter(["n,", "mse\n"]))
+        assert (tmp_path / "atomic.csv").read_bytes() == b"n,mse\n"
+        assert (tmp_path / "atomic.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 @pytest.fixture(scope="module")
