@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DivergenceError, KaflabError, NotStableError
 # spectral_radius is unused here but stays importable: perfbench's tracer wraps it by name.
-from .linalg import (spectral_radius, sym_basis, sym_eig,  # noqa: F401
+from .linalg import (spectral_radius, sym_congruence, sym_eig,  # noqa: F401
                      symmetrize, unvec_sym, vec_sym)
 from .moments import MomentModel
 from .sim import LearningCurve
@@ -53,8 +53,7 @@ def mean_stability_bound(m: MomentModel) -> float:
 
     Equals ``2 / lambda_max`` of the transformed autocorrelation matrix.
     """
-    eig = sym_eig(m.r_tilde).eigenvalues
-    return 2.0 / eig[-1]
+    return 2.0 / m.r_tilde_eigenvalues[-1]
 
 
 def mean_recursion(m: MomentModel, eta: float, v0: np.ndarray, n_steps: int) -> np.ndarray:
@@ -76,27 +75,21 @@ def mean_recursion(m: MomentModel, eta: float, v0: np.ndarray, n_steps: int) -> 
 def build_k(m: MomentModel, eta: float) -> KSpectrum:
     """K on symmetric matrices for step size ``eta`` (dimension r(r+1)/2), decomposed.
 
-    Entry (a, b) is ``<E_a, K(E_b)>``, ``E_a = (e_i e_j' + e_j e_i') scale_a / 2`` for
-    a = (i, j), i <= j (:func:`~kaflab.linalg.sym_basis`); T contributes ``eta^2 t_sym``.
-    On antisymmetric C, T is zero (the fourth moments are fully symmetric) and K has the
-    eigenvalues ``1 - eta (mu_i + mu_j)``, i < j, mu those of r_tilde; ``radius`` is that
-    of the whole r^2 x r^2 K.
+    Entry (a, b) is ``<E_a, K(E_b)>``, ``E_a = (e_i e_j' + e_j e_i') scale_a / 2``, a = (i, j),
+    i <= j (:func:`~kaflab.linalg.sym_basis`); ``r_tilde C + C r_tilde`` gives twice
+    :func:`~kaflab.linalg.sym_congruence` of ``(r_tilde, I)``, T gives ``eta^2 t_sym``. On
+    antisymmetric C, T is zero (fully symmetric fourth moments) and K has eigenvalues ``1 - eta
+    (mu_i + mu_j)``, i < j, mu the model's ``r_tilde_eigenvalues``; ``radius`` is K's on all C.
     """
     if not eta >= 0:
         raise ValueError(f"step size must be nonnegative, got {eta}")
     r = m.dim
     if r * r > K_CAP:
         raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {K_CAP}")
-    i, j, scale = sym_basis(r)
-    i, j, p, q = i[:, None], j[:, None], i[None, :], j[None, :]
-    r_t, eye = m.r_tilde, np.eye(r)
-    lin = (r_t[j, p] * eye[q, i] + r_t[j, q] * eye[p, i]
-           + r_t[i, p] * eye[q, j] + r_t[i, q] * eye[p, j])
-    outer = np.outer(scale, scale)
-    k_sym = symmetrize(np.eye(scale.size) - eta * (outer / 2 * lin)
-                       + eta**2 * m.t_sym)
+    lin = sym_congruence(m.r_tilde, np.eye(r))
+    k_sym = symmetrize(np.eye(lin.shape[0]) - eta * (2.0 * lin) + eta**2 * m.t_sym)
     lam, vecs = sym_eig(k_sym)
-    mu = sym_eig(r_t).eigenvalues
+    mu = m.r_tilde_eigenvalues
     anti = 1.0 - eta * (mu[:, None] + mu[None, :])[np.triu_indices(r, 1)]
     radius = float(max(np.abs(lam).max(), np.abs(anti).max(initial=0.0)))
     return KSpectrum(k_sym=k_sym, eigenvalues=lam, eigenvectors=vecs, radius=radius, eta=eta)

@@ -118,13 +118,18 @@ def sym_index(i, j, dim: int):
     return lo * (2 * dim - lo + 1) // 2 + hi - lo
 
 
-def sym_congruence(w: np.ndarray) -> np.ndarray:
-    """Matrix of ``C -> W C W'`` on symmetric C in the coordinates of :func:`sym_basis`:
-    entry (a, b), a = (i, j), b = (s, t), is ``scale_a scale_b (W_is W_jt + W_it W_js) / 2``."""
-    w = check_square(w, "sym_congruence input")
-    i, j, scale = sym_basis(w.shape[0])
-    out = w[np.ix_(i, i)] * w[np.ix_(j, j)] + w[np.ix_(i, j)] * w[np.ix_(j, i)]
-    return out * np.outer(scale, scale / 2.0)
+def sym_congruence(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of ``C -> (A C B' + B C A') / 2`` (``A C A'`` without ``b``) on symmetric C in
+    the coordinates of :func:`sym_basis`: entry (p, q), p = (i, j), q = (s, t), is
+    ``scale_p scale_q ((A_is B_jt + A_it B_js) + (B_is A_jt + B_it A_js)) / 4``."""
+    a = check_square(a, "sym_congruence input")
+    b = a if b is None else check_square(b, "sym_congruence input")
+    i, j, scale = sym_basis(a.shape[0])
+    out = a[np.ix_(i, i)] * b[np.ix_(j, j)] + a[np.ix_(i, j)] * b[np.ix_(j, i)]
+    # Without b the second half repeats the first, product for product.
+    out += out if b is a else b[np.ix_(i, i)] * a[np.ix_(j, j)] + b[np.ix_(i, j)] * a[np.ix_(j, i)]
+    out *= np.outer(scale, scale / 4.0)
+    return out
 
 
 def vec_sym(c: np.ndarray) -> np.ndarray:

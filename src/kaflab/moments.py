@@ -94,12 +94,12 @@ class MomentModel:
     Raw-coordinate quantities: ``r_kappa`` (autocorrelation of the kernelized
     input), ``p`` and ``d2`` (stream-estimated cross statistics).
 
-    Transformed quantities, with W the inverse Gram square root: ``r_tilde = W
-    r_kappa W``, ``p_tilde = W p``, ``alpha_star_tilde = r_tilde^-1 p_tilde``,
-    ``j_min = d2 - p_tilde' alpha_star_tilde``, and ``t_sym``, the symmetric PSD
-    matrix of ``T(C) = W E[kappa kappa' (W C W) kappa kappa'] W`` in the coordinates
-    of :func:`~kaflab.linalg.sym_basis`: ``t_sym = B S_o B'``, B that of ``C -> W C W``,
-    ``S_o = diag(scale) S diag(scale)`` and S the :func:`fourth_tensor` block.
+    Transformed quantities, with W the inverse Gram square root: ``r_tilde = W r_kappa W``
+    and its ascending ``r_tilde_eigenvalues``, ``p_tilde = W p``, ``alpha_star_tilde =
+    r_tilde^-1 p_tilde``, ``j_min = d2 - p_tilde' alpha_star_tilde``, and ``t_sym``, the
+    symmetric PSD matrix of ``T(C) = W E[kappa kappa' (W C W) kappa kappa'] W`` in the
+    coordinates of :func:`~kaflab.linalg.sym_basis`: ``t_sym = B S_o B'``, B that of ``C ->
+    W C W``, ``S_o = diag(scale) S diag(scale)`` and S the :func:`fourth_tensor` block.
     """
 
     r_kappa: np.ndarray
@@ -111,6 +111,7 @@ class MomentModel:
     j_min: float
     t_sym: np.ndarray
     gram: GramFactor
+    r_tilde_eigenvalues: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -388,6 +389,7 @@ def build_model(
         j_min=j_min,
         t_sym=t_sym,
         gram=gf,
+        r_tilde_eigenvalues=eig,
     )
 
 

@@ -6,10 +6,10 @@ fourth moments are the expensive pieces. The test oracles live here too: the
 scalar kernel value, the closed-form cross statistics of the polynomial and
 null plants, the Kronecker product, the lexicographic vectorization, the full
 r^4 fourth-moment tensors expanded from the library's block on symmetric
-pairs, the step-by-step transient recursion, and the seeded streams drawn
-whole. The library itself never builds an r^4 array or a whole Monte-Carlo
-stream. The memory guards measure a fresh interpreter with
-:func:`peak_growth_mb`.
+pairs, the step-by-step transient recursion, the symmetric block of K gathered entry
+by entry, and the seeded streams drawn whole. The library itself never builds an r^4
+array or a whole Monte-Carlo stream. The memory guards measure a fresh interpreter
+with :func:`peak_growth_mb`.
 """
 
 import os
@@ -233,6 +233,23 @@ def lex_k(m, eta):
     k2 = kron(m.r_tilde, np.eye(r))
     k3 = s_tilde(m).transpose(1, 0, 3, 2).reshape(r * r, r * r)
     return LexK(np.eye(r * r) - eta * (k1 + k2) + eta**2 * k3, k1, k2, k3)
+
+
+def gathered_k_sym(m, eta):
+    """The symmetric block of K with its linear part ``r_tilde C + C r_tilde`` gathered
+    entry by entry: for a = (i, j) and b = (p, q), ``r_tilde[j, p] I[q, i] + r_tilde[j, q]
+    I[p, i] + r_tilde[i, p] I[q, j] + r_tilde[i, q] I[p, j]``, scaled by ``scale_a scale_b /
+    2``. The reference whose bits ``kaflab.analysis.build_k`` keeps while forming that part
+    with ``kaflab.linalg.sym_congruence``.
+    """
+    r = m.dim
+    i, j, scale = sym_basis(r)
+    i, j, p, q = i[:, None], j[:, None], i[None, :], j[None, :]
+    r_t, eye = m.r_tilde, np.eye(r)
+    lin = (r_t[j, p] * eye[q, i] + r_t[j, q] * eye[p, i]
+           + r_t[i, p] * eye[q, j] + r_t[i, q] * eye[p, j])
+    outer = np.outer(scale, scale)
+    return symmetrize(np.eye(scale.size) - eta * (outer / 2 * lin) + eta**2 * m.t_sym)
 
 
 def whole_stream(input_gen, system, n, seeds, warmup=None):

@@ -18,8 +18,9 @@ from kaflab.analysis import (
     steady_state_mse,
     transient_mse,
 )
-from conftest import (TOY_SIGMA, full_fourth_tensor, input_model, lex_k, peak_growth_mb,
-                      s_tilde, t_sym_of, toy_dictionary, transient_states, unvec_lex, vec_lex)
+from conftest import (TOY_SIGMA, full_fourth_tensor, gathered_k_sym, input_model, lex_k,
+                      peak_growth_mb, s_tilde, t_sym_of, toy_dictionary, transient_states,
+                      unvec_lex, vec_lex)
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig
@@ -45,6 +46,7 @@ def fabricate_model(r_tilde, s_t, j_min=0.0, alpha_star=None, d2=1.0):
         j_min=j_min,
         t_sym=t_sym_of(np.asarray(s_t, dtype=float)),
         gram=gf,
+        r_tilde_eigenvalues=sym_eig(r_tilde).eigenvalues,
     )
 
 
@@ -59,6 +61,10 @@ class TestMeanStabilityBound:
 
     def test_experiment_eta_inside_bound(self, toy_model):
         assert 0 < 0.075 < mean_stability_bound(toy_model)
+
+    def test_reads_the_spectrum_of_r_tilde(self, toy_model, exp1_model):
+        for m in (toy_model, exp1_model[0]):
+            assert mean_stability_bound(m) == 2 / sym_eig(m.r_tilde).eigenvalues[-1]
 
 
 class TestMeanRecursion:
@@ -139,6 +145,12 @@ class TestBuildK:
         step = c + eta**2 * t - eta * (r_t @ c + c @ r_t)
         via_k = unvec_lex(km.k @ vec_lex(c), toy_model.dim)
         assert np.abs(step - via_k).max() < 1e-12 * max(1.0, np.abs(step).max())
+
+    def test_keeps_the_bits_of_the_gathered_block(self, toy_model, exp1_model):
+        # at the shipped step size and at one ten times the mean-stability bound
+        for m in (toy_model, exp1_model[0]):
+            for eta in (0.075, 10.0 * mean_stability_bound(m)):
+                assert np.array_equal(build_k(m, eta).k_sym, gathered_k_sym(m, eta))
 
     def test_size_cap(self, toy_model, monkeypatch):
         assert K_CAP == 10_000

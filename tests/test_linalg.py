@@ -1,5 +1,6 @@
 """Symmetric linear-algebra kernel: eigendecomposition, PD square roots,
-Kronecker products, spectral radius, lexicographic vectorization."""
+Kronecker products, spectral radius, lexicographic vectorization, congruences in
+the symmetric basis."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from conftest import kron, unvec_lex, vec_lex
 from kaflab.linalg import (
     pd_sqrt,
     spectral_radius,
+    sym_congruence,
     sym_eig,
+    unvec_sym,
+    vec_sym,
 )
 
 
@@ -138,3 +142,28 @@ class TestVecLex:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             unvec_lex(np.arange(5.0), 2)
+
+
+class TestSymCongruence:
+    def test_two_matrices_give_the_symmetrized_product(self):
+        rng = np.random.default_rng(6)
+        for r in (1, 2, 5, 9):
+            a, b = rng.standard_normal((r, r)), rng.standard_normal((r, r))
+            c = random_symmetric(r, rng)
+            want = (a @ c @ b.T + b @ c @ a.T) / 2
+            got = unvec_sym(sym_congruence(a, b) @ vec_sym(c), r)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_matrix_gives_the_congruence(self):
+        rng = np.random.default_rng(7)
+        for r in (1, 2, 5, 9):
+            w, c = rng.standard_normal((r, r)), random_symmetric(r, rng)
+            want = w @ c @ w.T
+            got = unvec_sym(sym_congruence(w) @ vec_sym(c), r)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_second_argument_equal_to_the_first_keeps_the_bits(self):
+        rng = np.random.default_rng(8)
+        for r in (1, 2, 5, 9):
+            w = rng.standard_normal((r, r))
+            assert np.array_equal(sym_congruence(w), sym_congruence(w, w.copy()))
