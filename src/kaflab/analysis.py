@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, KaflabError, NotStableError
+from .errors import DivergenceError, InvariantError, KaflabError, NotStableError
 # spectral_radius is unused here but stays importable: perfbench's tracer wraps it by name.
 from .linalg import (spectral_radius, sym_congruence, sym_eig,  # noqa: F401
                      symmetrize, unvec_sym, vec_sym)
@@ -114,7 +114,8 @@ def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
     The step size is ``km.eta``. ``MSE(n) = MSE_inf + sum_k w_k lambda_k^n``, ``w_k =
     (q_k' vec(r_tilde)) (q_k' vec(C_0 - C_inf))``; C_0 is the outer product of the optimal
     transformed weights (zero coefficients), so row 0 is the signal power. An unstable K
-    gives a growing curve; a non-finite MSE raises :class:`DivergenceError`.
+    gives a growing curve; a non-finite MSE raises :class:`DivergenceError`, a negative
+    one :class:`InvariantError`.
     """
     if not km.eta > 0:
         raise ValueError(f"step size must be positive, got {km.eta}")
@@ -133,6 +134,11 @@ def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
             if bad.size:
                 raise DivergenceError(f"transient curve is non-finite at step {bad[0]}",
                                       last_finite_step=int(bad[0]) - 1)
+            neg = n[mse[n] < 0]
+            if neg.size:
+                raise InvariantError(f"transient curve is negative at step {neg[0]} "
+                                     f"({mse[neg[0]]:.6e}); K has spectral radius "
+                                     f"{km.radius:.17g}")
     return LearningCurve(mse=mse)
 
 

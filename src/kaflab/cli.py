@@ -46,6 +46,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EigenSolverError,
+    InvariantError,
     KaflabError,
     NotPositiveDefiniteError,
     NotStableError,
@@ -57,6 +58,7 @@ from .moments import (
     build_model,
     estimate_cross_stats,
     fourth_tensor,
+    has_closed_form,
     load_moment_model,
     mc_fourth_entries,
     mc_second_moment,
@@ -128,9 +130,10 @@ def _load_config_with_seed(args) -> ExperimentConfig:
 def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers: dict):
     """Build the moment model from cached or freshly estimated cross statistics.
 
-    Only the cross statistics are cached: they take a long stream, while the
-    closed-form moments and the model built from them are cheaper to compute
-    than to read back. A record that is missing or unreadable is a miss.
+    Only the cross statistics are cached: for a plant without a closed form they
+    take a long stream, while the closed-form moments and the model built from them
+    are cheaper to compute than to read back. A record that is missing or
+    unreadable is a miss.
     """
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
@@ -239,7 +242,9 @@ def cmd_analyze(args) -> int:
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
-                "cross_stats_samples": layers["samples"], "cross_stats_blocks": layers["blocks"]}
+                "cross_stats_samples": layers["samples"], "cross_stats_blocks": layers["blocks"],
+                "cross_stats_source": ("closed_form" if has_closed_form(build_system(cfg))
+                                       else "stream")}
     within = {"moments": {"cross_stats_stream": round(layers["stream_s"], 6),
                           "cross_stats_kernels": round(layers["kernels_s"], 6)}}
     _write_manifest(out, "analyze", cfg,
@@ -426,7 +431,7 @@ def main(argv=None) -> int:
     except (ConfigError, NotPositiveDefiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, NotStableError, EigenSolverError) as exc:
+    except (DivergenceError, NotStableError, EigenSolverError, InvariantError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

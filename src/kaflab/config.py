@@ -173,6 +173,8 @@ def load_config(path) -> ExperimentConfig:
         grid_hi = dic.floats("hi")
         points_per_axis = dic.intv("points_per_axis")
         _require(len(grid_lo) == len(grid_hi), "[dictionary] lo and hi lengths differ")
+        _require(len(grid_lo) == 2, f"[dictionary] lo and hi must hold 2 entries, the input "
+                                    f"embedding length, got {len(grid_lo)}")
         _require(
             all(h > l for l, h in zip(grid_lo, grid_hi)),
             "[dictionary] hi must exceed lo elementwise",

@@ -48,5 +48,10 @@ class NotStableError(KaflabError):
         self.spectral_radius = spectral_radius
 
 
+class InvariantError(KaflabError):
+    """A quantity that is nonnegative in exact arithmetic, such as an MSE, came out
+    negative: rounding has broken the theory on an ill-conditioned model."""
+
+
 class ConfigError(KaflabError):
     """An experiment configuration file is invalid."""

@@ -25,9 +25,13 @@ block on symmetric index pairs (m = r(r+1)/2), so the theory's memory grows as m
 Cross statistics
 ----------------
 The cross-correlation vector ``p = E[d_n kappa_n]`` and the signal power
-``E[d_n^2]`` cannot be written in closed form for a black-box plant; they are
+``E[d_n^2]`` have closed forms for the memoryless plants, polynomial and null
+(:func:`exact_cross_stats`): weighting the Gaussian input law by one kernel value
+leaves a Gaussian law, under which the plant's polynomial has known moments. A
+plant with memory (fluid flow), or any other black box, has none; for it they are
 estimated from a long stationary stream, burn-in discarded, drawn in blocks whose
-kernel values fit the engine's byte budget: only the desired signal is kept whole.
+kernel values fit the engine's byte budget: only the desired signal is kept whole
+(:func:`stream_cross_stats`). :func:`estimate_cross_stats` picks between the two.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class InputModel:
 
 @dataclass(frozen=True)
 class CrossStats:
-    """Stream-estimated cross statistics with per-component standard errors."""
+    """Cross statistics with per-component standard errors: zero, with ``n_samples`` 0,
+    when they are exact."""
 
     p: np.ndarray
     d2: float
@@ -92,7 +97,7 @@ class MomentModel:
     """Everything the analysis consumes, in one immutable bundle.
 
     Raw-coordinate quantities: ``r_kappa`` (autocorrelation of the kernelized
-    input), ``p`` and ``d2`` (stream-estimated cross statistics).
+    input), ``p`` and ``d2`` (the cross statistics).
 
     Transformed quantities, with W the inverse Gram square root: ``r_tilde = W r_kappa W``
     and its ascending ``r_tilde_eigenvalues``, ``p_tilde = W p``, ``alpha_star_tilde =
@@ -266,11 +271,69 @@ def mc_fourth_entries(
 
 
 # ---------------------------------------------------------------------------
-# Stream-estimated cross statistics
+# Cross statistics: closed form where the plant has one, else a stream estimate
 # ---------------------------------------------------------------------------
 
 
+def has_closed_form(system) -> bool:
+    """Whether ``system`` is a memoryless plant whose cross statistics are exact."""
+    return (isinstance(system, sim.SystemSimulator)
+            and system.kind in (sim.SystemKind.POLYNOMIAL, sim.SystemKind.NULL))
+
+
+def exact_cross_stats(system, d: Dictionary, k: GaussianKernel,
+                      im: InputModel) -> tuple[np.ndarray, float]:
+    """Closed-form ``(p, E[d^2])`` of the polynomial and null plants for u ~ N(0, R_u).
+
+    The polynomial plant is ``d = c1 x + c2 x^2 + c3 x^3 + nu`` with ``x = a'u``
+    (:data:`kaflab.sim.POLYNOMIAL_TAPS` and ``POLYNOMIAL_COEFFS``). Weighting the input
+    law by ``kappa_c`` gives u ~ N(mu_c, Sigma), ``Sigma = (R_u^-1 + I/sigma^2)^-1 = (I +
+    R_u/sigma^2)^-1 R_u`` and ``mu_c = Sigma c / sigma^2``, so x ~ N(m, s^2) with ``m =
+    a'mu_c``, ``s^2 = a'Sigma a``, and ``p_c = E[kappa_c] (c1 m + c2 (m^2 + s^2) + c3 (m^3
+    + 3 m s^2))``. Unweighted, x ~ N(0, v) with ``v = a'R_u a`` and ``E[d^2] = c1^2 v + 3
+    (c2^2 + 2 c1 c3) v^2 + 15 c3^2 v^3 + sigma_nu^2``. The null plant has p = 0.
+    """
+    noise = system.noise_sigma**2
+    if system.kind is sim.SystemKind.NULL:
+        return np.zeros(d.size), noise
+    if system.kind is not sim.SystemKind.POLYNOMIAL:
+        raise ValueError(f"no closed form for the {system.kind.value} plant")
+    c = d.centers
+    _check_input_dim(c, im)
+    a, (c1, c2, c3) = np.array(sim.POLYNOMIAL_TAPS), sim.POLYNOMIAL_COEFFS
+    sig2 = k.sigma**2
+    cov = symmetrize(np.linalg.solve(np.eye(im.dim) + im.r_u / sig2, im.r_u))  # Sigma
+    m = c @ cov @ a / sig2
+    s2 = a @ cov @ a
+    e_kappa = _moment_batch(c, (c**2).sum(axis=1), 1, k, im)
+    p = e_kappa * (c1 * m + c2 * (m**2 + s2) + c3 * (m**3 + 3.0 * m * s2))
+    v = a @ im.r_u @ a
+    return p, float(c1**2 * v + 3.0 * (c2**2 + 2.0 * c1 * c3) * v**2 + 15.0 * c3**2 * v**3
+                    + noise)
+
+
 def estimate_cross_stats(
+    system,
+    input_gen,
+    d: Dictionary,
+    k: GaussianKernel,
+    n_samples: int,
+    seed: int,
+    layers: dict | None = None,
+) -> CrossStats:
+    """``p = E[d_n kappa_n]`` and ``E[d_n^2]``: exact for a plant that has a closed form
+    (:func:`has_closed_form`), with zero standard errors and ``n_samples`` 0, whatever
+    ``n_samples`` and ``seed`` say and leaving ``layers`` as it is; otherwise
+    :func:`stream_cross_stats` with the same arguments.
+    """
+    if not has_closed_form(system):
+        return stream_cross_stats(system, input_gen, d, k, n_samples, seed, layers)
+    im = InputModel(sim.stationary_covariance(input_gen.rho, input_gen.sigma_u))
+    p, d2 = exact_cross_stats(system, d, k, im)
+    return CrossStats(p=p, d2=d2, p_stderr=np.zeros(d.size), d2_stderr=0.0, n_samples=0)
+
+
+def stream_cross_stats(
     system,
     input_gen,
     d: Dictionary,
@@ -394,10 +457,10 @@ def build_model(
 
 
 # ---------------------------------------------------------------------------
-# Cross-statistics record: the analyze cache holds only what needs a stream
+# Cross-statistics record: the analyze cache holds only the cross statistics
 # ---------------------------------------------------------------------------
 
-CROSS_STATS_FORMAT_VERSION = 2
+CROSS_STATS_FORMAT_VERSION = 3
 _RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 

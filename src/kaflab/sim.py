@@ -60,6 +60,10 @@ MC_STREAM_STEPS = 256
 # ~0.78, so 200 samples leave no measurable transient).
 FLUID_FLOW_WARMUP = 200
 
+# The polynomial plant: x = a0 u_n + a1 u_{n-1}, d = c1 x + c2 x^2 + c3 x^3 + noise.
+POLYNOMIAL_TAPS = (0.5, -0.3)
+POLYNOMIAL_COEFFS = (1.0, -0.5, 0.1)
+
 
 class SystemKind(Enum):
     POLYNOMIAL = "polynomial"
@@ -196,8 +200,9 @@ class SystemSimulator:
             )
         after = state
         if self.kind is SystemKind.POLYNOMIAL:
-            x = 0.5 * u[1:] - 0.3 * u[:-1]
-            d = x - 0.5 * x**2 + 0.1 * (x * (x * x)) + noise
+            (a0, a1), (c1, c2, c3) = POLYNOMIAL_TAPS, POLYNOMIAL_COEFFS
+            x = a0 * u[1:] + a1 * u[:-1]
+            d = c1 * x + c2 * x**2 + c3 * (x * (x * x)) + noise
         elif self.kind is SystemKind.FLUID_FLOW:
             x, after = all_pole(0.1044 * u[1:] + 0.0883 * u[:-1], -1.4138, 0.6065,
                                 np.zeros((2, *u.shape[1:])) if state is None else state)

@@ -3,8 +3,7 @@
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
-scalar kernel value, the closed-form cross statistics of the polynomial and
-null plants, the Kronecker product, the lexicographic vectorization, the full
+scalar kernel value, the Kronecker product, the lexicographic vectorization, the full
 r^4 fourth-moment tensors expanded from the library's block on symmetric
 pairs, the step-by-step transient recursion, the symmetric block of K gathered entry
 by entry, and the seeded streams drawn whole. The library itself never builds an r^4
@@ -30,8 +29,8 @@ from kaflab.config import build_dictionary, load_config
 from kaflab.errors import DimensionMismatchError, DivergenceError
 from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary
 from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
-from kaflab.moments import (InputModel, build_model, estimate_cross_stats, fourth_tensor,
-                             multi_point_moment)
+from kaflab.moments import (InputModel, build_model, estimate_cross_stats, exact_cross_stats,
+                             fourth_tensor, stream_cross_stats)
 from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
                         stationary_covariance)
 
@@ -66,33 +65,6 @@ def kappa(x, y, k) -> float:
     return float(np.exp(-d2 / (2.0 * k.sigma**2)))
 
 
-def exact_cross_stats(system, d, k, im):
-    """Closed-form ``(p, E[d^2])`` of the polynomial and null plants for u ~ N(0, R_u):
-    the reference for ``kaflab.moments.estimate_cross_stats``.
-
-    The polynomial plant is ``d = x - x^2/2 + x^3/10 + nu`` with ``x = a'u``, a = (0.5,
-    -0.3). Weighting the input law by ``kappa_c`` gives u ~ N(mu_c, Sigma), ``Sigma =
-    (R_u^-1 + I/sigma^2)^-1`` and ``mu_c = Sigma c / sigma^2``, so x ~ N(m, s^2) with
-    ``m = a'mu_c``, ``s^2 = a'Sigma a``, and ``p_c = E[kappa_c] (m - (m^2 + s^2)/2 +
-    (m^3 + 3 m s^2)/10)``. Unweighted, x ~ N(0, v) with ``v = a'R_u a`` and
-    ``E[d^2] = v + 1.35 v^2 + 0.15 v^3 + sigma_nu^2``. The null plant has p = 0.
-    """
-    noise = system.noise_sigma**2
-    if system.kind is SystemKind.NULL:
-        return np.zeros(d.size), noise
-    if system.kind is not SystemKind.POLYNOMIAL:
-        raise ValueError(f"no closed form for the {system.kind.value} plant")
-    a = np.array([0.5, -0.3])
-    sig2 = k.sigma**2
-    cov = np.linalg.inv(np.linalg.inv(im.r_u) + np.eye(im.dim) / sig2)
-    m = d.centers @ cov @ a / sig2
-    s2 = a @ cov @ a
-    e_kappa = np.array([multi_point_moment([c], k, im) for c in d.centers])
-    p = e_kappa * (m - 0.5 * (m**2 + s2) + 0.1 * (m**3 + 3.0 * m * s2))
-    v = a @ im.r_u @ a
-    return p, v + 1.35 * v**2 + 0.15 * v**3 + noise
-
-
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
     centers=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=6),
@@ -105,7 +77,7 @@ def exact_cross_stats(system, d, k, im):
 )
 def check_cross_stats_against_closed_form(centers, sigma, rho, sigma_u, noise_sigma, kind,
                                           seed):
-    """``estimate_cross_stats`` at 10^4 samples against :func:`exact_cross_stats` on a
+    """``stream_cross_stats`` at 10^4 samples against ``exact_cross_stats`` on a
     random small dictionary (r <= 6), kernel width, input law and noise level.
 
     The bound, fixed in advance, is 4 standard errors widened by sqrt((1 + rho) / (1 -
@@ -118,8 +90,8 @@ def check_cross_stats_against_closed_form(centers, sigma, rho, sigma_u, noise_si
     """
     d, k = Dictionary(np.array(centers)), GaussianKernel(sigma)
     system = SystemSimulator(kind=kind, noise_sigma=noise_sigma)
-    stats = estimate_cross_stats(system, InputGenerator(rho=rho, sigma_u=sigma_u), d, k,
-                                 10_000, seed)
+    stats = stream_cross_stats(system, InputGenerator(rho=rho, sigma_u=sigma_u), d, k,
+                               10_000, seed)
     p, d2 = exact_cross_stats(system, d, k, InputModel(stationary_covariance(rho, sigma_u)))
     bound = 4.0 * np.sqrt((1.0 + rho) / (1.0 - rho))
     assert (np.abs(stats.p - p) <= bound * stats.p_stderr).all()

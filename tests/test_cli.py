@@ -170,6 +170,7 @@ class TestAnalyze:
             stability = dict(line.split(" = ") for line in
                              (tmp_path / "cold" / "stability.txt").read_text().splitlines())
             assert m["counters"]["k_spectral_radius"] == float(stability["k_spectral_radius"])
+            assert m["counters"]["cross_stats_source"] == "closed_form"
             assert set(m["timings"]) == {"dictionary", "moments", "spectrum", "transient",
                                          "steady_state", "write"}
             assert all(t >= 0 for t in m["timings"].values())
@@ -178,9 +179,11 @@ class TestAnalyze:
         """A cold run records the cross-statistics stream and kernel seconds within
         ``timings.moments``, and the samples and stream blocks it drew: 10^5 samples
         at r = 4 are 4 blocks of at most MC_WORK_BYTES // 32 = 32,768. A warm run
-        draws none."""
+        draws none. The fluid-flow plant has no closed form, so a cold run draws the
+        stream."""
         cfg = write_tiny(tmp_path)
-        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 100000"))
+        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 100000")
+                       .replace("kind = polynomial", "kind = fluid_flow"))
         cache = tmp_path / "cache"
         manifests = []
         for name in ("cold", "warm"):
@@ -197,6 +200,33 @@ class TestAnalyze:
         assert warm["timings_within"]["moments"] == dict.fromkeys(layers, 0.0)
         assert (warm["counters"]["cross_stats_samples"], warm["counters"]["cross_stats_blocks"]) \
             == (0, 0)
+        assert cold["counters"]["cross_stats_source"] == warm["counters"]["cross_stats_source"] \
+            == "stream"
+
+    def test_polynomial_theory_does_not_depend_on_the_seed(self, tmp_path):
+        """The polynomial plant's cross statistics are exact, so the seed, which drives
+        only the stream estimate, leaves the theory as it is."""
+        cfg = write_tiny(tmp_path)
+        for seed in ("1", "2"):
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / seed),
+                         "--seed", seed]) == EXIT_OK
+        assert (tmp_path / "1" / "theory.csv").read_bytes() \
+            == (tmp_path / "2" / "theory.csv").read_bytes()
+
+    def test_negative_theory_is_a_numerical_error(self, tmp_path, capsys):
+        """On a 7 x 7 grid of the first experiment, G is so ill-conditioned that
+        rounding drives the transient curve below zero. That is one ``numerical error``
+        line naming the step, the value and K's spectral radius, and no artifact."""
+        text = (CONFIGS / "experiment1.cfg").read_text()
+        assert "points_per_axis = 5" in text
+        cfg = tmp_path / "grid7.cfg"
+        cfg.write_text(text.replace("points_per_axis = 5", "points_per_axis = 7"))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: transient curve is negative at step ")
+        assert err.count("\n") == 1 and "spectral radius" in err
+        assert [p.name for p in out.iterdir()] == ["moments_cache"]
 
     @pytest.mark.parametrize("kind", ["natural_klms", "selective", "knlms"])
     def test_says_which_theory_it_wrote(self, tmp_path, kind):
@@ -547,8 +577,10 @@ class TestErrorPaths:
         [
             (b"sigma = 0.7", b"sigma = 0.75%"),
             (b"# Noise-free", b"# Bruit nul (\xe9crit en Latin-1), noise-free"),
+            # the input is embedded in two taps, so a grid's lo and hi hold two entries
+            (b"lo = -1, -1\nhi = 1, 1", b"lo = -1, -1, -1\nhi = 1, 1, 1"),
         ],
-        ids=["percent_in_value", "not_utf8"],
+        ids=["percent_in_value", "not_utf8", "three_entry_grid"],
     )
     def test_malformed_text_is_one_line_config_error(self, tmp_path, capsys, command, old,
                                                      new):

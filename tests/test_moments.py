@@ -1,5 +1,6 @@
-"""Closed-form Gaussian kernel moments, their Monte-Carlo oracles, the
-stream-estimated cross statistics, and moment-model assembly."""
+"""Closed-form Gaussian kernel moments, their Monte-Carlo oracles, the cross
+statistics (exact for the memoryless plants, stream-estimated otherwise), and
+moment-model assembly."""
 
 import functools
 import sys
@@ -18,16 +19,18 @@ from kaflab.moments import (
     InputModel,
     build_model,
     estimate_cross_stats,
+    exact_cross_stats,
     load_moment_model,
     mc_fourth_entries,
     mc_second_moment,
     multi_point_moment,
     save_moment_model,
     second_moment,
+    stream_cross_stats,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
-from conftest import (CONFIGS, EXP1_SEED, exact_cross_stats, full_fourth_tensor, input_model,
-                      peak_growth_mb, s_tilde, whole_stream)
+from conftest import (CONFIGS, EXP1_SEED, full_fourth_tensor, input_model, peak_growth_mb,
+                      s_tilde, whole_stream)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -214,13 +217,13 @@ def estimator_peak_growth_mb() -> float:
     return peak_growth_mb(f"""
         from kaflab.config import build_dictionary, build_system, load_config
         from kaflab.kernel import GaussianKernel
-        from kaflab.moments import estimate_cross_stats
+        from kaflab.moments import stream_cross_stats
         from kaflab.sim import InputGenerator
 
         cfg = load_config({str(CONFIGS / "experiment2.cfg")!r})
         d, _ = build_dictionary(cfg)
         gen = InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u)
-    """, "estimate_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma), "
+    """, "stream_cross_stats(build_system(cfg), gen, d, GaussianKernel(cfg.sigma), "
          "2_000_000, cfg.seed)")
 
 
@@ -239,23 +242,22 @@ class TestEstimateCrossStats:
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=kind, noise_sigma=0.05)
         with mock.patch.object(sim, "MC_WORK_BYTES", work_bytes or sim.MC_WORK_BYTES):
-            stats = estimate_cross_stats(system, gen, d, k, 250_000, seed=9)
+            stats = stream_cross_stats(system, gen, d, k, 250_000, seed=9)
         p, p_stderr, d2, d2_stderr = one_block_cross_stats(system, gen, d, k, 250_000, 9)
         assert np.array_equal(stats.p, p) and np.array_equal(stats.p_stderr, p_stderr)
         assert stats.d2 == d2 and stats.d2_stderr == d2_stderr
 
     @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
-    def test_matches_the_closed_form_cross_statistics(self, kind, exp1_model):
+    def test_matches_the_closed_form_cross_statistics(self, kind):
         """Experiment 1's dictionary and input at 10^6 samples. The bound, fixed in
         advance, is 4 standard errors widened by sqrt((1 + rho) / (1 - rho)), because
         the AR(1) samples are correlated; the polynomial plant read max |z| 1.25 for p
         and 0.17 for E[d^2]."""
-        _, stats, d = exp1_model
+        d = grid_dictionary([-1, -1], [1, 1], 5)
         k, im, rho = GaussianKernel(0.7), input_model(), 0.5
         system = SystemSimulator(kind=kind, noise_sigma=0.05)
-        if kind is SystemKind.NULL:
-            stats = estimate_cross_stats(system, InputGenerator(rho=rho, sigma_u=0.5), d, k,
-                                         1_000_000, seed=EXP1_SEED)
+        stats = stream_cross_stats(system, InputGenerator(rho=rho, sigma_u=0.5), d, k,
+                                   1_000_000, seed=EXP1_SEED)
         p, d2 = exact_cross_stats(system, d, k, im)
         bound = 4.0 * np.sqrt((1.0 + rho) / (1.0 - rho))
         assert (np.abs(stats.p - p) <= bound * stats.p_stderr).all()
@@ -266,7 +268,7 @@ class TestEstimateCrossStats:
         k = GaussianKernel(0.7)
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.NULL, noise_sigma=0.05)
-        stats = estimate_cross_stats(system, gen, d, k, 100_000, seed=101)
+        stats = stream_cross_stats(system, gen, d, k, 100_000, seed=101)
         assert (np.abs(stats.p) < 4 * stats.p_stderr).all()
         assert stats.d2 == pytest.approx(0.0025, abs=4 * stats.d2_stderr)
 
@@ -275,7 +277,7 @@ class TestEstimateCrossStats:
         d = grid_dictionary([-1, -1], [1, 1], 2)
         plant = _KernelPlant(d.centers[0], 0.7)
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
-        stats = estimate_cross_stats(plant, gen, d, k, 200_000, seed=102)
+        stats = stream_cross_stats(plant, gen, d, k, 200_000, seed=102)
         im = InputModel(stationary_covariance(0.5, 0.5))
         for j in range(d.size):
             expected = multi_point_moment([d.centers[0], d.centers[j]], k, im)
@@ -286,8 +288,8 @@ class TestEstimateCrossStats:
         k = GaussianKernel(0.7)
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05)
-        s1 = estimate_cross_stats(system, gen, d, k, 100_000, seed=1)
-        s2 = estimate_cross_stats(system, gen, d, k, 100_000, seed=2)
+        s1 = stream_cross_stats(system, gen, d, k, 100_000, seed=1)
+        s2 = stream_cross_stats(system, gen, d, k, 100_000, seed=2)
         joint = np.hypot(s1.d2_stderr, s2.d2_stderr)
         assert abs(s1.d2 - s2.d2) < 4 * joint
 
@@ -296,8 +298,8 @@ class TestEstimateCrossStats:
         k = GaussianKernel(0.7)
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05)
-        a = estimate_cross_stats(system, gen, d, k, 20_000, seed=7)
-        b = estimate_cross_stats(system, gen, d, k, 20_000, seed=7)
+        a = stream_cross_stats(system, gen, d, k, 20_000, seed=7)
+        b = stream_cross_stats(system, gen, d, k, 20_000, seed=7)
         assert np.array_equal(a.p, b.p)
         assert a.d2 == b.d2
 
@@ -326,7 +328,54 @@ class TestEstimateCrossStats:
         gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.NULL, noise_sigma=0.05)
         with pytest.raises(ValueError):
-            estimate_cross_stats(system, gen, d, GaussianKernel(0.7), 5000, seed=1)
+            stream_cross_stats(system, gen, d, GaussianKernel(0.7), 5000, seed=1)
+
+
+class TestCrossStatsDispatch:
+    """``estimate_cross_stats`` is exact for the memoryless plants and the stream estimate
+    for any other."""
+
+    @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
+    def test_memoryless_plants_are_exact(self, kind):
+        d = grid_dictionary([-1, -1], [1, 1], 3)
+        k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
+        system = SystemSimulator(kind=kind, noise_sigma=0.05)
+        layers = {}
+        stats = estimate_cross_stats(system, gen, d, k, 10_000, seed=3, layers=layers)
+        p, d2 = exact_cross_stats(system, d, k, input_model())
+        assert stats.n_samples == 0 and layers == {}
+        assert not stats.p_stderr.any() and stats.d2_stderr == 0.0
+        assert np.array_equal(stats.p, p) and stats.d2 == d2
+
+    @pytest.mark.parametrize("plant", ["fluid_flow", "kernel"])
+    def test_other_plants_take_the_stream(self, plant):
+        d = grid_dictionary([-1, -1], [1, 1], 2)
+        k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
+        system = (SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.05)
+                  if plant == "fluid_flow" else _KernelPlant(d.centers[0], 0.7))
+        a = estimate_cross_stats(system, gen, d, k, 20_000, seed=5)
+        b = stream_cross_stats(system, gen, d, k, 20_000, seed=5)
+        assert a.n_samples == b.n_samples == 20_000
+        for name in ("p", "d2", "p_stderr", "d2_stderr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
+    def test_exact_cross_stats_match_quadrature(self, kind):
+        """Gauss-Hermite quadrature over the 2-D input law, with the plant's own
+        ``respond`` at each node: 60 nodes per axis resolve the kernel weight to
+        rounding, and ``E[d^2]``, a polynomial of degree 6, exactly."""
+        d = Dictionary(np.array([[-1.0, 0.5], [0.0, 0.0], [0.8, -0.9], [2.0, 1.5]]))
+        k, im = GaussianKernel(0.6), InputModel(stationary_covariance(0.7, 0.8))
+        system = SystemSimulator(kind=kind, noise_sigma=0.1)
+        z, w = np.polynomial.hermite_e.hermegauss(60)
+        z1, z2 = (a.ravel() for a in np.meshgrid(z, z))
+        weights = np.outer(w, w).ravel() / (2.0 * np.pi)
+        u = np.stack([z1, z2], axis=1) @ np.linalg.cholesky(im.r_u).T  # rows (u_n, u_n-1)
+        dd = system.respond(u[:, ::-1].T, np.zeros((1, u.shape[0])))[0]
+        p, d2 = exact_cross_stats(system, d, k, im)
+        assert np.allclose(p, (weights * dd) @ kernelized_input(d, k, u), rtol=1e-12,
+                           atol=1e-15)
+        assert d2 == pytest.approx(weights @ dd**2 + 0.01, rel=1e-12)
 
 
 def small_model(seed=41, n_samples=100_000):
