@@ -185,15 +185,21 @@ def cmd_simulate(args) -> int:
     d, info = build_dictionary(cfg)
     setup = build_setup(cfg, d)
     laps.lap("dictionary")
-    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed)
+    layers = {}
+    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, layers)
     laps.lap("monte_carlo")
     sim_path = out / "simulated.csv"
     save_learning_curve(curve, sim_path)
     laps.lap("write")
     counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
-                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size))}
+                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size)),
+                "kernel_values": layers["kernel_values"]}
+    within = {"monte_carlo": {"stream": round(layers["stream_s"], 6),
+                              "kernel_values": round(layers["kernel_values_s"], 6),
+                              "steps": round(layers["steps_s"], 6)}}
     _write_manifest(out, "simulate", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.seconds},
+                    {"dictionary": info, "counters": counters, "timings": laps.seconds,
+                     "timings_within": within},
                     [sim_path])
     print(f"wrote {sim_path} ({cfg.n_runs} runs x {cfg.n_iters} iterations)")
     return EXIT_OK

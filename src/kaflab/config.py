@@ -26,7 +26,8 @@ from .kernel import (
     gram,
     grid_dictionary,
 )
-from .moments import CROSS_STATS_BURN_IN, CROSS_STATS_FORMAT_VERSION, InputModel
+from .moments import (CROSS_STATS_BURN_IN, CROSS_STATS_FORMAT_VERSION, InputModel,
+                      has_closed_form)
 from .sim import (
     CALIBRATION_SALT,
     ExperimentSetup,
@@ -329,7 +330,9 @@ def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> s
 
     Keyed by everything the record depends on: its format version, the
     dictionary, kernel width and input covariance, and the plant, noise
-    level, seed, sample count and burn-in of the estimation stream.
+    level, seed, sample count and burn-in of the estimation stream. A plant
+    with closed-form cross statistics draws no stream, so its key leaves the
+    last three out, and runs that differ only in them share one record.
     """
     h = hashlib.sha256()
     h.update(f"cross-stats-v{CROSS_STATS_FORMAT_VERSION}".encode())
@@ -338,6 +341,7 @@ def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> s
     h.update(im.r_u.tobytes())
     h.update(cfg.system_kind.value.encode())
     h.update(np.float64(cfg.sigma_nu).tobytes())
-    # separated, so that seed 12 with 10^4 samples and seed 1 with 210,000 differ
-    h.update(f"{cfg.seed},{cfg.n_moment_samples},{CROSS_STATS_BURN_IN}".encode())
+    if not has_closed_form(build_system(cfg)):
+        # separated, so that seed 12 with 10^4 samples and seed 1 with 210,000 differ
+        h.update(f"{cfg.seed},{cfg.n_moment_samples},{CROSS_STATS_BURN_IN}".encode())
     return h.hexdigest()[:16]

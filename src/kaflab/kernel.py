@@ -79,28 +79,43 @@ class GramFactor:
 
 
 def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Kernel values between ``u`` and every dictionary center.
 
-    ``u`` is one input of length L, giving shape (r,), or a stack (..., L),
-    giving (..., r). Distances are summed one input axis at a time, so an
-    input gets the same values alone as in any stack. The values are formed in
-    the output array (``out``, if given, of that shape), with one temporary of
-    its size for inputs of length > 1.
+    ``u`` is one input of length L, giving shape (r,), or a stack (..., L) of N
+    inputs, giving (..., r). The values are formed in the output array (``out``,
+    if given, of that shape) with one work array of r x N doubles (``work``, if
+    given, or a fresh one), centers-major: the squared distances, summed one
+    input axis at a time, are formed row by row against each axis's plane of N
+    coordinates, with the output as the temporary of the later axes; they are
+    divided on their way back, transposed, into the output, and exponentiated
+    there. Every value takes the same correctly rounded subtractions, squares,
+    sums and division as in any other layout, and ``exp``, the one operation
+    that is not correctly rounded, meets them where it always did: contiguous
+    in the inputs-major output. So the values keep their bits, and an input
+    gets the same values alone as in any stack. The layout only saves time:
+    each operation runs over N values per center, not r per input, and reads
+    contiguous planes when the axis of ``u`` is outermost.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (d.input_dim,):
         raise DimensionMismatchError(
             f"input has shape {u.shape}, dictionary expects length {d.input_dim}"
         )
-    c = d.centers
-    d2 = np.subtract(c[:, 0], u[..., 0, None], out=out)
-    np.square(d2, out=d2)
-    tmp = np.empty_like(d2) if d.input_dim > 1 else None
+    c, r = d.centers, d.size
+    n = u.size // d.input_dim
+    out = np.empty((*u.shape[:-1], r)) if out is None else out
+    w = np.empty((r, n)) if work is None else work.reshape(-1)[:r * n].reshape(r, n)
+    tmp = out.reshape(r, n)  # a view: the output's memory, before it holds the values
+    np.subtract(c[:, :1], u[..., 0].reshape(1, n), out=w)
+    np.square(w, out=w)
     for a in range(1, d.input_dim):
-        d2 += np.square(np.subtract(c[:, a], u[..., a, None], out=tmp), out=tmp)
-    np.divide(d2, -(2.0 * k.sigma**2), out=d2)
-    return np.exp(d2, out=d2)
+        np.subtract(c[:, a:a + 1], u[..., a].reshape(1, n), out=tmp)
+        w += np.square(tmp, out=tmp)
+    lead = u.ndim - 1  # divided on the way back into the inputs-major output
+    np.divide(w.reshape(r, *u.shape[:-1]).transpose(*range(1, lead + 1), 0),
+              -(2.0 * k.sigma**2), out=out)
+    return np.exp(out, out=out)
 
 
 def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:

@@ -255,7 +255,9 @@ def mc_fourth_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimates of selected fourth-tensor entries with standard errors.
 
-    ``entries`` is a sequence of (i, j, s, t) index tuples.
+    ``entries`` is a sequence of (i, j, s, t) index tuples. Each chunk's kernel
+    values are copied once centers-major, so that the products run over
+    contiguous rows; the products and sums are those of the columns, bit for bit.
     """
     entries = [tuple(int(a) for a in e) for e in entries]
     needed = sorted({a for e in entries for a in e})
@@ -263,8 +265,10 @@ def mc_fourth_entries(
     s1 = np.zeros(len(entries))
     s2 = np.zeros(len(entries))
     for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng):
+        kt = np.ascontiguousarray(km.T)
+        del km
         for e_i, (i, j, s, t) in enumerate(entries):
-            prod = km[:, pos[i]] * km[:, pos[j]] * km[:, pos[s]] * km[:, pos[t]]
+            prod = kt[pos[i]] * kt[pos[j]] * kt[pos[s]] * kt[pos[t]]
             s1[e_i] += prod.sum()
             s2[e_i] += (prod**2).sum()
     return _mean_and_stderr(s1, s2, n_samples)

@@ -9,16 +9,27 @@ Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
 at a time, carrying every generator and recurrence state across blocks, so
 neither the Monte-Carlo engine nor the cross-statistics estimator holds a
 whole stream. The engine steps a chunk of independent runs in lockstep over
-those blocks, one row per run, through :func:`kaflab.filters.update`, and
-adds the chunks' summed squared errors in run order. Chunk and block sizes
-follow from one byte budget and the dictionary size, so the curve is fixed by
-configuration and seed.
+those blocks, one row per run, and adds the chunks' summed squared errors in
+run order. Chunk and block sizes follow from one byte budget and the
+dictionary size, so the curve is fixed by configuration and seed.
+
+A chunk's working set is fixed before its first step and none of it grows
+with the iterations: the four arrays of steps x runs doubles of one stream
+block (each run's drives and noise, drawn into two reused arrays, then its
+input and desired signal, the input pairs a view of the input, the plant's
+temporaries a few rows at a time), and two kernel-block buffers of at most
+``MC_WORK_BYTES``. The first holds a block's kernel values; the second is
+the kernel evaluation's centers-major work array and then holds the block's
+stacked ``kappa G^-1`` products. The step loop moves the coefficients in
+place through the update of :func:`kaflab.filters.make_update`, and looks
+for divergence once per block.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import time
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
-from .filters import FilterKind, update
+from .filters import FilterKind, make_update, moves_along_g_inv
 from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
 
 # Unused here, like ``_run_single`` below: perfbench/tracing.py wraps them by name.
@@ -42,18 +53,31 @@ MOMENTS_CHECK_SALT = 4
 
 # Working memory of the Monte-Carlo engine, none of which grows with the
 # number of iterations. A chunk of runs draws its streams MC_STREAM_STEPS steps
-# at a time, enough that each run's two generator calls per block cost little
-# next to its steps. The kernel values of all the chunk's runs are formed for a
-# block of those steps at a time, in one reused buffer of at most
-# MC_WORK_BYTES (steps x runs x r doubles): with the evaluation's temporary of
-# the same size, that stays within a core's cache, and a larger block was
-# slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS steps
-# (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
-# overhead of the stream recurrences and of the filter loop serves every run
-# of the shipped configs. It also bounds kaflab.moments' cross-statistics blocks.
+# at a time, so that each run's two generator calls per block cost little next
+# to its draws. A stream block holds four arrays of steps x runs doubles (3.1 MB
+# for 192 runs): the draws, reused from block to block, then the input and the
+# desired signal; the input pairs are a view. 512 steps take about the memory
+# that the stream no longer copies (the concatenated input, the stacked pairs,
+# the plant's whole-block temporaries, the previous block kept while the next is
+# drawn) at 256 steps. The kernel values of the chunk's runs are formed
+# for a block of those steps at a time, in one reused buffer of at most
+# MC_WORK_BYTES (steps x runs x r doubles); a second buffer of the same size is
+# the evaluation's work array and then holds the block's stacked G^-1 products.
+# Both stay within a core's cache; larger and smaller blocks were slower. A
+# chunk holds as many runs as leave a block MC_BLOCK_STEPS steps (655 runs at
+# r = 25, 528 at r = 31), so one pass of the per-step Python overhead of the
+# stream recurrences and of the filter loop serves every run of the shipped
+# configs. It also bounds kaflab.moments' cross-statistics blocks.
 MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
-MC_STREAM_STEPS = 256
+MC_STREAM_STEPS = 512
+
+# A stream block is scaled, filtered and run through the plant in chunks of
+# rows whose arrays take at most STREAM_ROW_BYTES each, so that they stay in a
+# core's cache from one operation to the next. On 192 runs, 128 KB chunks drew
+# the stream about 9% faster than whole 786 KB blocks; 512 KB chunks were no
+# faster than whole blocks.
+STREAM_ROW_BYTES = 2**17
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -85,12 +109,15 @@ class InputGenerator:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
 
 
-def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None = None):
+def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None = None,
+             out: np.ndarray | None = None):
     """``y_n = x_n - a1 y_{n-1} - a2 y_{n-2}`` along axis 0.
 
     The filter ``1 / (1 + a1 z^-1 + a2 z^-2)``. ``x`` is one stream of shape
     (T,), stepped over Python floats, or a time-major chunk (T, m) of
-    independent streams, stepped one row of m columns at a time.
+    independent streams, stepped one row of m columns at a time in place, with
+    no temporary larger than a row. ``y`` is written to ``out`` if given
+    (which may be ``x`` itself), else to a new array.
 
     Without ``state`` the filter starts at rest and ``y`` is returned. Given
     ``state``, the two outputs ``(y_{-1}, y_{-2})`` before the first, an array
@@ -102,21 +129,37 @@ def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None
     every operation. That is the order in which the direct-form-II-transposed
     ``lfilter([1], [1, a1, a2], x)`` computes it, and keeping it is what makes
     the result equal to that filter's bit for bit, in either layout: a
-    reassociated or fused form would round differently.
+    reassociated or fused form would round differently. With ``a2 = 0`` the
+    first term is ``+0.0`` for every finite ``y_{n-2}``, so an output takes
+    ``(0.0 - a1 y_{n-1}) + x_n``: three operations, the same bits.
     """
     x = np.asarray(x, dtype=float)
     start = np.zeros((2, *x.shape[1:])) if state is None else np.asarray(state, dtype=float)
+    y = np.empty_like(x) if out is None else out
 
     def outputs(rows, y1, y2):
+        if not a2:
+            for xn in rows:
+                y1 = (0.0 - a1 * y1) + xn
+                yield y1
+            return
         for xn in rows:
             y1, y2 = ((-(a2 * y2) + 0.0) - a1 * y1) + xn, y1
             yield y1
 
     if x.size == x.shape[0]:  # one stream, also in a (T, 1) chunk
-        y = np.fromiter(outputs(x.ravel().tolist(), *start.ravel().tolist()), float, x.size)
-        y = y.reshape(x.shape)
-    else:
-        y = np.fromiter(outputs(x, *start), np.dtype((float, x.shape[1:])), x.shape[0])
+        y[...] = np.fromiter(outputs(x.ravel().tolist(), *start.ravel().tolist()), float,
+                             x.size).reshape(x.shape)
+    else:  # the coefficients as 0-d arrays, which a ufunc takes faster than floats
+        (y1, y2), (a1, minus_a2, zero) = start, map(np.array, (a1, -a2, 0.0))
+        t, s = np.empty(x.shape[1:]), np.empty(x.shape[1:])
+        for xn, yn in zip(x, y):
+            if a2:
+                np.add(np.multiply(minus_a2, y2, out=t), zero, out=t)
+                np.subtract(t, np.multiply(a1, y1, out=s), out=t)
+            else:
+                np.subtract(zero, np.multiply(a1, y1, out=t), out=t)
+            y1, y2 = np.add(t, xn, out=yn), y1
     if state is None:
         return y
     return y, np.concatenate([y[:-3:-1], start])[:2]
@@ -140,12 +183,16 @@ def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarra
 def embed_input(u: np.ndarray) -> np.ndarray:
     """Two-tap embedding: row n is ``[u_n, u_{n-1}]`` for n = 1..len(u)-1.
 
-    A time-major chunk ``u`` of shape (T, m) embeds to (T - 1, m, 2).
+    A time-major chunk ``u`` of shape (T, m) embeds to (T - 1, m, 2). The result
+    is a read-only view of ``u``, whose last axis steps back one sample, so it
+    costs no copy and each coordinate plane ``v[..., a]`` is as contiguous as
+    ``u``'s rows.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] < 2:
         raise DimensionMismatchError("embedding needs a stream of length >= 2")
-    return np.stack([u[1:], u[:-1]], axis=-1)
+    return np.lib.stride_tricks.as_strided(u[1:], (len(u) - 1, *u.shape[1:], 2),
+                                           (*u.strides, -u.strides[0]), writeable=False)
 
 
 def stationary_covariance(rho: float, sigma_u: float, L: int = 2) -> np.ndarray:
@@ -199,16 +246,30 @@ class SystemSimulator:
                 f"need len(noise) == len(u) - 1 >= 1, got shapes {noise.shape} and {u.shape}"
             )
         after = state
-        if self.kind is SystemKind.POLYNOMIAL:
-            (a0, a1), (c1, c2, c3) = POLYNOMIAL_TAPS, POLYNOMIAL_COEFFS
-            x = a0 * u[1:] + a1 * u[:-1]
-            d = c1 * x + c2 * x**2 + c3 * (x * (x * x)) + noise
-        elif self.kind is SystemKind.FLUID_FLOW:
-            x, after = all_pole(0.1044 * u[1:] + 0.0883 * u[:-1], -1.4138, 0.6065,
-                                np.zeros((2, *u.shape[1:])) if state is None else state)
-            d = 0.3163 * x / np.sqrt(0.1 + 0.9 * x**2) + noise
-        else:
+        if self.kind is SystemKind.NULL:
             d = noise.copy()
+        else:  # in place: two arrays of d's size besides d, each step in the formula's order
+            a0, a1 = POLYNOMIAL_TAPS if self.kind is SystemKind.POLYNOMIAL else (0.1044, 0.0883)
+            x, d = np.multiply(a0, u[1:]), np.multiply(a1, u[:-1])
+            x += d
+            if self.kind is SystemKind.POLYNOMIAL:  # c1 x + c2 x^2 + c3 (x (x x)) + noise
+                c1, c2, c3 = POLYNOMIAL_COEFFS
+                t = np.multiply(x, x)
+                np.multiply(c1, x, out=d)
+                x *= t
+                t *= c2
+                d += t
+                x *= c3
+                d += x
+            else:  # 0.3163 x / sqrt(0.1 + 0.9 x^2) + noise over the all-pole output x
+                x, after = all_pole(x, -1.4138, 0.6065,
+                                    np.zeros((2, *u.shape[1:])) if state is None else state, out=x)
+                t = np.multiply(x, x)
+                t *= 0.9
+                t += 0.1
+                np.multiply(0.3163, x, out=d)
+                d /= np.sqrt(t, out=t)
+            d += noise
         return d if state is None else (d, after)
 
 
@@ -301,7 +362,10 @@ def stream_blocks(
     which gives the same numbers as one draw; the AR(1) input and the
     fluid-flow plant carry their :func:`all_pole` states across blocks; and the
     ``warmup`` leading samples are drawn with the first block and dropped from
-    it.
+    it. The draws go into two arrays reused from block to block, the noise
+    scaled there as ``Generator.normal`` scales it; each block's input and
+    desired signal are new arrays, ``u`` a read-only :func:`embed_input` view of
+    the input, so a block stays valid after the next is drawn.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
@@ -311,24 +375,37 @@ def stream_blocks(
     rngs = [[np.random.default_rng(s) for s in np.random.SeedSequence(entropy=e).spawn(2)]
             for e in seeds]
     scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
+    most = warmup + min(block, n)  # samples drawn for the largest block, the first
+    rows = max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
+    drives, noise = np.empty((len(rngs), most)), np.zeros((len(rngs), most))  # reused
     u_state = plant_state = np.zeros((2, len(rngs)))
-    u_last = np.empty((0, len(rngs)))  # the sample before a block's first
     for t0 in range(0, n, block):
-        first, skip = (1, warmup) if t0 == 0 else (0, 0)  # u_0 comes with the first block
+        first, skip = t0 == 0, warmup if t0 == 0 else 0
         steps = skip + min(block, n - t0)
-        drives, noise = np.empty((len(rngs), first + steps)), np.zeros((len(rngs), steps))
-        for j, (rng_input, rng_noise) in enumerate(rngs):
+        u = np.empty((1 + steps, len(rngs)))  # row 0: u_0 in the first block, else the last u
+        for j, ((rng_input, rng_noise), drive, nu) in enumerate(zip(rngs, drives[:, :steps],
+                                                                   noise[:, :steps])):
             if first:
-                drives[j, 0] = rng_input.normal(0.0, input_gen.sigma_u)
-            rng_input.standard_normal(out=drives[j, first:])
+                u[0, j] = rng_input.normal(0.0, input_gen.sigma_u)
+            rng_input.standard_normal(out=drive)
             if system.noise_sigma > 0:
-                noise[j] = rng_noise.normal(0.0, system.noise_sigma, steps)
-        np.multiply(scale, drives[:, first:], out=drives[:, first:])
-        u, u_state = all_pole(drives.T, -input_gen.rho, state=u_state)
-        u = np.concatenate([u_last, u])
-        u_last = u[-1:]
-        d, plant_state = system.respond(u, noise.T, plant_state)
+                rng_noise.standard_normal(out=nu)
+        if first:
+            _, u_state = all_pole(u[:1], -input_gen.rho, state=u_state, out=u[:1])
+        else:
+            u[0] = u_state[0]
+        d = np.empty((steps, len(rngs)))
+        for a in range(0, steps, rows):  # the states carried from chunk to chunk
+            b = min(a + rows, steps)
+            np.multiply(scale, drives[:, a:b].T, out=u[1 + a:1 + b])
+            _, u_state = all_pole(u[1 + a:1 + b], -input_gen.rho, state=u_state,
+                                  out=u[1 + a:1 + b])
+            nu = noise[:, a:b]
+            if system.noise_sigma > 0:  # as Generator.normal forms it: 0.0 + sigma z
+                np.add(0.0, np.multiply(system.noise_sigma, nu, out=nu), out=nu)
+            d[a:b], plant_state = system.respond(u[a:b + 1], nu.T, plant_state)
         yield embed_input(u)[skip:], d[skip:]
+        del u, d  # a consumer that lets go of the block frees it before the next is drawn
 
 
 @dataclass(frozen=True)
@@ -350,37 +427,84 @@ class ExperimentSetup:
     eps_reg: float = 1e-2
 
 
-def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int) -> np.ndarray:
+def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
+               layers: dict) -> np.ndarray:
     """Squared a-priori errors summed over ``runs``, all stepped in lockstep.
 
-    A diverging run is stepped on with non-finite values, so that the
+    A block of steps takes its kernel values at once, and for the natural
+    update (and the selective one with ``s_n = r``) its products ``kappa G^-1``
+    in one stacked product, which numpy forms with the same per-matrix BLAS call
+    as a step's own product. The steps then move the coefficients through
+    :func:`kaflab.filters.make_update`. Divergence is looked for once per block: a
+    block in which a run's squared error is first non-finite is stepped again
+    from the coefficients it started with, step by step, so that the
     :class:`DivergenceError` names the lowest-index run that diverges, as when
     runs were stepped one by one: its first iteration with a non-finite
-    squared error, its ``||alpha||`` there and its last finite error.
+    squared error, its ``||alpha||`` there and its last finite error. A
+    diverging run is stepped on with non-finite values. ``layers`` gains the
+    seconds spent drawing streams, forming kernel values and stepping.
     """
     m, r = len(runs), setup.dictionary.size
-    alpha, e, total = np.zeros((m, r)), np.full(m, np.nan), np.empty(n_iters)
+    natural = moves_along_g_inv(setup.filter_kind, setup.s_n, r)
+    move = make_update(setup.filter_kind, setup.gram, setup.eta, (m, r), setup.s_n,
+                       setup.eps_reg)
+    block = max(1, min(MC_WORK_BYTES // (8 * m * r), MC_STREAM_STEPS, n_iters))
+    # The block's two buffers, reused: the kernel values, and the work array that
+    # forms them and then holds their stacked G^-1 products. A kernel block ends
+    # where its stream block ends, so it is never longer than one.
+    kap_buf, work = np.empty((block, m, r)), np.empty((block, m, r))
+    kap_rows, prod_rows = list(kap_buf), list(work)  # a step's rows, as views made once
+    alpha, alpha0 = np.zeros((m, r)), np.empty((m, r))
+    e, e2, last = np.empty((block, m)), np.empty((block, m)), np.full(m, np.nan)
+    e_rows = list(e)
+    total = np.empty(n_iters)
     diverged = {}  # row -> (iteration, ||alpha||, last finite error)
-    block = max(1, MC_WORK_BYTES // (8 * m * r))
     streams = stream_blocks(setup.input_gen, setup.system, n_iters,
                             [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
-    blocks = ((t0 + k0, u[k0:k0 + block], d[k0:k0 + block])
-              for t0, (u, d) in zip(range(0, n_iters, MC_STREAM_STEPS), streams)
-              for k0 in range(0, len(d), block))
-    kap_buf = np.empty((block, m, r))  # reused: fresh pages for every block cost page faults
+
+    def step(t0, b, kap, d_block, check):
+        """Step the block from ``alpha``; with ``check``, note each run's first
+        non-finite squared error."""
+        if natural:
+            np.matmul(kap, setup.gram.g_inv, out=work[:b])
+        prev = last
+        for i, kap_i, d_i, e_i, prod_i in zip(range(t0, t0 + b), kap_rows, d_block, e_rows,
+                                              prod_rows if natural else [None] * b):
+            np.subtract(d_i, np.vecdot(alpha, kap_i, out=e_i), out=e_i)
+            if check:
+                for j in np.flatnonzero(~np.isfinite(e_i * e_i)):
+                    diverged.setdefault(j, (i, np.linalg.norm(alpha[j]), prev[j]))
+                prev = e_i
+            move(alpha, kap_i, e_i, prod_i)
+
+    t = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, u, d in blocks:
-            kap = kernelized_input(setup.dictionary, setup.kernel, u, out=kap_buf[:len(d)])
-            e2 = np.empty(kap.shape[:2])
-            for i, kap_i, d_i, e2_i in zip(range(t0, n_iters), kap, d, e2):
-                last, e = e, d_i - np.vecdot(alpha, kap_i)
-                np.multiply(e, e, out=e2_i)
-                if not e2_i.max() < np.inf:  # also true for a NaN
-                    for j in np.flatnonzero(~np.isfinite(e2_i)):
-                        diverged.setdefault(j, (i, np.linalg.norm(alpha[j]), last[j]))
-                update(alpha, kap_i, e, setup.filter_kind, setup.gram, setup.eta,
-                       setup.s_n, setup.eps_reg)
-            total[t0:t0 + len(d)] = e2.sum(axis=1)
+        for t_s in range(0, n_iters, MC_STREAM_STEPS):
+            u_s, d_s = next(streams)
+            d_rows = list(d_s)
+            t_drawn = time.perf_counter()
+            layers["stream_s"] += t_drawn - t
+            for k0 in range(0, len(d_s), block):
+                t0, u = t_s + k0, u_s[k0:k0 + block]
+                b = len(u)
+                kap = kernelized_input(setup.dictionary, setup.kernel, u, out=kap_buf[:b],
+                                       work=work)
+                t_kap = time.perf_counter()
+                layers["kernel_values_s"] += t_kap - t_drawn
+                np.copyto(alpha0, alpha)
+                step(t0, b, kap, d_rows[k0:k0 + b], False)
+                np.multiply(e[:b], e[:b], out=e2[:b])
+                if not e2[:b].max() < np.inf:  # also true for a NaN
+                    bad = np.flatnonzero(~np.isfinite(e2[:b]).all(axis=0))
+                    if not diverged.keys() >= set(bad):  # a run diverges first in this block
+                        np.copyto(alpha, alpha0)
+                        step(t0, b, kap, d_rows[k0:k0 + b], True)
+                total[t0:t0 + b] = e2[:b].sum(axis=1)
+                np.copyto(last, e[b - 1])
+                t = t_drawn = time.perf_counter()
+                layers["steps_s"] += t - t_kap
+            del u_s, d_s, d_rows, u  # so that the next block is drawn in their place
+    layers["kernel_values"] += n_iters * m * r
     if diverged:
         i, norm, last_e = diverged[min(diverged)]
         raise DivergenceError(
@@ -398,22 +522,35 @@ def run_chunk_size(r: int) -> int:
 
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
     """Squared a-priori error sequence of one independently seeded run."""
-    return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters)
+    return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters, _zero_layers())
+
+
+def _zero_layers() -> dict:
+    """Zeroed layer totals for :func:`_run_chunk` to add to."""
+    return {"stream_s": 0.0, "kernel_values_s": 0.0, "steps_s": 0.0, "kernel_values": 0}
 
 
 def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
-                      seed: int) -> LearningCurve:
+                      seed: int, layers: dict | None = None) -> LearningCurve:
     """Pointwise average of squared a-priori errors over independent runs.
 
     Each run derives its generators from ``(seed, run index)``; runs are
     stepped in chunks of :func:`run_chunk_size` and the chunk sums added in
     run order, so the result is bit-identical for a given
-    ``(seed, setup, n_runs, n_iters)``.
+    ``(seed, setup, n_runs, n_iters)``. ``layers``, if given, receives the
+    seconds spent drawing the streams (``stream_s``), forming kernel values
+    (``kernel_values_s``) and stepping, stacked products included
+    (``steps_s``), and the number of ``kernel_values`` formed, from two clock
+    reads per kernel block and one per stream block.
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
+    spent = _zero_layers()
     chunk = run_chunk_size(setup.dictionary.size)
     total = np.zeros(n_iters)
     for start in range(0, n_runs, chunk):
-        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters)
+        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters,
+                            spent)
+    if layers is not None:
+        layers.update(spent)
     return LearningCurve(mse=total / n_runs)

@@ -3,12 +3,13 @@
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
-scalar kernel value, the Kronecker product, the lexicographic vectorization, the full
-r^4 fourth-moment tensors expanded from the library's block on symmetric
-pairs, the step-by-step transient recursion, the symmetric block of K gathered entry
-by entry, and the seeded streams drawn whole. The library itself never builds an r^4
-array or a whole Monte-Carlo stream. The memory guards measure a fresh interpreter
-with :func:`peak_growth_mb`.
+scalar kernel value and the inputs-major kernel values, the Kronecker product,
+the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
+from the library's block on symmetric pairs, the step-by-step transient
+recursion, the symmetric block of K gathered entry by entry, and the seeded
+streams drawn whole. The library itself never builds an r^4 array or a whole
+Monte-Carlo stream. The memory guards measure a fresh interpreter with
+:func:`peak_growth_mb`.
 """
 
 import os
@@ -63,6 +64,19 @@ def kappa(x, y, k) -> float:
         raise DimensionMismatchError(f"input lengths differ: {x.size} vs {y.size}")
     d2 = float(((x - y) ** 2).sum())
     return float(np.exp(-d2 / (2.0 * k.sigma**2)))
+
+
+def kernel_values_inputs_major(d, k, u) -> np.ndarray:
+    """Kernel values between ``u`` (..., L) and the centers, formed inputs-major in the
+    (..., r) layout, as ``kaflab.kernel.kernelized_input`` formed them before it went
+    centers-major: the squared distances summed one input axis at a time, divided by
+    ``-(2 sigma^2)``, exponentiated. The bit-for-bit reference for its layout."""
+    u = np.asarray(u, dtype=float)
+    c = d.centers
+    d2 = np.square(c[:, 0] - u[..., 0, None])
+    for a in range(1, d.input_dim):
+        d2 += np.square(c[:, a] - u[..., a, None])
+    return np.exp(d2 / -(2.0 * k.sigma**2))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import CONFIGS
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
+from kaflab.sim import SystemKind
 
 TINY_CONFIG = """\
 [kernel]
@@ -67,6 +68,22 @@ def read_manifest(out, *also):
 
 
 class TestSimulate:
+    def test_manifest_records_the_engine_layers(self, tmp_path):
+        """``timings_within.monte_carlo`` splits the Monte-Carlo stage into the stream
+        draws, the kernel values and the steps, which together take all of it but the
+        chunk sums and the curve's checks; ``counters.kernel_values`` counts the kernel
+        values formed, runs x iterations x r."""
+        cfg = write_tiny(tmp_path, n_iters=3000)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifest = read_manifest(out)
+        layers = manifest["timings_within"]["monte_carlo"]
+        assert set(layers) == {"stream", "kernel_values", "steps"}
+        assert all(t > 0 for t in layers.values())
+        assert sum(layers.values()) <= manifest["timings"]["monte_carlo"]
+        assert sum(layers.values()) >= 0.9 * manifest["timings"]["monte_carlo"]
+        assert manifest["counters"]["kernel_values"] == 2 * 3000 * 4
+
     def test_null_system_writes_zero_curve(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["simulate", "--config", str(CONFIGS / "null.cfg"), "--out", str(out)])
@@ -107,7 +124,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         m = read_manifest(out)
-        assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2}
+        assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2,
+                                 "kernel_values": 2 * 40 * 4}
         assert set(m["timings"]) == {"dictionary", "monte_carlo", "write"}
         assert all(t >= 0 for t in m["timings"].values())
         assert set(m["outputs"]) == {"simulated.csv"}
@@ -276,12 +294,28 @@ class TestAnalyze:
             build_dictionary, build_input_model, load_config, moments_cache_key,
         )
 
-        cfg = load_config(CONFIGS / "null.cfg")
+        # a fluid-flow record depends on both the seed and the sample count
+        cfg = dataclasses.replace(load_config(CONFIGS / "null.cfg"),
+                                  system_kind=SystemKind.FLUID_FLOW)
         d, _ = build_dictionary(cfg)
         im = build_input_model(cfg)
         a = dataclasses.replace(cfg, seed=12, n_moment_samples=10_000)
         b = dataclasses.replace(cfg, seed=1, n_moment_samples=210_000)
         assert moments_cache_key(a, d, im) != moments_cache_key(b, d, im)
+        # a closed-form record depends on neither
+        for kind in (SystemKind.NULL, SystemKind.POLYNOMIAL):
+            a, b = (dataclasses.replace(c, system_kind=kind) for c in (a, b))
+            assert moments_cache_key(a, d, im) == moments_cache_key(b, d, im)
+
+    def test_closed_form_record_is_shared_across_seeds(self, tmp_path):
+        cache = tmp_path / "cache"
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            assert main(["analyze", "--config", str(CONFIGS / "null.cfg"), "--out", str(out),
+                         "--seed", str(seed), "--cache-dir", str(cache)]) == EXIT_OK
+        assert read_manifest(tmp_path / "seed1")["dictionary"]["moments_cache_hit"] is False
+        assert read_manifest(tmp_path / "seed2")["dictionary"]["moments_cache_hit"] is True
+        assert len(list(cache.iterdir())) == 1
 
     def test_single_center_matches_hand_formulas(self, tmp_path):
         # r = 1: every output is a scalar formula

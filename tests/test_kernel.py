@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CONFIGS, EXP2_SEED, kappa
+from conftest import CONFIGS, EXP2_SEED, kappa, kernel_values_inputs_major
 from kaflab.config import build_dictionary, calibration_samples, load_config
 from kaflab.errors import DimensionMismatchError, KaflabError, NotPositiveDefiniteError
 from kaflab.kernel import (
@@ -100,6 +102,36 @@ class TestKernelizedInput:
         out = np.full((*shape, 7), np.nan)
         assert kernelized_input(d, k, u, out=out) is out
         assert np.array_equal(out, expected)
+
+
+class TestCentersMajorLayout:
+    """The centers-major layout keeps the bits of the inputs-major formula."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        r=st.integers(1, 9),
+        lead=st.sampled_from([(), (1,), (5,), (27, 5), (3, 1), (2, 4)]),
+        sigma=st.floats(0.05, 3.0),
+        scale=st.sampled_from([1e-3, 0.5, 3.0]),
+        use_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_inputs_major_formula(self, dim, r, lead, sigma, scale, use_out, seed):
+        rng = np.random.default_rng(seed)
+        d = Dictionary(rng.uniform(-1, 1, (r, dim)))
+        k = GaussianKernel(sigma)
+        u = rng.normal(0.0, scale, (*lead, dim))
+        expected = kernel_values_inputs_major(d, k, u)
+        out = np.full((*lead, r), np.nan) if use_out else None
+        vec = kernelized_input(d, k, u, out=out)
+        assert vec.shape == (*lead, r)
+        assert np.array_equal(vec, expected)
+        assert out is None or vec is out
+        # the engine's input layout: each coordinate plane contiguous
+        planar = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, -1, 0)), 0, -1)
+        work = np.empty(r * max(1, u.size // dim) + 3)  # a larger work buffer is fine
+        assert np.array_equal(kernelized_input(d, k, planar, work=work), expected)
 
 
 class TestGram:

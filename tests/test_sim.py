@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -292,6 +293,80 @@ class TestMcLearningCurve:
         assert float(found[3]) == pytest.approx(last_e, rel=1e-5)
 
 
+class TestDivergenceInBlocks:
+    """Divergence is looked for once per block, and a block where a run first diverges
+    is stepped again: the message is the same wherever in a block that falls. At
+    eta = 500 and seed 13, run 0 first diverges at iteration 65 and runs 1-3 at 64, 63
+    and 63, stepped alone."""
+
+    @staticmethod
+    def run_in_blocks(setup, n_runs, block, chunk=None):
+        """The engine's error on ``n_runs`` runs, in kernel blocks of ``block`` steps and,
+        unless ``chunk`` is given, one chunk."""
+        chunk = n_runs if chunk is None else chunk
+        with mock.patch.object(sim, "MC_WORK_BYTES", block * 8 * chunk * setup.dictionary.size), \
+                mock.patch.object(sim, "run_chunk_size", lambda r: chunk), \
+                np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as err:
+            mc_learning_curve(setup, n_runs=n_runs, n_iters=200, seed=13)
+        return err.value
+
+    @pytest.mark.parametrize("block", [13, 10, 8, 1], ids=["first_step", "mid_block",
+                                                           "second_step", "one_step_blocks"])
+    def test_one_run_gives_the_oracle_message(self, block):
+        setup = tiny_setup(eta=500.0)
+        i, norm, last_e = stepped_divergence(setup, 13, 0, 200)
+        assert i == 65
+        err = self.run_in_blocks(setup, 1, block)
+        assert err.last_finite_step == i - 1
+        assert str(err) == (f"run 0 produced a non-finite error at iteration {i} "
+                            f"(||alpha|| = {norm:.6g}, last finite error {last_e:.6g})")
+
+    @pytest.mark.parametrize("block", [32, 16, 13], ids=["two_runs_in_one_block",
+                                                         "mid_block", "first_step"])
+    def test_runs_in_lockstep_give_the_message_of_one_step_blocks(self, block):
+        # blocks of 32 steps hold runs 0 and 1's first divergences, 16 puts run 1's at
+        # a block's first step and run 0's at its second, 13 puts run 0's at a first step
+        setup = tiny_setup(eta=500.0)
+        stepped = [stepped_divergence(setup, 13, run, 200)[0] for run in range(4)]
+        assert stepped == [65, 64, 63, 63]
+        err = self.run_in_blocks(setup, 4, block)
+        assert str(err) == str(self.run_in_blocks(setup, 4, 1))
+        assert err.last_finite_step == 64
+        i, norm, last_e = stepped_divergence(setup, 13, 0, 200)
+        found = re.fullmatch(
+            r"run 0 produced a non-finite error at iteration (\d+) "
+            r"\(\|\|alpha\|\| = (\S+), last finite error (\S+)\)", str(err))
+        assert found is not None, str(err)
+        assert int(found[1]) == i
+        assert float(found[2]) == pytest.approx(norm, rel=1e-5)
+        assert float(found[3]) == pytest.approx(last_e, rel=1e-5)
+
+
+class TestStackedProduct:
+    """A block's stacked ``kappa G^-1`` products equal the per-step products bit for bit,
+    on the block shapes the engine forms: runs m per chunk, steps MC_WORK_BYTES // (8 m r)
+    per block, for the shipped dictionary sizes and the tests' own."""
+
+    @pytest.mark.parametrize("r", [4, 9, 25, 31])
+    @pytest.mark.parametrize("m", [1, 2, 4, 64, 192, 300])
+    def test_equals_the_per_step_products(self, m, r):
+        rng = np.random.default_rng(m * r)
+        d = grid_dictionary([-1, -1], [1, 1], 2) if r == 4 else (
+            grid_dictionary([-1, -1], [1, 1], 3) if r == 9 else None)
+        if d is None:
+            d = sim.Dictionary(rng.uniform(-1, 1, (r, 2)))
+        g_inv = gram(d, GaussianKernel(0.7 if r != 31 else 0.3)).g_inv
+        block = max(1, sim.MC_WORK_BYTES // (8 * m * r))
+        kap = rng.uniform(0.0, 1.0, (block, m, r))
+        out = np.empty_like(kap)
+        stacked = np.matmul(kap, g_inv, out=out)
+        assert all(np.array_equal(stacked[i], kap[i] @ g_inv) for i in range(block))
+        # the last block of a stream block is shorter
+        assert all(np.array_equal(p, k @ g_inv)
+                   for p, k in zip(np.matmul(kap[:3], g_inv, out=out[:3]), kap[:3]))
+
+
 STEPS = {
     FilterKind.NATURAL_KLMS: lambda s, setup, u, d: natural_klms_step(
         s, setup.gram, setup.kernel, u, d, setup.eta),
@@ -365,6 +440,32 @@ class TestEngineProperties:
         for e2 in stepped:
             total += e2
         assert np.array_equal(alone, total / n_runs)
+
+
+class TestEngineWorkingSet:
+    """``_run_chunk`` holds a fixed working set besides its curve ``total``: its two
+    kernel-block buffers, the arrays of one stream block and the runs' generators.
+    Python's own allocations, numpy's included, are traced; a later per-step or
+    per-block array that is kept, or a larger buffer, fails here."""
+
+    @staticmethod
+    def peak_beyond_total(setup, runs, n_iters):
+        tracemalloc.start()
+        try:
+            total = sim._run_chunk(setup, 3, runs, n_iters, sim._zero_layers())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - total.nbytes
+
+    def test_working_set_does_not_grow_with_the_iterations(self):
+        setup, runs = tiny_setup(), range(64)
+        self.peak_beyond_total(setup, range(2), 300)  # numpy's first-call caches
+        short, long = (self.peak_beyond_total(setup, runs, n) for n in (2000, 4000))
+        assert abs(long - short) <= 64 * 1024
+        budget = (2 * sim.MC_WORK_BYTES + 8 * sim.MC_STREAM_STEPS * len(runs) * 8
+                  + 4096 * len(runs))
+        assert max(short, long) <= budget
 
 
 class TestLearningCurveCsv:
