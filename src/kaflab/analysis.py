@@ -1,8 +1,8 @@
 """Theoretical performance engine for the Gram-preconditioned LMS filter.
 
 Works in the transformed ("tilde") coordinates of a
-:class:`~kaflab.moments.MomentModel`: the mean weight-error recursion and its
-step-size bound, and the correlation recursion ``C <- K(C) + eta^2 j_min r_tilde``,
+:class:`~kaflab.moments.MomentModel`: the step-size bound of the mean weight-error
+recursion, and the correlation recursion ``C <- K(C) + eta^2 j_min r_tilde``,
 ``K(C) = C - eta (r_tilde C + C r_tilde) + eta^2 T(C)`` (Parreira, Bermudez,
 Richard and Tourneret, IEEE TSP 2012). C is symmetric, so K is only ever needed on
 symmetric matrices: an m x m matrix, m = r(r+1)/2, in the orthonormal coordinates
@@ -54,22 +54,6 @@ def mean_stability_bound(m: MomentModel) -> float:
     Equals ``2 / lambda_max`` of the transformed autocorrelation matrix.
     """
     return 2.0 / m.r_tilde_eigenvalues[-1]
-
-
-def mean_recursion(m: MomentModel, eta: float, v0: np.ndarray, n_steps: int) -> np.ndarray:
-    """Trajectory of the mean weight error, ``v_{n+1} = (I - eta r_tilde) v_n``.
-
-    Returns an ``(n_steps + 1, r)`` array whose first row is ``v0``.
-    """
-    if not eta > 0:
-        raise ValueError(f"step size must be positive, got {eta}")
-    v0 = np.asarray(v0, dtype=float).ravel()
-    a = np.eye(m.dim) - eta * m.r_tilde
-    out = np.empty((n_steps + 1, m.dim))
-    out[0] = v0
-    for i in range(n_steps):
-        out[i + 1] = a @ out[i]
-    return out
 
 
 def build_k(m: MomentModel, eta: float) -> KSpectrum:

@@ -53,15 +53,13 @@ from .errors import (
 )
 from .filters import FilterKind
 from .kernel import GaussianKernel
-from .linalg import sym_index
 from .moments import (
     build_model,
     estimate_cross_stats,
-    fourth_tensor,
-    has_closed_form,
     load_moment_model,
     mc_fourth_entries,
     mc_second_moment,
+    multi_point_moment,
     save_moment_model,
     second_moment,
 )
@@ -128,7 +126,8 @@ def _load_config_with_seed(args) -> ExperimentConfig:
 
 
 def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers: dict):
-    """Build the moment model from cached or freshly estimated cross statistics.
+    """The moment model, built from cached or freshly obtained cross statistics, and
+    those statistics.
 
     Only the cross statistics are cached: for a plant without a closed form they
     take a long stream, while the closed-form moments and the model built from them
@@ -145,18 +144,12 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers:
     info["moments_cache"] = str(cache_file)
     info["moments_cache_hit"] = stats is not None
     if stats is None:
-        stats = estimate_cross_stats(
-            build_system(cfg),
-            InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
-            d,
-            kern,
-            cfg.n_moment_samples,
-            cfg.seed,
-            layers,
-        )
+        stats = estimate_cross_stats(build_system(cfg),
+                                     InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern,
+                                     cfg.n_moment_samples, cfg.seed, layers)
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_moment_model(stats, cache_file)
-    return build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr)
+    return build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr), stats
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +207,7 @@ def cmd_analyze(args) -> int:
     d, info = build_dictionary(cfg)
     laps.lap("dictionary")
     layers = {"samples": 0, "blocks": 0, "stream_s": 0.0, "kernels_s": 0.0}
-    model = _obtain_model(cfg, d, info, cache_dir, layers)
+    model, stats = _obtain_model(cfg, d, info, cache_dir, layers)
     laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -249,8 +242,7 @@ def cmd_analyze(args) -> int:
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
                 "cross_stats_samples": layers["samples"], "cross_stats_blocks": layers["blocks"],
-                "cross_stats_source": ("closed_form" if has_closed_form(build_system(cfg))
-                                       else "stream")}
+                "cross_stats_source": "stream" if stats.n_samples else "closed_form"}
     within = {"moments": {"cross_stats_stream": round(layers["stream_s"], 6),
                           "cross_stats_kernels": round(layers["kernels_s"], 6)}}
     _write_manifest(out, "analyze", cfg,
@@ -328,11 +320,11 @@ def cmd_moments_check(args) -> int:
     entries = sorted(
         {tuple(rng4.integers(0, d.size, 4)) for _ in range(args.fourth_entries)}
     )
-    block = fourth_tensor(d, kern, im)
     mc4, stderr4 = mc_fourth_entries(d, mc_kern, im, entries, n, rng4)
     print(f"# fourth-moment check: {len(entries)} entries over {n} samples")
     print("i,j,s,t,closed,mc,stderr,z,verdict")
-    closed4 = (block[sym_index(i, j, d.size), sym_index(s, t, d.size)] for i, j, s, t in entries)
+    # the centers in sorted order, as fourth_tensor sums them: the same bits, no m x m block
+    closed4 = (multi_point_moment(d.centers[sorted(e)], kern, im) for e in entries)
     worst4, fail4 = _check_rows(zip((",".join(map(str, e)) for e in entries), closed4, mc4, stderr4))
     worst, n_fail = max(worst2, worst4), fail2 + fail4
     print(f"# worst |z| = {worst:.2f}, failures = {n_fail}")

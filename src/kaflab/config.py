@@ -74,38 +74,50 @@ class ExperimentConfig:
 class _Section:
     """Typed accessors over one config section with uniform error reporting."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        if not parser.has_section(name):
+    def __init__(self, parser: configparser.ConfigParser, name: str, required: bool = True):
+        if required and not parser.has_section(name):
             raise ConfigError(f"missing required section [{name}]")
         self.name = name
-        self.sec = parser[name]
+        self.sec = parser[name] if parser.has_section(name) else {}
         self.read: set[str] = set()  # keys asked for, present or not
 
-    def _get(self, key: str, cast, required: bool = True, default=None):
+    def get(self, key: str, cast, must=None, required: bool = True, default=None):
+        """``cast`` of the key's text, or ``default`` if an optional key is absent.
+
+        ``must``, a ``(test, text)`` rule such as :data:`_POSITIVE`, is checked at once
+        (:meth:`check`).
+        """
         self.read.add(key)
         if key not in self.sec:
             if required:
                 raise ConfigError(f"missing required key {key!r} in section [{self.name}]")
-            return default
-        raw = self.sec[key].strip()
+            value = default
+        else:
+            raw = self.sec[key].strip()
+            try:
+                value = cast(raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(
+                    f"invalid value for [{self.name}] {key} = {raw!r}: {exc}"
+                ) from exc
+        if must:
+            self.check(key, value, must)
+        return value
+
+    def check(self, key: str, value, must) -> None:
+        """``[section] key must <text>`` unless ``value`` is None or passes ``test``."""
+        test, text = must
+        _require(value is None or test(value), f"[{self.name}] {key} must {text}")
+
+    def kind(self, enum):
+        """The member of ``enum`` named by the section's ``kind`` key."""
+        raw = self.get("kind", str)
         try:
-            return cast(raw)
-        except (ValueError, TypeError) as exc:
+            return enum(raw)
+        except ValueError:
             raise ConfigError(
-                f"invalid value for [{self.name}] {key} = {raw!r}: {exc}"
-            ) from exc
-
-    def floatv(self, key, **kw):
-        return self._get(key, _finite_float, **kw)
-
-    def intv(self, key, **kw):
-        return self._get(key, int, **kw)
-
-    def strv(self, key, **kw):
-        return self._get(key, str, **kw)
-
-    def floats(self, key, **kw):
-        return self._get(key, lambda s: tuple(_finite_float(t) for t in s.split(",")), **kw)
+                f"[{self.name}] kind must be one of {[k.value for k in enum]}, got {raw!r}"
+            ) from None
 
 
 def _finite_float(text: str) -> float:
@@ -115,9 +127,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(_finite_float(t) for t in text.split(","))
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+# Range rules of single keys, as (test, the text after "[section] key must").
+_POSITIVE = (lambda v: v > 0, "be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -145,92 +167,58 @@ def load_config(path) -> ExperimentConfig:
     dic = _Section(parser, "dictionary")
     filt = _Section(parser, "filter")
     run = _Section(parser, "run")
-    moments = _Section(parser, "moments") if parser.has_section("moments") else None
+    moments = _Section(parser, "moments", required=False)
 
-    sigma = kernel.floatv("sigma")
-    _require(sigma > 0, "[kernel] sigma must be positive")
-    rho = inp.floatv("rho")
-    _require(0 <= rho < 1, "[input] rho must lie in [0, 1)")
-    sigma_u = inp.floatv("sigma_u")
-    _require(sigma_u > 0, "[input] sigma_u must be positive")
+    sigma = kernel.get("sigma", _finite_float, _POSITIVE)
+    rho = inp.get("rho", _finite_float, (lambda v: 0 <= v < 1, "lie in [0, 1)"))
+    sigma_u = inp.get("sigma_u", _finite_float, _POSITIVE)
+    system_kind = system.kind(SystemKind)
+    sigma_nu = system.get("sigma_nu", _finite_float, _NONNEGATIVE)
 
-    kind_raw = system.strv("kind")
-    try:
-        system_kind = SystemKind(kind_raw)
-    except ValueError:
-        raise ConfigError(
-            f"[system] kind must be one of "
-            f"{[k.value for k in SystemKind]}, got {kind_raw!r}"
-        ) from None
-    sigma_nu = system.floatv("sigma_nu")
-    _require(sigma_nu >= 0, "[system] sigma_nu must be nonnegative")
-
-    dictionary_kind = dic.strv("kind")
+    dictionary_kind = dic.get("kind", str)
     grid_lo = grid_hi = None
     points_per_axis = mu0 = target_size = None
     calib_samples = DEFAULT_CALIBRATION_SAMPLES
+    # Keys read together are cast before any of their range rules is checked.
     if dictionary_kind == "grid":
-        grid_lo = dic.floats("lo")
-        grid_hi = dic.floats("hi")
-        points_per_axis = dic.intv("points_per_axis")
+        grid_lo = dic.get("lo", _floats)
+        grid_hi = dic.get("hi", _floats)
+        points_per_axis = dic.get("points_per_axis", int)
         _require(len(grid_lo) == len(grid_hi), "[dictionary] lo and hi lengths differ")
         _require(len(grid_lo) == 2, f"[dictionary] lo and hi must hold 2 entries, the input "
                                     f"embedding length, got {len(grid_lo)}")
-        _require(
-            all(h > l for l, h in zip(grid_lo, grid_hi)),
-            "[dictionary] hi must exceed lo elementwise",
-        )
-        _require(points_per_axis >= 1, "[dictionary] points_per_axis must be >= 1")
+        _require(all(h > l for l, h in zip(grid_lo, grid_hi)),
+                 "[dictionary] hi must exceed lo elementwise")
+        dic.check("points_per_axis", points_per_axis, _AT_LEAST_1)
     elif dictionary_kind == "coherence":
-        mu0 = dic.floatv("mu0", required=False)
-        target_size = dic.intv("target_size", required=False)
-        calib_samples = dic.intv(
-            "calib_samples", required=False, default=DEFAULT_CALIBRATION_SAMPLES
-        )
-        _require(
-            (mu0 is None) != (target_size is None),
-            "[dictionary] coherence needs exactly one of mu0 or target_size",
-        )
-        if mu0 is not None:
-            _require(0 < mu0 < 1, "[dictionary] mu0 must lie in (0, 1)")
-        if target_size is not None:
-            _require(target_size >= 1, "[dictionary] target_size must be >= 1")
-        _require(calib_samples >= 2, "[dictionary] calib_samples must be >= 2")
+        mu0 = dic.get("mu0", _finite_float, required=False)
+        target_size = dic.get("target_size", int, required=False)
+        calib_samples = dic.get("calib_samples", int, required=False,
+                                default=DEFAULT_CALIBRATION_SAMPLES)
+        _require((mu0 is None) != (target_size is None),
+                 "[dictionary] coherence needs exactly one of mu0 or target_size")
+        dic.check("mu0", mu0, (lambda v: 0 < v < 1, "lie in (0, 1)"))
+        dic.check("target_size", target_size, _AT_LEAST_1)
+        dic.check("calib_samples", calib_samples, (lambda v: v >= 2, "be >= 2"))
     else:
         raise ConfigError(
             f"[dictionary] kind must be 'grid' or 'coherence', got {dictionary_kind!r}"
         )
 
-    fkind_raw = filt.strv("kind")
-    try:
-        filter_kind = FilterKind(fkind_raw)
-    except ValueError:
-        raise ConfigError(
-            f"[filter] kind must be one of "
-            f"{[k.value for k in FilterKind]}, got {fkind_raw!r}"
-        ) from None
-    eta = filt.floatv("eta")
-    _require(eta > 0, "[filter] eta must be positive")
-    s_n = filt.intv("s_n", required=False, default=1)
-    _require(s_n >= 1, "[filter] s_n must be >= 1")
-    eps_reg = filt.floatv("eps_reg", required=False, default=1e-2)
-    _require(eps_reg > 0, "[filter] eps_reg must be positive")
+    filter_kind = filt.kind(FilterKind)
+    eta = filt.get("eta", _finite_float, _POSITIVE)
+    s_n = filt.get("s_n", int, _AT_LEAST_1, required=False, default=1)
+    eps_reg = filt.get("eps_reg", _finite_float, _POSITIVE, required=False, default=1e-2)
 
-    n_runs = run.intv("n_runs")
-    n_iters = run.intv("n_iters")
-    seed = run.intv("seed")
-    _require(n_runs >= 1, "[run] n_runs must be >= 1")
-    _require(n_iters >= 1, "[run] n_iters must be >= 1")
-    _require(seed >= 0, "[run] seed must be nonnegative")
+    n_runs, n_iters, seed = (run.get(key, int) for key in ("n_runs", "n_iters", "seed"))
+    run.check("n_runs", n_runs, _AT_LEAST_1)
+    run.check("n_iters", n_iters, _AT_LEAST_1)
+    run.check("seed", seed, _NONNEGATIVE)
 
-    n_moment_samples = (
-        moments.intv("n_samples", required=False, default=1_000_000)
-        if moments
-        else 1_000_000
-    )
-    _require(n_moment_samples >= 10_000, "[moments] n_samples must be >= 10^4")
+    n_moment_samples = moments.get("n_samples", int, (lambda v: v >= 10_000, "be >= 10^4"),
+                                   required=False, default=1_000_000)
 
-    read = {sec.name: sec.read for sec in (kernel, inp, system, dic, filt, run, moments) if sec}
+    read = {sec.name: sec.read for sec in (kernel, inp, system, dic, filt, run, moments)}
     for name in parser.sections():
         _require(name in read, f"unknown section [{name}]")
         for key in parser[name]:
@@ -238,28 +226,12 @@ def load_config(path) -> ExperimentConfig:
 
     echo = {s: dict(parser[s]) for s in parser.sections()}
     return ExperimentConfig(
-        sigma=sigma,
-        rho=rho,
-        sigma_u=sigma_u,
-        system_kind=system_kind,
-        sigma_nu=sigma_nu,
-        dictionary_kind=dictionary_kind,
-        grid_lo=grid_lo,
-        grid_hi=grid_hi,
-        points_per_axis=points_per_axis,
-        mu0=mu0,
-        target_size=target_size,
-        calib_samples=calib_samples,
-        filter_kind=filter_kind,
-        eta=eta,
-        s_n=s_n,
-        eps_reg=eps_reg,
-        n_runs=n_runs,
-        n_iters=n_iters,
-        seed=seed,
-        n_moment_samples=n_moment_samples,
-        path=str(path),
-        echo=echo,
+        sigma=sigma, rho=rho, sigma_u=sigma_u, system_kind=system_kind, sigma_nu=sigma_nu,
+        dictionary_kind=dictionary_kind, grid_lo=grid_lo, grid_hi=grid_hi,
+        points_per_axis=points_per_axis, mu0=mu0, target_size=target_size,
+        calib_samples=calib_samples, filter_kind=filter_kind, eta=eta, s_n=s_n,
+        eps_reg=eps_reg, n_runs=n_runs, n_iters=n_iters, seed=seed,
+        n_moment_samples=n_moment_samples, path=str(path), echo=echo,
     )
 
 

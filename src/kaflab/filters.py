@@ -59,11 +59,6 @@ class StepRecord:
     prediction: float
 
 
-def predict(s: FilterState, k: GaussianKernel, u: np.ndarray) -> float:
-    """Filter output ``<alpha, kappa(u)>`` at the current state."""
-    return float(np.vecdot(s.alpha, kernelized_input(s.dictionary, k, u)))
-
-
 def select_update_indices(kap: np.ndarray, s_n: int) -> np.ndarray:
     """Indices of the ``s_n`` largest kernel values, ties broken by lowest index.
 

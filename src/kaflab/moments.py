@@ -141,13 +141,15 @@ def _moment_batch(
     """Closed-form moment for a batch of center tuples.
 
     ``sums[t]`` is the sum of the tuple's centers and ``sq_norms[t]`` the sum
-    of their squared norms; ``n_points`` is the tuple length K.
+    of their squared norms; ``n_points`` is the tuple length K. Each tuple's value
+    is formed term by term in a fixed order, so its bits do not depend on the batch
+    it is computed in (``einsum`` changes its order for a batch of one or two).
     """
     sig2 = k.sigma**2
     a_mat = np.eye(im.dim) + (n_points / sig2) * im.r_u
     det = np.linalg.det(a_mat)
     m = symmetrize(np.linalg.solve(a_mat, im.r_u))  # (I + 2 A R_u)^-1 R_u
-    quad = np.einsum("ns,st,nt->n", sums, m, sums)
+    quad = sum(sums[:, s] * m[s, t] * sums[:, t] for s in range(im.dim) for t in range(im.dim))
     return det**-0.5 * np.exp(-sq_norms / (2.0 * sig2) + quad / (2.0 * sig2**2))
 
 

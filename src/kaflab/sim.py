@@ -313,7 +313,8 @@ def save_learning_curve(curve: LearningCurve, path) -> None:
 
 
 def load_learning_curve(path) -> LearningCurve:
-    """Read an ``n,mse`` CSV; ``ValueError`` naming the file if it holds no curve."""
+    """Read an ``n,mse`` CSV; ``ValueError`` naming the file if it holds no curve, or if
+    its last row, cut short, lacks the newline that ends every row written here."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
@@ -325,6 +326,10 @@ def load_learning_curve(path) -> LearningCurve:
             f"{path} holds no learning curve: expected a header and rows of 'n,mse', "
             f"read {data.shape[0]} rows of {data.shape[1]} columns"
         )
+    with open(path, "rb") as f:
+        f.seek(-1, os.SEEK_END)
+        if f.read(1) != b"\n":
+            raise ValueError(f"{path} ends in a torn row: its last byte is not a newline")
     return LearningCurve(mse=data[:, 1])
 
 

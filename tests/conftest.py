@@ -5,11 +5,11 @@ experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
 scalar kernel value and the inputs-major kernel values, the Kronecker product,
 the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
-from the library's block on symmetric pairs, the step-by-step transient
-recursion, the symmetric block of K gathered entry by entry, and the seeded
-streams drawn whole. The library itself never builds an r^4 array or a whole
-Monte-Carlo stream. The memory guards measure a fresh interpreter with
-:func:`peak_growth_mb`.
+from the library's block on symmetric pairs, the step-by-step transient and mean
+recursions, a filter state's output, the symmetric block of K gathered entry by
+entry, and the seeded streams drawn whole. The library itself never builds an r^4
+array or a whole Monte-Carlo stream. The memory guards measure a fresh interpreter
+with :func:`peak_growth_mb`.
 """
 
 import os
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import kaflab
 from kaflab.config import build_dictionary, load_config
 from kaflab.errors import DimensionMismatchError, DivergenceError
-from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary
+from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary, kernelized_input
 from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
 from kaflab.moments import (InputModel, build_model, estimate_cross_stats, exact_cross_stats,
                              fourth_tensor, stream_cross_stats)
@@ -194,6 +194,28 @@ def transient_states(m, eta, n_steps):
             raise DivergenceError(f"transient recursion produced a non-finite MSE at step {n}",
                                   last_finite_step=n - 1)
         yield TransientState(c_tilde=c, n=n, mse=val)
+
+
+def mean_recursion(m, eta, v0, n_steps) -> np.ndarray:
+    """Trajectory of the mean weight error, ``v_{n+1} = (I - eta r_tilde) v_n``.
+
+    Returns an ``(n_steps + 1, r)`` array whose first row is ``v0``. The oracle for the
+    step-size bound ``kaflab.analysis.mean_stability_bound``.
+    """
+    if not eta > 0:
+        raise ValueError(f"step size must be positive, got {eta}")
+    v0 = np.asarray(v0, dtype=float).ravel()
+    a = np.eye(m.dim) - eta * m.r_tilde
+    out = np.empty((n_steps + 1, m.dim))
+    out[0] = v0
+    for i in range(n_steps):
+        out[i + 1] = a @ out[i]
+    return out
+
+
+def predict(s, k, u) -> float:
+    """Output ``<alpha, kappa(u)>`` of a ``kaflab.filters.FilterState`` at input ``u``."""
+    return float(np.vecdot(s.alpha, kernelized_input(s.dictionary, k, u)))
 
 
 class LexK(NamedTuple):

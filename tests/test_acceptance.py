@@ -33,7 +33,6 @@ import pytest
 from kaflab.analysis import (
     build_k,
     complexity_report,
-    mean_recursion,
     mean_square_stable,
     mean_stability_bound,
     steady_state_mse,
@@ -68,7 +67,7 @@ from kaflab.sim import (
     stationary_covariance,
 )
 from conftest import (CONFIGS, check_cross_stats_against_closed_form, full_fourth_tensor, kron,
-                      lex_k, model_for, unvec_lex, vec_lex)
+                      lex_k, mean_recursion, model_for, unvec_lex, vec_lex)
 
 BUILD_SECONDS: dict[str, float] = {}
 

@@ -12,14 +12,13 @@ from kaflab.analysis import (
     K_CAP,
     build_k,
     complexity_report,
-    mean_recursion,
     mean_square_stable,
     mean_stability_bound,
     steady_state_mse,
     transient_mse,
 )
 from conftest import (TOY_SIGMA, full_fourth_tensor, gathered_k_sym, input_model, lex_k,
-                      peak_growth_mb, s_tilde, t_sym_of, toy_dictionary, transient_states,
+                      mean_recursion, peak_growth_mb, s_tilde, t_sym_of, toy_dictionary, transient_states,
                       unvec_lex, vec_lex)
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor

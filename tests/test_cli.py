@@ -12,8 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CONFIGS
+from conftest import CONFIGS, peak_growth_mb
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
+from kaflab.config import build_dictionary, build_input_model, load_config
+from kaflab.kernel import GaussianKernel
+from kaflab.linalg import sym_index
+from kaflab.moments import fourth_tensor
 from kaflab.sim import SystemKind
 
 TINY_CONFIG = """\
@@ -431,8 +435,8 @@ class TestCompare:
         overlay = np.loadtxt(tmp_path / "cmp" / "overlay.csv", delimiter=",", skiprows=1)
         assert overlay.shape[0] == 7
 
-    @pytest.mark.parametrize("text", ["n,mse\n", "mse\n1.0\n2.0\n"],
-                             ids=["header_only", "one_column"])
+    @pytest.mark.parametrize("text", ["n,mse\n", "mse\n1.0\n2.0\n", "n,mse\n0,1.0\n1,0.00326"],
+                             ids=["header_only", "one_column", "torn_last_row"])
     def test_curve_without_data_is_io_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
@@ -444,6 +448,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("io error: ") and str(bad) in err
+        assert not (tmp_path / "cmp" / "metrics.txt").exists()
 
     @pytest.mark.parametrize("window", ["0", "-5"])
     def test_smooth_window_below_one_is_rejected(self, tmp_path, capsys, window):
@@ -501,6 +506,50 @@ class TestMomentsCheck:
         out = capsys.readouterr().out
         assert rc == EXIT_NUMERIC
         assert "FAIL" in out
+
+    def test_closed_fourth_moments_are_the_block_entries(self, monkeypatch, capsys):
+        """The closed fourth moments it prints are ``fourth_tensor``'s block entries bit
+        for bit, though only the drawn entries are evaluated."""
+        import kaflab.cli as cli
+
+        tables, check_rows = [], cli._check_rows
+
+        def recorded(rows):
+            tables.append(list(rows))
+            return check_rows(tables[-1])
+
+        monkeypatch.setattr(cli, "_check_rows", recorded)
+        path = CONFIGS / "experiment1.cfg"
+        assert main(["moments-check", "--config", str(path), "--samples", "40000",
+                     "--fourth-entries", "200"]) == EXIT_OK
+        capsys.readouterr()
+        cfg = load_config(path)
+        d, _ = build_dictionary(cfg)
+        block = fourth_tensor(d, GaussianKernel(cfg.sigma), build_input_model(cfg))
+        entries = [tuple(map(int, index.split(","))) for index, *_ in tables[1]]
+        expected = [block[sym_index(i, j, d.size), sym_index(s, t, d.size)]
+                    for i, j, s, t in entries]
+        assert len(entries) > 150
+        assert np.array_equal([closed for _, closed, *_ in tables[1]], expected)
+
+    def test_large_dictionary_stays_small(self, tmp_path):
+        """On a 9 x 9 grid at sigma = 0.35 (r = 81) the whole run, imports included, raises
+        a bare interpreter's peak by under 150 MB: the m x m fourth-moment block (m =
+        3,321) that it once built for the drawn entries took the run to 432 MB."""
+        text = (CONFIGS / "experiment1.cfg").read_text()
+        for old, new in (("points_per_axis = 5", "points_per_axis = 9"),
+                         ("sigma = 0.7\n", "sigma = 0.35\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "grid9.cfg"
+        cfg.write_text(text)
+        assert peak_growth_mb("", f"""
+            import contextlib, io
+            from kaflab.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["moments-check", "--config", {str(cfg)!r}, "--samples", "40000",
+                      "--fourth-entries", "200"])
+        """) < 150
 
 
 class TestComplexity:

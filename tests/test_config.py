@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS
+from kaflab.cli import main
 from kaflab.config import load_config
 from kaflab.errors import ConfigError
 
@@ -91,3 +92,46 @@ def test_only_names_the_chosen_kinds_read_are_accepted(tmp_path, monkeypatch):
         path.write_text(text.replace(old, new), encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_config(path)
+
+
+# (shipped config, its text, the replacement, the whole line `kaflab simulate` prints)
+OUT_OF_RANGE = [
+    ("null", "sigma = 0.7", "sigma = 0", "[kernel] sigma must be positive"),
+    ("null", "rho = 0.5", "rho = 1", "[input] rho must lie in [0, 1)"),
+    ("null", "sigma_u = 0.5", "sigma_u = 0", "[input] sigma_u must be positive"),
+    ("null", "sigma_nu = 0.0", "sigma_nu = -1e-9", "[system] sigma_nu must be nonnegative"),
+    ("null", "points_per_axis = 2", "points_per_axis = 0",
+     "[dictionary] points_per_axis must be >= 1"),
+    ("experiment2", "target_size = 31", "mu0 = 1", "[dictionary] mu0 must lie in (0, 1)"),
+    ("experiment2", "target_size = 31", "target_size = 0",
+     "[dictionary] target_size must be >= 1"),
+    ("experiment2", "calib_samples = 5000", "calib_samples = 1",
+     "[dictionary] calib_samples must be >= 2"),
+    ("null", "eta = 0.075", "eta = 0", "[filter] eta must be positive"),
+    ("null", "eta = 0.075", "eta = 0.075\ns_n = 0", "[filter] s_n must be >= 1"),
+    ("null", "eta = 0.075", "eta = 0.075\neps_reg = 0", "[filter] eps_reg must be positive"),
+    ("null", "n_runs = 2", "n_runs = 0", "[run] n_runs must be >= 1"),
+    ("null", "n_iters = 50", "n_iters = 0", "[run] n_iters must be >= 1"),
+    ("null", "seed = 7", "seed = -1", "[run] seed must be nonnegative"),
+    ("null", "n_samples = 10000", "n_samples = 9999", "[moments] n_samples must be >= 10^4"),
+    ("null", "kind = null", "kind = linear",
+     "[system] kind must be one of ['polynomial', 'fluid_flow', 'null'], got 'linear'"),
+    ("null", "kind = grid", "kind = random",
+     "[dictionary] kind must be 'grid' or 'coherence', got 'random'"),
+    ("null", "kind = natural_klms", "kind = rls",
+     "[filter] kind must be one of ['natural_klms', 'selective', 'knlms'], got 'rls'"),
+]
+
+
+@pytest.mark.parametrize("base,old,new,message", OUT_OF_RANGE,
+                         ids=[case[3].split(" must")[0] for case in OUT_OF_RANGE])
+def test_value_just_outside_its_range_is_named_in_one_line(tmp_path, capsys, base, old, new,
+                                                           message):
+    """Each range-checked key, one step past its bound, and each unknown ``kind``: exit 2
+    and exactly one ``config error:`` line that names the section and key."""
+    text = (CONFIGS / f"{base}.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "edited.cfg"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

@@ -8,12 +8,12 @@ from kaflab.filters import (
     FilterState,
     knlms_step,
     natural_klms_step,
-    predict,
     select_update_indices,
     selective_step,
 )
 from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, ar1_stream, embed_input
+from conftest import predict
 
 SIGMA = 0.7
 
