@@ -2,16 +2,20 @@
 
 Streams are fully determined by ``(master seed, configuration)``: every run,
 the cross-statistics stream and the calibration stream take their generators
-from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index. The
-AR(1) input and the recursive plant are one all-pole recurrence in plain
+from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index.
+The AR(1) input and the recursive plant are one all-pole recurrence in plain
 Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
-:func:`stream_blocks` draws the streams of many seeds a block of time steps
-at a time, carrying every generator and recurrence state across blocks, so
-neither the Monte-Carlo engine nor the cross-statistics estimator holds a
-whole stream. The engine steps a chunk of independent runs in lockstep over
-those blocks, one row per run, and adds the chunks' summed squared errors in
-run order. Chunk and block sizes follow from one byte budget and the
-dictionary size, so the curve is fixed by configuration and seed.
+It steps many streams a row at a time in lockstep; one long stream it cuts
+into segments stepped the same way, each started from rest before its start
+and checked to have reached the true state, else stepped again over floats
+(:func:`kaflab.recurrence.all_pole`). :func:`stream_blocks` draws the streams
+of many seeds a block of time steps at a time, carrying every generator and
+recurrence state across blocks, so neither the Monte-Carlo engine nor the
+cross-statistics estimator holds a whole stream. The engine steps a chunk of
+independent runs in lockstep over those blocks, one row per run, and adds the
+chunks' summed squared errors in run order. Chunk and block sizes follow from
+one byte budget and the dictionary size, so the curve is fixed by
+configuration and seed.
 
 A chunk's working set is fixed before its first step and none of it grows
 with the iterations: the four arrays of steps x runs doubles of one stream
@@ -40,6 +44,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DivergenceError
 from .filters import FilterKind, make_update, moves_along_g_inv
 from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
+from .recurrence import all_pole
 
 # Unused here, like ``_run_single`` below: perfbench/tracing.py wraps them by name.
 from .filters import knlms_step, natural_klms_step, selective_step  # noqa: F401
@@ -72,11 +77,12 @@ MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
 
-# A stream block is scaled, filtered and run through the plant in chunks of
-# rows whose arrays take at most STREAM_ROW_BYTES each, so that they stay in a
-# core's cache from one operation to the next. On 192 runs, 128 KB chunks drew
-# the stream about 9% faster than whole 786 KB blocks; 512 KB chunks were no
-# faster than whole blocks.
+# A stream block of many seeds is scaled, filtered and run through the plant in
+# chunks of rows whose arrays take at most STREAM_ROW_BYTES each, so that they
+# stay in a core's cache from one operation to the next. On 192 runs, 128 KB
+# chunks drew the stream about 9% faster than whole 786 KB blocks; 512 KB chunks
+# were no faster than whole blocks. The block of one seed is one chunk, so that
+# its recurrences are long enough to run in segments (16,384 rows would not be).
 STREAM_ROW_BYTES = 2**17
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
@@ -107,62 +113,6 @@ class InputGenerator:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if not self.sigma_u > 0:
             raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
-
-
-def all_pole(x: np.ndarray, a1: float, a2: float = 0.0, state: np.ndarray | None = None,
-             out: np.ndarray | None = None):
-    """``y_n = x_n - a1 y_{n-1} - a2 y_{n-2}`` along axis 0.
-
-    The filter ``1 / (1 + a1 z^-1 + a2 z^-2)``. ``x`` is one stream of shape
-    (T,), stepped over Python floats, or a time-major chunk (T, m) of
-    independent streams, stepped one row of m columns at a time in place, with
-    no temporary larger than a row. ``y`` is written to ``out`` if given
-    (which may be ``x`` itself), else to a new array.
-
-    Without ``state`` the filter starts at rest and ``y`` is returned. Given
-    ``state``, the two outputs ``(y_{-1}, y_{-2})`` before the first, an array
-    (2, ...) of one row's shape, it continues from them and returns ``y`` with
-    the state after its last output, so a stream filtered block by block, the
-    state carried across, equals the stream filtered whole.
-
-    Each output is ``((-(a2 y_{n-2}) + 0.0) - a1 y_{n-1}) + x_n``, rounded after
-    every operation. That is the order in which the direct-form-II-transposed
-    ``lfilter([1], [1, a1, a2], x)`` computes it, and keeping it is what makes
-    the result equal to that filter's bit for bit, in either layout: a
-    reassociated or fused form would round differently. With ``a2 = 0`` the
-    first term is ``+0.0`` for every finite ``y_{n-2}``, so an output takes
-    ``(0.0 - a1 y_{n-1}) + x_n``: three operations, the same bits.
-    """
-    x = np.asarray(x, dtype=float)
-    start = np.zeros((2, *x.shape[1:])) if state is None else np.asarray(state, dtype=float)
-    y = np.empty_like(x) if out is None else out
-
-    def outputs(rows, y1, y2):
-        if not a2:
-            for xn in rows:
-                y1 = (0.0 - a1 * y1) + xn
-                yield y1
-            return
-        for xn in rows:
-            y1, y2 = ((-(a2 * y2) + 0.0) - a1 * y1) + xn, y1
-            yield y1
-
-    if x.size == x.shape[0]:  # one stream, also in a (T, 1) chunk
-        y[...] = np.fromiter(outputs(x.ravel().tolist(), *start.ravel().tolist()), float,
-                             x.size).reshape(x.shape)
-    else:  # the coefficients as 0-d arrays, which a ufunc takes faster than floats
-        (y1, y2), (a1, minus_a2, zero) = start, map(np.array, (a1, -a2, 0.0))
-        t, s = np.empty(x.shape[1:]), np.empty(x.shape[1:])
-        for xn, yn in zip(x, y):
-            if a2:
-                np.add(np.multiply(minus_a2, y2, out=t), zero, out=t)
-                np.subtract(t, np.multiply(a1, y1, out=s), out=t)
-            else:
-                np.subtract(zero, np.multiply(a1, y1, out=t), out=t)
-            y1, y2 = np.add(t, xn, out=yn), y1
-    if state is None:
-        return y
-    return y, np.concatenate([y[:-3:-1], start])[:2]
 
 
 def ar1_stream(g: InputGenerator, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,7 +198,7 @@ class SystemSimulator:
         after = state
         if self.kind is SystemKind.NULL:
             d = noise.copy()
-        else:  # in place: two arrays of d's size besides d, each step in the formula's order
+        else:  # in place: at most two arrays of d's size besides d, in the formula's order
             a0, a1 = POLYNOMIAL_TAPS if self.kind is SystemKind.POLYNOMIAL else (0.1044, 0.0883)
             x, d = np.multiply(a0, u[1:]), np.multiply(a1, u[:-1])
             x += d
@@ -261,14 +211,14 @@ class SystemSimulator:
                 d += t
                 x *= c3
                 d += x
-            else:  # 0.3163 x / sqrt(0.1 + 0.9 x^2) + noise over the all-pole output x
-                x, after = all_pole(x, -1.4138, 0.6065,
-                                    np.zeros((2, *u.shape[1:])) if state is None else state, out=x)
-                t = np.multiply(x, x)
-                t *= 0.9
-                t += 0.1
-                np.multiply(0.3163, x, out=d)
-                d /= np.sqrt(t, out=t)
+            else:  # 0.3163 y / sqrt(0.1 + 0.9 y^2) + noise, y the all-pole output of x, in d
+                d, after = all_pole(x, -1.4138, 0.6065,
+                                    np.zeros((2, *u.shape[1:])) if state is None else state, out=d)
+                np.multiply(d, d, out=x)
+                x *= 0.9
+                x += 0.1
+                d *= 0.3163
+                d /= np.sqrt(x, out=x)
             d += noise
         return d if state is None else (d, after)
 
@@ -381,7 +331,7 @@ def stream_blocks(
             for e in seeds]
     scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
     most = warmup + min(block, n)  # samples drawn for the largest block, the first
-    rows = max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
+    rows = most if len(rngs) == 1 else max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
     drives, noise = np.empty((len(rngs), most)), np.zeros((len(rngs), most))  # reused
     u_state = plant_state = np.zeros((2, len(rngs)))
     for t0 in range(0, n, block):

@@ -247,6 +247,37 @@ class TestEstimateCrossStats:
         assert np.array_equal(stats.p, p) and np.array_equal(stats.p_stderr, p_stderr)
         assert stats.d2 == d2 and stats.d2_stderr == d2_stderr
 
+    def test_the_record_does_not_depend_on_the_stream_block(self):
+        """The fluid-flow plant at r = 31, its stream drawn in blocks of one kernel
+        sub-block, of a size no sub-block or chunk divides, of 2^16 samples and of the
+        default 16 sub-blocks: the first block's largest |d_n| picks d_n's scale, which
+        changes with the block and leaves every bit of the record as it is."""
+        d = Dictionary(np.random.default_rng(31).uniform(-1, 1, (31, 2)))
+        k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
+        system = SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.05)
+        stream_blocks = sim.stream_blocks
+        records = [stream_cross_stats(system, gen, d, k, 250_000, seed=9)]
+        for block in (4228, 3 * 4228 + 7, 65_536):
+            def blocks_of(*args, block=block, **kwargs):
+                return stream_blocks(*args, **{**kwargs, "block": block})
+            with mock.patch.object(sim, "stream_blocks", blocks_of):
+                records.append(stream_cross_stats(system, gen, d, k, 250_000, seed=9))
+        for rec in records[1:]:
+            assert np.array_equal(rec.p, records[0].p)
+            assert np.array_equal(rec.p_stderr, records[0].p_stderr)
+            assert rec.d2 == records[0].d2 and rec.d2_stderr == records[0].d2_stderr
+
+    @pytest.mark.parametrize("sigma_u,name", [(1e-200, "p_stderr"), (1e-120, "d2_stderr")])
+    def test_standard_errors_of_a_small_signal_do_not_underflow(self, sigma_u, name):
+        """A noiseless fluid-flow plant driven at 1e-200 (1e-120): d_n kappa_n squared
+        (d_n^4) underflows to zero, and its standard error with it, unless d_n is
+        scaled first."""
+        d = grid_dictionary([-1, -1], [1, 1], 2)
+        system = SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.0)
+        stats = stream_cross_stats(system, InputGenerator(rho=0.5, sigma_u=sigma_u), d,
+                                   GaussianKernel(0.7), 20_000, seed=3)
+        assert (np.asarray(getattr(stats, name)) > 0).all()
+
     @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
     def test_matches_the_closed_form_cross_statistics(self, kind):
         """Experiment 1's dictionary and input at 10^6 samples. The bound, fixed in
