@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +65,7 @@ from .moments import (
 from .sim import (
     MOMENTS_CHECK_SALT,
     InputGenerator,
+    Laps,
     LearningCurve,
     load_learning_curve,
     mc_learning_curve,
@@ -125,7 +125,7 @@ def _load_config_with_seed(args) -> ExperimentConfig:
     return cfg
 
 
-def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers: dict):
+def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, laps: Laps):
     """The moment model, built from cached or freshly obtained cross statistics, and
     those statistics.
 
@@ -146,7 +146,7 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers:
     if stats is None:
         stats = estimate_cross_stats(build_system(cfg),
                                      InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern,
-                                     cfg.n_moment_samples, cfg.seed, layers)
+                                     cfg.n_moment_samples, cfg.seed, laps)
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_moment_model(stats, cache_file)
     return build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr), stats
@@ -157,42 +157,26 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, layers:
 # ---------------------------------------------------------------------------
 
 
-class _Laps:
-    """Wall time of consecutive stages, in seconds, for the manifest."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self._last = time.perf_counter()
-
-    def lap(self, stage: str) -> None:
-        now = time.perf_counter()
-        self.seconds[stage] = round(now - self._last, 6)
-        self._last = now
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config_with_seed(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    laps = _Laps()
+    laps = Laps()
     d, info = build_dictionary(cfg)
     setup = build_setup(cfg, d)
     laps.lap("dictionary")
-    layers = {}
-    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, layers)
+    within = Laps("stream", "kernel_values", "steps")
+    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, within)
     laps.lap("monte_carlo")
     sim_path = out / "simulated.csv"
     save_learning_curve(curve, sim_path)
     laps.lap("write")
     counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
                 "run_chunk": min(cfg.n_runs, run_chunk_size(d.size)),
-                "kernel_values": layers["kernel_values"]}
-    within = {"monte_carlo": {"stream": round(layers["stream_s"], 6),
-                              "kernel_values": round(layers["kernel_values_s"], 6),
-                              "steps": round(layers["steps_s"], 6)}}
+                "kernel_values": cfg.n_runs * cfg.n_iters * d.size}
     _write_manifest(out, "simulate", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.seconds,
-                     "timings_within": within},
+                    {"dictionary": info, "counters": counters, "timings": laps.rounded(),
+                     "timings_within": {"monte_carlo": within.rounded()}},
                     [sim_path])
     print(f"wrote {sim_path} ({cfg.n_runs} runs x {cfg.n_iters} iterations)")
     return EXIT_OK
@@ -203,11 +187,11 @@ def cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "moments_cache"
-    laps = _Laps()
+    laps = Laps()
     d, info = build_dictionary(cfg)
     laps.lap("dictionary")
-    layers = {"samples": 0, "blocks": 0, "stream_s": 0.0, "kernels_s": 0.0}
-    model, stats = _obtain_model(cfg, d, info, cache_dir, layers)
+    within = Laps("cross_stats_stream", "cross_stats_kernels")
+    model, stats = _obtain_model(cfg, d, info, cache_dir, within)
     laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -241,13 +225,13 @@ def cmd_analyze(args) -> int:
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
-                "cross_stats_samples": layers["samples"], "cross_stats_blocks": layers["blocks"],
+                "cross_stats_samples": 0 if info["moments_cache_hit"] else stats.n_samples,
+                "cross_stats_blocks": within.counts["cross_stats_kernels"],
                 "cross_stats_source": "stream" if stats.n_samples else "closed_form"}
-    within = {"moments": {"cross_stats_stream": round(layers["stream_s"], 6),
-                          "cross_stats_kernels": round(layers["kernels_s"], 6)}}
     _write_manifest(out, "analyze", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.seconds,
-                     "timings_within": within, "theory_models": THEORY_MODELS.value},
+                    {"dictionary": info, "counters": counters, "timings": laps.rounded(),
+                     "timings_within": {"moments": within.rounded()},
+                     "theory_models": THEORY_MODELS.value},
                     [theory_path, steady_path, stab_path])
     print(f"wrote {theory_path}, {steady_path}, {stab_path}")
     return EXIT_OK

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -329,15 +328,16 @@ def estimate_cross_stats(
     k: GaussianKernel,
     n_samples: int,
     seed: int,
-    layers: dict | None = None,
+    laps: sim.Laps | None = None,
 ) -> CrossStats:
     """``p = E[d_n kappa_n]`` and ``E[d_n^2]``: exact for a plant that has a closed form
     (:func:`has_closed_form`), with zero standard errors and ``n_samples`` 0, whatever
-    ``n_samples`` and ``seed`` say and leaving ``layers`` as it is; otherwise
-    :func:`stream_cross_stats` with the same arguments.
+    ``n_samples`` and ``seed`` say and without a lap of ``laps``; otherwise
+    :func:`stream_cross_stats` with the same arguments, which laps ``cross_stats_stream``
+    and ``cross_stats_kernels``.
     """
     if not has_closed_form(system):
-        return stream_cross_stats(system, input_gen, d, k, n_samples, seed, layers)
+        return stream_cross_stats(system, input_gen, d, k, n_samples, seed, laps)
     im = InputModel(sim.stationary_covariance(input_gen.rho, input_gen.sigma_u))
     p, d2 = exact_cross_stats(system, d, k, im)
     return CrossStats(p=p, d2=d2, p_stderr=np.zeros(d.size), d2_stderr=0.0, n_samples=0)
@@ -350,7 +350,7 @@ def stream_cross_stats(
     k: GaussianKernel,
     n_samples: int,
     seed: int,
-    layers: dict | None = None,
+    laps: sim.Laps | None = None,
 ) -> CrossStats:
     """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from a stationary stream.
 
@@ -358,65 +358,58 @@ def stream_cross_stats(
     :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
     CROSS_STATS_SALT, 0)``, runs for ``CROSS_STATS_BURN_IN`` discarded samples and
     then ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the
-    output. It is drawn in blocks of ``CROSS_STATS_SUB_BLOCKS`` kernel sub-blocks of
-    ``sim.MC_WORK_BYTES // (8 r)`` samples (67,648 samples at r = 31), long enough
-    for :func:`kaflab.recurrence.all_pole` to run its recurrences in segments. Each
-    sub-block's kernel values are formed in one reused buffer with the sums so far
-    in row 0: numpy sums over axis 0 row by row, so the bits are those of one sum
-    per ``CROSS_STATS_CHUNK`` samples, the chunks' sums added in turn, whatever the
-    block and sub-block sizes. ``d_n`` alone is kept whole, squared in place for
-    ``E[d_n^2]`` and again for ``E[d_n^4]``. It is kept scaled by the power of two
-    that brings the first block's largest ``|d_n|`` into [0.5, 1), and the results
-    are scaled back: exact, so the bits are those of the unscaled sums, and the
-    squares and fourth powers of a small signal do not underflow. Besides ``d_n``
-    (8 bytes a sample), the memory is that of one block, its input, desired signal,
-    drives and noise and the plant's temporaries (about 4 MB), a sub-block's kernel
-    values and their squares (2 MB at r = 31) and the kernel evaluation's work array
-    (1 MB). ``layers``, if given, receives the ``samples`` drawn,
-    the number of kernel sub-``blocks`` they fill, and the seconds spent drawing them
-    (``stream_s``) and forming kernel values and sums (``kernels_s``).
+    output. It is drawn in blocks of ``CROSS_STATS_SUB_BLOCKS`` kernel sub-blocks, long
+    enough for :func:`kaflab.recurrence.all_pole` to run its recurrences in segments. A
+    sub-block holds the largest divisor of ``CROSS_STATS_CHUNK`` samples whose kernel
+    values fit ``sim.MC_WORK_BYTES`` (4,000 at r = 31), so every chunk starts on the
+    sub-blocks' grid. Each sub-block's kernel values are formed in one reused buffer,
+    through one reused work array, with the sums so far in row 0: numpy sums over axis 0
+    row by row, so the bits are those of one sum per ``CROSS_STATS_CHUNK`` samples, the
+    chunks' sums added in turn, whatever the block and sub-block sizes. ``d_n`` alone is
+    kept whole, squared in place for ``E[d_n^2]`` and again for ``E[d_n^4]``. It is kept
+    scaled by the power of two that brings the first block's largest ``|d_n|`` into
+    [0.5, 1), and the results are scaled back: exact, so the bits are those of the
+    unscaled sums, and the squares and fourth powers of a small signal do not underflow.
+    Besides ``d_n`` (8 bytes a sample), the memory is that of one block, its input,
+    desired signal, drives and noise and the plant's temporaries (about 4 MB), a
+    sub-block's kernel values and their squares (2 MB at r = 31) and the kernel work
+    array (1 MB). ``laps``, if given, is lapped at ``cross_stats_stream`` for each stream
+    block and at ``cross_stats_kernels`` for each sub-block, one per kernel evaluation.
     """
     if n_samples < 10_000:
         raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
+    laps = sim.Laps() if laps is None else laps
     sums = np.zeros((2, d.size))  # of d_n kappa_n and of its square
     dd = np.empty(n_samples)
-    sub = max(1, sim.MC_WORK_BYTES // (8 * d.size))
-    buf = np.zeros((2, sub + 1, d.size))
+    fit = min(CROSS_STATS_CHUNK, max(1, sim.MC_WORK_BYTES // (8 * d.size)))
+    sub = next(s for s in range(fit, 0, -1) if CROSS_STATS_CHUNK % s == 0)
+    buf, work = np.zeros((2, sub + 1, d.size)), np.empty(sub * d.size)
     blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
                                warmup=CROSS_STATS_BURN_IN, block=CROSS_STATS_SUB_BLOCKS * sub)
-    stream_s = kernels_s = 0.0
     t0 = 0
-    t = time.perf_counter()
     for u_vecs, d_blk in blocks:
-        drawn = time.perf_counter()
-        stream_s += drawn - t
+        laps.lap("cross_stats_stream")
         if t0 == 0:  # d_n = 2^e dd_n
             e = math.frexp(max(d_blk.max(), -d_blk.min()))[1]
         end = t0 + len(d_blk)
         np.ldexp(d_blk[:, 0], -e, out=dd[t0:end])
-        cuts = sorted({*range(t0 + sub, end, sub),
-                       *range((t0 // CROSS_STATS_CHUNK + 1) * CROSS_STATS_CHUNK, end,
-                              CROSS_STATS_CHUNK)})
+        cuts = range((t0 // sub + 1) * sub, end, sub)  # the grid, every chunk start on it
         for a, b in zip([t0, *cuts], [*cuts, end]):
             if a % CROSS_STATS_CHUNK == 0:  # a chunk starts: add the last one's sums
                 sums += buf[:, 0]
                 buf[:, 0] = 0.0
             dk, dk2 = buf[:, :b - a + 1]
-            kernelized_input(d, k, u_vecs[a - t0:b - t0, 0], out=dk[1:])
+            kernelized_input(d, k, u_vecs[a - t0:b - t0, 0], out=dk[1:], work=work)
             np.multiply(dk[1:], dd[a:b, None], out=dk[1:])
             np.square(dk[1:], out=dk2[1:])
             buf[:, 0] = dk.sum(axis=0), dk2.sum(axis=0)  # row 0 carries the fold
+            laps.lap("cross_stats_kernels")
         t0 = end
         del u_vecs, d_blk  # so that the next block is drawn in their place
-        t = time.perf_counter()
-        kernels_s += t - drawn
     sums += buf[:, 0]
     p, p_stderr = _mean_and_stderr(*sums, n_samples)
     d2_sum = float(np.square(dd, out=dd).sum())  # dd now holds dd_n^2, and next dd_n^4
     d2, d2_stderr = _mean_and_stderr(d2_sum, float(np.square(dd, out=dd).sum()), n_samples)
-    if layers is not None:
-        layers.update(samples=n_samples, blocks=-(-n_samples // sub), stream_s=stream_s,
-                      kernels_s=kernels_s)
     return CrossStats(p=np.ldexp(p, e), d2=math.ldexp(d2, 2 * e),
                       p_stderr=np.ldexp(p_stderr, e), d2_stderr=math.ldexp(d2_stderr, 2 * e),
                       n_samples=n_samples)

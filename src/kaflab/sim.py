@@ -241,6 +241,25 @@ class LearningCurve:
         return self.mse.size
 
 
+class Laps:
+    """Wall time of consecutive stages: a lap adds the seconds since the last one (or since
+    the clock was made) to its stage's total and counts it; named stages start at 0.0."""
+
+    def __init__(self, *stages: str):
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self.counts = dict.fromkeys(stages, 0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + (now - self._last)
+        self.counts[stage] = self.counts.get(stage, 0) + 1
+        self._last = now
+
+    def rounded(self) -> dict:  # as the manifest records them
+        return {stage: round(t, 6) for stage, t in self.seconds.items()}
+
+
 def write_atomic(path, chunks) -> None:
     """Write the strings ``chunks`` (UTF-8, ``\\n`` line ends) to ``<path>.<pid>.tmp``, then
     rename it onto ``path``: a reader finds the old file or the whole new one. On an error
@@ -383,7 +402,7 @@ class ExperimentSetup:
 
 
 def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
-               layers: dict) -> np.ndarray:
+               laps: Laps) -> np.ndarray:
     """Squared a-priori errors summed over ``runs``, all stepped in lockstep.
 
     A block of steps takes its kernel values at once, and for the natural
@@ -396,8 +415,8 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
     :class:`DivergenceError` names the lowest-index run that diverges, as when
     runs were stepped one by one: its first iteration with a non-finite
     squared error, its ``||alpha||`` there and its last finite error. A
-    diverging run is stepped on with non-finite values. ``layers`` gains the
-    seconds spent drawing streams, forming kernel values and stepping.
+    diverging run is stepped on with non-finite values. ``laps`` laps ``stream`` once a
+    stream block is drawn, and ``kernel_values`` and then ``steps`` for each kernel block.
     """
     m, r = len(runs), setup.dictionary.size
     natural = moves_along_g_inv(setup.filter_kind, setup.s_n, r)
@@ -432,20 +451,17 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
                 prev = e_i
             move(alpha, kap_i, e_i, prod_i)
 
-    t = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t_s in range(0, n_iters, MC_STREAM_STEPS):
             u_s, d_s = next(streams)
             d_rows = list(d_s)
-            t_drawn = time.perf_counter()
-            layers["stream_s"] += t_drawn - t
+            laps.lap("stream")
             for k0 in range(0, len(d_s), block):
                 t0, u = t_s + k0, u_s[k0:k0 + block]
                 b = len(u)
                 kap = kernelized_input(setup.dictionary, setup.kernel, u, out=kap_buf[:b],
                                        work=work)
-                t_kap = time.perf_counter()
-                layers["kernel_values_s"] += t_kap - t_drawn
+                laps.lap("kernel_values")
                 np.copyto(alpha0, alpha)
                 step(t0, b, kap, d_rows[k0:k0 + b], False)
                 np.multiply(e[:b], e[:b], out=e2[:b])
@@ -456,10 +472,8 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
                         step(t0, b, kap, d_rows[k0:k0 + b], True)
                 total[t0:t0 + b] = e2[:b].sum(axis=1)
                 np.copyto(last, e[b - 1])
-                t = t_drawn = time.perf_counter()
-                layers["steps_s"] += t - t_kap
+                laps.lap("steps")
             del u_s, d_s, d_rows, u  # so that the next block is drawn in their place
-    layers["kernel_values"] += n_iters * m * r
     if diverged:
         i, norm, last_e = diverged[min(diverged)]
         raise DivergenceError(
@@ -477,35 +491,26 @@ def run_chunk_size(r: int) -> int:
 
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
     """Squared a-priori error sequence of one independently seeded run."""
-    return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters, _zero_layers())
-
-
-def _zero_layers() -> dict:
-    """Zeroed layer totals for :func:`_run_chunk` to add to."""
-    return {"stream_s": 0.0, "kernel_values_s": 0.0, "steps_s": 0.0, "kernel_values": 0}
+    return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters, Laps())
 
 
 def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
-                      seed: int, layers: dict | None = None) -> LearningCurve:
+                      seed: int, laps: Laps | None = None) -> LearningCurve:
     """Pointwise average of squared a-priori errors over independent runs.
 
     Each run derives its generators from ``(seed, run index)``; runs are
     stepped in chunks of :func:`run_chunk_size` and the chunk sums added in
     run order, so the result is bit-identical for a given
-    ``(seed, setup, n_runs, n_iters)``. ``layers``, if given, receives the
-    seconds spent drawing the streams (``stream_s``), forming kernel values
-    (``kernel_values_s``) and stepping, stacked products included
-    (``steps_s``), and the number of ``kernel_values`` formed, from two clock
-    reads per kernel block and one per stream block.
+    ``(seed, setup, n_runs, n_iters)``. ``laps``, if given, is lapped at the
+    stages ``stream`` (drawing the streams), ``kernel_values`` (forming kernel
+    values) and ``steps`` (stepping, stacked products included), two laps per
+    kernel block and one per stream block (:func:`_run_chunk`).
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
-    spent = _zero_layers()
+    laps = Laps() if laps is None else laps
     chunk = run_chunk_size(setup.dictionary.size)
     total = np.zeros(n_iters)
     for start in range(0, n_runs, chunk):
-        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters,
-                            spent)
-    if layers is not None:
-        layers.update(spent)
+        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters, laps)
     return LearningCurve(mse=total / n_runs)

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -14,8 +15,8 @@ import pytest
 
 from conftest import CONFIGS, peak_growth_mb
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
-from kaflab.config import build_dictionary, build_input_model, load_config
-from kaflab.kernel import GaussianKernel
+from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
+from kaflab.kernel import GaussianKernel, kernelized_input
 from kaflab.linalg import sym_index
 from kaflab.moments import fourth_tensor
 from kaflab.sim import SystemKind
@@ -224,6 +225,26 @@ class TestAnalyze:
             == (0, 0)
         assert cold["counters"]["cross_stats_source"] == warm["counters"]["cross_stats_source"] \
             == "stream"
+
+    def test_estimator_blocks_count_the_kernel_evaluations(self, tmp_path, monkeypatch):
+        """A cold fluid-flow run records as ``cross_stats_blocks`` the number of calls
+        the estimator makes to ``kernelized_input``, one per kernel sub-block."""
+        import kaflab.moments
+
+        cfg = write_tiny(tmp_path)
+        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 250000")
+                       .replace("kind = polynomial", "kind = fluid_flow"))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return kernelized_input(*args, **kwargs)
+
+        monkeypatch.setattr(kaflab.moments, "kernelized_input", counted)
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        counters = read_manifest(tmp_path / "out", "moments_cache")["counters"]
+        assert sum(calls) == counters["cross_stats_samples"] == 250_000
+        assert counters["cross_stats_blocks"] == len(calls) == 10
 
     def test_polynomial_theory_does_not_depend_on_the_seed(self, tmp_path):
         """The polynomial plant's cross statistics are exact, so the seed, which drives
@@ -754,6 +775,19 @@ def test_names_the_benchmark_looks_up_resolve(monkeypatch):
     missing = sorted((module, attr) for module, attr in wanted
                      if not hasattr(importlib.import_module(module), attr))
     assert not missing, f"names the benchmark looks up are gone: {missing}"
+
+
+def test_config_fields_the_benchmark_reads_exist():
+    """Every ``cfg.<name>`` that perfbench/ reads off a loaded config is a field of
+    ``ExperimentConfig``, so renaming one fails here and not only in the benchmark's
+    output checks."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    read = {node.attr for path in perfbench.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "cfg"}
+    assert {"sigma", "rho", "sigma_u", "system_kind", "sigma_nu", "eta", "s_n"} <= read
+    missing = sorted(read - {f.name for f in dataclasses.fields(ExperimentConfig)})
+    assert not missing, f"config fields the benchmark reads are gone: {missing}"
 
 
 def test_import_needs_no_scipy():

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from kaflab import sim
+from kaflab import moments, sim
 from kaflab.errors import NotPositiveDefiniteError
 from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
 from kaflab.moments import (
@@ -232,10 +232,12 @@ class TestEstimateCrossStats:
     @pytest.mark.parametrize("r,work_bytes", [(25, None), (31, None), (25, 3000)],
                              ids=["r25", "r31", "r25-15-row-blocks"])
     def test_sub_blocks_keep_the_bits_of_one_block_per_chunk(self, kind, r, work_bytes):
-        """Two full chunks and a half one. The stream blocks, and with them the kernel
-        sub-blocks, hold 5242 rows at r = 25 and 4228 at r = 31, neither of which divides
-        a chunk, and 15 under a 3000-byte budget, so blocks straddle the chunk
-        boundaries: the bits do not depend on the block size."""
+        """Two full chunks and a half one, against one kernel block per chunk. The
+        kernel sub-blocks hold 5000 rows at r = 25, 4000 at r = 31 and 10 under a
+        3000-byte budget, and the stream blocks 16 of them, so a chunk is cut into many
+        sub-blocks, and stream blocks of 80,000 and 64,000 rows end inside a chunk: the
+        bits do not depend on the sub-block size. Stream blocks that straddle a
+        sub-block are covered by ``test_the_record_does_not_depend_on_the_stream_block``."""
         d = (grid_dictionary([-1, -1], [1, 1], 5) if r == 25
              else Dictionary(np.random.default_rng(31).uniform(-1, 1, (r, 2))))
         k = GaussianKernel(0.7)
@@ -246,6 +248,25 @@ class TestEstimateCrossStats:
         p, p_stderr, d2, d2_stderr = one_block_cross_stats(system, gen, d, k, 250_000, 9)
         assert np.array_equal(stats.p, p) and np.array_equal(stats.p_stderr, p_stderr)
         assert stats.d2 == d2 and stats.d2_stderr == d2_stderr
+
+    @pytest.mark.parametrize("r,sub", [(25, 5000), (31, 4000), (81, 1250), (100, 1250)])
+    def test_sub_blocks_lie_on_a_grid_that_divides_the_chunk(self, r, sub):
+        """A kernel sub-block holds the largest divisor of ``CROSS_STATS_CHUNK`` whose
+        r kernel values fit ``sim.MC_WORK_BYTES``, so every chunk starts on the grid of
+        sub-blocks: 10^4 samples are sub-blocks of ``sub`` samples and a shorter last one."""
+        d = Dictionary(np.random.default_rng(r).uniform(-1, 1, (r, 2)))
+        system = SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.05)
+        lengths = []
+
+        def recorded(d, k, u, **kwargs):
+            lengths.append(len(u))
+            return kernelized_input(d, k, u, **kwargs)
+
+        with mock.patch.object(moments, "kernelized_input", recorded):
+            stream_cross_stats(system, InputGenerator(rho=0.5, sigma_u=0.5), d,
+                               GaussianKernel(0.7), 10_000, seed=1)
+        assert CROSS_STATS_CHUNK % sub == 0
+        assert lengths == [sub] * (10_000 // sub) + [10_000 % sub] * (10_000 % sub > 0)
 
     def test_the_record_does_not_depend_on_the_stream_block(self):
         """The fluid-flow plant at r = 31, its stream drawn in blocks of one kernel
@@ -371,10 +392,10 @@ class TestCrossStatsDispatch:
         d = grid_dictionary([-1, -1], [1, 1], 3)
         k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=kind, noise_sigma=0.05)
-        layers = {}
-        stats = estimate_cross_stats(system, gen, d, k, 10_000, seed=3, layers=layers)
+        laps = sim.Laps()
+        stats = estimate_cross_stats(system, gen, d, k, 10_000, seed=3, laps=laps)
         p, d2 = exact_cross_stats(system, d, k, input_model())
-        assert stats.n_samples == 0 and layers == {}
+        assert stats.n_samples == 0 and laps.seconds == laps.counts == {}
         assert not stats.p_stderr.any() and stats.d2_stderr == 0.0
         assert np.array_equal(stats.p, p) and stats.d2 == d2
 

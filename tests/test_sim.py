@@ -453,7 +453,7 @@ class TestEngineWorkingSet:
     def peak_beyond_total(setup, runs, n_iters):
         tracemalloc.start()
         try:
-            total = sim._run_chunk(setup, 3, runs, n_iters, sim._zero_layers())
+            total = sim._run_chunk(setup, 3, runs, n_iters, sim.Laps())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -486,6 +486,29 @@ class TestLearningCurveCsv:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             LearningCurve(mse=np.array([1.0, -0.1]))
+
+
+class TestLaps:
+    """The one clock of the commands, the engine and the estimator."""
+
+    def test_laps_add_up_per_stage_and_are_counted(self):
+        """Each lap adds the seconds since the last one to its stage and counts it;
+        a stage named when the clock is made stays at 0.0 until it is lapped."""
+        readings = iter([10.0, 10.5, 11.0, 12.25, 12.5])
+        with mock.patch.object(sim.time, "perf_counter", lambda: next(readings)):
+            laps = sim.Laps("idle", "a")
+            for stage in ("a", "b", "a", "b"):
+                laps.lap(stage)
+        assert laps.seconds == {"idle": 0.0, "a": 0.5 + 1.25, "b": 0.5 + 0.25}
+        assert laps.counts == {"idle": 0, "a": 2, "b": 2}
+
+    def test_rounded_gives_six_digits(self):
+        readings = iter([0.0, 0.1234564999, 1.0])
+        with mock.patch.object(sim.time, "perf_counter", lambda: next(readings)):
+            laps = sim.Laps("idle")
+            laps.lap("a")
+            laps.lap("b")
+        assert laps.rounded() == {"idle": 0.0, "a": 0.123456, "b": 0.876544}
 
 
 class TestWriteAtomic:
