@@ -56,6 +56,12 @@ def mean_stability_bound(m: MomentModel) -> float:
     return 2.0 / m.r_tilde_eigenvalues[-1]
 
 
+def check_k_size(r: int) -> None:
+    """Refuse r centers, whose K has r^2 rows, above ``K_CAP``: before any work on them."""
+    if r * r > K_CAP:
+        raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {K_CAP}")
+
+
 def build_k(m: MomentModel, eta: float) -> KSpectrum:
     """K on symmetric matrices for step size ``eta`` (dimension r(r+1)/2), decomposed.
 
@@ -68,8 +74,7 @@ def build_k(m: MomentModel, eta: float) -> KSpectrum:
     if not eta >= 0:
         raise ValueError(f"step size must be nonnegative, got {eta}")
     r = m.dim
-    if r * r > K_CAP:
-        raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {K_CAP}")
+    check_k_size(r)
     lin = sym_congruence(m.r_tilde, np.eye(r))
     k_sym = symmetrize(np.eye(lin.shape[0]) - eta * (2.0 * lin) + eta**2 * m.t_sym)
     lam, vecs = sym_eig(k_sym)

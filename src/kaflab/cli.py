@@ -25,6 +25,7 @@ from . import __version__
 from .analysis import (
     SMOOTH_WINDOW,
     build_k,
+    check_k_size,
     compare_curves,
     complexity_report,
     mean_square_stable,
@@ -189,6 +190,7 @@ def cmd_analyze(args) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "moments_cache"
     laps = Laps()
     d, info = build_dictionary(cfg)
+    check_k_size(d.size)  # before the moments: they cost far more than the refusal
     laps.lap("dictionary")
     within = Laps("cross_stats_stream", "cross_stats_kernels")
     model, stats = _obtain_model(cfg, d, info, cache_dir, within)
@@ -285,14 +287,13 @@ def cmd_moments_check(args) -> int:
     d, _ = build_dictionary(cfg)
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
-    mc_kern = GaussianKernel(cfg.sigma * args.mc_sigma_scale)
     n = args.samples
 
     closed = second_moment(d, kern, im)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, MOMENTS_CHECK_SALT, 0))
     )
-    mc, stderr = mc_second_moment(d, mc_kern, im, n, rng)
+    mc, stderr = mc_second_moment(d, kern, im, n, rng)
     print(f"# second-moment check over {n} samples")
     print("l,m,closed,mc,stderr,z,verdict")
     worst2, fail2 = _check_rows((f"{l},{c}", closed[l, c], mc[l, c], stderr[l, c])
@@ -304,7 +305,7 @@ def cmd_moments_check(args) -> int:
     entries = sorted(
         {tuple(rng4.integers(0, d.size, 4)) for _ in range(args.fourth_entries)}
     )
-    mc4, stderr4 = mc_fourth_entries(d, mc_kern, im, entries, n, rng4)
+    mc4, stderr4 = mc_fourth_entries(d, kern, im, entries, n, rng4)
     print(f"# fourth-moment check: {len(entries)} entries over {n} samples")
     print("i,j,s,t,closed,mc,stderr,z,verdict")
     # the centers in sorted order, as fourth_tensor sums them: the same bits, no m x m block
@@ -352,7 +353,6 @@ def _checked(convert, ok, need: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "at least 0")
-_positive_float = _checked(float, lambda v: 0.0 < v < float("inf"), "finite and above 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -392,9 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--fourth-entries", type=_positive_int, default=10)
-    p.add_argument("--mc-sigma-scale", type=_positive_float, default=1.0,
-                   help="scale the kernel width used by the MC estimator only; "
-                        "values != 1 should make the checks fail (self-test)")
     p.set_defaults(func=cmd_moments_check)
 
     p = sub.add_parser("complexity", help="per-iteration multiply counts vs r")

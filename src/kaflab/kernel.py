@@ -95,7 +95,9 @@ def kernelized_input(d: Dictionary, k: GaussianKernel, u: np.ndarray,
     in the inputs-major output. So the values keep their bits, and an input
     gets the same values alone as in any stack. The layout only saves time:
     each operation runs over N values per center, not r per input, and reads
-    contiguous planes when the axis of ``u`` is outermost.
+    contiguous planes when the axis of ``u`` is outermost. When the call returns,
+    the first r x N doubles of the work array hold the squared distances, center
+    by input, so a caller that passes ``work`` gets them too.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (d.input_dim,):
@@ -123,13 +125,12 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
 
     Raises :class:`NotPositiveDefiniteError` naming the closest center pair if
     the dictionary contains (near-)duplicates or is otherwise too coherent for
-    a PD Gram matrix. One computation of the pairwise distances serves G and
-    that pair.
+    a PD Gram matrix. G is the kernel values of the centers against themselves,
+    exactly symmetric with a unit diagonal; the squared distances that
+    :func:`kernelized_input` leaves in its work array name that pair.
     """
-    diff2 = ((d.centers[:, None, :] - d.centers[None, :, :]) ** 2).sum(axis=-1)
-    g = np.exp(-diff2 / (2.0 * k.sigma**2))
-    np.fill_diagonal(g, 1.0)
-    g = symmetrize(g)
+    diff2 = np.empty((d.size, d.size))
+    g = kernelized_input(d, k, d.centers, work=diff2)
     np.fill_diagonal(diff2, np.inf)  # a one-center dictionary has no pair: distance inf
     i, j = np.unravel_index(np.argmin(diff2), diff2.shape)
     dist = float(np.sqrt(diff2[i, j]))
@@ -187,23 +188,22 @@ def coherence_select(samples, k: GaussianKernel, mu0: float,
     Each sample's largest kernel value is kept as a running maximum over the
     admitted centers, so a center costs one vector operation over the samples
     after it: admitting it raises their maxima, and the next center is the
-    first of them whose maximum stays at or below ``mu0``. Each pair's kernel
-    value is computed with the same operations as in a loop over the samples,
-    so both keep the same centers.
+    first of them whose maximum stays at or below ``mu0``. The kernel values come
+    from :func:`kernelized_input`, with the admitted center as a one-center
+    dictionary: the same bits as in a loop over the samples, so both keep the same centers.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 1:
         raise ValueError("samples must be nonempty")
     if not 0.0 < mu0 < 1.0:
         raise ValueError(f"mu0 must lie in (0, 1), got {mu0}")
-    two_s2 = 2.0 * k.sigma**2
     coherence = np.full(samples.shape[0], -np.inf)  # running maximum over the centers
     kept = [0]
     while len(kept) != stop_after:
         i = kept[-1]
         later = coherence[i + 1:]
-        np.maximum(later, np.exp(-((samples[i + 1:] - samples[i]) ** 2).sum(axis=1) / two_s2),
-                   out=later)
+        np.maximum(later, kernelized_input(Dictionary(samples[i:i + 1]), k,
+                                           samples[i + 1:])[:, 0], out=later)
         admissible = np.flatnonzero(later <= mu0)
         if admissible.size == 0:
             break

@@ -11,8 +11,6 @@ from concurrent workers.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DimensionMismatchError, EigenSolverError, NotPositiveDefiniteError
@@ -20,17 +18,6 @@ from .errors import DimensionMismatchError, EigenSolverError, NotPositiveDefinit
 # Relative eigenvalue floor under which a matrix is declared non-PD instead
 # of being silently regularized.
 PD_FLOOR_REL = 1e-12
-
-
-class EigDecomposition(NamedTuple):
-    """Eigendecomposition of a symmetric matrix.
-
-    ``eigenvalues`` are ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -54,19 +41,18 @@ def check_symmetric(a: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> 
     return a
 
 
-def sym_eig(a: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a: np.ndarray):
+    """Eigendecomposition of a symmetric matrix: numpy's ``EighResult``.
 
-    Returns ascending eigenvalues and orthonormal eigenvectors such that
-    ``V @ diag(w) @ V.T`` reconstructs the input to about 1e-10 relative
-    (Frobenius).
+    Its ``eigenvalues`` are ascending and its ``eigenvectors`` the matching
+    orthonormal columns, such that ``V @ diag(w) @ V.T`` reconstructs the input
+    to about 1e-10 relative (Frobenius).
     """
     a = check_symmetric(a, "sym_eig input")
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-    return EigDecomposition(w, v)
 
 
 def pd_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

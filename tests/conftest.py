@@ -3,7 +3,8 @@
 The toy model (2x2 grid, r = 4) keeps analysis unit tests fast; the full
 experiment models are session-scoped because the cross statistics and the
 fourth moments are the expensive pieces. The test oracles live here too: the
-scalar kernel value and the inputs-major kernel values, the Kronecker product,
+scalar kernel value and the inputs-major kernel values, the Gram factorization
+from the (r, r, L) pairwise differences, the Kronecker product,
 the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
 from the library's block on symmetric pairs, the step-by-step transient and mean
 recursions, a filter state's output, the symmetric block of K gathered entry by
@@ -27,9 +28,9 @@ from hypothesis import strategies as st
 
 import kaflab
 from kaflab.config import build_dictionary, load_config
-from kaflab.errors import DimensionMismatchError, DivergenceError
+from kaflab.errors import DimensionMismatchError, DivergenceError, NotPositiveDefiniteError
 from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary, kernelized_input
-from kaflab.linalg import check_square, sym_basis, sym_index, symmetrize
+from kaflab.linalg import check_square, pd_sqrt, sym_basis, sym_index, symmetrize
 from kaflab.moments import (InputModel, build_model, estimate_cross_stats, exact_cross_stats,
                              fourth_tensor, stream_cross_stats)
 from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
@@ -77,6 +78,23 @@ def kernel_values_inputs_major(d, k, u) -> np.ndarray:
     for a in range(1, d.input_dim):
         d2 += np.square(c[:, a] - u[..., a, None])
     return np.exp(d2 / -(2.0 * k.sigma**2))
+
+
+def gram_from_differences(d, k):
+    """``(g, g_sqrt, g_inv_sqrt, g_inv)`` of a dictionary, or None where ``pd_sqrt``
+    refuses G, and the squared distances between its centers, as ``kaflab.kernel.gram``
+    formed them from the (r, r, L) array of pairwise differences, with G's diagonal set
+    to 1 and G symmetrized. The bit-for-bit reference for ``gram``, which takes G and
+    the distances from ``kernelized_input``."""
+    diff2 = ((d.centers[:, None, :] - d.centers[None, :, :]) ** 2).sum(axis=-1)
+    g = np.exp(-diff2 / (2.0 * k.sigma**2))
+    np.fill_diagonal(g, 1.0)
+    g = symmetrize(g)
+    try:
+        g_sqrt, g_inv_sqrt = pd_sqrt(g)
+    except NotPositiveDefiniteError:
+        return None, diff2
+    return (g, g_sqrt, g_inv_sqrt, symmetrize(g_inv_sqrt @ g_inv_sqrt)), diff2
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

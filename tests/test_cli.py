@@ -160,6 +160,21 @@ class TestAnalyze:
         assert "steady_state_mse = " in steady
         assert "unavailable" not in steady
 
+    def test_over_cap_dictionary_is_refused_before_the_moments(self, tmp_path, monkeypatch,
+                                                                capsys):
+        """A dictionary whose K exceeds ``K_CAP`` exits 3 with ``build_k``'s message
+        before the cross statistics are obtained: no cache record is written."""
+        import kaflab.analysis
+
+        monkeypatch.setattr(kaflab.analysis, "K_CAP", 15)  # the tiny grid has r^2 = 16
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        assert main(["analyze", "--config", str(write_tiny(tmp_path)), "--out", str(out),
+                     "--cache-dir", str(cache)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == \
+            "error: transition matrix would have 16 rows, above the cap of 15\n"
+        assert not cache.exists()
+        assert list(out.iterdir()) == []
+
     def test_moments_cache_round_trip(self, tmp_path):
         cfg = write_tiny(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -520,10 +535,17 @@ class TestMomentsCheck:
         assert rc == EXIT_OK
         assert "# RESULT: PASS" in out
 
-    def test_detects_corrupted_kernel_width(self, tmp_path, capsys):
+    def test_detects_corrupted_kernel_width(self, tmp_path, monkeypatch, capsys):
+        """A biased Monte-Carlo mean, here that of a kernel 10% too wide, fails the
+        check with exit 3."""
+        import kaflab.cli as cli
+
+        mc_second_moment = cli.mc_second_moment
+        monkeypatch.setattr(cli, "mc_second_moment", lambda d, k, *args: mc_second_moment(
+            d, GaussianKernel(1.1 * k.sigma), *args))
         cfg = write_tiny(tmp_path, seed=17)
         rc = main(["moments-check", "--config", str(cfg), "--samples", "40000",
-                   "--fourth-entries", "3", "--mc-sigma-scale", "1.1"])
+                   "--fourth-entries", "3"])
         out = capsys.readouterr().out
         assert rc == EXIT_NUMERIC
         assert "FAIL" in out
@@ -719,9 +741,6 @@ class TestErrorPaths:
         ("moments-check", "--samples", "0"),
         ("moments-check", "--samples", "-5"),
         ("moments-check", "--fourth-entries", "0"),
-        ("moments-check", "--mc-sigma-scale", "0"),
-        ("moments-check", "--mc-sigma-scale", "inf"),
-        ("moments-check", "--mc-sigma-scale", "nan"),
         ("moments-check", "--seed", "-1"),
         ("simulate", "--seed", "-1"),
         ("analyze", "--seed", "-1"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, EXP2_SEED, kappa, kernel_values_inputs_major
+from conftest import CONFIGS, EXP2_SEED, gram_from_differences, kappa, kernel_values_inputs_major
 from kaflab.config import build_dictionary, calibration_samples, load_config
 from kaflab.errors import DimensionMismatchError, KaflabError, NotPositiveDefiniteError
 from kaflab.kernel import (
@@ -103,6 +103,20 @@ class TestKernelizedInput:
         assert kernelized_input(d, k, u, out=out) is out
         assert np.array_equal(out, expected)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 7], ids=["one_center", "seven_centers"])
+    @pytest.mark.parametrize("shape", [(), (27, 5)], ids=["one_input", "stacked"])
+    def test_work_holds_the_squared_distances(self, dim, r, shape):
+        """On return, the work array holds each center's squared distance to each
+        input, center by input, bit for bit."""
+        rng = np.random.default_rng(10 * dim + r)
+        c = rng.uniform(-1, 1, (r, dim))
+        u = rng.normal(0.0, 0.5, (*shape, dim))
+        work = np.full(r * max(1, u.size // dim), np.nan)
+        kernelized_input(Dictionary(c), GaussianKernel(0.7), u, work=work)
+        flat = u.reshape(-1, dim)
+        assert np.array_equal(work.reshape(r, -1), ((c[:, None] - flat[None]) ** 2).sum(-1))
+
 
 class TestCentersMajorLayout:
     """The centers-major layout keeps the bits of the inputs-major formula."""
@@ -168,7 +182,41 @@ class TestGram:
         d = Dictionary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-12]]))
         with pytest.raises(NotPositiveDefiniteError) as err:
             gram(d, GaussianKernel(0.7))
-        assert "1" in str(err.value) and "2" in str(err.value)
+        assert str(err.value) == ("dictionary centers 1 and 2 are near-duplicates (distance "
+                                  "1.000e-12); Gram matrix cannot be positive definite")
+
+    def test_not_positive_definite_names_the_closest_pair(self):
+        d = Dictionary(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]))
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            gram(d, GaussianKernel(0.7))
+        assert str(err.value).endswith("closest center pair is (1, 2) at distance 1.000000e-07")
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "null"])
+    def test_equals_the_differences_formula_on_shipped_dictionaries(self, name):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        d, k = build_dictionary(cfg)[0], GaussianKernel(cfg.sigma)
+        gf, (expected, _) = gram(d, k), gram_from_differences(d, k)
+        assert all(map(np.array_equal, (gf.g, gf.g_sqrt, gf.g_inv_sqrt, gf.g_inv), expected))
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.integers(1, 40), dim=st.integers(1, 3), sigma=st.floats(0.05, 3.0),
+           scale=st.sampled_from([0.1, 1.0, 5.0]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_differences_formula(self, r, dim, sigma, scale, seed):
+        """G and its factors keep the bits of the formula over the (r, r, L)
+        differences; where that G does not factor, the error names its closest pair."""
+        d = Dictionary(np.random.default_rng(seed).uniform(-scale, scale, (r, dim)))
+        k = GaussianKernel(sigma)
+        expected, diff2 = gram_from_differences(d, k)
+        if expected is None:
+            np.fill_diagonal(diff2, np.inf)
+            i, j = np.unravel_index(np.argmin(diff2), diff2.shape)
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                gram(d, k)
+            assert str(err.value).endswith(
+                f"closest center pair is ({i}, {j}) at distance {np.sqrt(diff2[i, j]):.6e}")
+            return
+        gf = gram(d, k)
+        assert all(map(np.array_equal, (gf.g, gf.g_sqrt, gf.g_inv_sqrt, gf.g_inv), expected))
 
     def test_inner_product_preservation(self):
         rng = np.random.default_rng(7)
