@@ -167,14 +167,14 @@ def cmd_simulate(args) -> int:
     setup = build_setup(cfg, d)
     laps.lap("dictionary")
     within = Laps("stream", "kernel_values", "steps")
-    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, within)
+    counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
+                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size)),
+                "kernel_values": cfg.n_runs * cfg.n_iters * d.size}
+    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, within, counters)
     laps.lap("monte_carlo")
     sim_path = out / "simulated.csv"
     save_learning_curve(curve, sim_path)
     laps.lap("write")
-    counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
-                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size)),
-                "kernel_values": cfg.n_runs * cfg.n_iters * d.size}
     _write_manifest(out, "simulate", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.rounded(),
                      "timings_within": {"monte_carlo": within.rounded()}},
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=None,
                    help="override the config seed")
     p.add_argument("--workers", type=int, default=None,
-                   help="accepted for old scripts and ignored: all runs step in one process")
+                   help="ignored, for old scripts: the CPU set (taskset) sets the processes")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="compute the theoretical curves and verdicts")

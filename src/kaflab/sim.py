@@ -4,35 +4,24 @@ Streams are fully determined by ``(master seed, configuration)``: every run,
 the cross-statistics stream and the calibration stream take their generators
 from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index.
 The AR(1) input and the recursive plant are one all-pole recurrence in plain
-Python, bit-identical to scipy's ``lfilter``, so numpy is the only dependency.
-It steps many streams a row at a time in lockstep; one long stream it cuts
-into segments stepped the same way, each started from rest before its start
-and checked to have reached the true state, else stepped again over floats
-(:func:`kaflab.recurrence.all_pole`). :func:`stream_blocks` draws the streams
-of many seeds a block of time steps at a time, carrying every generator and
-recurrence state across blocks, so neither the Monte-Carlo engine nor the
-cross-statistics estimator holds a whole stream. The engine steps a chunk of
-independent runs in lockstep over those blocks, one row per run, and adds the
-chunks' summed squared errors in run order. Chunk and block sizes follow from
-one byte budget and the dictionary size, so the curve is fixed by
-configuration and seed.
+Python, bit-identical to scipy's ``lfilter`` (:func:`kaflab.recurrence.all_pole`),
+so numpy is the only dependency. :func:`stream_blocks` draws the streams of many
+seeds a block of time steps at a time, carrying every generator and recurrence
+state across blocks, so neither the Monte-Carlo engine nor the cross-statistics
+estimator holds a whole stream.
 
-A chunk's working set is fixed before its first step and none of it grows
-with the iterations: the four arrays of steps x runs doubles of one stream
-block (each run's drives and noise, drawn into two reused arrays, then its
-input and desired signal, the input pairs a view of the input, the plant's
-temporaries a few rows at a time), and two kernel-block buffers of at most
-``MC_WORK_BYTES``. The first holds a block's kernel values; the second is
-the kernel evaluation's centers-major work array and then holds the block's
-stacked ``kappa G^-1`` products. The step loop moves the coefficients in
-place through the update of :func:`kaflab.filters.make_update`, and looks
-for divergence once per block.
+The engine steps a chunk of independent runs in lockstep over those blocks, one row per
+run, in a working set fixed before its first step (``MC_WORK_BYTES``), more than 128 runs as
+two parts in two processes where a probe finds that they keep the bits. Chunk sums are added
+in run order; chunk and block sizes follow from one byte budget and the dictionary size.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import pickle
+import signal
 import time
 import warnings
 from dataclasses import dataclass
@@ -62,17 +51,16 @@ MOMENTS_CHECK_SALT = 4
 # to its draws. A stream block holds four arrays of steps x runs doubles (3.1 MB
 # for 192 runs): the draws, reused from block to block, then the input and the
 # desired signal; the input pairs are a view. 512 steps take about the memory
-# that the stream no longer copies (the concatenated input, the stacked pairs,
-# the plant's whole-block temporaries, the previous block kept while the next is
-# drawn) at 256 steps. The kernel values of the chunk's runs are formed
-# for a block of those steps at a time, in one reused buffer of at most
-# MC_WORK_BYTES (steps x runs x r doubles); a second buffer of the same size is
-# the evaluation's work array and then holds the block's stacked G^-1 products.
-# Both stay within a core's cache; larger and smaller blocks were slower. A
-# chunk holds as many runs as leave a block MC_BLOCK_STEPS steps (655 runs at
-# r = 25, 528 at r = 31), so one pass of the per-step Python overhead of the
-# stream recurrences and of the filter loop serves every run of the shipped
-# configs. It also bounds kaflab.moments' cross-statistics blocks.
+# that 256 took before the stream stopped copying. The kernel values of the
+# chunk's runs are formed for a block of those steps at a time, in one reused
+# buffer of at most MC_WORK_BYTES (steps x runs x r doubles); a second buffer of
+# the same size is the evaluation's work array and then holds the block's
+# stacked G^-1 products. Both stay within a core's cache; larger and smaller
+# blocks were slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS
+# steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
+# overhead of the stream recurrences and of the filter loop serves all the runs
+# of a shipped config in each process that steps its chunk (two for more than
+# 128 runs). It also bounds kaflab.moments' cross-statistics blocks.
 MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
@@ -494,23 +482,95 @@ def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -
     return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters, Laps())
 
 
-def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int,
-                      seed: int, laps: Laps | None = None) -> LearningCurve:
+def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
+    """Where a chunk of ``m > 128`` runs splits into parts that keep its bits here, else 0: at
+    numpy's pairwise-sum root split, if a fixed (2, m) array's row sums are its parts' sums
+    added and the ``kappa G^-1`` products of fixed rows equal at each part's block shape."""
+    n2, r, rng = m // 2 - (m // 2) % 8, setup.dictionary.size, np.random.default_rng(m)
+    a, x = rng.random((2, m)), rng.random((m, r))
+
+    def product(rows):  # the last matrix of a stacked kernel block of these rows
+        block = max(1, min(MC_WORK_BYTES // (8 * len(rows) * r), MC_STREAM_STEPS, n_iters))
+        return np.matmul(np.broadcast_to(rows, (block, *rows.shape)).copy(), setup.gram.g_inv)[-1]
+
+    exact = (np.array_equal(a.sum(axis=1), a[:, :n2].sum(axis=1) + a[:, n2:].sum(axis=1))
+             and (not moves_along_g_inv(setup.filter_kind, setup.s_n, r)
+                  or np.array_equal(product(x), np.vstack([product(x[:n2]), product(x[n2:])]))))
+    return n2 if exact else 0
+
+
+def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
+                 counters: dict, n2: int) -> np.ndarray:
+    """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on,
+    on CPUs apart from this process's, and sends their sums and laps, or its divergence's
+    message and step (a pickled error drops the step). It is killed and reaped, and the CPU
+    set restored, before this returns or raises; if it sent nothing, its runs step here."""
+    cpus, rd, wr = os.sched_getaffinity(0), *os.pipe()
+    with open(rd, "rb") as reader, open(wr, "wb") as writer:
+        try:
+            pid = os.fork()
+        except OSError:
+            return _run_chunk(setup, seed, runs, n_iters, laps)
+        if pid == 0:
+            try:
+                os.sched_setaffinity(0, cpus - {min(cpus)})
+                try:
+                    answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
+                except DivergenceError as exc:
+                    answer = (str(exc), exc.last_finite_step)
+                pickle.dump(answer, writer)
+                writer.close()
+            finally:
+                os._exit(0)
+        writer.close()
+        try:
+            os.sched_setaffinity(0, {min(cpus)})  # else the scheduler may leave both on one CPU
+            first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
+            answer = reader.read()
+            laps._last = time.perf_counter()  # the wait is no stage of this process
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.sched_setaffinity(0, cpus)
+    if not answer:
+        return first + _run_chunk(setup, seed, runs[n2:], n_iters, laps)
+    second, own = pickle.loads(answer)
+    if isinstance(second, str):
+        raise DivergenceError(second, last_finite_step=own)
+    laps.seconds.update({k: laps.seconds.get(k, 0.0) + t for k, t in own.seconds.items()})
+    laps.counts.update({k: laps.counts.get(k, 0) + n for k, n in own.counts.items()})
+    counters["mc_processes"] = 2
+    return first + second
+
+
+def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: int,
+                      laps: Laps | None = None, counters: dict | None = None) -> LearningCurve:
     """Pointwise average of squared a-priori errors over independent runs.
 
-    Each run derives its generators from ``(seed, run index)``; runs are
-    stepped in chunks of :func:`run_chunk_size` and the chunk sums added in
-    run order, so the result is bit-identical for a given
-    ``(seed, setup, n_runs, n_iters)``. ``laps``, if given, is lapped at the
-    stages ``stream`` (drawing the streams), ``kernel_values`` (forming kernel
-    values) and ``steps`` (stepping, stacked products included), two laps per
-    kernel block and one per stream block (:func:`_run_chunk`).
+    Each run derives its generators from ``(seed, run index)``; runs are stepped in chunks
+    of :func:`run_chunk_size` and the chunk sums added in run order, so the result is
+    bit-identical for a given ``(seed, setup, n_runs, n_iters)``. ``laps``, if given, is
+    lapped at the stages ``stream`` (drawing the streams), ``kernel_values`` (forming kernel
+    values) and ``steps`` (stepping, stacked products included) as :func:`_run_chunk` laps
+    them, summed over processes; ``counters``, if given, gets ``mc_processes``, 1 or 2.
+
+    A chunk of more than 128 runs steps in two processes, this one stepping the runs below its
+    :func:`split_point` and a forked child the rest (:func:`_step_in_two`); it steps whole
+    here with 128 runs or fewer, on one CPU (``os.sched_getaffinity``), without ``os.fork``,
+    when that probe fails and when ``fork`` raises ``OSError``.
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
     laps = Laps() if laps is None else laps
-    chunk = run_chunk_size(setup.dictionary.size)
-    total = np.zeros(n_iters)
+    counters = {} if counters is None else counters
+    counters["mc_processes"] = 1
+    chunk, total = run_chunk_size(setup.dictionary.size), np.zeros(n_iters)
+    two = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+    splits = {m: two and m > 128 and split_point(setup, m, n_iters)  # once per chunk size
+              for m in {min(chunk, n_runs - start) for start in range(0, n_runs, chunk)}}
     for start in range(0, n_runs, chunk):
-        total += _run_chunk(setup, seed, range(start, min(start + chunk, n_runs)), n_iters, laps)
+        runs = range(start, min(start + chunk, n_runs))
+        n2 = splits[len(runs)]
+        total += (_step_in_two(setup, seed, runs, n_iters, laps, counters, n2) if n2
+                  else _run_chunk(setup, seed, runs, n_iters, laps))
     return LearningCurve(mse=total / n_runs)

@@ -130,7 +130,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         m = read_manifest(out)
         assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2,
-                                 "kernel_values": 2 * 40 * 4}
+                                 "kernel_values": 2 * 40 * 4, "mc_processes": 1}
         assert set(m["timings"]) == {"dictionary", "monte_carlo", "write"}
         assert all(t >= 0 for t in m["timings"].values())
         assert set(m["outputs"]) == {"simulated.csv"}

@@ -1,7 +1,10 @@
 """Input streams, benchmark plants, and the Monte-Carlo engine."""
 
+import contextlib
 import dataclasses
+import os
 import re
+import time
 import tracemalloc
 from unittest import mock
 
@@ -467,6 +470,204 @@ class TestEngineWorkingSet:
         budget = (2 * sim.MC_WORK_BYTES + 8 * sim.MC_STREAM_STEPS * len(runs) * 8
                   + 4096 * len(runs))
         assert max(short, long) <= budget
+
+
+def assert_no_child():
+    """No process forked here is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def cpus(n):
+    """The CPU set of this process patched to ``n`` CPUs; yields the sets the engine pins
+    this process to, which it does not apply, so that the CPUs of the machine do not matter."""
+    pinned = []
+    with mock.patch.object(sim.os, "sched_getaffinity", lambda pid: set(range(n))), \
+            mock.patch.object(sim.os, "sched_setaffinity", lambda pid, s: pinned.append(set(s))):
+        yield pinned
+
+
+def curve_on(setup, n_runs, n_iters, seed, n_cpus, laps=None):
+    """The engine's curve on ``n_cpus`` CPUs, and the processes that stepped it."""
+    counters = {}
+    with cpus(n_cpus):
+        mse = mc_learning_curve(setup, n_runs, n_iters, seed, laps, counters).mse
+    assert_no_child()
+    return mse, counters["mc_processes"]
+
+
+def root_split(m):
+    """Where numpy's pairwise sum of m > 128 contiguous doubles splits at its root: half,
+    rounded down to a multiple of its 8-way unrolled loop."""
+    return m // 2 - (m // 2) % 8
+
+
+class TestTwoProcesses:
+    """A chunk of more than 128 runs steps its two parts, either side of numpy's root
+    split of the sum, in this process and a forked child, with the bits of one process."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        system=st.sampled_from([SystemKind.POLYNOMIAL, SystemKind.FLUID_FLOW]),
+        eta=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        n_runs=st.integers(129, 400),
+        n_iters=st.integers(1, 12),
+    )
+    def test_two_processes_give_the_bits_of_one(self, kind, system, eta, seed, n_runs,
+                                                n_iters):
+        setup = tiny_setup(filter_kind=kind, system=system, eta=eta)
+        one, alone = curve_on(setup, n_runs, n_iters, seed, 1)
+        two, split = curve_on(setup, n_runs, n_iters, seed, 2)
+        assert alone == 1
+        assert split == 1 + (sim.split_point(setup, n_runs, n_iters) > 0)
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("r", [25, 31, 81, 100])
+    def test_engine_chunks_keep_their_bits(self, r):
+        """At the engine's own chunk sizes (655, 528, 202 and 163 runs), two processes
+        give one's bits whatever the probe decides, and the probe refuses wherever the
+        parts' stacked products differ from the whole chunk's."""
+        side = {25: 5, 81: 9, 100: 10}.get(r)
+        d = (grid_dictionary([-1, -1], [1, 1], side) if side else
+             sim.Dictionary(np.random.default_rng(7).uniform(-1, 1, (r, 2))))
+        k = GaussianKernel(0.7 if r == 25 else 0.3)
+        setup = dataclasses.replace(tiny_setup(), dictionary=d, kernel=k, gram=gram(d, k))
+        m, n_iters = sim.run_chunk_size(r), 6
+        n2 = root_split(m)
+
+        def product(x):  # as the engine stacks a kernel block of these rows
+            block = max(1, min(sim.MC_WORK_BYTES // (8 * len(x) * r), n_iters))
+            return np.matmul(np.broadcast_to(x, (block, *x.shape)).copy(), setup.gram.g_inv)[-1]
+
+        kap = np.random.default_rng(r).uniform(0.0, 1.0, (m, r))
+        if not np.array_equal(product(kap), np.concatenate([product(kap[:n2]),
+                                                            product(kap[n2:])])):
+            assert sim.split_point(setup, m, n_iters) == 0
+        assert sim.split_point(setup, m, n_iters) in (0, n2)
+        one, _ = curve_on(setup, m, n_iters, 3, 1)
+        two, split = curve_on(setup, m, n_iters, 3, 2)
+        assert split == 1 + (sim.split_point(setup, m, n_iters) > 0)
+        assert np.array_equal(one, two)
+
+    def test_numpy_sums_split_at_the_root(self):
+        """numpy's pairwise sum of m > 128 contiguous doubles is the sum of its parts
+        either side of ``root_split``, added; a split 8 later is not, for some m. An update
+        that forms no ``kappa G^-1`` product splits there."""
+        rng = np.random.default_rng(1400)
+        knlms = tiny_setup(filter_kind=FilterKind.KNLMS)
+        elsewhere = []
+        for m in range(129, 1401):
+            a = rng.standard_normal((2, m)) * 10.0 ** rng.uniform(-6, 6, (2, m))
+            n2 = root_split(m)
+            assert np.array_equal(a.sum(axis=1), a[:, :n2].sum(axis=1) + a[:, n2:].sum(axis=1))
+            assert sim.split_point(knlms, m, 1) == n2
+            elsewhere.append(np.array_equal(a.sum(axis=1),
+                                            a[:, :n2 + 8].sum(axis=1) + a[:, n2 + 8:].sum(axis=1)))
+        assert not all(elsewhere)
+
+    def test_child_laps_are_added(self):
+        """The child's stream blocks, kernel blocks and steps are counted with this
+        process's: two parts of one kernel block each count two of every stage."""
+        one, two = sim.Laps(), sim.Laps()
+        curve_on(tiny_setup(), 150, 30, 5, 1, one)
+        curve_on(tiny_setup(), 150, 30, 5, 2, two)
+        assert one.counts == {"stream": 1, "kernel_values": 1, "steps": 1}
+        assert two.counts == {"stream": 2, "kernel_values": 2, "steps": 2}
+
+    def test_each_process_steps_on_cpus_of_its_own(self):
+        """This process steps its part on the first CPU of its set and then gets the whole
+        set back; the child pins itself to the other CPUs (the machine's own set here)."""
+        with cpus(3) as pinned:
+            mc_learning_curve(tiny_setup(), 150, 30, 5)
+        assert pinned == [{0}, {0, 1, 2}]
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU: no chunk is split")
+        before, counters = os.sched_getaffinity(0), {}
+        mc_learning_curve(tiny_setup(), 150, 30, 5, counters=counters)
+        assert_no_child()
+        assert counters["mc_processes"] == 1 + (sim.split_point(tiny_setup(), 150, 30) > 0)
+        assert os.sched_getaffinity(0) == before
+
+    def test_fork_failure_steps_the_chunk_whole(self):
+        setup = tiny_setup()
+        one, _ = curve_on(setup, 150, 30, 5, 1)
+        with mock.patch.object(sim.os, "fork", side_effect=OSError(11, "no process")):
+            two, processes = curve_on(setup, 150, 30, 5, 2)
+        assert processes == 1
+        assert np.array_equal(one, two)
+
+    N2 = root_split(130)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def patched_chunk(child, here=None):
+        """``_run_chunk`` as ``child(real, *args)`` in a forked child and as
+        ``here(real, *args)`` (default: itself) in this process, the chunk always split;
+        yields the runs of the parts stepped here."""
+        real, parent, calls = sim._run_chunk, os.getpid(), []
+
+        def run_chunk(*args):
+            if os.getpid() != parent:
+                return child(real, *args)
+            calls.append(args[2])
+            return (here or (lambda real, *args: real(*args)))(real, *args)
+
+        with mock.patch.object(sim, "_run_chunk", run_chunk), \
+                mock.patch.object(sim, "split_point", lambda setup, m, n_iters: root_split(m)):
+            yield calls
+
+    def test_child_without_an_answer_leaves_its_part_to_this_process(self):
+        setup = tiny_setup()
+        one, _ = curve_on(setup, 130, 30, 5, 1)
+        with self.patched_chunk(lambda *args: os._exit(1)) as calls:
+            two, processes = curve_on(setup, 130, 30, 5, 2)
+        assert calls == [range(self.N2), range(self.N2, 130)]
+        assert processes == 1
+        assert np.array_equal(one, two)
+
+    def test_divergence_in_the_child_is_raised_as_in_one_process(self):
+        diverging = tiny_setup(eta=500.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                sim._run_chunk(diverging, 13, range(self.N2, 130), 200, sim.Laps())
+            with self.patched_chunk(lambda real, s, *args: real(diverging, *args)) as calls, \
+                    cpus(2), pytest.raises(DivergenceError) as err:
+                mc_learning_curve(tiny_setup(), 130, 200, 13)
+        assert_no_child()
+        assert calls == [range(self.N2)]
+        assert str(err.value) == str(alone.value)
+        assert err.value.last_finite_step == alone.value.last_finite_step
+        i, norm, last_e = stepped_divergence(diverging, 13, self.N2, 200)
+        assert err.value.last_finite_step == i - 1
+        found = re.fullmatch(
+            rf"run {self.N2} produced a non-finite error at iteration (\d+) "
+            r"\(\|\|alpha\|\| = (\S+), last finite error (\S+)\)", str(err.value))
+        assert found is not None, str(err.value)
+        assert int(found[1]) == i
+        assert float(found[2]) == pytest.approx(norm, rel=1e-5)
+        assert float(found[3]) == pytest.approx(last_e, rel=1e-5)
+
+    def test_divergence_in_this_process_kills_the_child(self):
+        """The lower runs' divergence is the one to report: the child, here asleep for a
+        minute, is killed and reaped at once."""
+        diverging = tiny_setup(eta=500.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                sim._run_chunk(diverging, 13, range(self.N2), 200, sim.Laps())
+            start = time.monotonic()
+            with self.patched_chunk(lambda *args: time.sleep(60),
+                                    lambda real, s, *args: real(diverging, *args)) as calls, \
+                    cpus(2) as pinned, pytest.raises(DivergenceError) as err:
+                mc_learning_curve(tiny_setup(), 130, 200, 13)
+        assert time.monotonic() - start < 30
+        assert_no_child()
+        assert calls == [range(self.N2)]
+        assert pinned == [{0}, {0, 1}]
+        assert str(err.value) == str(alone.value)
+        assert err.value.last_finite_step == alone.value.last_finite_step
 
 
 class TestLearningCurveCsv:
