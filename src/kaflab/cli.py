@@ -52,7 +52,7 @@ from .errors import (
     NotStableError,
 )
 from .filters import FilterKind
-from .kernel import GaussianKernel
+from .kernel import MAX_DICTIONARY_SIZE, GaussianKernel
 from .moments import (
     build_model,
     estimate_cross_stats,
@@ -126,15 +126,9 @@ def _load_config_with_seed(args) -> ExperimentConfig:
     return cfg
 
 
-def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, laps: Laps):
-    """The moment model, built from cached or freshly obtained cross statistics, and
-    those statistics.
-
-    Only the cross statistics are cached: for a plant without a closed form they
-    take a long stream, while the closed-form moments and the model built from them
-    are cheaper to compute than to read back. A record that is missing or
-    unreadable is a miss.
-    """
+def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
+    """The moment model, from the cached exact cross statistics or, when the record is
+    missing or unreadable, from fresh ones; the closed-form moments are recomputed."""
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
     cache_file = cache_dir / f"cross_stats_{moments_cache_key(cfg, d, im)}.json"
@@ -146,11 +140,10 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path, laps: L
     info["moments_cache_hit"] = stats is not None
     if stats is None:
         stats = estimate_cross_stats(build_system(cfg),
-                                     InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern,
-                                     cfg.n_moment_samples, cfg.seed, laps)
+                                     InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern)
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_moment_model(stats, cache_file)
-    return build_model(d, kern, im, stats.p, stats.d2, d2_stderr=stats.d2_stderr), stats
+    return build_model(d, kern, im, stats.p, stats.d2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +185,7 @@ def cmd_analyze(args) -> int:
     d, info = build_dictionary(cfg)
     check_k_size(d.size)  # before the moments: they cost far more than the refusal
     laps.lap("dictionary")
-    within = Laps("cross_stats_stream", "cross_stats_kernels")
-    model, stats = _obtain_model(cfg, d, info, cache_dir, within)
+    model = _obtain_model(cfg, d, info, cache_dir)
     laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -227,12 +219,9 @@ def cmd_analyze(args) -> int:
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
-                "cross_stats_samples": 0 if info["moments_cache_hit"] else stats.n_samples,
-                "cross_stats_blocks": within.counts["cross_stats_kernels"],
-                "cross_stats_source": "stream" if stats.n_samples else "closed_form"}
+                "cross_stats_samples": 0, "cross_stats_source": "closed_form"}
     _write_manifest(out, "analyze", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.rounded(),
-                     "timings_within": {"moments": within.rounded()},
                      "theory_models": THEORY_MODELS.value},
                     [theory_path, steady_path, stab_path])
     print(f"wrote {theory_path}, {steady_path}, {stab_path}")
@@ -353,6 +342,8 @@ def _checked(convert, ok, need: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "at least 0")
+_dictionary_size = _checked(int, lambda v: 1 <= v <= MAX_DICTIONARY_SIZE,
+                            f"between 1 and {MAX_DICTIONARY_SIZE}, the largest dictionary")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="per-iteration multiply counts vs r")
     p.add_argument("--L", type=_positive_int, required=True)
-    p.add_argument("--r-max", type=_positive_int, required=True)
+    p.add_argument("--r-max", type=_dictionary_size, required=True)
     p.add_argument("--s-n", type=_positive_int, required=True)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_complexity)

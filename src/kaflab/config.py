@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,7 @@ from .kernel import (
     gram,
     grid_dictionary,
 )
-from .moments import (CROSS_STATS_BURN_IN, CROSS_STATS_FORMAT_VERSION, InputModel,
-                      has_closed_form)
+from .moments import CROSS_STATS_FORMAT_VERSION, InputModel
 from .sim import (
     CALIBRATION_SALT,
     ExperimentSetup,
@@ -136,10 +136,18 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-# Range rules of single keys, as (test, the text after "[section] key must").
+def _normal(x: float) -> bool:  # a finite normal double: no overflow, no underflow
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+# Range rules of single keys, as (test, the text after "[section] key must"); the last two
+# test the squares and reciprocals that the theory forms, none of which may overflow.
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_NORMAL_SQUARE = (lambda v: _normal(v * v), "keep its square finite and normal")
+_NORMAL_WIDTH = (lambda v: _normal(v * v) and _normal(0.5 / (v * v)),
+                 "keep sigma^2 and 1/(2 sigma^2) finite and normal")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -170,10 +178,14 @@ def load_config(path) -> ExperimentConfig:
     moments = _Section(parser, "moments", required=False)
 
     sigma = kernel.get("sigma", _finite_float, _POSITIVE)
+    kernel.check("sigma", sigma, _NORMAL_WIDTH)
     rho = inp.get("rho", _finite_float, (lambda v: 0 <= v < 1, "lie in [0, 1)"))
     sigma_u = inp.get("sigma_u", _finite_float, _POSITIVE)
+    inp.check("sigma_u", sigma_u, _NORMAL_SQUARE)
     system_kind = system.kind(SystemKind)
     sigma_nu = system.get("sigma_nu", _finite_float, _NONNEGATIVE)
+    system.check("sigma_nu", sigma_nu,
+                 (lambda v: v == 0 or _normal(v * v), "be 0 or keep its square finite and normal"))
 
     dictionary_kind = dic.get("kind", str)
     grid_lo = grid_hi = None
@@ -207,6 +219,7 @@ def load_config(path) -> ExperimentConfig:
 
     filter_kind = filt.kind(FilterKind)
     eta = filt.get("eta", _finite_float, _POSITIVE)
+    filt.check("eta", eta, _NORMAL_SQUARE)
     s_n = filt.get("s_n", int, _AT_LEAST_1, required=False, default=1)
     eps_reg = filt.get("eps_reg", _finite_float, _POSITIVE, required=False, default=1e-2)
 
@@ -298,14 +311,8 @@ def build_setup(cfg: ExperimentConfig, d: Dictionary) -> ExperimentSetup:
 
 
 def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> str:
-    """Content hash identifying a cached cross-statistics record.
-
-    Keyed by everything the record depends on: its format version, the
-    dictionary, kernel width and input covariance, and the plant, noise
-    level, seed, sample count and burn-in of the estimation stream. A plant
-    with closed-form cross statistics draws no stream, so its key leaves the
-    last three out, and runs that differ only in them share one record.
-    """
+    """Content hash of everything a cross-statistics record depends on: its format
+    version, the dictionary, kernel width and input covariance, the plant and noise level."""
     h = hashlib.sha256()
     h.update(f"cross-stats-v{CROSS_STATS_FORMAT_VERSION}".encode())
     h.update(d.centers.tobytes())
@@ -313,7 +320,4 @@ def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> s
     h.update(im.r_u.tobytes())
     h.update(cfg.system_kind.value.encode())
     h.update(np.float64(cfg.sigma_nu).tobytes())
-    if not has_closed_form(build_system(cfg)):
-        # separated, so that seed 12 with 10^4 samples and seed 1 with 210,000 differ
-        h.update(f"{cfg.seed},{cfg.n_moment_samples},{CROSS_STATS_BURN_IN}".encode())
     return h.hexdigest()[:16]

@@ -25,14 +25,9 @@ block on symmetric index pairs (m = r(r+1)/2), so the theory's memory grows as m
 Cross statistics
 ----------------
 The cross-correlation vector ``p = E[d_n kappa_n]`` and the signal power
-``E[d_n^2]`` have closed forms for the memoryless plants, polynomial and null
-(:func:`exact_cross_stats`): weighting the Gaussian input law by one kernel value
-leaves a Gaussian law, under which the plant's polynomial has known moments. A
-plant with memory (fluid flow), or any other black box, has none; for it they are
-estimated from a long stationary stream, burn-in discarded, drawn in blocks whose
-kernel values are formed a sub-block within the engine's byte budget at a time: only
-the desired signal is kept whole (:func:`stream_cross_stats`).
-:func:`estimate_cross_stats` picks between the two.
+``E[d_n^2]`` are exact for every plant (:func:`exact_cross_stats`): each plant's
+nonlinearity acts on a scalar jointly Gaussian with the embedded input, which
+weighting the input law by one kernel value leaves Gaussian.
 """
 
 from __future__ import annotations
@@ -49,16 +44,13 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
 from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
 
-# Samples discarded from the head of estimation streams so that the AR input
-# and recursive plants reach stationarity.
-CROSS_STATS_BURN_IN = 1000
-
-# Samples per fold of the cross-statistics sums: the chunks' sums are added in
-# turn, so the chunk size fixes the bits of ``p`` (the stream blocks' size does not).
-CROSS_STATS_CHUNK = 100_000
-# Kernel sub-blocks per block of the cross-statistics stream.
-CROSS_STATS_SUB_BLOCKS = 16
 MC_MOMENT_CHUNK = 200_000  # draws per block of the Monte-Carlo moment oracles
+
+# The trapezoid rule of _saturation_mean, over [-QUADRATURE_SPAN, QUADRATURE_SPAN] at steps
+# of QUADRATURE_STEP: halving the step moves p and E[d^2] by under 1e-12 relative, whatever
+# the input's scale (3e-16 on experiment 2, rounding alone).
+QUADRATURE_STEP = 0.1
+QUADRATURE_SPAN = 40.0
 
 
 @dataclass(frozen=True)
@@ -85,14 +77,10 @@ class InputModel:
 
 @dataclass(frozen=True)
 class CrossStats:
-    """Cross statistics with per-component standard errors: zero, with ``n_samples`` 0,
-    when they are exact."""
+    """The exact cross statistics ``p = E[d_n kappa_n]`` and ``d2 = E[d_n^2]``."""
 
     p: np.ndarray
     d2: float
-    p_stderr: np.ndarray
-    d2_stderr: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -280,19 +268,57 @@ def mc_fourth_entries(
 
 
 # ---------------------------------------------------------------------------
-# Cross statistics: closed form where the plant has one, else a stream estimate
+# Cross statistics
 # ---------------------------------------------------------------------------
 
 
-def has_closed_form(system) -> bool:
-    """Whether ``system`` is a memoryless plant whose cross statistics are exact."""
-    return (isinstance(system, sim.SystemSimulator)
-            and system.kind in (sim.SystemKind.POLYNOMIAL, sim.SystemKind.NULL))
+def fluid_flow_covariance(r_u: np.ndarray) -> np.ndarray:
+    """Stationary covariance P of the fluid-flow plant's state ``(u_n, u_{n-1}, y_n, y_{n-1})``
+    for the AR(1) input ``u_n = rho u_{n-1} + e_n`` whose embedding has covariance ``r_u``
+    (``rho = r_u[1, 0] / r_u[0, 0]``). With ``y_n = a0 u_n + a1 u_{n-1} - p1 y_{n-1} - p2
+    y_{n-2}`` (:data:`kaflab.sim.FLUID_FLOW_TAPS`, ``FLUID_FLOW_POLES``) the state steps as
+    ``s_n = A s_{n-1} + b e_n``, so P solves the discrete Lyapunov equation ``P = A P A' +
+    E[e_n^2] b b'``: the 16 x 16 system ``(I - A (x) A) vec P = vec(E[e_n^2] b b')``."""
+    (a0, a1), (p1, p2) = sim.FLUID_FLOW_TAPS, sim.FLUID_FLOW_POLES
+    rho = r_u[1, 0] / r_u[0, 0]
+    a = np.array([[rho, 0, 0, 0], [1, 0, 0, 0], [a0 * rho + a1, 0, -p1, -p2], [0, 0, 1, 0]])
+    b = np.array([1.0, 0.0, a0, 0.0])
+    q = (r_u[0, 0] - rho * r_u[1, 0]) * np.outer(b, b)
+    return symmetrize(np.linalg.solve(np.eye(16) - np.kron(a, a), q.ravel()).reshape(4, 4))
+
+
+def _saturation_mean(power: int, m, s: float):
+    """``E[f(Y)^power]``, power 1 or 2, for ``Y ~ N(m, s^2)`` and each of the means ``m``, f the
+    fluid-flow plant's saturation ``g y / sqrt(s0 + s1 y^2)``, which is ``C y / sqrt(a^2 + y^2)``.
+
+    With ``C^2 = g^2 / s1``, ``a^2 = s0 / s1`` and L = 1 + 2 s^2 w^2, ``1 / sqrt(a^2 + y^2)`` and
+    ``y^2 / (a^2 + y^2)`` are integrals over w > 0 of ``exp(-(a^2 + y^2) w^2)``, whose Gaussian
+    expectations ``E[Y e^(-w^2 Y^2)] = m L^(-3/2) e^(-w^2 m^2 / L)`` and ``E[Y^2 e^(-w^2 Y^2)] =
+    (s^2 / L + m^2 / L^2) L^(-1/2) e^(-w^2 m^2 / L)`` are closed. In ``t = log(w R)``, ``R =
+    sqrt(a^2 + m^2 + s^2)``, both integrands decay at least as ``e^-|t|`` and are analytic for
+    ``|Im t| < pi / 4``, whatever a, m and s, so the trapezoid rule converges exponentially in
+    the step (Trefethen and Weideman, SIAM Review 2014). A rule in y at a fixed step in standard
+    deviations loses accuracy once s exceeds a, the branch points' distance from the real axis
+    (1e-3 at sigma_u = 5).
+    """
+    g, (s0, s1) = sim.FLUID_FLOW_GAIN, sim.FLUID_FLOW_SATURATION
+    a2 = s0 / s1
+    m = np.asarray(m, dtype=float)[..., None]
+    n = round(2.0 * QUADRATURE_SPAN / QUADRATURE_STEP)
+    w = np.exp(np.linspace(-QUADRATURE_SPAN, QUADRATURE_SPAN, n + 1)) / np.hypot(
+        np.hypot(math.sqrt(a2), m), s)
+    sw2, mw2 = (s * w) ** 2, (m * w) ** 2
+    lam = 1.0 + 2.0 * sw2
+    common = np.exp(-a2 * w * w - mw2 / lam) / np.sqrt(lam)  # dw = w dt below
+    vals = (g / math.sqrt(s1) * (2.0 / math.sqrt(math.pi)) * m * w * common / lam if power == 1
+            else g * g / s1 * 2.0 * common * (sw2 / lam + mw2 / lam**2))
+    return QUADRATURE_STEP * vals.sum(axis=-1)
 
 
 def exact_cross_stats(system, d: Dictionary, k: GaussianKernel,
                       im: InputModel) -> tuple[np.ndarray, float]:
-    """Closed-form ``(p, E[d^2])`` of the polynomial and null plants for u ~ N(0, R_u).
+    """Closed-form ``(p, E[d^2])`` of a :class:`kaflab.sim.SystemSimulator` for u ~ N(0, R_u),
+    R_u the embedded AR(1) input's covariance.
 
     The polynomial plant is ``d = c1 x + c2 x^2 + c3 x^3 + nu`` with ``x = a'u``
     (:data:`kaflab.sim.POLYNOMIAL_TAPS` and ``POLYNOMIAL_COEFFS``). Weighting the input
@@ -301,118 +327,44 @@ def exact_cross_stats(system, d: Dictionary, k: GaussianKernel,
     a'mu_c``, ``s^2 = a'Sigma a``, and ``p_c = E[kappa_c] (c1 m + c2 (m^2 + s^2) + c3 (m^3
     + 3 m s^2))``. Unweighted, x ~ N(0, v) with ``v = a'R_u a`` and ``E[d^2] = c1^2 v + 3
     (c2^2 + 2 c1 c3) v^2 + 15 c3^2 v^3 + sigma_nu^2``. The null plant has p = 0.
+
+    The fluid-flow plant is ``d = f(y) + nu``, y a linear filter's output, so ``(u, y)`` is
+    jointly Gaussian (:func:`fluid_flow_covariance`): ``y = a'u + e``, ``a = R_u^-1 E[u y]``,
+    e independent of u with variance ``t^2 = E[y^2] - a'E[u y]``, which the kernel weight
+    leaves as it is. So y ~ N(m, s^2 + t^2), ``p_c = E[kappa_c] E[f(y)]`` and ``E[d^2] =
+    E[f(y)^2] + sigma_nu^2`` with y ~ N(0, E[y^2]), both by :func:`_saturation_mean`.
     """
     noise = system.noise_sigma**2
     if system.kind is sim.SystemKind.NULL:
         return np.zeros(d.size), noise
-    if system.kind is not sim.SystemKind.POLYNOMIAL:
-        raise ValueError(f"no closed form for the {system.kind.value} plant")
     c = d.centers
     _check_input_dim(c, im)
-    a, (c1, c2, c3) = np.array(sim.POLYNOMIAL_TAPS), sim.POLYNOMIAL_COEFFS
+    if system.kind is sim.SystemKind.POLYNOMIAL:
+        a, resid = np.array(sim.POLYNOMIAL_TAPS), 0.0
+    else:
+        state = fluid_flow_covariance(im.r_u)
+        a = np.linalg.solve(im.r_u, state[:2, 2])
+        resid = state[2, 2] - state[:2, 2] @ a
     sig2 = k.sigma**2
     cov = symmetrize(np.linalg.solve(np.eye(im.dim) + im.r_u / sig2, im.r_u))  # Sigma
     m = c @ cov @ a / sig2
     s2 = a @ cov @ a
     e_kappa = _moment_batch(c, (c**2).sum(axis=1), 1, k, im)
+    if system.kind is sim.SystemKind.FLUID_FLOW:
+        p = e_kappa * _saturation_mean(1, m, math.sqrt(s2 + resid))
+        return p, float(_saturation_mean(2, 0.0, math.sqrt(state[2, 2])) + noise)
+    c1, c2, c3 = sim.POLYNOMIAL_COEFFS
     p = e_kappa * (c1 * m + c2 * (m**2 + s2) + c3 * (m**3 + 3.0 * m * s2))
     v = a @ im.r_u @ a
     return p, float(c1**2 * v + 3.0 * (c2**2 + 2.0 * c1 * c3) * v**2 + 15.0 * c3**2 * v**3
                     + noise)
 
 
-def estimate_cross_stats(
-    system,
-    input_gen,
-    d: Dictionary,
-    k: GaussianKernel,
-    n_samples: int,
-    seed: int,
-    laps: sim.Laps | None = None,
-) -> CrossStats:
-    """``p = E[d_n kappa_n]`` and ``E[d_n^2]``: exact for a plant that has a closed form
-    (:func:`has_closed_form`), with zero standard errors and ``n_samples`` 0, whatever
-    ``n_samples`` and ``seed`` say and without a lap of ``laps``; otherwise
-    :func:`stream_cross_stats` with the same arguments, which laps ``cross_stats_stream``
-    and ``cross_stats_kernels``.
-    """
-    if not has_closed_form(system):
-        return stream_cross_stats(system, input_gen, d, k, n_samples, seed, laps)
+def estimate_cross_stats(system, input_gen, d: Dictionary, k: GaussianKernel) -> CrossStats:
+    """:func:`exact_cross_stats` of ``system`` for the stationary input of the
+    :class:`kaflab.sim.InputGenerator` ``input_gen``, as the cache record holds them."""
     im = InputModel(sim.stationary_covariance(input_gen.rho, input_gen.sigma_u))
-    p, d2 = exact_cross_stats(system, d, k, im)
-    return CrossStats(p=p, d2=d2, p_stderr=np.zeros(d.size), d2_stderr=0.0, n_samples=0)
-
-
-def stream_cross_stats(
-    system,
-    input_gen,
-    d: Dictionary,
-    k: GaussianKernel,
-    n_samples: int,
-    seed: int,
-    laps: sim.Laps | None = None,
-) -> CrossStats:
-    """Estimate ``p = E[d_n kappa_n]`` and ``E[d_n^2]`` from a stationary stream.
-
-    ``system`` is a :class:`kaflab.sim.SystemSimulator` and ``input_gen`` a
-    :class:`kaflab.sim.InputGenerator`. One stream, seeded from ``(seed,
-    CROSS_STATS_SALT, 0)``, runs for ``CROSS_STATS_BURN_IN`` discarded samples and
-    then ``n_samples`` kept ones, so ``(seed, n_samples)`` fully determines the
-    output. It is drawn in blocks of ``CROSS_STATS_SUB_BLOCKS`` kernel sub-blocks, long
-    enough for :func:`kaflab.recurrence.all_pole` to run its recurrences in segments. A
-    sub-block holds the largest divisor of ``CROSS_STATS_CHUNK`` samples whose kernel
-    values fit ``sim.MC_WORK_BYTES`` (4,000 at r = 31), so every chunk starts on the
-    sub-blocks' grid. Each sub-block's kernel values are formed in one reused buffer,
-    through one reused work array, with the sums so far in row 0: numpy sums over axis 0
-    row by row, so the bits are those of one sum per ``CROSS_STATS_CHUNK`` samples, the
-    chunks' sums added in turn, whatever the block and sub-block sizes. ``d_n`` alone is
-    kept whole, squared in place for ``E[d_n^2]`` and again for ``E[d_n^4]``. It is kept
-    scaled by the power of two that brings the first block's largest ``|d_n|`` into
-    [0.5, 1), and the results are scaled back: exact, so the bits are those of the
-    unscaled sums, and the squares and fourth powers of a small signal do not underflow.
-    Besides ``d_n`` (8 bytes a sample), the memory is that of one block, its input,
-    desired signal, drives and noise and the plant's temporaries (about 4 MB), a
-    sub-block's kernel values and their squares (2 MB at r = 31) and the kernel work
-    array (1 MB). ``laps``, if given, is lapped at ``cross_stats_stream`` for each stream
-    block and at ``cross_stats_kernels`` for each sub-block, one per kernel evaluation.
-    """
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be at least 10^4, got {n_samples}")
-    laps = sim.Laps() if laps is None else laps
-    sums = np.zeros((2, d.size))  # of d_n kappa_n and of its square
-    dd = np.empty(n_samples)
-    fit = min(CROSS_STATS_CHUNK, max(1, sim.MC_WORK_BYTES // (8 * d.size)))
-    sub = next(s for s in range(fit, 0, -1) if CROSS_STATS_CHUNK % s == 0)
-    buf, work = np.zeros((2, sub + 1, d.size)), np.empty(sub * d.size)
-    blocks = sim.stream_blocks(input_gen, system, n_samples, [(seed, sim.CROSS_STATS_SALT, 0)],
-                               warmup=CROSS_STATS_BURN_IN, block=CROSS_STATS_SUB_BLOCKS * sub)
-    t0 = 0
-    for u_vecs, d_blk in blocks:
-        laps.lap("cross_stats_stream")
-        if t0 == 0:  # d_n = 2^e dd_n
-            e = math.frexp(max(d_blk.max(), -d_blk.min()))[1]
-        end = t0 + len(d_blk)
-        np.ldexp(d_blk[:, 0], -e, out=dd[t0:end])
-        cuts = range((t0 // sub + 1) * sub, end, sub)  # the grid, every chunk start on it
-        for a, b in zip([t0, *cuts], [*cuts, end]):
-            if a % CROSS_STATS_CHUNK == 0:  # a chunk starts: add the last one's sums
-                sums += buf[:, 0]
-                buf[:, 0] = 0.0
-            dk, dk2 = buf[:, :b - a + 1]
-            kernelized_input(d, k, u_vecs[a - t0:b - t0, 0], out=dk[1:], work=work)
-            np.multiply(dk[1:], dd[a:b, None], out=dk[1:])
-            np.square(dk[1:], out=dk2[1:])
-            buf[:, 0] = dk.sum(axis=0), dk2.sum(axis=0)  # row 0 carries the fold
-            laps.lap("cross_stats_kernels")
-        t0 = end
-        del u_vecs, d_blk  # so that the next block is drawn in their place
-    sums += buf[:, 0]
-    p, p_stderr = _mean_and_stderr(*sums, n_samples)
-    d2_sum = float(np.square(dd, out=dd).sum())  # dd now holds dd_n^2, and next dd_n^4
-    d2, d2_stderr = _mean_and_stderr(d2_sum, float(np.square(dd, out=dd).sum()), n_samples)
-    return CrossStats(p=np.ldexp(p, e), d2=math.ldexp(d2, 2 * e),
-                      p_stderr=np.ldexp(p_stderr, e), d2_stderr=math.ldexp(d2_stderr, 2 * e),
-                      n_samples=n_samples)
+    return CrossStats(*exact_cross_stats(system, d, k, im))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +378,6 @@ def build_model(
     im: InputModel,
     p: np.ndarray,
     d2: float,
-    d2_stderr: float | None = None,
 ) -> MomentModel:
     """Assemble the full moment model from a dictionary, kernel and input law.
 
@@ -450,13 +401,9 @@ def build_model(
     p_tilde = w @ p
     alpha_star_tilde = np.linalg.solve(r_tilde, p_tilde)
     j_min = float(d2 - p_tilde @ alpha_star_tilde)
-    threshold = 3.0 * d2_stderr if d2_stderr is not None else 0.0
-    if j_min < -threshold:
-        warnings.warn(
-            f"minimum MSE estimate is negative ({j_min:.6e}); the cross "
-            f"statistics are likely too noisy for this configuration",
-            stacklevel=2,
-        )
+    if j_min < 0:
+        warnings.warn(f"minimum MSE is negative ({j_min:.6e}); p and d2 are not the cross "
+                      f"statistics of one signal", stacklevel=2)
     scale = sym_basis(d.size)[2]
     s_o = fourth_tensor(d, k, im)
     s_o *= scale[:, None]
@@ -481,7 +428,7 @@ def build_model(
 # Cross-statistics record: the analyze cache holds only the cross statistics
 # ---------------------------------------------------------------------------
 
-CROSS_STATS_FORMAT_VERSION = 3
+CROSS_STATS_FORMAT_VERSION = 4
 _RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 
@@ -504,10 +451,9 @@ def load_moment_model(path, r: int) -> CrossStats:
     with open(path, encoding="utf-8") as f:
         rec = json.load(f)
     try:
-        p, p_stderr = (np.array(rec[key], dtype=float) for key in ("p", "p_stderr"))
-        if rec["format"] != _RECORD_FORMAT or p.shape != (r,) or p_stderr.shape != (r,):
-            raise ValueError(f"format {rec['format']!r}, shapes {p.shape}, {p_stderr.shape}")
-        return CrossStats(p, float(rec["d2"]), p_stderr, float(rec["d2_stderr"]),
-                          int(rec["n_samples"]))
+        p = np.array(rec["p"], dtype=float)
+        if rec["format"] != _RECORD_FORMAT or p.shape != (r,):
+            raise ValueError(f"format {rec['format']!r}, shape {p.shape}")
+        return CrossStats(p, float(rec["d2"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} is no cross-statistics record for {r} centers: {exc}") from exc

@@ -1,14 +1,13 @@
 """Signal generation and the Monte-Carlo learning-curve engine.
 
-Streams are fully determined by ``(master seed, configuration)``: every run,
-the cross-statistics stream and the calibration stream take their generators
-from a ``SeedSequence`` keyed on the master seed, a purpose salt and an index.
+Streams are fully determined by ``(master seed, configuration)``: every run
+and the calibration stream take their generators from a ``SeedSequence`` keyed
+on the master seed, a purpose salt and an index.
 The AR(1) input and the recursive plant are one all-pole recurrence in plain
 Python, bit-identical to scipy's ``lfilter`` (:func:`kaflab.recurrence.all_pole`),
 so numpy is the only dependency. :func:`stream_blocks` draws the streams of many
 seeds a block of time steps at a time, carrying every generator and recurrence
-state across blocks, so neither the Monte-Carlo engine nor the cross-statistics
-estimator holds a whole stream.
+state across blocks, so the Monte-Carlo engine never holds a whole stream.
 
 The engine steps a chunk of independent runs in lockstep over those blocks, one row per
 run, in a working set fixed before its first step (``MC_WORK_BYTES``), more than 128 runs as
@@ -18,6 +17,7 @@ in run order; chunk and block sizes follow from one byte budget and the dictiona
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
@@ -39,9 +39,8 @@ from .recurrence import all_pole
 from .filters import knlms_step, natural_klms_step, selective_step  # noqa: F401
 
 # Purpose salts folded into SeedSequence entropy so that concurrent uses of
-# one master seed (runs, cross statistics, calibration) never share streams.
+# one master seed (runs, calibration, moment checks) never share streams; 2 is retired.
 MC_RUN_SALT = 1
-CROSS_STATS_SALT = 2
 CALIBRATION_SALT = 3
 MOMENTS_CHECK_SALT = 4
 
@@ -60,7 +59,7 @@ MOMENTS_CHECK_SALT = 4
 # steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
 # overhead of the stream recurrences and of the filter loop serves all the runs
 # of a shipped config in each process that steps its chunk (two for more than
-# 128 runs). It also bounds kaflab.moments' cross-statistics blocks.
+# 128 runs).
 MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
@@ -69,8 +68,7 @@ MC_STREAM_STEPS = 512
 # chunks of rows whose arrays take at most STREAM_ROW_BYTES each, so that they
 # stay in a core's cache from one operation to the next. On 192 runs, 128 KB
 # chunks drew the stream about 9% faster than whole 786 KB blocks; 512 KB chunks
-# were no faster than whole blocks. The block of one seed is one chunk, so that
-# its recurrences are long enough to run in segments (16,384 rows would not be).
+# were no faster than whole blocks.
 STREAM_ROW_BYTES = 2**17
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
@@ -81,6 +79,13 @@ FLUID_FLOW_WARMUP = 200
 # The polynomial plant: x = a0 u_n + a1 u_{n-1}, d = c1 x + c2 x^2 + c3 x^3 + noise.
 POLYNOMIAL_TAPS = (0.5, -0.3)
 POLYNOMIAL_COEFFS = (1.0, -0.5, 0.1)
+
+# The fluid-flow plant: x = a0 u_n + a1 u_{n-1}, y the all-pole output of x,
+# y_n = x_n - p1 y_{n-1} - p2 y_{n-2}, and d = g y / sqrt(s0 + s1 y^2) + noise.
+FLUID_FLOW_TAPS = (0.1044, 0.0883)
+FLUID_FLOW_POLES = (-1.4138, 0.6065)
+FLUID_FLOW_GAIN = 0.3163
+FLUID_FLOW_SATURATION = (0.1, 0.9)
 
 
 class SystemKind(Enum):
@@ -187,7 +192,7 @@ class SystemSimulator:
         if self.kind is SystemKind.NULL:
             d = noise.copy()
         else:  # in place: at most two arrays of d's size besides d, in the formula's order
-            a0, a1 = POLYNOMIAL_TAPS if self.kind is SystemKind.POLYNOMIAL else (0.1044, 0.0883)
+            a0, a1 = POLYNOMIAL_TAPS if self.kind is SystemKind.POLYNOMIAL else FLUID_FLOW_TAPS
             x, d = np.multiply(a0, u[1:]), np.multiply(a1, u[:-1])
             x += d
             if self.kind is SystemKind.POLYNOMIAL:  # c1 x + c2 x^2 + c3 (x (x x)) + noise
@@ -199,13 +204,14 @@ class SystemSimulator:
                 d += t
                 x *= c3
                 d += x
-            else:  # 0.3163 y / sqrt(0.1 + 0.9 y^2) + noise, y the all-pole output of x, in d
-                d, after = all_pole(x, -1.4138, 0.6065,
+            else:  # g y / sqrt(s0 + s1 y^2) + noise, y the all-pole output of x, in d
+                d, after = all_pole(x, *FLUID_FLOW_POLES,
                                     np.zeros((2, *u.shape[1:])) if state is None else state, out=d)
+                s0, s1 = FLUID_FLOW_SATURATION
                 np.multiply(d, d, out=x)
-                x *= 0.9
-                x += 0.1
-                d *= 0.3163
+                x *= s1
+                x += s0
+                d *= FLUID_FLOW_GAIN
                 d /= np.sqrt(x, out=x)
             d += noise
         return d if state is None else (d, after)
@@ -338,7 +344,7 @@ def stream_blocks(
             for e in seeds]
     scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
     most = warmup + min(block, n)  # samples drawn for the largest block, the first
-    rows = most if len(rngs) == 1 else max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
+    rows = max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
     drives, noise = np.empty((len(rngs), most)), np.zeros((len(rngs), most))  # reused
     u_state = plant_state = np.zeros((2, len(rngs)))
     for t0 in range(0, n, block):
@@ -499,12 +505,20 @@ def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
     return n2 if exact else 0
 
 
+def _pin(cpus) -> None:
+    """Run this process on ``cpus``, unless the OS refuses: pinning only keeps the two
+    parts of a split chunk apart, and a chunk steps to the same bits unpinned."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray:
     """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on,
-    on CPUs apart from this process's, and sends their sums and laps, or its divergence's
-    message and step (a pickled error drops the step). It is killed and reaped, and the CPU
-    set restored, before this returns or raises; if it sent nothing, its runs step here."""
+    on CPUs apart from this process's (:func:`_pin`), and sends their sums and laps, or its
+    divergence's message and step (a pickled error drops the step). It is killed and reaped
+    and the CPU set restored before this returns or raises; if it sent nothing, its runs
+    step here."""
     cpus, rd, wr = os.sched_getaffinity(0), *os.pipe()
     with open(rd, "rb") as reader, open(wr, "wb") as writer:
         try:
@@ -513,7 +527,7 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
             return _run_chunk(setup, seed, runs, n_iters, laps)
         if pid == 0:
             try:
-                os.sched_setaffinity(0, cpus - {min(cpus)})
+                _pin(cpus - {min(cpus)})
                 try:
                     answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
                 except DivergenceError as exc:
@@ -524,14 +538,14 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
                 os._exit(0)
         writer.close()
         try:
-            os.sched_setaffinity(0, {min(cpus)})  # else the scheduler may leave both on one CPU
+            _pin({min(cpus)})  # else the scheduler may leave both on one CPU
             first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
             answer = reader.read()
             laps._last = time.perf_counter()  # the wait is no stage of this process
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.sched_setaffinity(0, cpus)
+            _pin(cpus)
     if not answer:
         return first + _run_chunk(setup, seed, runs[n2:], n_iters, laps)
     second, own = pickle.loads(answer)

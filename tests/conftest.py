@@ -8,9 +8,10 @@ from the (r, r, L) pairwise differences, the Kronecker product,
 the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
 from the library's block on symmetric pairs, the step-by-step transient and mean
 recursions, a filter state's output, the symmetric block of K gathered entry by
-entry, and the seeded streams drawn whole. The library itself never builds an r^4
-array or a whole Monte-Carlo stream. The memory guards measure a fresh interpreter
-with :func:`peak_growth_mb`.
+entry, the seeded streams drawn whole, and the stream estimate of the cross
+statistics that the library computes exactly. The library itself never builds an
+r^4 array or a whole Monte-Carlo stream. The memory guards measure a fresh
+interpreter with :func:`peak_growth_mb`.
 """
 
 import os
@@ -32,7 +33,7 @@ from kaflab.errors import DimensionMismatchError, DivergenceError, NotPositiveDe
 from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary, kernelized_input
 from kaflab.linalg import check_square, pd_sqrt, sym_basis, sym_index, symmetrize
 from kaflab.moments import (InputModel, build_model, estimate_cross_stats, exact_cross_stats,
-                             fourth_tensor, stream_cross_stats)
+                             fourth_tensor)
 from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
                         stationary_covariance)
 
@@ -44,6 +45,13 @@ EXP2_SEED = 20260810
 
 # Kernel width of the toy model.
 TOY_SIGMA = 0.7
+
+# The stream of one_block_cross_stats: its seed salt, the samples discarded from its
+# head so that the AR(1) input and the fluid-flow plant are stationary, and the
+# samples per kernel block, whose sums are added in turn.
+CROSS_STATS_SALT = 2
+CROSS_STATS_BURN_IN = 1000
+CROSS_STATS_CHUNK = 100_000
 
 
 def toy_dictionary():
@@ -109,7 +117,7 @@ def gram_from_differences(d, k):
 )
 def check_cross_stats_against_closed_form(centers, sigma, rho, sigma_u, noise_sigma, kind,
                                           seed):
-    """``stream_cross_stats`` at 10^4 samples against ``exact_cross_stats`` on a
+    """:func:`one_block_cross_stats` at 10^4 samples against ``exact_cross_stats`` on a
     random small dictionary (r <= 6), kernel width, input law and noise level.
 
     The bound, fixed in advance, is 4 standard errors widened by sqrt((1 + rho) / (1 -
@@ -122,12 +130,12 @@ def check_cross_stats_against_closed_form(centers, sigma, rho, sigma_u, noise_si
     """
     d, k = Dictionary(np.array(centers)), GaussianKernel(sigma)
     system = SystemSimulator(kind=kind, noise_sigma=noise_sigma)
-    stats = stream_cross_stats(system, InputGenerator(rho=rho, sigma_u=sigma_u), d, k,
-                               10_000, seed)
+    est, p_stderr, est_d2, d2_stderr = one_block_cross_stats(
+        system, InputGenerator(rho=rho, sigma_u=sigma_u), d, k, 10_000, seed)
     p, d2 = exact_cross_stats(system, d, k, InputModel(stationary_covariance(rho, sigma_u)))
     bound = 4.0 * np.sqrt((1.0 + rho) / (1.0 - rho))
-    assert (np.abs(stats.p - p) <= bound * stats.p_stderr).all()
-    assert abs(stats.d2 - d2) <= bound * stats.d2_stderr
+    assert (np.abs(est - p) <= bound * p_stderr).all()
+    assert abs(est_d2 - d2) <= bound * d2_stderr
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,6 +313,26 @@ def whole_stream(input_gen, system, n, seeds, warmup=None):
     return embed_input(u)[warmup:], d[warmup:]
 
 
+def one_block_cross_stats(system, gen, d, k, n_samples, seed):
+    """``(p, p_stderr, d2, d2_stderr)`` estimated from one stationary stream of ``n_samples``,
+    seeded from ``(seed, CROSS_STATS_SALT, 0)`` after ``CROSS_STATS_BURN_IN`` discarded
+    samples: one kernel block per ``CROSS_STATS_CHUNK`` samples, the blocks' column sums
+    added in turn, and standard errors that treat the samples as independent. The bits of
+    the stream estimator that ``analyze`` used before the cross statistics were exact."""
+    u, dd = whole_stream(gen, system, n_samples, [(seed, CROSS_STATS_SALT, 0)],
+                         warmup=CROSS_STATS_BURN_IN)
+    s_dk, s_dk2 = np.zeros(d.size), np.zeros(d.size)
+    for i in range(0, n_samples, CROSS_STATS_CHUNK):
+        dk = kernelized_input(d, k, u[i:i + CROSS_STATS_CHUNK, 0]) * dd[i:i + CROSS_STATS_CHUNK]
+        s_dk += dk.sum(axis=0)
+        s_dk2 += np.square(dk).sum(axis=0)
+    p = s_dk / n_samples
+    d2 = float((dd**2).sum()) / n_samples
+    d4 = float(np.square(np.square(dd)).sum())  # as the estimator formed it, in place
+    return (p, np.sqrt(np.maximum(s_dk2 / n_samples - p**2, 0.0) / n_samples), d2,
+            float(np.sqrt(max(d4 / n_samples - d2**2, 0.0) / n_samples)))
+
+
 def peak_growth_mb(setup: str, measured: str) -> float:
     """MB by which running ``measured`` after ``setup`` raises the peak resident set of
     a fresh interpreter that imports this checkout's kaflab.
@@ -332,22 +360,20 @@ def peak_growth_mb(setup: str, measured: str) -> float:
     return int(proc.stdout) / 1024
 
 
-def model_for(dictionary, sigma, system_kind, sigma_nu, seed, n_samples):
+def model_for(dictionary, sigma, system_kind, sigma_nu):
     kern = GaussianKernel(sigma)
     im = input_model()
     gen = InputGenerator(rho=0.5, sigma_u=0.5)
     system = SystemSimulator(kind=system_kind, noise_sigma=sigma_nu)
-    stats = estimate_cross_stats(system, gen, dictionary, kern, n_samples, seed=seed)
-    model = build_model(dictionary, kern, im, stats.p, stats.d2,
-                        d2_stderr=stats.d2_stderr)
+    stats = estimate_cross_stats(system, gen, dictionary, kern)
+    model = build_model(dictionary, kern, im, stats.p, stats.d2)
     return model, stats
 
 
 @pytest.fixture(scope="session")
 def toy_model():
     """Small (r = 4), fast-mixing model of the polynomial plant."""
-    model, _ = model_for(toy_dictionary(), TOY_SIGMA, SystemKind.POLYNOMIAL, 0.05, seed=301,
-                         n_samples=100_000)
+    model, _ = model_for(toy_dictionary(), TOY_SIGMA, SystemKind.POLYNOMIAL, 0.05)
     return model
 
 
@@ -355,8 +381,7 @@ def toy_model():
 def exp1_model():
     """Full first-experiment model (5x5 grid, r = 25)."""
     d = grid_dictionary([-1, -1], [1, 1], 5)
-    model, stats = model_for(d, 0.7, SystemKind.POLYNOMIAL, 0.05, seed=EXP1_SEED,
-                             n_samples=1_000_000)
+    model, stats = model_for(d, 0.7, SystemKind.POLYNOMIAL, 0.05)
     return model, stats, d
 
 
@@ -371,6 +396,5 @@ def exp2_dictionary():
 @pytest.fixture(scope="session")
 def exp2_model(exp2_dictionary):
     d, info, cfg = exp2_dictionary
-    model, stats = model_for(d, cfg.sigma, SystemKind.FLUID_FLOW, cfg.sigma_nu,
-                             seed=cfg.seed, n_samples=cfg.n_moment_samples)
+    model, stats = model_for(d, cfg.sigma, SystemKind.FLUID_FLOW, cfg.sigma_nu)
     return model, stats, d

@@ -19,8 +19,8 @@ Numbered criteria:
     slow-mixing experiment-1 model, vs an independent eigen-expansion oracle
  8. selective update: 3 dB steady band vs full update, exact reproduction
     at full selection width, complexity table formulas
- 9. property suite with no experiments, < 1 min, including the cross-statistics
-    estimator against its closed form on 100 random small cases
+ 9. property suite with no experiments, < 1 min, including a stream estimate of
+    the cross statistics against their closed form on 100 random small cases
 """
 
 import itertools
@@ -298,8 +298,7 @@ def test_criterion_7_steady_state_self_consistency(exp1):
         # fast-mixing model: the recursion reaches the solved fixed point
         # within the horizon, so the two routes must agree to 1e-6
         d_toy = grid_dictionary([-1, -1], [1, 1], 2)
-        toy, _ = model_for(d_toy, 0.7, SystemKind.POLYNOMIAL, 0.05, seed=701,
-                           n_samples=100_000)
+        toy, _ = model_for(d_toy, 0.7, SystemKind.POLYNOMIAL, 0.05)
         eta_toy = 0.3
         km_toy = build_k(toy, eta_toy)
         mse_inf_toy, _ = steady_state_mse(toy, km_toy)
@@ -430,7 +429,8 @@ def test_criterion_9_property_suite():
         c2 = mc_learning_curve(setup, 3, 100, seed=cfg.seed)
         assert np.array_equal(c1.mse, c2.mse)
 
-        # the cross-statistics estimator against its closed form, 100 random small cases
+        # a stream estimate of the cross statistics against their closed form, 100 random
+        # small cases
         check_cross_stats_against_closed_form()
 
         elapsed = time.perf_counter() - t0

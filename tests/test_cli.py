@@ -16,10 +16,9 @@ import pytest
 from conftest import CONFIGS, peak_growth_mb
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
-from kaflab.kernel import GaussianKernel, kernelized_input
+from kaflab.kernel import GaussianKernel
 from kaflab.linalg import sym_index
 from kaflab.moments import fourth_tensor
-from kaflab.sim import SystemKind
 
 TINY_CONFIG = """\
 [kernel]
@@ -135,6 +134,32 @@ class TestSimulate:
         assert all(t >= 0 for t in m["timings"].values())
         assert set(m["outputs"]) == {"simulated.csv"}
 
+    def test_refused_pinning_steps_the_same_bits(self, tmp_path, monkeypatch):
+        """With ``os.sched_setaffinity`` refused (``PermissionError``) in this process and
+        in the forked child, a run of more than 128 runs still splits its chunk, exits 0,
+        writes the bytes of the run that pinned, and leaves no child."""
+        import kaflab.sim
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU: no chunk is split")
+        cfg = write_tiny(tmp_path, n_iters=30)
+        cfg.write_text(cfg.read_text().replace("n_runs = 2", "n_runs = 150"))
+        before = os.sched_getaffinity(0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+
+        def refused(pid, cpus):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(kaflab.sim.os, "sched_setaffinity", refused)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == before
+        assert (tmp_path / "a" / "simulated.csv").read_bytes() \
+            == (tmp_path / "b" / "simulated.csv").read_bytes()
+        processes = [read_manifest(tmp_path / run)["counters"]["mc_processes"] for run in "ab"]
+        assert processes == [2, 2]  # the 150 runs split at 72 here
+
     def test_seed_override_changes_stream(self, tmp_path):
         cfg = write_tiny(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -213,53 +238,24 @@ class TestAnalyze:
                                          "steady_state", "write"}
             assert all(t >= 0 for t in m["timings"].values())
 
-    def test_manifest_records_the_estimator_layers(self, tmp_path):
-        """A cold run records the cross-statistics stream and kernel seconds within
-        ``timings.moments``, and the samples and stream blocks it drew: 10^5 samples
-        at r = 4 are 4 blocks of at most MC_WORK_BYTES // 32 = 32,768. A warm run
-        draws none. The fluid-flow plant has no closed form, so a cold run draws the
-        stream."""
-        cfg = write_tiny(tmp_path)
-        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 100000")
-                       .replace("kind = polynomial", "kind = fluid_flow"))
-        cache = tmp_path / "cache"
-        manifests = []
-        for name in ("cold", "warm"):
-            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / name),
-                         "--cache-dir", str(cache)]) == EXIT_OK
-            manifests.append(read_manifest(tmp_path / name))
-        cold, warm = manifests
-        layers = cold["timings_within"]["moments"]
-        assert set(layers) == {"cross_stats_stream", "cross_stats_kernels"}
-        assert all(t > 0 for t in layers.values())
-        assert sum(layers.values()) <= cold["timings"]["moments"]
-        assert (cold["counters"]["cross_stats_samples"], cold["counters"]["cross_stats_blocks"]) \
-            == (100_000, 4)
-        assert warm["timings_within"]["moments"] == dict.fromkeys(layers, 0.0)
-        assert (warm["counters"]["cross_stats_samples"], warm["counters"]["cross_stats_blocks"]) \
-            == (0, 0)
-        assert cold["counters"]["cross_stats_source"] == warm["counters"]["cross_stats_source"] \
-            == "stream"
-
-    def test_estimator_blocks_count_the_kernel_evaluations(self, tmp_path, monkeypatch):
-        """A cold fluid-flow run records as ``cross_stats_blocks`` the number of calls
-        the estimator makes to ``kernelized_input``, one per kernel sub-block."""
-        import kaflab.moments
-
-        cfg = write_tiny(tmp_path)
-        cfg.write_text(cfg.read_text().replace("n_samples = 10000", "n_samples = 250000")
-                       .replace("kind = polynomial", "kind = fluid_flow"))
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(len(args[2]))
-            return kernelized_input(*args, **kwargs)
-
-        monkeypatch.setattr(kaflab.moments, "kernelized_input", counted)
-        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
-        counters = read_manifest(tmp_path / "out", "moments_cache")["counters"]
-        assert sum(calls) == counters["cross_stats_samples"] == 250_000
-        assert counters["cross_stats_blocks"] == len(calls) == 10
+    def test_fluid_flow_theory_does_not_depend_on_the_sample_count(self, tmp_path):
+        """The second experiment's cross statistics are exact: ``[moments] n_samples`` is
+        accepted and read by nothing, so 10^4 and 10^6 give the same bytes, and the
+        manifest records a closed form and no sample."""
+        text = (CONFIGS / "experiment2.cfg").read_text()
+        assert "kind = fluid_flow" in text and "n_samples = 1000000" in text
+        (tmp_path / "small.cfg").write_text(text.replace("n_samples = 1000000",
+                                                         "n_samples = 10000"))
+        for cfg, out in ((CONFIGS / "experiment2.cfg", "large"), (tmp_path / "small.cfg", "small")):
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / out)]) \
+                == EXIT_OK
+        large, small = (read_manifest(tmp_path / out, "moments_cache")
+                        for out in ("large", "small"))
+        assert large["outputs"] == small["outputs"]
+        for m in (large, small):
+            assert (m["counters"]["cross_stats_source"], m["counters"]["cross_stats_samples"]) \
+                == ("closed_form", 0)
+            assert "timings_within" not in m
 
     def test_polynomial_theory_does_not_depend_on_the_seed(self, tmp_path):
         """The polynomial plant's cross statistics are exact, so the seed, which drives
@@ -327,26 +323,6 @@ class TestAnalyze:
         manifest = read_manifest(third)
         assert manifest["dictionary"]["moments_cache_hit"] is True
 
-    def test_cache_key_separates_seed_from_sample_count(self):
-        import dataclasses
-
-        from kaflab.config import (
-            build_dictionary, build_input_model, load_config, moments_cache_key,
-        )
-
-        # a fluid-flow record depends on both the seed and the sample count
-        cfg = dataclasses.replace(load_config(CONFIGS / "null.cfg"),
-                                  system_kind=SystemKind.FLUID_FLOW)
-        d, _ = build_dictionary(cfg)
-        im = build_input_model(cfg)
-        a = dataclasses.replace(cfg, seed=12, n_moment_samples=10_000)
-        b = dataclasses.replace(cfg, seed=1, n_moment_samples=210_000)
-        assert moments_cache_key(a, d, im) != moments_cache_key(b, d, im)
-        # a closed-form record depends on neither
-        for kind in (SystemKind.NULL, SystemKind.POLYNOMIAL):
-            a, b = (dataclasses.replace(c, system_kind=kind) for c in (a, b))
-            assert moments_cache_key(a, d, im) == moments_cache_key(b, d, im)
-
     def test_closed_form_record_is_shared_across_seeds(self, tmp_path):
         cache = tmp_path / "cache"
         for seed in (1, 2):
@@ -382,8 +358,7 @@ class TestAnalyze:
         s_t = fourth_tensor(d, kern, im)[0, 0]
         stats = estimate_cross_stats(
             SystemSimulator(kind=cfg.system_kind, noise_sigma=cfg.sigma_nu),
-            InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u),
-            d, kern, cfg.n_moment_samples, cfg.seed,
+            InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern,
         )
         j_min = stats.d2 - stats.p[0] ** 2 / r_t
         k_scalar = 1 - 2 * cfg.eta * r_t + cfg.eta**2 * s_t
@@ -648,6 +623,26 @@ class TestComplexity:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_r_max_above_the_largest_dictionary_is_rejected(self, tmp_path, capsys):
+        """``--r-max`` is bounded by ``MAX_DICTIONARY_SIZE``: one more is a usage error
+        (exit 2) that writes nothing, where 10^9 used to stream a 13 GB table."""
+        from kaflab.kernel import MAX_DICTIONARY_SIZE
+
+        for r_max in (MAX_DICTIONARY_SIZE + 1, 10**9):
+            with pytest.raises(SystemExit) as exc:
+                main(["complexity", "--L", "2", "--r-max", str(r_max), "--s-n", "1",
+                      "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert f"--r-max: must be between 1 and {MAX_DICTIONARY_SIZE}" \
+                in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        out = tmp_path / "at_the_bound"
+        assert main(["complexity", "--L", "2", "--r-max", str(MAX_DICTIONARY_SIZE),
+                     "--s-n", str(MAX_DICTIONARY_SIZE), "--out", str(out)]) == EXIT_OK
+        assert (out / "complexity.csv").read_text().splitlines()[1:] == [
+            f"{MAX_DICTIONARY_SIZE},{(2 + MAX_DICTIONARY_SIZE + 2) * MAX_DICTIONARY_SIZE},"
+            f"{(2 + MAX_DICTIONARY_SIZE + 1) * MAX_DICTIONARY_SIZE + MAX_DICTIONARY_SIZE**3}"]
 
 
 class TestErrorPaths:

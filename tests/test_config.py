@@ -120,15 +120,34 @@ OUT_OF_RANGE = [
      "[dictionary] kind must be 'grid' or 'coherence', got 'random'"),
     ("null", "kind = natural_klms", "kind = rls",
      "[filter] kind must be one of ['natural_klms', 'selective', 'knlms'], got 'rls'"),
+    # finite values whose squares or reciprocals overflow or underflow
+    ("null", "sigma = 0.7", "sigma = 1e300",
+     "[kernel] sigma must keep sigma^2 and 1/(2 sigma^2) finite and normal"),
+    ("null", "sigma = 0.7", "sigma = 1e-300",
+     "[kernel] sigma must keep sigma^2 and 1/(2 sigma^2) finite and normal"),
+    ("null", "sigma_u = 0.5", "sigma_u = 1e300", "[input] sigma_u must keep its square finite "
+                                                 "and normal"),
+    ("null", "sigma_nu = 0.0", "sigma_nu = 1e300",
+     "[system] sigma_nu must be 0 or keep its square finite and normal"),
+    ("null", "eta = 0.075", "eta = 1e300", "[filter] eta must keep its square finite and normal"),
 ]
 
 
-@pytest.mark.parametrize("base,old,new,message", OUT_OF_RANGE,
-                         ids=[case[3].split(" must")[0] for case in OUT_OF_RANGE])
+def case_ids(cases):
+    """Each case's section and key, and after its first case the value it sets too."""
+    seen = set()
+    for _, _, new, message in cases:
+        name = message.split(" must")[0]
+        yield name if name not in seen else f"{name} {new.split(' = ')[-1]}"
+        seen.add(name)
+
+
+@pytest.mark.parametrize("base,old,new,message", OUT_OF_RANGE, ids=list(case_ids(OUT_OF_RANGE)))
 def test_value_just_outside_its_range_is_named_in_one_line(tmp_path, capsys, base, old, new,
                                                            message):
-    """Each range-checked key, one step past its bound, and each unknown ``kind``: exit 2
-    and exactly one ``config error:`` line that names the section and key."""
+    """Each range-checked key, one step past its bound, each finite value whose square or
+    reciprocal overflows or underflows, and each unknown ``kind``: exit 2 and exactly one
+    ``config error:`` line that names the section and key."""
     text = (CONFIGS / f"{base}.cfg").read_text(encoding="utf-8")
     assert text.count(old) == 1
     path = tmp_path / "edited.cfg"

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kaflab.sim as sim
-from kaflab import recurrence
 from kaflab.errors import DivergenceError
 from kaflab.filters import FilterState, knlms_step, natural_klms_step, selective_step
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
@@ -751,7 +750,7 @@ def lfilter():
     return pytest.importorskip("scipy.signal").lfilter
 
 
-FLUID_POLES = [1.0, -1.4138, 0.6065]
+FLUID_POLES = [1.0, *sim.FLUID_FLOW_POLES]
 
 
 class TestRecurrencesMatchLfilter:
@@ -807,85 +806,6 @@ class TestRecurrencesMatchLfilter:
         assert np.array_equal(sim.all_pole(x, *poles[1:]), y)
         # a single column goes through the scalar path, with the same bytes
         assert np.array_equal(sim.all_pole(x[:, 3:4], *poles[1:]), y[:, 3:4])
-
-
-def sequential(x, a1, a2, y1, y2):
-    """The recurrence over Python floats, one sample after another: (outputs, state)."""
-    y = np.empty(len(x))
-    for n, xn in enumerate(x.tolist()):
-        y1, y2 = (((-(a2 * y2) + 0.0) - a1 * y1) + xn if a2 else (0.0 - a1 * y1) + xn), y1
-        y[n] = y1
-    return y, np.array([y1, y2])
-
-
-class TestSegmentedStream:
-    """One long stream, run as checked lockstep segments, equals the loop over floats to
-    the last bit, signs of zeros included."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        radius=st.floats(0.0, 0.95),
-        other=st.one_of(st.floats(-0.95, 0.95), st.floats(0.0, np.pi)),
-        complex_pair=st.booleans(),
-        n=st.one_of(st.integers(1, 200_000), st.integers(16_000, 17_500),
-                    st.integers(150_000, 200_000)),
-        state=st.lists(st.sampled_from([0.0, -0.0, 1.5, -3.25, 1e-300]), min_size=2,
-                       max_size=2),
-        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
-        in_place=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_equals_the_sequential_loop(self, radius, other, complex_pair, n, state,
-                                        zero_share, in_place, seed):
-        """Real pole pairs (radius, other) and complex ones radius e^(+-i other); the
-        lengths cross the 64-segment threshold (16,384 samples after a head of at most
-        512), and a radius above about 0.86 takes the loop for any length."""
-        if complex_pair:
-            a1, a2 = -2.0 * radius * np.cos(other), radius * radius
-        else:
-            other = max(-radius, min(other, radius))
-            a1, a2 = -(radius + other), radius * other
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n)
-        zeros = rng.random(n) < zero_share
-        x[zeros] = rng.choice([0.0, -0.0], zeros.sum())
-        y_ref, state_ref = sequential(x, a1, a2, *state)
-        y, after = recurrence.all_pole(x, a1, a2, np.array(state), out=x if in_place else None)
-        assert y.tobytes() == y_ref.tobytes()
-        assert after.tobytes() == state_ref.tobytes()
-
-    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "in_place"])
-    @pytest.mark.parametrize("poles", [[1.0, -0.5], FLUID_POLES], ids=["ar1", "fluid_flow"])
-    def test_failed_checks_are_repaired_in_a_chain(self, poles, in_place):
-        """A two-sample warm-up leaves almost every segment with a wrong state: each is
-        stepped again from the outputs before it, and the next checked against those.
-        In place, the input of a segment stepped again is still there."""
-        x = np.random.default_rng(85).standard_normal(100_000)
-        a1, a2 = (poles + [0.0])[1:3]
-        y_ref, state_ref = sequential(x, a1, a2, 0.25, -0.5)
-        segments = (len(x) - 2) // recurrence.ALL_POLE_SEGMENT
-        with mock.patch.object(recurrence, "_warmup_steps", return_value=2), \
-                mock.patch.object(recurrence, "_floats", wraps=recurrence._floats) as floats:
-            y, after = recurrence.all_pole(x, a1, a2, np.array([0.25, -0.5]),
-                                           out=x if in_place else None)
-        assert floats.call_count > segments // 2
-        assert y.tobytes() == y_ref.tobytes() and after.tobytes() == state_ref.tobytes()
-
-    def test_a_segment_is_checked_on_both_outputs_of_its_state(self):
-        """Poles +-0.5i (a1 = 0), so the outputs before a segment evolve apart. Before
-        each segment start s the input makes y_{s-3} exactly 0, and a two-sample warm-up
-        from rest then ends at the true y_{s-1} but a wrong y_{s-2}."""
-        a2, seg = 0.25, recurrence.ALL_POLE_SEGMENT
-        x = np.random.default_rng(86).standard_normal(40_000)
-        y1 = y2 = 0.0
-        for n in range(len(x)):
-            if n % seg == seg - 1:  # n = s - 3 for a segment start s = 2 + c seg, c >= 1
-                x[n] = a2 * y2
-            y1, y2 = ((-(a2 * y2) + 0.0) - 0.0 * y1) + x[n], y1
-        y_ref, _ = sequential(x, 0.0, a2, 0.0, 0.0)
-        assert not y_ref[seg - 1::seg].any()
-        with mock.patch.object(recurrence, "_warmup_steps", return_value=2):
-            assert recurrence.all_pole(x, 0.0, a2).tobytes() == y_ref.tobytes()
 
 
 class TestChunkedExperimentStream:
