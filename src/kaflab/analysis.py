@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DivergenceError, InvariantError, KaflabError, NotStableError
 # spectral_radius is unused here but stays importable: perfbench's tracer wraps it by name.
 from .linalg import (spectral_radius, sym_congruence, sym_eig,  # noqa: F401
-                     symmetrize, unvec_sym, vec_sym)
+                     unvec_sym, vec_sym)
 from .moments import MomentModel
 from .sim import LearningCurve
 
@@ -75,8 +75,13 @@ def build_k(m: MomentModel, eta: float) -> KSpectrum:
         raise ValueError(f"step size must be nonnegative, got {eta}")
     r = m.dim
     check_k_size(r)
-    lin = sym_congruence(m.r_tilde, np.eye(r))
-    k_sym = symmetrize(np.eye(lin.shape[0]) - eta * (2.0 * lin) + eta**2 * m.t_sym)
+    k_sym = sym_congruence(m.r_tilde, np.eye(r))  # lin, then I - eta (2 lin) + eta^2 t_sym
+    k_sym *= 2.0
+    k_sym *= eta
+    np.subtract(np.eye(k_sym.shape[0]), k_sym, out=k_sym)
+    work = np.multiply(eta**2, m.t_sym)
+    k_sym += work
+    k_sym = np.divide(np.add(k_sym, k_sym.T, out=work), 2.0, out=work)  # symmetrized
     lam, vecs = sym_eig(k_sym)
     mu = m.r_tilde_eigenvalues
     anti = 1.0 - eta * (mu[:, None] + mu[None, :])[np.triu_indices(r, 1)]

@@ -85,6 +85,8 @@ EXIT_IO = 4
 # stability.txt says so.
 THEORY_MODELS = FilterKind.NATURAL_KLMS
 
+STATUS_FILE = "/proc/self/status"  # the peak resident set in the manifests, on Linux
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -111,6 +113,16 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig | None,
     path = out_dir / "manifest.json"
     write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     return path
+
+
+def _peak_rss() -> dict:
+    """This process's peak resident set (VmHWM) in MB of 2^20 bytes; none without the file."""
+    try:
+        with open(STATUS_FILE, encoding="utf-8", errors="replace") as f:
+            return {"peak_rss_mb": next(int(line.split()[1]) / 1024 for line in f
+                                        if line.startswith("VmHWM:"))}
+    except (OSError, StopIteration):
+        return {}
 
 
 def _write_values(path: Path, values: dict) -> None:
@@ -168,6 +180,7 @@ def cmd_simulate(args) -> int:
     sim_path = out / "simulated.csv"
     save_learning_curve(curve, sim_path)
     laps.lap("write")
+    counters.update(_peak_rss())  # of this process: not the forked half of a split chunk
     _write_manifest(out, "simulate", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.rounded(),
                      "timings_within": {"monte_carlo": within.rounded()}},
@@ -219,7 +232,8 @@ def cmd_analyze(args) -> int:
     laps.lap("write")
 
     counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
-                "cross_stats_samples": 0, "cross_stats_source": "closed_form"}
+                "gram_condition": float(model.gram.eigenvalues[-1] / model.gram.eigenvalues[0]),
+                "cross_stats_samples": 0, "cross_stats_source": "closed_form", **_peak_rss()}
     _write_manifest(out, "analyze", cfg,
                     {"dictionary": info, "counters": counters, "timings": laps.rounded(),
                      "theory_models": THEORY_MODELS.value},

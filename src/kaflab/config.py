@@ -202,6 +202,10 @@ def load_config(path) -> ExperimentConfig:
         _require(all(h > l for l, h in zip(grid_lo, grid_hi)),
                  "[dictionary] hi must exceed lo elementwise")
         dic.check("points_per_axis", points_per_axis, _AT_LEAST_1)
+        _require(points_per_axis == 1 or all(_normal((h - l) / (points_per_axis - 1))
+                                             for l, h in zip(grid_lo, grid_hi)),
+                 "[dictionary] lo and hi must be a finite normal spacing "
+                 "(hi - lo)/(points_per_axis - 1) apart on each axis")
     elif dictionary_kind == "coherence":
         mu0 = dic.get("mu0", _finite_float, required=False)
         target_size = dic.get("target_size", int, required=False)

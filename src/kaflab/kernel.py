@@ -64,14 +64,15 @@ class Dictionary:
 class GramFactor:
     """Gram matrix of a dictionary with its PD factorizations.
 
-    ``g_sqrt @ g_sqrt == g`` to about 1e-10 relative. ``g_inv`` is the
-    symmetric inverse ``g_inv_sqrt @ g_inv_sqrt``, built once so that a batch
-    of filter updates applies ``G^-1`` with one matrix product per step.
+    ``g_sqrt @ g_sqrt == g`` to about 1e-10 relative; ``eigenvalues`` are G's, ascending.
+    ``g_inv`` is the symmetric inverse ``g_inv_sqrt @ g_inv_sqrt``, built once so that a
+    batch of filter updates applies ``G^-1`` with one matrix product per step.
     """
 
     g: np.ndarray
     g_sqrt: np.ndarray
     g_inv_sqrt: np.ndarray
+    eigenvalues: np.ndarray
     g_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -140,7 +141,7 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
             f"(distance {dist:.3e}); Gram matrix cannot be positive definite"
         )
     try:
-        g_sqrt, g_inv_sqrt = pd_sqrt(g)
+        g_sqrt, g_inv_sqrt, eig = pd_sqrt(g)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             f"Gram matrix is not positive definite (smallest eigenvalue "
@@ -148,7 +149,7 @@ def gram(d: Dictionary, k: GaussianKernel) -> GramFactor:
             f"at distance {dist:.6e}",
             smallest_eigenvalue=exc.smallest_eigenvalue,
         ) from exc
-    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt)
+    return GramFactor(g=g, g_sqrt=g_sqrt, g_inv_sqrt=g_inv_sqrt, eigenvalues=eig)
 
 
 def grid_dictionary(lo, hi, points_per_axis: int) -> Dictionary:

@@ -19,6 +19,8 @@ from .errors import DimensionMismatchError, EigenSolverError, NotPositiveDefinit
 # of being silently regularized.
 PD_FLOOR_REL = 1e-12
 
+BLOCK_BYTES = 2**20  # the temporaries of one block of rows in the m x m builders
+
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return ``(a + a.T) / 2``, making symmetry exact."""
@@ -35,8 +37,9 @@ def check_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def check_symmetric(a: np.ndarray, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     """Validate that ``a`` is square and symmetric within ``tol`` (relative)."""
     a = check_square(a, name)
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > tol * scale:
+    work = np.abs(a)
+    scale = max(work.max(), 1.0)
+    if np.abs(np.subtract(a, a.T, out=work), out=work).max() > tol * scale:
         raise DimensionMismatchError(f"{name} is not symmetric")
     return a
 
@@ -55,12 +58,12 @@ def sym_eig(a: np.ndarray):
         raise EigenSolverError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
-def pd_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique symmetric PD square root and its inverse.
+def pd_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique symmetric PD square root and its inverse, with the eigenvalues of ``a``.
 
-    Returns ``(sqrt, inv_sqrt)`` with ``sqrt @ sqrt == a`` and
-    ``inv_sqrt @ sqrt == I`` to about 1e-10 relative. The input must be
-    positive definite: eigenvalues at or below ``PD_FLOOR_REL * max(eig)``
+    Returns ``(sqrt, inv_sqrt, eigenvalues)`` with ``sqrt @ sqrt == a`` and
+    ``inv_sqrt @ sqrt == I`` to about 1e-10 relative, the eigenvalues ascending. The
+    input must be positive definite: eigenvalues at or below ``PD_FLOOR_REL * max(eig)``
     raise :class:`NotPositiveDefiniteError` rather than being regularized.
     """
     w, v = sym_eig(a)
@@ -73,7 +76,7 @@ def pd_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     sq = symmetrize((v * np.sqrt(w)) @ v.T)
     inv_sq = symmetrize((v / np.sqrt(w)) @ v.T)
-    return sq, inv_sq
+    return sq, inv_sq, w
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -107,14 +110,19 @@ def sym_index(i, j, dim: int):
 def sym_congruence(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Matrix of ``C -> (A C B' + B C A') / 2`` (``A C A'`` without ``b``) on symmetric C in
     the coordinates of :func:`sym_basis`: entry (p, q), p = (i, j), q = (s, t), is
-    ``scale_p scale_q ((A_is B_jt + A_it B_js) + (B_is A_jt + B_it A_js)) / 4``."""
+    ``scale_p scale_q ((A_is B_jt + A_it B_js) + (B_is A_jt + B_it A_js)) / 4``, formed
+    in blocks of rows whose four live temporaries fit in :data:`BLOCK_BYTES`, bit for bit."""
     a = check_square(a, "sym_congruence input")
     b = a if b is None else check_square(b, "sym_congruence input")
     i, j, scale = sym_basis(a.shape[0])
-    out = a[np.ix_(i, i)] * b[np.ix_(j, j)] + a[np.ix_(i, j)] * b[np.ix_(j, i)]
-    # Without b the second half repeats the first, product for product.
-    out += out if b is a else b[np.ix_(i, i)] * a[np.ix_(j, j)] + b[np.ix_(i, j)] * a[np.ix_(j, i)]
-    out *= np.outer(scale, scale / 4.0)
+    out = np.empty((i.size, i.size))
+    rows = max(1, BLOCK_BYTES // (4 * 8 * i.size))
+    for lo in range(0, i.size, rows):
+        ir, jr, blk = i[lo:lo + rows], j[lo:lo + rows], out[lo:lo + rows]
+        np.add(a[ir][:, i] * b[jr][:, j], a[ir][:, j] * b[jr][:, i], out=blk)
+        # Without b the second half repeats the first, product for product.
+        blk += blk if b is a else b[ir][:, i] * a[jr][:, j] + b[ir][:, j] * a[jr][:, i]
+        blk *= np.outer(scale[lo:lo + rows], scale / 4.0)
     return out
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sim
+from . import linalg, sim
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
 from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
@@ -182,22 +182,26 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
     a = (i, j) and b = (s, t) run over the m = r(r+1)/2 pairs of
     :func:`~kaflab.linalg.sym_basis`. Only the distinct index multisets are evaluated;
     each value is written to the multiset's three pairings in both orders, so S is
-    exactly symmetric and equal on every pairing of a multiset.
+    exactly symmetric and equal on every pairing of a multiset. The multisets go in blocks of
+    leading pairs, each gather within :data:`~kaflab.linalg.BLOCK_BYTES`: same bits in any.
     """
     c = d.centers
     _check_input_dim(c, im)
     r = d.size
     pi, pj, _ = sym_basis(r)
-    # sorted multisets w <= x <= y <= z in lexicographic order: pairs (w, x), (y, z), x <= y
-    first, second = np.nonzero(pj[:, None] <= pi[None, :])
-    w, x, y, z = pi[first], pj[first], pi[second], pj[second]
-    gathered = c[np.stack([w, x, y, z], axis=1)]  # (n_multisets, 4, L)
-    vals = _moment_batch(gathered.sum(axis=1), (gathered**2).sum(axis=(1, 2)), 4, k, im)
     out = np.empty((pi.size, pi.size))
-    for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-        a, b = sym_index(*p, r), sym_index(*q, r)
-        out[a, b] = vals
-        out[b, a] = vals
+    rows = max(1, linalg.BLOCK_BYTES // (8 * 4 * c.shape[1] * pi.size))
+    for lo in range(0, pi.size, rows):
+        # sorted multisets w <= x <= y <= z: leading pairs (w, x) of this block, (y, z), x <= y
+        first, second = np.nonzero(pj[lo:lo + rows, None] <= pi[None, :])
+        first += lo
+        w, x, y, z = pi[first], pj[first], pi[second], pj[second]
+        gathered = c[np.stack([w, x, y, z], axis=1)]  # (n_multisets, 4, L)
+        vals = _moment_batch(gathered.sum(axis=1), (gathered**2).sum(axis=(1, 2)), 4, k, im)
+        for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
+            a, b = sym_index(*p, r), sym_index(*q, r)
+            out[a, b] = vals
+            out[b, a] = vals
     return out
 
 
@@ -382,7 +386,7 @@ def build_model(
     """Assemble the full moment model from a dictionary, kernel and input law.
 
     Computes the closed-form second and fourth moments and applies the inverse
-    Gram square-root transform, to the fourth moments as two m x m products.
+    Gram square-root transform, to the fourth moments as two m x m products in place.
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size != d.size:
@@ -409,7 +413,9 @@ def build_model(
     s_o *= scale[:, None]
     s_o *= scale
     b = sym_congruence(w)
-    t_sym = symmetrize(b @ s_o @ b.T)
+    bs = b @ s_o
+    np.matmul(bs, b.T, out=s_o)  # B S_o B', then symmetrized: no third m x m array
+    t_sym = np.divide(np.add(s_o, s_o.T, out=bs), 2.0, out=bs)
     return MomentModel(
         r_kappa=r_kappa,
         p=p,

@@ -8,7 +8,9 @@ from the (r, r, L) pairwise differences, the Kronecker product,
 the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
 from the library's block on symmetric pairs, the step-by-step transient and mean
 recursions, a filter state's output, the symmetric block of K gathered entry by
-entry, the seeded streams drawn whole, and the stream estimate of the cross
+entry, the whole-array forms of the fourth-moment block, the congruence matrix, the
+product B S Bᵀ and K that the library now forms in blocks or in place, the seeded
+streams drawn whole, and the stream estimate of the cross
 statistics that the library computes exactly. The library itself never builds an
 r^4 array or a whole Monte-Carlo stream. The memory guards measure a fresh
 interpreter with :func:`peak_growth_mb`.
@@ -30,10 +32,10 @@ from hypothesis import strategies as st
 import kaflab
 from kaflab.config import build_dictionary, load_config
 from kaflab.errors import DimensionMismatchError, DivergenceError, NotPositiveDefiniteError
-from kaflab.kernel import Dictionary, GaussianKernel, grid_dictionary, kernelized_input
+from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
 from kaflab.linalg import check_square, pd_sqrt, sym_basis, sym_index, symmetrize
-from kaflab.moments import (InputModel, build_model, estimate_cross_stats, exact_cross_stats,
-                             fourth_tensor)
+from kaflab.moments import (InputModel, _moment_batch, build_model, estimate_cross_stats,
+                             exact_cross_stats, fourth_tensor)
 from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
                         stationary_covariance)
 
@@ -99,7 +101,7 @@ def gram_from_differences(d, k):
     np.fill_diagonal(g, 1.0)
     g = symmetrize(g)
     try:
-        g_sqrt, g_inv_sqrt = pd_sqrt(g)
+        g_sqrt, g_inv_sqrt, _ = pd_sqrt(g)
     except NotPositiveDefiniteError:
         return None, diff2
     return (g, g_sqrt, g_inv_sqrt, symmetrize(g_inv_sqrt @ g_inv_sqrt)), diff2
@@ -164,6 +166,56 @@ def expand_pairs(block: np.ndarray, dim: int) -> np.ndarray:
     block indexed by the pairs of ``sym_basis``."""
     pair = sym_index(*np.indices((dim, dim)), dim)
     return block[pair[:, :, None, None], pair[None, None, :, :]]
+
+
+def fourth_tensor_whole(d, k, im) -> np.ndarray:
+    """The m x m fourth-moment block as ``kaflab.moments.fourth_tensor`` formed it before
+    it took its multisets in blocks of leading pairs: every sorted multiset w <= x <= y <=
+    z found, gathered (n_multisets, 4, L) and evaluated at once, then written to its three
+    pairings in both orders. The bit-for-bit reference for the blocked form."""
+    c, r = d.centers, d.size
+    pi, pj, _ = sym_basis(r)
+    first, second = np.nonzero(pj[:, None] <= pi[None, :])
+    w, x, y, z = pi[first], pj[first], pi[second], pj[second]
+    gathered = c[np.stack([w, x, y, z], axis=1)]
+    vals = _moment_batch(gathered.sum(axis=1), (gathered**2).sum(axis=(1, 2)), 4, k, im)
+    out = np.empty((pi.size, pi.size))
+    for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
+        a, b = sym_index(*p, r), sym_index(*q, r)
+        out[a, b] = vals
+        out[b, a] = vals
+    return out
+
+
+def sym_congruence_whole(a, b=None) -> np.ndarray:
+    """``kaflab.linalg.sym_congruence`` as it was formed before it went a block of rows
+    at a time: whole m x m ``np.ix_`` gathers and one outer product of the scales. The
+    bit-for-bit reference for the blocked form."""
+    b = a if b is None else b
+    i, j, scale = sym_basis(a.shape[0])
+    out = a[np.ix_(i, i)] * b[np.ix_(j, j)] + a[np.ix_(i, j)] * b[np.ix_(j, i)]
+    out += out if b is a else b[np.ix_(i, i)] * a[np.ix_(j, j)] + b[np.ix_(i, j)] * a[np.ix_(j, i)]
+    out *= np.outer(scale, scale / 4.0)
+    return out
+
+
+def t_sym_whole(d, k, im) -> np.ndarray:
+    """A model's ``t_sym`` as ``kaflab.moments.build_model`` formed it before it formed
+    the product in place: ``symmetrize(b @ s_o @ b.T)`` over whole-array temporaries, from
+    :func:`fourth_tensor_whole` and :func:`sym_congruence_whole`."""
+    scale = sym_basis(d.size)[2]
+    s_o = fourth_tensor_whole(d, k, im)
+    s_o *= scale[:, None]
+    s_o *= scale
+    b = sym_congruence_whole(gram(d, k).g_inv_sqrt)
+    return symmetrize(b @ s_o @ b.T)
+
+
+def k_sym_whole(m, eta) -> np.ndarray:
+    """The symmetric block of K as ``kaflab.analysis.build_k`` formed it before it formed
+    it in place: one expression over whole-array temporaries."""
+    lin = sym_congruence_whole(m.r_tilde, np.eye(m.dim))
+    return symmetrize(np.eye(lin.shape[0]) - eta * (2.0 * lin) + eta**2 * m.t_sym)
 
 
 def full_fourth_tensor(d, k, im) -> np.ndarray:

@@ -395,7 +395,7 @@ def test_criterion_9_property_suite():
         for _ in range(5):
             m = rng.standard_normal((6, 6))
             a = m @ m.T + 6 * np.eye(6)
-            sq, inv = pd_sqrt(a)
+            sq, inv, _ = pd_sqrt(a)
             assert np.linalg.norm(sq @ sq - a) / np.linalg.norm(a) < 1e-10
             assert np.linalg.norm(inv @ sq - np.eye(6)) < 1e-10
 

@@ -2,6 +2,7 @@
 lexicographic oracle and the symmetric block the engine decomposes),
 transient and steady-state MSE, complexity accounting."""
 
+import functools
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ def fabricate_model(r_tilde, s_t, j_min=0.0, alpha_star=None, d2=1.0):
     if alpha_star is None:
         alpha_star = np.zeros(r)
     eye = np.eye(r)
-    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye)
+    gf = GramFactor(g=eye, g_sqrt=eye, g_inv_sqrt=eye, eigenvalues=np.ones(r))
     return MomentModel(
         r_kappa=r_tilde.copy(),
         p=np.zeros(r),
@@ -284,12 +285,11 @@ class TestComplexityReport:
             complexity_report(4, 2, 5)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
-def test_theory_memory_grows_with_the_pair_block():
-    """In a fresh interpreter, build_model + build_k on a 7 x 7 grid (r = 49, m = 1,225)
-    raise the peak resident set by less than 160 MB: the theory keeps m x m arrays, and
-    an r^4 tensor alone would take 46 MB."""
-    growth_mb = peak_growth_mb("""
+@functools.cache
+def theory_growth_mb() -> float:
+    """MB by which build_model + build_k on a 7 x 7 grid (r = 49, m = 1,225) raise the
+    peak resident set of a fresh interpreter; measured once for the guards below."""
+    return peak_growth_mb("""
         import numpy as np
         from kaflab.analysis import build_k
         from kaflab.kernel import GaussianKernel, grid_dictionary
@@ -301,4 +301,25 @@ def test_theory_memory_grows_with_the_pair_block():
         alpha = np.full(d.size, 0.1)
         p = second_moment(d, k, im) @ alpha
     """, "build_k(build_model(d, k, im, p, float(p @ alpha) + 0.01), 0.075)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_theory_memory_grows_with_the_pair_block():
+    """The theory on the 7 x 7 grid raises the peak resident set by less than 160 MB: it
+    keeps m x m arrays, and an r^4 tensor alone would take 46 MB."""
+    growth_mb = theory_growth_mb()
     assert growth_mb < 160, f"peak resident set grew by {growth_mb:.0f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_theory_memory_is_under_seven_pair_blocks():
+    """The theory on the 7 x 7 grid raises the peak resident set by less than 7 m x m
+    arrays of doubles (80 MB): the eigendecomposition of K holds about six (its input and
+    t_sym, eigh's copy, dsyevd's 2 m^2 workspace and the eigenvectors), and the fourth
+    moments, B S Bᵀ and K are formed in blocks or in place below that. Whole-array forms
+    read 96 MB."""
+    m = 49 * 50 // 2
+    bound_mb = 7 * m * m * 8 / 2**20
+    growth_mb = theory_growth_mb()
+    assert growth_mb < bound_mb, f"peak resident set grew by {growth_mb:.1f} MB, not under " \
+                                 f"{bound_mb:.1f} MB"

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS, peak_growth_mb
+from kaflab import cli
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
-from kaflab.kernel import GaussianKernel
+from kaflab.kernel import GaussianKernel, gram
 from kaflab.linalg import sym_index
 from kaflab.moments import fourth_tensor
 
@@ -128,6 +129,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         m = read_manifest(out)
+        assert m["counters"].pop("peak_rss_mb", 1.0) > 0  # where /proc/self/status exists
         assert m["counters"] == {"r": 4, "n_runs": 2, "n_iters": 40, "run_chunk": 2,
                                  "kernel_values": 2 * 40 * 4, "mc_processes": 1}
         assert set(m["timings"]) == {"dictionary", "monte_carlo", "write"}
@@ -169,6 +171,34 @@ class TestSimulate:
         b = read_curve(out2 / "simulated.csv")
         assert not np.array_equal(a, b)
         assert read_manifest(out2)["seed"] == 99
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_manifests_record_the_peak_memory_and_the_gram_condition(tmp_path, monkeypatch):
+    """``simulate`` and ``analyze`` record ``counters.peak_rss_mb``, the process's VmHWM,
+    and ``analyze`` records ``counters.gram_condition``, G's largest over its smallest
+    eigenvalue, as ``gram`` computed them. Both lie outside the hashed outputs: with the
+    status file missing, the peak is left out and every output keeps its sha256."""
+    cfg = write_tiny(tmp_path)
+    statuses = (cli.STATUS_FILE, str(tmp_path / "no-status"))
+    manifests = {}
+    for status in statuses:
+        monkeypatch.setattr(cli, "STATUS_FILE", status)
+        for command in ("simulate", "analyze"):
+            out = tmp_path / f"{command}-{len(manifests)}"
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         *(["--cache-dir", str(tmp_path / "cache")] if command == "analyze"
+                           else [])]) == EXIT_OK
+            manifests[command, status] = read_manifest(out)
+    c = load_config(cfg)
+    eig = gram(build_dictionary(c)[0], GaussianKernel(c.sigma)).eigenvalues
+    for command in ("simulate", "analyze"):
+        measured, missing = (manifests[command, s] for s in statuses)
+        assert 10 < measured["counters"]["peak_rss_mb"] < 1000
+        assert "peak_rss_mb" not in missing["counters"]
+        assert measured["outputs"] == missing["outputs"]
+    for m in (manifests["analyze", s] for s in statuses):
+        assert m["counters"]["gram_condition"] == eig[-1] / eig[0] > 1.0
 
 
 class TestAnalyze:

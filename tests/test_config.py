@@ -130,6 +130,10 @@ OUT_OF_RANGE = [
     ("null", "sigma_nu = 0.0", "sigma_nu = 1e300",
      "[system] sigma_nu must be 0 or keep its square finite and normal"),
     ("null", "eta = 0.075", "eta = 1e300", "[filter] eta must keep its square finite and normal"),
+    # a grid whose spacing overflows
+    ("experiment1", "lo = -1, -1\nhi = 1, 1", "lo = -1e308, -1\nhi = 1e308, 1",
+     "[dictionary] lo and hi must be a finite normal spacing (hi - lo)/(points_per_axis - 1) "
+     "apart on each axis"),
 ]
 
 

@@ -51,19 +51,23 @@ class TestSymEig:
 
 class TestPdSqrt:
     def test_identity(self):
-        sq, inv = pd_sqrt(np.eye(4))
+        sq, inv, _ = pd_sqrt(np.eye(4))
         assert np.allclose(sq, np.eye(4))
         assert np.allclose(inv, np.eye(4))
 
     def test_diagonal(self):
-        sq, inv = pd_sqrt(np.diag([4.0, 9.0]))
+        sq, inv, _ = pd_sqrt(np.diag([4.0, 9.0]))
         assert np.allclose(sq, np.diag([2.0, 3.0]))
         assert np.allclose(inv, np.diag([0.5, 1.0 / 3.0]))
+
+    def test_returns_the_eigenvalues_it_decomposed(self):
+        g = gram(grid_dictionary([-1, -1], [1, 1], 5), GaussianKernel(0.7)).g
+        assert np.array_equal(pd_sqrt(g)[2], np.linalg.eigh(g).eigenvalues)
 
     def test_gram_round_trip(self):
         d = grid_dictionary([-1, -1], [1, 1], 5)
         g = gram(d, GaussianKernel(0.7)).g
-        sq, inv = pd_sqrt(g)
+        sq, inv, _ = pd_sqrt(g)
         assert np.linalg.norm(sq @ sq - g) / np.linalg.norm(g) < 1e-10
         assert np.linalg.norm(inv @ sq - np.eye(25)) < 1e-10
         # outputs symmetric exactly, by construction

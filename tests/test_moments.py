@@ -2,12 +2,16 @@
 statistics against stream estimates, and moment-model assembly."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kaflab import moments, sim
-from kaflab.config import build_dictionary, load_config
+from kaflab import linalg, moments, sim
+from kaflab.analysis import build_k
+from kaflab.config import build_dictionary, build_input_model, build_system, load_config
 from kaflab.errors import NotPositiveDefiniteError
 from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
 from kaflab.moments import (
@@ -17,6 +21,7 @@ from kaflab.moments import (
     estimate_cross_stats,
     exact_cross_stats,
     fluid_flow_covariance,
+    fourth_tensor,
     load_moment_model,
     mc_fourth_entries,
     mc_second_moment,
@@ -25,8 +30,9 @@ from kaflab.moments import (
     second_moment,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
-from conftest import (CONFIGS, EXP1_SEED, full_fourth_tensor, input_model,
-                      one_block_cross_stats, s_tilde)
+from conftest import (CONFIGS, EXP1_SEED, fourth_tensor_whole, full_fourth_tensor, input_model,
+                      k_sym_whole, one_block_cross_stats, s_tilde, sym_congruence_whole,
+                      t_sym_whole)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -170,6 +176,55 @@ class TestFourthTensor:
         mc, stderr = mc_fourth_entries(d, k, im, entries, 1_000_000, rng)
         for e_i, e in enumerate(entries):
             assert abs(s[e] - mc[e_i]) < 4 * stderr[e_i]
+
+
+def assert_blocked_forms_keep_their_bits(d, k, im, eta):
+    """The blocked fourth moments and congruence matrices, and the model's ``t_sym`` and K's
+    symmetric block formed in place, equal their whole-array forms bit for bit. A Gram
+    matrix that is not positive definite ends the check after the first two."""
+    r = d.size
+    a, b = np.random.default_rng(r).standard_normal((2, r, r))
+    assert np.array_equal(fourth_tensor(d, k, im), fourth_tensor_whole(d, k, im))
+    assert np.array_equal(linalg.sym_congruence(a), sym_congruence_whole(a))
+    assert np.array_equal(linalg.sym_congruence(a, b), sym_congruence_whole(a, b))
+    alpha = np.full(r, 0.1)
+    p = second_moment(d, k, im) @ alpha
+    try:
+        model = build_model(d, k, im, p, float(p @ alpha) + 1.0)
+    except NotPositiveDefiniteError:
+        return
+    assert np.array_equal(model.t_sym, t_sym_whole(d, k, im))
+    assert np.array_equal(build_k(model, eta).k_sym, k_sym_whole(model, eta))
+
+
+class TestBlockedFormsKeepTheirBits:
+    """The m x m builders (``fourth_tensor``, ``sym_congruence``, ``build_model``'s B S Bᵀ and
+    ``build_k``'s K) against the whole-array forms they replaced, in ``tests/conftest.py``."""
+
+    @pytest.mark.parametrize("budget", [linalg.BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("name", ["null", "experiment1", "experiment2"])
+    def test_shipped_dictionaries(self, name, budget):
+        """At the shipped block budget (several blocks for r = 25 and 31) and at one leading
+        pair, one row, per block."""
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        d, _ = build_dictionary(cfg)
+        with mock.patch.object(linalg, "BLOCK_BYTES", budget):
+            assert_blocked_forms_keep_their_bits(d, GaussianKernel(cfg.sigma),
+                                                 build_input_model(cfg), cfg.eta)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(r=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(0.2, 0.8), eta=st.floats(0.01, 0.5),
+           budget=st.one_of(st.just(1), st.integers(1, 2**21)))
+    @example(r=1, seed=0, sigma=0.5, eta=0.075, budget=2**20)
+    @example(r=40, seed=1, sigma=0.3, eta=0.075, budget=1)  # one leading pair per block
+    # r = 13, m = 91: blocks of 3 leading pairs and of 6 congruence rows, neither dividing m
+    @example(r=13, seed=2, sigma=0.4, eta=0.075, budget=3 * 64 * 91)
+    def test_drawn_dictionaries(self, r, seed, sigma, eta, budget):
+        """r centers drawn uniformly over [-2, 2]^2, at any block budget."""
+        d = Dictionary(np.random.default_rng(seed).uniform(-2.0, 2.0, (r, 2)))
+        with mock.patch.object(linalg, "BLOCK_BYTES", budget):
+            assert_blocked_forms_keep_their_bits(d, GaussianKernel(sigma), input_model(), eta)
 
 
 class _KernelPlant:
