@@ -65,7 +65,6 @@ from .moments import (
 )
 from .sim import (
     MOMENTS_CHECK_SALT,
-    InputGenerator,
     Laps,
     LearningCurve,
     load_learning_curve,
@@ -151,8 +150,7 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
     info["moments_cache"] = str(cache_file)
     info["moments_cache_hit"] = stats is not None
     if stats is None:
-        stats = estimate_cross_stats(build_system(cfg),
-                                     InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern)
+        stats = estimate_cross_stats(build_system(cfg), im, d, kern)
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_moment_model(stats, cache_file)
     return build_model(d, kern, im, stats.p, stats.d2)

@@ -140,14 +140,15 @@ def _normal(x: float) -> bool:  # a finite normal double: no overflow, no underf
     return sys.float_info.min <= abs(x) <= sys.float_info.max
 
 
-# Range rules of single keys, as (test, the text after "[section] key must"); the last two
-# test the squares and reciprocals that the theory forms, none of which may overflow.
+# Range rules of single keys, as (test, the text after "[section] key must"); the last three
+# test the powers and reciprocals that the theory forms, none of which may overflow.
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
 _NORMAL_SQUARE = (lambda v: _normal(v * v), "keep its square finite and normal")
 _NORMAL_WIDTH = (lambda v: _normal(v * v) and _normal(0.5 / (v * v)),
                  "keep sigma^2 and 1/(2 sigma^2) finite and normal")
+_NORMAL_FOURTH = (lambda v: _normal((v * v) * (v * v)), "keep sigma^4 finite and normal")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -179,6 +180,7 @@ def load_config(path) -> ExperimentConfig:
 
     sigma = kernel.get("sigma", _finite_float, _POSITIVE)
     kernel.check("sigma", sigma, _NORMAL_WIDTH)
+    kernel.check("sigma", sigma, _NORMAL_FOURTH)
     rho = inp.get("rho", _finite_float, (lambda v: 0 <= v < 1, "lie in [0, 1)"))
     sigma_u = inp.get("sigma_u", _finite_float, _POSITIVE)
     inp.check("sigma_u", sigma_u, _NORMAL_SQUARE)

@@ -19,7 +19,14 @@ from .errors import DimensionMismatchError, EigenSolverError, NotPositiveDefinit
 # of being silently regularized.
 PD_FLOOR_REL = 1e-12
 
-BLOCK_BYTES = 2**20  # the temporaries of one block of rows in the m x m builders
+# The one byte budget of every blocked loop in kaflab, read at call time: the arrays that one
+# block of rows works in stay within it, and so within a core's cache.
+WORK_BYTES = 2**20
+
+
+def rows_within(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that one block holds within :data:`WORK_BYTES`, at least one."""
+    return max(1, WORK_BYTES // row_bytes)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -111,12 +118,12 @@ def sym_congruence(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Matrix of ``C -> (A C B' + B C A') / 2`` (``A C A'`` without ``b``) on symmetric C in
     the coordinates of :func:`sym_basis`: entry (p, q), p = (i, j), q = (s, t), is
     ``scale_p scale_q ((A_is B_jt + A_it B_js) + (B_is A_jt + B_it A_js)) / 4``, formed
-    in blocks of rows whose four live temporaries fit in :data:`BLOCK_BYTES`, bit for bit."""
+    in blocks of rows whose four live temporaries fit in :data:`WORK_BYTES`, bit for bit."""
     a = check_square(a, "sym_congruence input")
     b = a if b is None else check_square(b, "sym_congruence input")
     i, j, scale = sym_basis(a.shape[0])
     out = np.empty((i.size, i.size))
-    rows = max(1, BLOCK_BYTES // (4 * 8 * i.size))
+    rows = rows_within(4 * 8 * i.size)
     for lo in range(0, i.size, rows):
         ir, jr, blk = i[lo:lo + rows], j[lo:lo + rows], out[lo:lo + rows]
         np.add(a[ir][:, i] * b[jr][:, j], a[ir][:, j] * b[jr][:, i], out=blk)

@@ -150,13 +150,7 @@ def multi_point_moment(centers, k: GaussianKernel, im: InputModel) -> float:
     if c.shape[0] < 1:
         raise ValueError("at least one center is required")
     _check_input_dim(c, im)
-    val = _moment_batch(
-        c.sum(axis=0)[None, :],
-        np.array([(c**2).sum()]),
-        c.shape[0],
-        k,
-        im,
-    )
+    val = _moment_batch(c.sum(axis=0)[None, :], np.array([(c**2).sum()]), c.shape[0], k, im)
     return float(val[0])
 
 
@@ -183,14 +177,14 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
     :func:`~kaflab.linalg.sym_basis`. Only the distinct index multisets are evaluated;
     each value is written to the multiset's three pairings in both orders, so S is
     exactly symmetric and equal on every pairing of a multiset. The multisets go in blocks of
-    leading pairs, each gather within :data:`~kaflab.linalg.BLOCK_BYTES`: same bits in any.
+    leading pairs, each gather within :data:`~kaflab.linalg.WORK_BYTES`: same bits in any.
     """
     c = d.centers
     _check_input_dim(c, im)
     r = d.size
     pi, pj, _ = sym_basis(r)
     out = np.empty((pi.size, pi.size))
-    rows = max(1, linalg.BLOCK_BYTES // (8 * 4 * c.shape[1] * pi.size))
+    rows = linalg.rows_within(8 * 4 * c.shape[1] * pi.size)
     for lo in range(0, pi.size, rows):
         # sorted multisets w <= x <= y <= z: leading pairs (w, x) of this block, (y, z), x <= y
         first, second = np.nonzero(pj[lo:lo + rows, None] <= pi[None, :])
@@ -212,11 +206,18 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
 
 def _mc_kernel_chunks(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples: int,
                       rng: np.random.Generator):
-    """Kernel columns of ``n_samples`` draws of ``u ~ N(0, R_u)``, a block at a time."""
-    chol = np.linalg.cholesky(im.r_u)
+    """Kernel values (n, r) of ``n_samples`` draws of ``u ~ N(0, R_u)``, ``MC_MOMENT_CHUNK``
+    draws at a time. Each chunk's array is filled a block of draws at a time, through one
+    work array of r doubles a draw within :data:`~kaflab.linalg.WORK_BYTES`: the same bits
+    as the whole chunk at once (:func:`~kaflab.kernel.kernelized_input`)."""
+    chol, rows = np.linalg.cholesky(im.r_u), linalg.rows_within(8 * d.size)
+    work = np.empty((d.size, rows))
     for done in range(0, n_samples, MC_MOMENT_CHUNK):
         u = rng.standard_normal((min(MC_MOMENT_CHUNK, n_samples - done), im.dim)) @ chol.T
-        yield kernelized_input(d, k, u)
+        km = np.empty((len(u), d.size))
+        for lo in range(0, len(u), rows):
+            kernelized_input(d, k, u[lo:lo + rows], out=km[lo:lo + rows], work=work)
+        yield km
 
 
 def _mean_and_stderr(s1, s2, n: int):
@@ -225,13 +226,8 @@ def _mean_and_stderr(s1, s2, n: int):
     return mean, np.sqrt(np.maximum(s2 / n - mean**2, 0.0) / n)
 
 
-def mc_second_moment(
-    d: Dictionary,
-    k: GaussianKernel,
-    im: InputModel,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+def mc_second_moment(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimate of the kernelized-input autocorrelation with standard errors."""
     s1 = np.zeros((d.size, d.size))
     s2 = np.zeros((d.size, d.size))
@@ -242,14 +238,8 @@ def mc_second_moment(
     return _mean_and_stderr(s1, s2, n_samples)
 
 
-def mc_fourth_entries(
-    d: Dictionary,
-    k: GaussianKernel,
-    im: InputModel,
-    entries,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+def mc_fourth_entries(d: Dictionary, k: GaussianKernel, im: InputModel, entries, n_samples: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimates of selected fourth-tensor entries with standard errors.
 
     ``entries`` is a sequence of (i, j, s, t) index tuples. Each chunk's kernel
@@ -364,10 +354,8 @@ def exact_cross_stats(system, d: Dictionary, k: GaussianKernel,
                     + noise)
 
 
-def estimate_cross_stats(system, input_gen, d: Dictionary, k: GaussianKernel) -> CrossStats:
-    """:func:`exact_cross_stats` of ``system`` for the stationary input of the
-    :class:`kaflab.sim.InputGenerator` ``input_gen``, as the cache record holds them."""
-    im = InputModel(sim.stationary_covariance(input_gen.rho, input_gen.sigma_u))
+def estimate_cross_stats(system, im: InputModel, d: Dictionary, k: GaussianKernel) -> CrossStats:
+    """:func:`exact_cross_stats` of ``system`` for the input law ``im``, as the cache holds them."""
     return CrossStats(*exact_cross_stats(system, d, k, im))
 
 

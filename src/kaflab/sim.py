@@ -10,9 +10,10 @@ seeds a block of time steps at a time, carrying every generator and recurrence
 state across blocks, so the Monte-Carlo engine never holds a whole stream.
 
 The engine steps a chunk of independent runs in lockstep over those blocks, one row per
-run, in a working set fixed before its first step (``MC_WORK_BYTES``), more than 128 runs as
-two parts in two processes where a probe finds that they keep the bits. Chunk sums are added
-in run order; chunk and block sizes follow from one byte budget and the dictionary size.
+run, in a working set fixed before its first step, more than 128 runs as two parts in two
+processes where a probe finds that they keep the bits. Chunk sums are added in run order;
+chunk and block sizes follow from the dictionary size and the one byte budget of
+:data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DivergenceError
 from .filters import FilterKind, make_update, moves_along_g_inv
 from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
+from .linalg import rows_within
 from .recurrence import all_pole
 
 # Unused here, like ``_run_single`` below: perfbench/tracing.py wraps them by name.
@@ -47,12 +49,12 @@ MOMENTS_CHECK_SALT = 4
 # Working memory of the Monte-Carlo engine, none of which grows with the
 # number of iterations. A chunk of runs draws its streams MC_STREAM_STEPS steps
 # at a time, so that each run's two generator calls per block cost little next
-# to its draws. A stream block holds four arrays of steps x runs doubles (3.1 MB
-# for 192 runs): the draws, reused from block to block, then the input and the
-# desired signal; the input pairs are a view. 512 steps take about the memory
-# that 256 took before the stream stopped copying. The kernel values of the
-# chunk's runs are formed for a block of those steps at a time, in one reused
-# buffer of at most MC_WORK_BYTES (steps x runs x r doubles); a second buffer of
+# to its draws. A stream block holds its two arrays of draws, reused from block to
+# block, then the input and the desired signal, and while the plant forms that
+# signal one or two temporaries: each steps x runs doubles (0.8 MB for 192 runs);
+# the input pairs are a view. The kernel values of the chunk's runs are formed
+# for a block of those steps at a time, in one reused buffer of at most
+# linalg.WORK_BYTES (steps x runs x r doubles, kernel_block); a second buffer of
 # the same size is the evaluation's work array and then holds the block's
 # stacked G^-1 products. Both stay within a core's cache; larger and smaller
 # blocks were slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS
@@ -60,16 +62,8 @@ MOMENTS_CHECK_SALT = 4
 # overhead of the stream recurrences and of the filter loop serves all the runs
 # of a shipped config in each process that steps its chunk (two for more than
 # 128 runs).
-MC_WORK_BYTES = 2**20
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
-
-# A stream block of many seeds is scaled, filtered and run through the plant in
-# chunks of rows whose arrays take at most STREAM_ROW_BYTES each, so that they
-# stay in a core's cache from one operation to the next. On 192 runs, 128 KB
-# chunks drew the stream about 9% faster than whole 786 KB blocks; 512 KB chunks
-# were no faster than whole blocks.
-STREAM_ROW_BYTES = 2**17
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -344,7 +338,6 @@ def stream_blocks(
             for e in seeds]
     scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
     most = warmup + min(block, n)  # samples drawn for the largest block, the first
-    rows = max(1, STREAM_ROW_BYTES // (8 * len(rngs)))
     drives, noise = np.empty((len(rngs), most)), np.zeros((len(rngs), most))  # reused
     u_state = plant_state = np.zeros((2, len(rngs)))
     for t0 in range(0, n, block):
@@ -358,20 +351,15 @@ def stream_blocks(
             rng_input.standard_normal(out=drive)
             if system.noise_sigma > 0:
                 rng_noise.standard_normal(out=nu)
-        if first:
-            _, u_state = all_pole(u[:1], -input_gen.rho, state=u_state, out=u[:1])
-        else:
+        if not first:
             u[0] = u_state[0]
-        d = np.empty((steps, len(rngs)))
-        for a in range(0, steps, rows):  # the states carried from chunk to chunk
-            b = min(a + rows, steps)
-            np.multiply(scale, drives[:, a:b].T, out=u[1 + a:1 + b])
-            _, u_state = all_pole(u[1 + a:1 + b], -input_gen.rho, state=u_state,
-                                  out=u[1 + a:1 + b])
-            nu = noise[:, a:b]
-            if system.noise_sigma > 0:  # as Generator.normal forms it: 0.0 + sigma z
-                np.add(0.0, np.multiply(system.noise_sigma, nu, out=nu), out=nu)
-            d[a:b], plant_state = system.respond(u[a:b + 1], nu.T, plant_state)
+        np.multiply(scale, drives[:, :steps].T, out=u[1:])
+        y = u if first else u[1:]  # the recurrence starts at u_0, or goes on from the last u
+        _, u_state = all_pole(y, -input_gen.rho, state=u_state, out=y)
+        nu = noise[:, :steps]
+        if system.noise_sigma > 0:  # as Generator.normal forms it: 0.0 + sigma z
+            np.add(0.0, np.multiply(system.noise_sigma, nu, out=nu), out=nu)
+        d, plant_state = system.respond(u, nu.T, plant_state)
         yield embed_input(u)[skip:], d[skip:]
         del u, d  # a consumer that lets go of the block frees it before the next is drawn
 
@@ -416,7 +404,7 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
     natural = moves_along_g_inv(setup.filter_kind, setup.s_n, r)
     move = make_update(setup.filter_kind, setup.gram, setup.eta, (m, r), setup.s_n,
                        setup.eps_reg)
-    block = max(1, min(MC_WORK_BYTES // (8 * m * r), MC_STREAM_STEPS, n_iters))
+    block = kernel_block(m, r, n_iters)
     # The block's two buffers, reused: the kernel values, and the work array that
     # forms them and then holds their stacked G^-1 products. A kernel block ends
     # where its stream block ends, so it is never longer than one.
@@ -480,7 +468,13 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
 
 def run_chunk_size(r: int) -> int:
     """Runs stepped together: as many as leave a kernel block ``MC_BLOCK_STEPS`` steps."""
-    return max(1, MC_WORK_BYTES // (8 * r * MC_BLOCK_STEPS))
+    return rows_within(8 * r * MC_BLOCK_STEPS)
+
+
+def kernel_block(m: int, r: int, n_iters: int) -> int:
+    """Steps of a kernel block of ``m`` runs over ``r`` centers within the byte budget, at
+    most a stream block and ``n_iters``: the one rule of :func:`_run_chunk` and its probe."""
+    return min(rows_within(8 * m * r), MC_STREAM_STEPS, n_iters)
 
 
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
@@ -496,7 +490,7 @@ def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
     a, x = rng.random((2, m)), rng.random((m, r))
 
     def product(rows):  # the last matrix of a stacked kernel block of these rows
-        block = max(1, min(MC_WORK_BYTES // (8 * len(rows) * r), MC_STREAM_STEPS, n_iters))
+        block = kernel_block(len(rows), r, n_iters)
         return np.matmul(np.broadcast_to(rows, (block, *rows.shape)).copy(), setup.gram.g_inv)[-1]
 
     exact = (np.array_equal(a.sum(axis=1), a[:, :n2].sum(axis=1) + a[:, n2:].sum(axis=1))

@@ -415,9 +415,8 @@ def peak_growth_mb(setup: str, measured: str) -> float:
 def model_for(dictionary, sigma, system_kind, sigma_nu):
     kern = GaussianKernel(sigma)
     im = input_model()
-    gen = InputGenerator(rho=0.5, sigma_u=0.5)
     system = SystemSimulator(kind=system_kind, noise_sigma=sigma_nu)
-    stats = estimate_cross_stats(system, gen, dictionary, kern)
+    stats = estimate_cross_stats(system, im, dictionary, kern)
     model = build_model(dictionary, kern, im, stats.p, stats.d2)
     return model, stats
 

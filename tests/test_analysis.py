@@ -18,13 +18,14 @@ from kaflab.analysis import (
     steady_state_mse,
     transient_mse,
 )
-from conftest import (TOY_SIGMA, full_fourth_tensor, gathered_k_sym, input_model, lex_k,
+from conftest import (CONFIGS, TOY_SIGMA, full_fourth_tensor, gathered_k_sym, input_model, lex_k,
                       mean_recursion, peak_growth_mb, s_tilde, t_sym_of, toy_dictionary, transient_states,
                       unvec_lex, vec_lex)
+from kaflab.config import build_dictionary, build_input_model, build_system, load_config
 from kaflab.errors import DivergenceError, KaflabError, NotStableError
 from kaflab.kernel import GaussianKernel, GramFactor
 from kaflab.linalg import sym_eig
-from kaflab.moments import MomentModel
+from kaflab.moments import MomentModel, build_model, estimate_cross_stats
 
 
 def fabricate_model(r_tilde, s_t, j_min=0.0, alpha_star=None, d2=1.0):
@@ -189,6 +190,19 @@ class TestMeanSquareStable:
         assert km.radius == pytest.approx(2.0, rel=1e-12)
         assert km.radius == pytest.approx(np.abs(np.linalg.eigvals(lex_k(m, 1.5).k)).max(),
                                           rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["experiment1", "experiment2", "null"])
+    def test_shipped_configs_contract_inside_the_step_size_condition(self, name):
+        """At eta = 0.99 min(2, 1/mu_max), mu_max the largest eigenvalue of r_tilde, each
+        shipped config's K is a strict contraction: the sufficient step-size condition holds
+        on their models. The radius reads 0.99995276, 0.99997280 and 0.92720."""
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        d, _ = build_dictionary(cfg)
+        im, kern = build_input_model(cfg), GaussianKernel(cfg.sigma)
+        stats = estimate_cross_stats(build_system(cfg), im, d, kern)
+        model = build_model(d, kern, im, stats.p, stats.d2)
+        eta = 0.99 * min(2.0, 1.0 / model.r_tilde_eigenvalues[-1])
+        assert build_k(model, eta).radius < 1.0
 
 
 class TestTransientMse:

@@ -1,17 +1,21 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
 import ast
+import configparser
 import dataclasses
 import importlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIGS, peak_growth_mb
 from kaflab import cli
@@ -377,7 +381,7 @@ class TestAnalyze:
         from kaflab.config import build_dictionary, build_input_model, load_config
         from kaflab.kernel import GaussianKernel
         from kaflab.moments import estimate_cross_stats, fourth_tensor, second_moment
-        from kaflab.sim import InputGenerator, SystemSimulator
+        from kaflab.sim import SystemSimulator
 
         cfg = load_config(cfg_path)
         d, _ = build_dictionary(cfg)
@@ -387,8 +391,7 @@ class TestAnalyze:
         r_t = second_moment(d, kern, im)[0, 0]  # G = [[1]], so no transform
         s_t = fourth_tensor(d, kern, im)[0, 0]
         stats = estimate_cross_stats(
-            SystemSimulator(kind=cfg.system_kind, noise_sigma=cfg.sigma_nu),
-            InputGenerator(rho=cfg.rho, sigma_u=cfg.sigma_u), d, kern,
+            SystemSimulator(kind=cfg.system_kind, noise_sigma=cfg.sigma_nu), im, d, kern,
         )
         j_min = stats.d2 - stats.p[0] ** 2 / r_t
         k_scalar = 1 - 2 * cfg.eta * r_t + cfg.eta**2 * s_t
@@ -786,6 +789,79 @@ class TestErrorPaths:
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+
+# The keys of the shipped configs that the mutated-config property replaces, and with what:
+# float keys with extreme finite, zero, negative and non-finite values (a grid bound in its
+# first entry), integer keys only with values that are refused, so that no run grows.
+FLOAT_KEYS = [("kernel", "sigma"), ("input", "rho"), ("input", "sigma_u"),
+              ("system", "sigma_nu"), ("dictionary", "lo"), ("dictionary", "hi"),
+              ("filter", "eta")]
+INT_KEYS = [("dictionary", "points_per_axis"), ("dictionary", "target_size"),
+            ("dictionary", "calib_samples"), ("run", "n_runs"), ("run", "n_iters"),
+            ("run", "seed"), ("moments", "n_samples")]
+FLOAT_TEXTS = ["1e300", "-1e300", "1e-300", "-1e-300", "1e150", "1e-150", "1e308", "-1e308", "0",
+               "-0.0", "-1", "-0.25", "nan", "inf", "-inf"]
+INT_TEXTS = ["0", "-1", "-300", "ten", "2.5"]
+
+
+def shipped_parser(name: str) -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / f"{name}.cfg", encoding="utf-8")
+    return parser
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config's name and 1-3 of its numeric keys, each with a replacement text."""
+    name = draw(st.sampled_from(["experiment1", "experiment2", "null"]))
+    parser = shipped_parser(name)
+    keys = draw(st.lists(st.sampled_from([k for k in FLOAT_KEYS + INT_KEYS
+                                          if parser.has_option(*k)]),
+                         min_size=1, max_size=3, unique=True))
+    return name, {key: draw(st.sampled_from(FLOAT_TEXTS if key in FLOAT_KEYS else INT_TEXTS))
+                  for key in keys}
+
+
+class TestMutatedConfigs:
+    """Every command ends in its artifacts or in one error line with exit 2, 3 or 4 on the
+    shipped configs with numeric values replaced, at tiny run sizes, in-process. The 200
+    drawn cases and the examples take about 2 s on a 2-CPU machine."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mutated_configs())
+    @example(case=("experiment1", {("kernel", "sigma"): "1e300"}))
+    @example(case=("experiment1", {("kernel", "sigma"): "1e-300"}))
+    @example(case=("experiment1", {("input", "sigma_u"): "1e300"}))
+    @example(case=("experiment1", {("system", "sigma_nu"): "1e300"}))
+    @example(case=("experiment1", {("filter", "eta"): "1e300"}))
+    @example(case=("experiment1", {("dictionary", "lo"): "-1e308",
+                                   ("dictionary", "hi"): "1e308"}))
+    @example(case=("experiment1", {("kernel", "sigma"): "1e150"}))  # sigma^4 overflows
+    def test_commands_end_in_an_exit_code(self, case):
+        name, changes = case
+        parser = shipped_parser(name)
+        for key, most in (("n_runs", 2), ("n_iters", 20)):
+            parser["run"][key] = str(min(int(parser["run"][key]), most))
+        for (section, key), text in changes.items():
+            if key in ("lo", "hi"):  # the first entry of the bound; the second is kept
+                text = f"{text},{parser[section][key].split(',', 1)[1]}"
+            parser[section][key] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "mutated.cfg"
+            with open(cfg, "w", encoding="utf-8") as f:
+                parser.write(f)
+            for command, extra in (("simulate", []),
+                                   ("analyze", ["--cache-dir", str(tmp / "cache")])):
+                out = tmp / command
+                code = main([command, "--config", str(cfg), "--out", str(out), *extra])
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO), (command, code)
+                if code != EXIT_OK:
+                    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+            code = main(["moments-check", "--config", str(cfg), "--samples", "1000"])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO), ("moments-check", code)
 
 
 def benchmark_lookups(perfbench: Path) -> set[tuple[str, str]]:

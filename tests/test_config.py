@@ -125,6 +125,7 @@ OUT_OF_RANGE = [
      "[kernel] sigma must keep sigma^2 and 1/(2 sigma^2) finite and normal"),
     ("null", "sigma = 0.7", "sigma = 1e-300",
      "[kernel] sigma must keep sigma^2 and 1/(2 sigma^2) finite and normal"),
+    ("null", "sigma = 0.7", "sigma = 1e150", "[kernel] sigma must keep sigma^4 finite and normal"),
     ("null", "sigma_u = 0.5", "sigma_u = 1e300", "[input] sigma_u must keep its square finite "
                                                  "and normal"),
     ("null", "sigma_nu = 0.0", "sigma_nu = 1e300",

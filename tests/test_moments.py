@@ -1,6 +1,7 @@
 """Closed-form Gaussian kernel moments, their Monte-Carlo oracles, the exact cross
 statistics against stream estimates, and moment-model assembly."""
 
+import sys
 import time
 from unittest import mock
 
@@ -31,8 +32,8 @@ from kaflab.moments import (
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
 from conftest import (CONFIGS, EXP1_SEED, fourth_tensor_whole, full_fourth_tensor, input_model,
-                      k_sym_whole, one_block_cross_stats, s_tilde, sym_congruence_whole,
-                      t_sym_whole)
+                      k_sym_whole, one_block_cross_stats, peak_growth_mb, s_tilde,
+                      sym_congruence_whole, t_sym_whole)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -142,6 +143,25 @@ class TestSecondMoment:
         z = np.abs(closed - mc) / stderr
         assert z.max() < 4.0
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+    def test_oracle_memory_is_under_four_chunk_arrays(self):
+        """Two chunks of draws on a 7 x 7 grid (r = 49) raise the peak resident set by less
+        than 3.5 (n, r) arrays of doubles, n = MC_MOMENT_CHUNK (262 MB): the last chunk's
+        values and their squares, the next chunk's values, filled a budget-sized block at a
+        time. The whole chunk's values formed at once, beside their r x n work array, read
+        about four (311 MB)."""
+        n, r = moments.MC_MOMENT_CHUNK, 49
+        growth_mb = peak_growth_mb("""
+            import numpy as np
+            from kaflab.kernel import GaussianKernel, grid_dictionary
+            from kaflab.moments import MC_MOMENT_CHUNK, InputModel, mc_second_moment
+            from kaflab.sim import stationary_covariance
+
+            d = grid_dictionary([-1, -1], [1, 1], 7)
+            k, im = GaussianKernel(0.7), InputModel(stationary_covariance(0.5, 0.5))
+        """, "mc_second_moment(d, k, im, 2 * MC_MOMENT_CHUNK, np.random.default_rng(0))")
+        assert growth_mb < 3.5 * n * r * 8 / 2**20, f"peak resident set grew by {growth_mb:.0f} MB"
+
 
 class TestFourthTensor:
     def test_repeated_index_structural_identity(self):
@@ -201,14 +221,14 @@ class TestBlockedFormsKeepTheirBits:
     """The m x m builders (``fourth_tensor``, ``sym_congruence``, ``build_model``'s B S Bᵀ and
     ``build_k``'s K) against the whole-array forms they replaced, in ``tests/conftest.py``."""
 
-    @pytest.mark.parametrize("budget", [linalg.BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("budget", [linalg.WORK_BYTES, 1])
     @pytest.mark.parametrize("name", ["null", "experiment1", "experiment2"])
     def test_shipped_dictionaries(self, name, budget):
         """At the shipped block budget (several blocks for r = 25 and 31) and at one leading
         pair, one row, per block."""
         cfg = load_config(CONFIGS / f"{name}.cfg")
         d, _ = build_dictionary(cfg)
-        with mock.patch.object(linalg, "BLOCK_BYTES", budget):
+        with mock.patch.object(linalg, "WORK_BYTES", budget):
             assert_blocked_forms_keep_their_bits(d, GaussianKernel(cfg.sigma),
                                                  build_input_model(cfg), cfg.eta)
 
@@ -223,7 +243,7 @@ class TestBlockedFormsKeepTheirBits:
     def test_drawn_dictionaries(self, r, seed, sigma, eta, budget):
         """r centers drawn uniformly over [-2, 2]^2, at any block budget."""
         d = Dictionary(np.random.default_rng(seed).uniform(-2.0, 2.0, (r, 2)))
-        with mock.patch.object(linalg, "BLOCK_BYTES", budget):
+        with mock.patch.object(linalg, "WORK_BYTES", budget):
             assert_blocked_forms_keep_their_bits(d, GaussianKernel(sigma), input_model(), eta)
 
 
@@ -309,17 +329,17 @@ class TestCrossStatsDispatch:
     @pytest.mark.parametrize("kind", [SystemKind.POLYNOMIAL, SystemKind.NULL])
     def test_memoryless_plants_are_exact(self, kind):
         d = grid_dictionary([-1, -1], [1, 1], 3)
-        k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
+        k = GaussianKernel(0.7)
         system = SystemSimulator(kind=kind, noise_sigma=0.05)
-        stats = estimate_cross_stats(system, gen, d, k)
+        stats = estimate_cross_stats(system, input_model(), d, k)
         p, d2 = exact_cross_stats(system, d, k, input_model())
         assert np.array_equal(stats.p, p) and stats.d2 == d2
 
     def test_the_fluid_flow_plant_is_exact(self):
         d = grid_dictionary([-1, -1], [1, 1], 3)
-        k, gen = GaussianKernel(0.7), InputGenerator(rho=0.5, sigma_u=0.5)
+        k = GaussianKernel(0.7)
         system = SystemSimulator(kind=SystemKind.FLUID_FLOW, noise_sigma=0.05)
-        stats = estimate_cross_stats(system, gen, d, k)
+        stats = estimate_cross_stats(system, input_model(), d, k)
         p, d2 = exact_cross_stats(system, d, k, input_model())
         assert np.array_equal(stats.p, p) and stats.d2 == d2
 
@@ -448,9 +468,8 @@ def small_model():
     d = grid_dictionary([-1, -1], [1, 1], 2)
     k = GaussianKernel(0.7)
     im = InputModel(stationary_covariance(0.5, 0.5))
-    gen = InputGenerator(rho=0.5, sigma_u=0.5)
     system = SystemSimulator(kind=SystemKind.POLYNOMIAL, noise_sigma=0.05)
-    stats = estimate_cross_stats(system, gen, d, k)
+    stats = estimate_cross_stats(system, im, d, k)
     return d, k, im, stats, build_model(d, k, im, stats.p, stats.d2)
 
 
@@ -473,9 +492,8 @@ class TestBuildModel:
         d = grid_dictionary([-1, -1], [1, 1], 2)
         k = GaussianKernel(0.7)
         im = InputModel(stationary_covariance(0.5, 0.5))
-        gen = InputGenerator(rho=0.5, sigma_u=0.5)
         system = SystemSimulator(kind=SystemKind.NULL, noise_sigma=0.05)
-        stats = estimate_cross_stats(system, gen, d, k)
+        stats = estimate_cross_stats(system, im, d, k)
         m = build_model(d, k, im, stats.p, stats.d2)
         assert m.j_min == pytest.approx(0.0025, rel=0.05)
         assert m.j_min <= stats.d2

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kaflab.sim as sim
+from kaflab import linalg
 from kaflab.errors import DivergenceError
 from kaflab.filters import FilterState, knlms_step, natural_klms_step, selective_step
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
@@ -307,7 +308,7 @@ class TestDivergenceInBlocks:
         """The engine's error on ``n_runs`` runs, in kernel blocks of ``block`` steps and,
         unless ``chunk`` is given, one chunk."""
         chunk = n_runs if chunk is None else chunk
-        with mock.patch.object(sim, "MC_WORK_BYTES", block * 8 * chunk * setup.dictionary.size), \
+        with mock.patch.object(linalg, "WORK_BYTES", block * 8 * chunk * setup.dictionary.size), \
                 mock.patch.object(sim, "run_chunk_size", lambda r: chunk), \
                 np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DivergenceError) as err:
@@ -348,7 +349,7 @@ class TestDivergenceInBlocks:
 
 class TestStackedProduct:
     """A block's stacked ``kappa G^-1`` products equal the per-step products bit for bit,
-    on the block shapes the engine forms: runs m per chunk, steps MC_WORK_BYTES // (8 m r)
+    on the block shapes the engine forms: runs m per chunk, steps WORK_BYTES // (8 m r)
     per block, for the shipped dictionary sizes and the tests' own."""
 
     @pytest.mark.parametrize("r", [4, 9, 25, 31])
@@ -360,7 +361,7 @@ class TestStackedProduct:
         if d is None:
             d = sim.Dictionary(rng.uniform(-1, 1, (r, 2)))
         g_inv = gram(d, GaussianKernel(0.7 if r != 31 else 0.3)).g_inv
-        block = max(1, sim.MC_WORK_BYTES // (8 * m * r))
+        block = max(1, linalg.WORK_BYTES // (8 * m * r))
         kap = rng.uniform(0.0, 1.0, (block, m, r))
         out = np.empty_like(kap)
         stacked = np.matmul(kap, g_inv, out=out)
@@ -437,7 +438,7 @@ class TestEngineProperties:
         with mock.patch.object(sim, "MC_STREAM_STEPS", 3):
             assert np.array_equal(mc_learning_curve(setup, n_runs, n_iters, seed).mse, curve)
         # one-run chunks and one-step blocks: the sum of the runs stepped alone
-        with mock.patch.object(sim, "MC_WORK_BYTES", 1):
+        with mock.patch.object(linalg, "WORK_BYTES", 1):
             alone = mc_learning_curve(setup, n_runs, n_iters, seed).mse
         total = np.zeros(n_iters)
         for e2 in stepped:
@@ -466,7 +467,7 @@ class TestEngineWorkingSet:
         self.peak_beyond_total(setup, range(2), 300)  # numpy's first-call caches
         short, long = (self.peak_beyond_total(setup, runs, n) for n in (2000, 4000))
         assert abs(long - short) <= 64 * 1024
-        budget = (2 * sim.MC_WORK_BYTES + 8 * sim.MC_STREAM_STEPS * len(runs) * 8
+        budget = (2 * linalg.WORK_BYTES + 8 * sim.MC_STREAM_STEPS * len(runs) * 8
                   + 4096 * len(runs))
         assert max(short, long) <= budget
 
@@ -538,7 +539,7 @@ class TestTwoProcesses:
         n2 = root_split(m)
 
         def product(x):  # as the engine stacks a kernel block of these rows
-            block = max(1, min(sim.MC_WORK_BYTES // (8 * len(x) * r), n_iters))
+            block = max(1, min(linalg.WORK_BYTES // (8 * len(x) * r), n_iters))
             return np.matmul(np.broadcast_to(x, (block, *x.shape)).copy(), setup.gram.g_inv)[-1]
 
         kap = np.random.default_rng(r).uniform(0.0, 1.0, (m, r))
