@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .analysis import (
     SMOOTH_WINDOW,
     build_k,
@@ -43,6 +43,7 @@ from .config import (
     moments_cache_key,
 )
 from .errors import (
+    ArtifactError,
     ConfigError,
     DivergenceError,
     EigenSolverError,
@@ -87,6 +88,18 @@ THEORY_MODELS = FilterKind.NATURAL_KLMS
 STATUS_FILE = "/proc/self/status"  # the peak resident set in the manifests, on Linux
 
 
+class Run:
+    """One command's ``--out``, and its stage clock and counters, kept by ``main``; the command
+    lists the artifacts it wrote (none: no manifest), other manifest fields and a note."""
+
+    def __init__(self, out: Path | None):
+        self.out = out
+        self.laps, self.counters = Laps(), {}
+        self.outputs: list[Path] = []
+        self.fields: dict = {}
+        self.note = ""
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -95,23 +108,28 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig | None,
-                    extra: dict, outputs: list[Path]) -> Path:
+def _write_manifest(command: str, cfg: ExperimentConfig | None, run: Run, blas_threads) -> None:
+    """``manifest.json`` in ``run.out``: each output's sha256, the config and seed if any, and,
+    outside the hashed outputs, the BLAS build and threads and a lapping command's stages and
+    counters with this process's peak memory, not the forked half of a split chunk's."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "package_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": {p.name: _sha256(p) for p in outputs},
+        "outputs": {p.name: _sha256(p) for p in run.outputs},
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "blas_threads": blas_threads,
     }
     if cfg is not None:
         manifest["config_path"] = cfg.path
         manifest["config_sha256"] = _sha256(Path(cfg.path))
         manifest["resolved_config"] = cfg.echo
         manifest["seed"] = cfg.seed
-    manifest.update(extra)
-    path = out_dir / "manifest.json"
-    write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
-    return path
+    if run.laps.counts:
+        manifest.update(timings=run.laps.rounded(), counters={**run.counters, **_peak_rss()})
+    manifest.update(run.fields)
+    write_atomic(run.out / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
 def _peak_rss() -> dict:
@@ -130,11 +148,15 @@ def _write_values(path: Path, values: dict) -> None:
                         for key, val in values.items()))
 
 
-def _load_config_with_seed(args) -> ExperimentConfig:
+def _load(args) -> ExperimentConfig | None:
+    """The command's config with ``--seed`` applied, None for a command that reads none;
+    every refusal of the inputs comes before ``--out`` exists."""
+    if args.command == "complexity" and args.s_n > args.r_max:
+        raise ConfigError(f"--s-n {args.s_n} exceeds --r-max {args.r_max}: no r holds s_n centers")
+    if "config" not in args:
+        return None
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
@@ -157,69 +179,55 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each computes and writes its artifacts into ``--out``, which exists
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config_with_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    laps = Laps()
+def cmd_simulate(args, cfg: ExperimentConfig, run: Run) -> int:
     d, info = build_dictionary(cfg)
     setup = build_setup(cfg, d)
-    laps.lap("dictionary")
+    run.laps.lap("dictionary")
     within = Laps("stream", "kernel_values", "steps")
-    counters = {"r": d.size, "n_runs": cfg.n_runs, "n_iters": cfg.n_iters,
-                "run_chunk": min(cfg.n_runs, run_chunk_size(d.size)),
-                "kernel_values": cfg.n_runs * cfg.n_iters * d.size}
-    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, within, counters)
-    laps.lap("monte_carlo")
-    sim_path = out / "simulated.csv"
-    save_learning_curve(curve, sim_path)
-    laps.lap("write")
-    counters.update(_peak_rss())  # of this process: not the forked half of a split chunk
-    _write_manifest(out, "simulate", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.rounded(),
-                     "timings_within": {"monte_carlo": within.rounded()}},
-                    [sim_path])
-    print(f"wrote {sim_path} ({cfg.n_runs} runs x {cfg.n_iters} iterations)")
+    run.counters.update(r=d.size, n_runs=cfg.n_runs, n_iters=cfg.n_iters,
+                        run_chunk=min(cfg.n_runs, run_chunk_size(d.size)),
+                        kernel_values=cfg.n_runs * cfg.n_iters * d.size)
+    curve = mc_learning_curve(setup, cfg.n_runs, cfg.n_iters, cfg.seed, within, run.counters)
+    run.laps.lap("monte_carlo")
+    run.outputs = [run.out / "simulated.csv"]
+    save_learning_curve(curve, run.outputs[0])
+    run.laps.lap("write")
+    run.fields.update(dictionary=info, timings_within={"monte_carlo": within.rounded()})
+    run.note = f" ({cfg.n_runs} runs x {cfg.n_iters} iterations)"
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    cfg = _load_config_with_seed(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cache_dir = Path(args.cache_dir) if args.cache_dir else out / "moments_cache"
-    laps = Laps()
+def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
     d, info = build_dictionary(cfg)
     check_k_size(d.size)  # before the moments: they cost far more than the refusal
-    laps.lap("dictionary")
-    model = _obtain_model(cfg, d, info, cache_dir)
-    laps.lap("moments")
+    run.laps.lap("dictionary")
+    model = _obtain_model(cfg, d, info, Path(args.cache_dir or run.out / "moments_cache"))
+    run.laps.lap("moments")
 
     bound = mean_stability_bound(model)
     mean_ok = 0 < cfg.eta < bound
     km = build_k(model, cfg.eta)
     stable, radius = mean_square_stable(km)
-    laps.lap("spectrum")
+    run.laps.lap("spectrum")
 
     curve, transient_note = LearningCurve(mse=np.empty(0)), "ok"  # header only if it diverges
     try:
         curve = transient_mse(model, km, cfg.n_iters - 1)
     except DivergenceError as exc:
         transient_note = f"diverged_at_step_{exc.last_finite_step + 1}"
-    laps.lap("transient")
+    run.laps.lap("transient")
     mse_inf = steady_state_mse(model, km)[0] if stable else None
-    laps.lap("steady_state")
+    run.laps.lap("steady_state")
 
-    theory_path = out / "theory.csv"
+    theory_path, steady_path, stab_path = run.outputs = [
+        run.out / name for name in ("theory.csv", "steady_state.txt", "stability.txt")]
     save_learning_curve(curve, theory_path)
-    steady_path = out / "steady_state.txt"
     _write_values(steady_path, {"eta": cfg.eta, "j_min": model.j_min, "d2": model.d2,
                                 "steady_state_mse": "unavailable" if mse_inf is None else mse_inf})
-    stab_path = out / "stability.txt"
     _write_values(stab_path, {
         "eta": cfg.eta, "mean_stability_bound": bound,
         "mean_stable": "PASS" if mean_ok else "FAIL",
@@ -227,28 +235,18 @@ def cmd_analyze(args) -> int:
         "transient": transient_note,
         **({} if cfg.filter_kind is THEORY_MODELS else {"theory_models": THEORY_MODELS.value}),
     })
-    laps.lap("write")
+    run.laps.lap("write")
 
-    counters = {"r": model.dim, "k_dim": km.eigenvalues.size, "k_spectral_radius": radius,
-                "gram_condition": float(model.gram.eigenvalues[-1] / model.gram.eigenvalues[0]),
-                "cross_stats_samples": 0, "cross_stats_source": "closed_form", **_peak_rss()}
-    _write_manifest(out, "analyze", cfg,
-                    {"dictionary": info, "counters": counters, "timings": laps.rounded(),
-                     "theory_models": THEORY_MODELS.value},
-                    [theory_path, steady_path, stab_path])
-    print(f"wrote {theory_path}, {steady_path}, {stab_path}")
+    g_eig = model.gram.eigenvalues
+    run.counters.update(r=model.dim, k_dim=km.eigenvalues.size, k_spectral_radius=radius,
+                        gram_condition=float(g_eig[-1] / g_eig[0]),
+                        cross_stats_samples=0, cross_stats_source="closed_form")
+    run.fields.update(dictionary=info, theory_models=THEORY_MODELS.value)
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    try:
-        sim = load_learning_curve(args.sim)
-        theory = load_learning_curve(args.theory)
-    except ValueError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args, cfg, run: Run) -> int:
+    sim, theory = load_learning_curve(args.sim), load_learning_curve(args.theory)
     if len(sim) != len(theory):
         print(
             f"warning: curve lengths differ ({len(sim)} vs {len(theory)}); "
@@ -256,16 +254,12 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
     n = min(len(sim), len(theory))
-    overlay_path = out / "overlay.csv"
+    overlay_path, metrics_path = run.outputs = [run.out / "overlay.csv", run.out / "metrics.txt"]
     rows = (f"{i},{a:.17g},{b:.17g}\n" for i, a, b in zip(range(n), sim.mse, theory.mse))
     write_atomic(overlay_path, itertools.chain(["n,mse_sim,mse_theory\n"], rows))
-    metrics_path = out / "metrics.txt"
     _write_values(metrics_path, compare_curves(sim.mse, theory.mse,
                                                smooth_window=args.smooth_window))
-    _write_manifest(out, "compare", None,
-                    {"sim_csv": str(args.sim), "theory_csv": str(args.theory)},
-                    [overlay_path, metrics_path])
-    print(f"wrote {overlay_path}, {metrics_path}")
+    run.fields.update(sim_csv=str(args.sim), theory_csv=str(args.theory))
     return EXIT_OK
 
 
@@ -283,8 +277,7 @@ def _check_rows(rows) -> tuple[float, int]:
     return worst, n_fail
 
 
-def cmd_moments_check(args) -> int:
-    cfg = _load_config_with_seed(args)
+def cmd_moments_check(args, cfg: ExperimentConfig, run: Run) -> int:
     d, _ = build_dictionary(cfg)
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
@@ -321,18 +314,12 @@ def cmd_moments_check(args) -> int:
     return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
-    if args.s_n > args.r_max:
-        raise ConfigError(f"--s-n {args.s_n} exceeds --r-max {args.r_max}: no r holds s_n centers")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "complexity.csv"
+def cmd_complexity(args, cfg, run: Run) -> int:
+    run.outputs = [run.out / "complexity.csv"]
     rows = ("{},{},{}\n".format(r, *complexity_report(r, args.L, args.s_n))
             for r in range(args.s_n, args.r_max + 1))
-    write_atomic(path, itertools.chain(["r,full,selective\n"], rows))
-    _write_manifest(out, "complexity", None,
-                    {"L": args.L, "r_max": args.r_max, "s_n": args.s_n}, [path])
-    print(f"wrote {path}")
+    write_atomic(run.outputs[0], itertools.chain(["r,full,selective\n"], rows))
+    run.fields.update(L=args.L, r_max=args.r_max, s_n=args.s_n)
     return EXIT_OK
 
 
@@ -359,6 +346,13 @@ _dictionary_size = _checked(int, lambda v: 1 <= v <= MAX_DICTIONARY_SIZE,
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    config = argparse.ArgumentParser(add_help=False)  # the options every config command shares
+    config.add_argument("--config", required=True)
+    config.add_argument("--seed", type=_nonnegative_int, default=None,
+                        help="override the config seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+
     parser = argparse.ArgumentParser(
         prog="kaflab",
         description="Kernel adaptive filtering lab: simulation and MSE theory",
@@ -366,34 +360,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kaflab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the Monte-Carlo learning curve")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=None,
-                   help="override the config seed")
+    p = sub.add_parser("simulate", parents=[config, out], help="run the Monte-Carlo learning curve")
     p.add_argument("--workers", type=int, default=None,
                    help="ignored, for old scripts: the CPU set (taskset) sets the processes")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("analyze", help="compute the theoretical curves and verdicts")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
+    p = sub.add_parser("analyze", parents=[config, out],
+                       help="compute the theoretical curves and verdicts")
     p.add_argument("--cache-dir", default=None,
                    help="cross-statistics cache directory (default: <out>/moments_cache)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("compare", help="overlay a simulated and a theoretical curve")
+    p = sub.add_parser("compare", parents=[out], help="overlay a simulated and a theoretical curve")
     p.add_argument("--sim", required=True)
     p.add_argument("--theory", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--smooth-window", type=_positive_int, default=SMOOTH_WINDOW)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("moments-check", help="closed-form moments vs Monte-Carlo")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("moments-check", parents=[config], help="closed-form moments vs Monte-Carlo")
     p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--fourth-entries", type=_positive_int, default=10)
     p.set_defaults(func=cmd_moments_check)
 
@@ -407,16 +392,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command at one BLAS thread: config, ``--out``, the command on a :class:`Run`,
+    manifest and "wrote" line; every failure ends in one stderr line and its exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with linalg.one_blas_thread() as blas_threads:
+            cfg = _load(args)
+            run = Run(Path(args.out) if "out" in args else None)
+            if run.out is not None:
+                run.out.mkdir(parents=True, exist_ok=True)
+            code = args.func(args, cfg, run)
+            if run.outputs:
+                _write_manifest(args.command, cfg, run, blas_threads)
+                print(f"wrote {', '.join(map(str, run.outputs))}{run.note}")
+            return code
     except (ConfigError, NotPositiveDefiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, NotStableError, EigenSolverError, InvariantError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
+    except (OSError, ArtifactError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except KaflabError as exc:

@@ -208,6 +208,11 @@ def load_config(path) -> ExperimentConfig:
                                              for l, h in zip(grid_lo, grid_hi)),
                  "[dictionary] lo and hi must be a finite normal spacing "
                  "(hi - lo)/(points_per_axis - 1) apart on each axis")
+        # the largest squared norm of a sum of four centers, as the fourth moments form it
+        far = sum((4 * max(-l, h)) * (4 * max(-l, h)) for l, h in zip(grid_lo, grid_hi))
+        _require(_normal(far) and _normal(far / (2 * sigma * sigma)),
+                 "[dictionary] lo and hi must keep the squared norm of a sum of four centers, "
+                 "and that over 2 sigma^2, finite and normal")
     elif dictionary_kind == "coherence":
         mu0 = dic.get("mu0", _finite_float, required=False)
         target_size = dic.get("target_size", int, required=False)

@@ -55,3 +55,7 @@ class InvariantError(KaflabError):
 
 class ConfigError(KaflabError):
     """An experiment configuration file is invalid."""
+
+
+class ArtifactError(KaflabError, ValueError):
+    """An input file, such as a learning-curve CSV, is not the artifact it should be."""

@@ -5,11 +5,15 @@ are symmetric by contract (Gram matrices, correlation matrices) are kept
 exactly symmetric by construction: derived quantities are re-symmetrized
 with :func:`symmetrize` at the point where they are produced.
 
-All functions are pure; they never mutate their inputs and are safe to call
-from concurrent workers.
+All functions but :func:`one_blas_thread`, which sets the process's BLAS thread count,
+are pure; they never mutate their inputs and are safe to call from concurrent workers.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import itertools
 
 import numpy as np
 
@@ -27,6 +31,39 @@ WORK_BYTES = 2**20
 def rows_within(row_bytes: int) -> int:
     """Rows of ``row_bytes`` bytes that one block holds within :data:`WORK_BYTES`, at least one."""
     return max(1, WORK_BYTES // row_bytes)
+
+
+MAPS_FILE = "/proc/self/maps"  # where the loaded OpenBLAS is found, on Linux
+# The thread-count setter and getter of numpy's bundled OpenBLAS, then of a plain one.
+OPENBLAS_THREADS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def _openblas():
+    """The thread-count setter and getter of an OpenBLAS in this process's memory map, which,
+    unlike ``ctypes.util.find_library``, starts no process; None where there is none."""
+    with contextlib.suppress(OSError), open(MAPS_FILE, encoding="utf-8", errors="replace") as f:
+        paths = sorted({line.split(maxsplit=5)[5].strip() for line in f
+                        if "openblas" in line.lower()})
+        for (set_name, get_name), path in itertools.product(OPENBLAS_THREADS, paths):
+            with contextlib.suppress(OSError, AttributeError):
+                lib = ctypes.CDLL(path)
+                return getattr(lib, set_name), getattr(lib, get_name)
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS at one thread, so that its sums have the same bits on any
+    number of cores, then restore the old count. Yields the count read back, or "unknown"
+    where no OpenBLAS is found and nothing is pinned."""
+    set_threads, get_threads = _openblas() or (lambda n: None, lambda: "unknown")
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(old)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

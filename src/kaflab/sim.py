@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError
+from .errors import ArtifactError, DimensionMismatchError, DivergenceError
 from .filters import FilterKind, make_update, moves_along_g_inv
 from .kernel import Dictionary, GaussianKernel, GramFactor, kernelized_input
 from .linalg import rows_within
@@ -244,6 +244,14 @@ class Laps:
         self.counts[stage] = self.counts.get(stage, 0) + 1
         self._last = now
 
+    def merge(self, other: Laps) -> None:
+        """Add ``other``'s seconds and counts, stage by stage, and restart this clock: the
+        time since the last lap, spent waiting for ``other``, is no stage."""
+        for stage in other.seconds:
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + other.seconds[stage]
+            self.counts[stage] = self.counts.get(stage, 0) + other.counts[stage]
+        self._last = time.perf_counter()
+
     def rounded(self) -> dict:  # as the manifest records them
         return {stage: round(t, 6) for stage, t in self.seconds.items()}
 
@@ -270,24 +278,27 @@ def save_learning_curve(curve: LearningCurve, path) -> None:
 
 
 def load_learning_curve(path) -> LearningCurve:
-    """Read an ``n,mse`` CSV; ``ValueError`` naming the file if it holds no curve, or if
-    its last row, cut short, lacks the newline that ends every row written here."""
+    """Read an ``n,mse`` CSV; :class:`ArtifactError` naming the file if it holds no curve, or
+    if its last row, cut short, lacks the newline that ends every row written here."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path} is not an 'n,mse' CSV: {exc}") from exc
+        raise ArtifactError(f"{path} is not an 'n,mse' CSV: {exc}") from exc
     if data.shape[0] < 1 or data.shape[1] < 2:
-        raise ValueError(
+        raise ArtifactError(
             f"{path} holds no learning curve: expected a header and rows of 'n,mse', "
             f"read {data.shape[0]} rows of {data.shape[1]} columns"
         )
     with open(path, "rb") as f:
         f.seek(-1, os.SEEK_END)
         if f.read(1) != b"\n":
-            raise ValueError(f"{path} ends in a torn row: its last byte is not a newline")
-    return LearningCurve(mse=data[:, 1])
+            raise ArtifactError(f"{path} ends in a torn row: its last byte is not a newline")
+    try:
+        return LearningCurve(mse=data[:, 1])
+    except ValueError as exc:  # a negative entry
+        raise ArtifactError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +520,9 @@ def _pin(cpus) -> None:
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray:
     """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on,
-    on CPUs apart from this process's (:func:`_pin`), and sends their sums and laps, or its
-    divergence's message and step (a pickled error drops the step). It is killed and reaped
-    and the CPU set restored before this returns or raises; if it sent nothing, its runs
-    step here."""
+    on CPUs apart from this process's (:func:`_pin`), and sends their sums, or its
+    :class:`DivergenceError`, with its laps. It is killed and reaped and the CPU set restored
+    before this returns or raises; if it sent nothing, its runs step here."""
     cpus, rd, wr = os.sched_getaffinity(0), *os.pipe()
     with open(rd, "rb") as reader, open(wr, "wb") as writer:
         try:
@@ -525,7 +535,7 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
                 try:
                     answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
                 except DivergenceError as exc:
-                    answer = (str(exc), exc.last_finite_step)
+                    answer = (exc, own)
                 pickle.dump(answer, writer)
                 writer.close()
             finally:
@@ -535,18 +545,16 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
             _pin({min(cpus)})  # else the scheduler may leave both on one CPU
             first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
             answer = reader.read()
-            laps._last = time.perf_counter()  # the wait is no stage of this process
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             _pin(cpus)
-    if not answer:
+    second, own = pickle.loads(answer) if answer else (None, Laps())
+    laps.merge(own)  # the wait for the child is no stage of this process
+    if isinstance(second, DivergenceError):
+        raise second
+    if second is None:
         return first + _run_chunk(setup, seed, runs[n2:], n_iters, laps)
-    second, own = pickle.loads(answer)
-    if isinstance(second, str):
-        raise DivergenceError(second, last_finite_step=own)
-    laps.seconds.update({k: laps.seconds.get(k, 0.0) + t for k, t in own.seconds.items()})
-    laps.counts.update({k: laps.counts.get(k, 0) + n for k, n in own.counts.items()})
     counters["mc_processes"] = 2
     return first + second
 

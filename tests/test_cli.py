@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, peak_growth_mb
-from kaflab import cli
+from kaflab import cli, linalg
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
 from kaflab.kernel import GaussianKernel, gram
@@ -789,6 +789,147 @@ class TestErrorPaths:
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+
+class TestOneCommandPath:
+    """``main`` runs every command the same way: config, ``--out``, clock and counters,
+    manifest and "wrote" line, at one BLAS thread."""
+
+    SHARED = {"blas", "blas_threads", "command", "created_utc", "outputs", "package_version"}
+    CONFIGURED = SHARED | {"config_path", "config_sha256", "counters", "dictionary",
+                           "resolved_config", "seed", "timings"}
+
+    def test_manifests_and_wrote_lines_keep_every_field(self, tmp_path, capsys):
+        """The manifest keys and counters of each command, and its stdout line."""
+        cfg, (sim, th, cmp, cx) = write_tiny(tmp_path), (tmp_path / name for name in "stmx")
+        runs = {
+            "simulate": (["--config", str(cfg), "--out", str(sim)], sim,
+                         f"wrote {sim / 'simulated.csv'} (2 runs x 40 iterations)",
+                         self.CONFIGURED | {"timings_within"},
+                         {"r", "n_runs", "n_iters", "run_chunk", "kernel_values", "mc_processes",
+                          "peak_rss_mb"}),
+            "analyze": (["--config", str(cfg), "--out", str(th)], th,
+                        f"wrote {th / 'theory.csv'}, {th / 'steady_state.txt'}, "
+                        f"{th / 'stability.txt'}",
+                        self.CONFIGURED | {"theory_models"},
+                        {"r", "k_dim", "k_spectral_radius", "gram_condition",
+                         "cross_stats_samples", "cross_stats_source", "peak_rss_mb"}),
+            "compare": (["--sim", str(sim / "simulated.csv"), "--theory", str(th / "theory.csv"),
+                         "--out", str(cmp)], cmp,
+                        f"wrote {cmp / 'overlay.csv'}, {cmp / 'metrics.txt'}",
+                        self.SHARED | {"sim_csv", "theory_csv"}, None),
+            "complexity": (["--L", "2", "--r-max", "3", "--s-n", "1", "--out", str(cx)], cx,
+                           f"wrote {cx / 'complexity.csv'}", self.SHARED | {"L", "r_max", "s_n"},
+                           None),
+        }
+        for command, (argv, out, wrote, keys, counters) in runs.items():
+            assert main([command, *argv]) == EXIT_OK
+            assert capsys.readouterr() == (wrote + "\n", "")
+            manifest = read_manifest(out, *(["moments_cache"] if command == "analyze" else []))
+            assert set(manifest) == keys, command
+            assert set(manifest.get("counters", {})) == (counters or set()), command
+            assert manifest["blas_threads"] in (1, "unknown")
+            assert set(manifest["blas"]) == {"name", "version"}
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_refused_commands_leave_no_file(self, tmp_path, monkeypatch, capsys, command):
+        """A config error stops before ``--out`` is made; a numerical refusal after it
+        (a divergence in ``simulate``, K above its cap in ``analyze``) leaves it empty."""
+        import kaflab.analysis
+
+        monkeypatch.setattr(kaflab.analysis, "K_CAP", 15)  # the tiny grid has r^2 = 16
+        out = tmp_path / "out"
+        for eta, code in (("0", EXIT_CONFIG), ("500.0", EXIT_NUMERIC)):
+            cfg = write_tiny(tmp_path, eta=eta, n_iters=2000)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+            assert capsys.readouterr().out == ""
+            assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+        assert out.is_dir()
+
+    def test_analyze_seed_picks_the_coherence_calibration_stream(self, tmp_path):
+        """``--seed`` is not ignored by ``analyze``: it seeds the calibration stream that a
+        coherence dictionary is picked from, so ``simulate`` and ``analyze`` at one seed
+        record the same dictionary, and another seed resolves another threshold."""
+        text = (CONFIGS / "experiment2.cfg").read_text(encoding="utf-8")
+        assert text.count("n_runs = 300") == text.count("n_iters = 10000") == 1
+        cfg = tmp_path / "exp2.cfg"
+        cfg.write_text(text.replace("n_runs = 300", "n_runs = 2")
+                       .replace("n_iters = 10000", "n_iters = 20"), encoding="utf-8")
+        picked = {}
+        for seed in ("1", "2"):
+            for command in ("simulate", "analyze"):
+                out = tmp_path / f"{command}-{seed}"
+                assert main([command, "--config", str(cfg), "--out", str(out),
+                             "--seed", seed]) == EXIT_OK
+                info = read_manifest(out, *(["moments_cache"] if command == "analyze"
+                                            else []))["dictionary"]
+                picked[command, seed] = {k: info[k] for k in ("size", "mu0", "truncated")}
+        for seed in ("1", "2"):
+            assert picked["simulate", seed] == picked["analyze", seed]
+        assert picked["analyze", "1"]["mu0"] != picked["analyze", "2"]["mu0"]
+
+
+@pytest.mark.skipif(linalg._openblas() is None, reason="no OpenBLAS is mapped: nothing pinned")
+class TestOneBlasThread:
+    SPY = textwrap.dedent("""
+        import os, sys
+        from kaflab import cli, linalg, sim
+        cfg, out, seen = sys.argv[1:]
+        get_threads, run_chunk = linalg._openblas()[1], sim._run_chunk
+
+        def spy(*args):  # each process's BLAS threads while it steps its part of a chunk
+            with open(seen, "a") as f:
+                f.write(f"{os.getpid()} {get_threads()}\\n")
+            return run_chunk(*args)
+
+        sim._run_chunk = spy
+        before = get_threads()
+        codes = [cli.main([command, "--config", cfg, "--out", f"{out}/{command}"])
+                 for command in ("simulate", "analyze")]
+        print(before, get_threads(), codes)
+    """)
+
+    def test_bits_do_not_depend_on_the_thread_count(self, tmp_path):
+        """At ``OPENBLAS_NUM_THREADS`` 1 and 2, ``simulate`` (130 runs, split in two
+        processes where two CPUs are free) and ``analyze`` write the same bytes; both halves
+        of the split chunk step at one thread, and the old count is back after ``main``."""
+        import kaflab
+
+        cfg = write_tiny(tmp_path, n_iters=30)
+        cfg.write_text(cfg.read_text().replace("n_runs = 2", "n_runs = 130"))
+        src = str(Path(kaflab.__file__).resolve().parents[1])
+        sums = {}
+        for threads in ("1", "2"):
+            out, seen = tmp_path / threads, tmp_path / f"seen-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", self.SPY, str(cfg), str(out), str(seen)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            before, after, codes = proc.stdout.splitlines()[-1].split(maxsplit=2)
+            assert before == after and codes.strip() == "[0, 0]"
+            manifests = [read_manifest(out / c, *(["moments_cache"] if c == "analyze" else []))
+                         for c in ("simulate", "analyze")]
+            assert [m["blas_threads"] for m in manifests] == [1, 1]
+            sums[threads] = [m["outputs"] for m in manifests]
+            steppers = dict(line.split() for line in seen.read_text().splitlines())
+            assert set(steppers.values()) == {"1"}
+            processes = manifests[0]["counters"]["mc_processes"]
+            assert len(steppers) == processes == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
+        assert sums["1"] == sums["2"]
+
+    def test_without_openblas_nothing_is_pinned(self, tmp_path, monkeypatch):
+        """With no OpenBLAS in the memory map the thread count is left as it is, the manifest
+        says ``unknown``, and the outputs keep their bytes."""
+        cfg = write_tiny(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+        monkeypatch.setattr(linalg, "MAPS_FILE", str(tmp_path / "no-maps"))
+        assert linalg._openblas() is None
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_OK
+        pinned, unpinned = (read_manifest(tmp_path / run) for run in "ab")
+        assert (pinned["blas_threads"], unpinned["blas_threads"]) == (1, "unknown")
+        assert pinned["outputs"] == unpinned["outputs"]
 
 
 # The keys of the shipped configs that the mutated-config property replaces, and with what:

@@ -94,6 +94,9 @@ def test_only_names_the_chosen_kinds_read_are_accepted(tmp_path, monkeypatch):
             load_config(path)
 
 
+FAR_GRID = ("[dictionary] lo and hi must keep the squared norm of a sum of four centers, "
+            "and that over 2 sigma^2, finite and normal")
+
 # (shipped config, its text, the replacement, the whole line `kaflab simulate` prints)
 OUT_OF_RANGE = [
     ("null", "sigma = 0.7", "sigma = 0", "[kernel] sigma must be positive"),
@@ -135,6 +138,8 @@ OUT_OF_RANGE = [
     ("experiment1", "lo = -1, -1\nhi = 1, 1", "lo = -1e308, -1\nhi = 1e308, 1",
      "[dictionary] lo and hi must be a finite normal spacing (hi - lo)/(points_per_axis - 1) "
      "apart on each axis"),
+    # a grid whose fourth moments' squared norms overflow, though its spacing does not
+    ("experiment1", "lo = -1, -1", "lo = -1e300, -1", FAR_GRID),
 ]
 
 
@@ -159,3 +164,18 @@ def test_value_just_outside_its_range_is_named_in_one_line(tmp_path, capsys, bas
     path.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command,tail", [("simulate", ["--out", "o"]), ("analyze", ["--out", "o"]),
+                                          ("moments-check", ["--samples", "1000"])])
+def test_grid_whose_moments_overflow_is_refused_by_every_command(tmp_path, monkeypatch, capsys,
+                                                                 command, tail):
+    """``lo = -1e300, -1`` on the first experiment used to pass: ``simulate`` exited 0 with
+    overflow warnings and ``analyze`` failed in the eigensolver. Every command that reads the
+    config now exits 2 with one line, before any output directory is made."""
+    monkeypatch.chdir(tmp_path)
+    text = (CONFIGS / "experiment1.cfg").read_text(encoding="utf-8")
+    Path("far.cfg").write_text(text.replace("lo = -1, -1", "lo = -1e300, -1"), encoding="utf-8")
+    assert main([command, "--config", "far.cfg", *tail]) == 2
+    assert capsys.readouterr() == ("", f"config error: {FAR_GRID}\n")
+    assert not Path("o").exists()

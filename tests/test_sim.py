@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import os
+import pickle
 import re
 import time
 import tracemalloc
@@ -15,7 +16,17 @@ from hypothesis import strategies as st
 
 import kaflab.sim as sim
 from kaflab import linalg
-from kaflab.errors import DivergenceError
+from kaflab.errors import (
+    ArtifactError,
+    ConfigError,
+    DimensionMismatchError,
+    DivergenceError,
+    EigenSolverError,
+    InvariantError,
+    KaflabError,
+    NotPositiveDefiniteError,
+    NotStableError,
+)
 from kaflab.filters import FilterState, knlms_step, natural_klms_step, selective_step
 from kaflab.kernel import GaussianKernel, gram, grid_dictionary
 from kaflab.sim import (
@@ -670,6 +681,29 @@ class TestTwoProcesses:
         assert err.value.last_finite_step == alone.value.last_finite_step
 
 
+ERRORS = [KaflabError("a"), NotPositiveDefiniteError("b", smallest_eigenvalue=-1e-3),
+          EigenSolverError("c"), DimensionMismatchError("d"),
+          DivergenceError("e", last_finite_step=41), NotStableError("f", spectral_radius=1.5),
+          InvariantError("g"), ConfigError("h"), ArtifactError("i")]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling_whole(error):
+    """Each error class comes back from ``pickle`` with its message and its attributes, as
+    a divergence in the forked half of a split chunk is sent to this process."""
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert (back.args, vars(back)) == (error.args, vars(error))
+
+
+def test_every_error_class_is_pickled():
+    import kaflab.errors
+
+    classes = {c for c in vars(kaflab.errors).values()
+               if isinstance(c, type) and issubclass(c, KaflabError)}
+    assert classes == {type(error) for error in ERRORS}
+
+
 class TestLearningCurveCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -702,6 +736,20 @@ class TestLaps:
                 laps.lap(stage)
         assert laps.seconds == {"idle": 0.0, "a": 0.5 + 1.25, "b": 0.5 + 0.25}
         assert laps.counts == {"idle": 0, "a": 2, "b": 2}
+
+    def test_merge_adds_the_other_clock_and_restarts_this_one(self):
+        """Another process's laps add stage by stage, and the time since this clock's last
+        lap, spent waiting for them, goes to no stage."""
+        other = sim.Laps()
+        other.seconds, other.counts = {"a": 2.0, "b": 3.0}, {"a": 1, "b": 2}
+        readings = iter([0.0, 1.0, 5.0, 5.5])
+        with mock.patch.object(sim.time, "perf_counter", lambda: next(readings)):
+            laps = sim.Laps("idle")
+            laps.lap("a")
+            laps.merge(other)
+            laps.lap("b")
+        assert laps.seconds == {"idle": 0.0, "a": 1.0 + 2.0, "b": 3.0 + 0.5}
+        assert laps.counts == {"idle": 0, "a": 2, "b": 3}
 
     def test_rounded_gives_six_digits(self):
         readings = iter([0.0, 0.1234564999, 1.0])
