@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -73,6 +72,7 @@ from .sim import (
     run_chunk_size,
     save_learning_curve,
     write_atomic,
+    write_table,
 )
 
 EXIT_OK = 0
@@ -255,8 +255,8 @@ def cmd_compare(args, cfg, run: Run) -> int:
         )
     n = min(len(sim), len(theory))
     overlay_path, metrics_path = run.outputs = [run.out / "overlay.csv", run.out / "metrics.txt"]
-    rows = (f"{i},{a:.17g},{b:.17g}\n" for i, a, b in zip(range(n), sim.mse, theory.mse))
-    write_atomic(overlay_path, itertools.chain(["n,mse_sim,mse_theory\n"], rows))
+    write_table(overlay_path, "n,mse_sim,mse_theory", "%d,%.17g,%.17g", range(n), sim.mse[:n],
+                theory.mse[:n])
     _write_values(metrics_path, compare_curves(sim.mse, theory.mse,
                                                smooth_window=args.smooth_window))
     run.fields.update(sim_csv=str(args.sim), theory_csv=str(args.theory))
@@ -316,9 +316,9 @@ def cmd_moments_check(args, cfg: ExperimentConfig, run: Run) -> int:
 
 def cmd_complexity(args, cfg, run: Run) -> int:
     run.outputs = [run.out / "complexity.csv"]
-    rows = ("{},{},{}\n".format(r, *complexity_report(r, args.L, args.s_n))
-            for r in range(args.s_n, args.r_max + 1))
-    write_atomic(run.outputs[0], itertools.chain(["r,full,selective\n"], rows))
+    rs = range(args.s_n, args.r_max + 1)
+    write_table(run.outputs[0], "r,full,selective", "%d,%d,%d", rs,
+                *zip(*(complexity_report(r, args.L, args.s_n) for r in rs)))
     run.fields.update(L=args.L, r_max=args.r_max, s_n=args.s_n)
     return EXIT_OK
 

@@ -18,7 +18,6 @@ chunk and block sizes follow from the dictionary size and the one byte budget of
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import pickle
@@ -271,15 +270,32 @@ def write_atomic(path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def write_table(path, header: str, row: str, *columns) -> None:
+    """Write the line ``header``, then ``row % values`` for each index of the equal-length
+    ``columns`` (ranges, sequences or arrays), through :func:`write_atomic`, one ``%`` a
+    block of rows within :func:`~kaflab.linalg.rows_within`, so a long table is never held
+    whole. ``"%.17g" % x`` has the bytes of ``f"{x:.17g}"``, ``"%d" % n`` those of ``str(n)``."""
+    block = rows_within(80 * len(columns))  # a value's text, its format and its Python object
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, len(columns[0]), block):
+            parts = [c[start:start + block] for c in columns]
+            parts = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+            yield (row + "\n") * len(parts[0]) % tuple(itertools.chain.from_iterable(zip(*parts)))
+
+    write_atomic(path, chunks())
+
+
 def save_learning_curve(curve: LearningCurve, path) -> None:
     """CSV with header ``n,mse``, one row per iteration, full double precision."""
-    rows = (f"{n},{v:.17g}\n" for n, v in enumerate(curve.mse))
-    write_atomic(path, itertools.chain(["n,mse\n"], rows))
+    write_table(path, "n,mse", "%d,%.17g", range(len(curve)), curve.mse)
 
 
 def load_learning_curve(path) -> LearningCurve:
-    """Read an ``n,mse`` CSV; :class:`ArtifactError` naming the file if it holds no curve, or
-    if its last row, cut short, lacks the newline that ends every row written here."""
+    """Read an ``n,mse`` CSV; :class:`ArtifactError` naming the file if it holds no curve, a
+    negative or non-finite entry, or a last row that, cut short, lacks the newline that ends
+    every row written here."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file is reported below
@@ -297,8 +313,8 @@ def load_learning_curve(path) -> LearningCurve:
             raise ArtifactError(f"{path} ends in a torn row: its last byte is not a newline")
     try:
         return LearningCurve(mse=data[:, 1])
-    except ValueError as exc:  # a negative entry
-        raise ArtifactError(str(exc)) from exc
+    except (ValueError, DivergenceError) as exc:  # a negative or non-finite entry
+        raise ArtifactError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +526,13 @@ def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
     return n2 if exact else 0
 
 
-def _pin(cpus) -> None:
-    """Run this process on ``cpus``, unless the OS refuses: pinning only keeps the two
-    parts of a split chunk apart, and a chunk steps to the same bits unpinned."""
-    with contextlib.suppress(OSError):
-        os.sched_setaffinity(0, cpus)
-
-
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray:
-    """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on,
-    on CPUs apart from this process's (:func:`_pin`), and sends their sums, or its
-    :class:`DivergenceError`, with its laps. It is killed and reaped and the CPU set restored
-    before this returns or raises; if it sent nothing, its runs step here."""
-    cpus, rd, wr = os.sched_getaffinity(0), *os.pipe()
+    """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on
+    and sends their sums, or its :class:`DivergenceError`, with its laps; both processes run
+    where the scheduler puts them. The child is killed and reaped before this returns or
+    raises; if it sent nothing, its runs step here."""
+    rd, wr = os.pipe()
     with open(rd, "rb") as reader, open(wr, "wb") as writer:
         try:
             pid = os.fork()
@@ -531,7 +540,6 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
             return _run_chunk(setup, seed, runs, n_iters, laps)
         if pid == 0:
             try:
-                _pin(cpus - {min(cpus)})
                 try:
                     answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
                 except DivergenceError as exc:
@@ -542,13 +550,11 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
                 os._exit(0)
         writer.close()
         try:
-            _pin({min(cpus)})  # else the scheduler may leave both on one CPU
             first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
             answer = reader.read()
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            _pin(cpus)
     second, own = pickle.loads(answer) if answer else (None, Laps())
     laps.merge(own)  # the wait for the child is no stage of this process
     if isinstance(second, DivergenceError):

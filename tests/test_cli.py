@@ -143,7 +143,7 @@ class TestSimulate:
     def test_refused_pinning_steps_the_same_bits(self, tmp_path, monkeypatch):
         """With ``os.sched_setaffinity`` refused (``PermissionError``) in this process and
         in the forked child, a run of more than 128 runs still splits its chunk, exits 0,
-        writes the bytes of the run that pinned, and leaves no child."""
+        writes the bytes of the run before, leaves no child and never asks to pin."""
         import kaflab.sim
 
         if len(os.sched_getaffinity(0)) < 2:
@@ -153,7 +153,10 @@ class TestSimulate:
         before = os.sched_getaffinity(0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
 
+        calls = []
+
         def refused(pid, cpus):
+            calls.append(cpus)
             raise PermissionError(1, "Operation not permitted")
 
         monkeypatch.setattr(kaflab.sim.os, "sched_setaffinity", refused)
@@ -161,6 +164,7 @@ class TestSimulate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert os.sched_getaffinity(0) == before
+        assert calls == []
         assert (tmp_path / "a" / "simulated.csv").read_bytes() \
             == (tmp_path / "b" / "simulated.csv").read_bytes()
         processes = [read_manifest(tmp_path / run)["counters"]["mc_processes"] for run in "ab"]
@@ -479,8 +483,11 @@ class TestCompare:
         overlay = np.loadtxt(tmp_path / "cmp" / "overlay.csv", delimiter=",", skiprows=1)
         assert overlay.shape[0] == 7
 
-    @pytest.mark.parametrize("text", ["n,mse\n", "mse\n1.0\n2.0\n", "n,mse\n0,1.0\n1,0.00326"],
-                             ids=["header_only", "one_column", "torn_last_row"])
+    @pytest.mark.parametrize("text", ["n,mse\n", "mse\n1.0\n2.0\n", "n,mse\n0,1.0\n1,0.00326",
+                                      "n,mse\n0,1.0\n1,nan\n", "n,mse\n0,inf\n1,0.5\n",
+                                      "n,mse\n0,1.0\n1,-0.5\n"],
+                             ids=["header_only", "one_column", "torn_last_row", "nan_row",
+                                  "inf_row", "negative_row"])
     def test_curve_without_data_is_io_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

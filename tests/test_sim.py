@@ -491,8 +491,9 @@ def assert_no_child():
 
 @contextlib.contextmanager
 def cpus(n):
-    """The CPU set of this process patched to ``n`` CPUs; yields the sets the engine pins
-    this process to, which it does not apply, so that the CPUs of the machine do not matter."""
+    """The CPU set of this process patched to ``n`` CPUs, so that the CPUs of the machine do
+    not matter; yields the CPU sets of every ``os.sched_setaffinity`` call, which are not
+    applied: the engine makes none."""
     pinned = []
     with mock.patch.object(sim.os, "sched_getaffinity", lambda pid: set(range(n))), \
             mock.patch.object(sim.os, "sched_setaffinity", lambda pid, s: pinned.append(set(s))):
@@ -589,11 +590,11 @@ class TestTwoProcesses:
         assert two.counts == {"stream": 2, "kernel_values": 2, "steps": 2}
 
     def test_each_process_steps_on_cpus_of_its_own(self):
-        """This process steps its part on the first CPU of its set and then gets the whole
-        set back; the child pins itself to the other CPUs (the machine's own set here)."""
+        """Neither process is pinned: both run where the scheduler puts them, and this
+        process keeps its CPU set."""
         with cpus(3) as pinned:
             mc_learning_curve(tiny_setup(), 150, 30, 5)
-        assert pinned == [{0}, {0, 1, 2}]
+        assert pinned == []
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("one CPU: no chunk is split")
         before, counters = os.sched_getaffinity(0), {}
@@ -676,7 +677,7 @@ class TestTwoProcesses:
         assert time.monotonic() - start < 30
         assert_no_child()
         assert calls == [range(self.N2)]
-        assert pinned == [{0}, {0, 1}]
+        assert pinned == []
         assert str(err.value) == str(alone.value)
         assert err.value.last_finite_step == alone.value.last_finite_step
 
@@ -791,6 +792,44 @@ class TestWriteAtomic:
         write_atomic(tmp_path / "atomic.csv", iter(["n,", "mse\n"]))
         assert (tmp_path / "atomic.csv").read_bytes() == b"n,mse\n"
         assert (tmp_path / "atomic.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+
+class TestWriteTable:
+    """One ``%`` operation formats a block of rows to the bytes of the rows' own f-strings."""
+
+    EXTREMES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+                1 / 3, -2.5e-10, 123456789.0]
+
+    def test_rows_have_the_bytes_of_f_strings(self, tmp_path):
+        """Extreme doubles, and ints of alternating sign up to 10^32, past 2^63."""
+        values = np.array(self.EXTREMES)
+        counts = [(-1) ** k * 10 ** (4 * k) for k in range(values.size)]
+        sim.write_table(tmp_path / "t.csv", "n,a,b", "%d,%.17g,%d", range(values.size), values,
+                        counts)
+        assert (tmp_path / "t.csv").read_text() == "n,a,b\n" + "".join(
+            f"{n},{a:.17g},{b}\n" for n, a, b in zip(range(values.size), values, counts))
+
+    def test_empty_curve_writes_the_header_only(self, tmp_path):
+        """As ``analyze`` writes theory.csv when the transient diverges."""
+        save_learning_curve(LearningCurve(mse=np.empty(0)), tmp_path / "theory.csv")
+        assert (tmp_path / "theory.csv").read_bytes() == b"n,mse\n"
+
+    def test_long_table_is_written_in_blocks(self, tmp_path):
+        """A budget of two rows a block formats 10 rows in 5 blocks, each a chunk of its
+        own, to the bytes of the rows formatted one at a time."""
+        values = np.random.default_rng(3).uniform(0, 1, 10) * 10.0 ** np.arange(-5, 5)
+        chunks = []
+
+        def collect(path, parts):
+            chunks.extend(parts)
+            write_atomic(path, chunks)
+
+        with mock.patch.object(linalg, "WORK_BYTES", 2 * 80 * 2), \
+                mock.patch.object(sim, "write_atomic", collect):
+            save_learning_curve(LearningCurve(mse=values), tmp_path / "curve.csv")
+        assert len(chunks) == 1 + 5
+        assert (tmp_path / "curve.csv").read_text() == "n,mse\n" + "".join(
+            f"{n},{v:.17g}\n" for n, v in enumerate(values))
 
 
 @pytest.fixture(scope="module")
