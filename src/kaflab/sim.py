@@ -10,15 +10,19 @@ seeds a block of time steps at a time, carrying every generator and recurrence
 state across blocks, so the Monte-Carlo engine never holds a whole stream.
 
 The engine steps a chunk of independent runs in lockstep over those blocks, one row per
-run, in a working set fixed before its first step, more than 128 runs as two parts in two
-processes where a probe finds that they keep the bits. Chunk sums are added in run order;
-chunk and block sizes follow from the dictionary size and the one byte budget of
+run, in a working set fixed before its first step. On two CPUs a chunk of more than 128
+runs steps as two parts in two processes where a probe finds that they keep the bits, and
+any other chunk of more than one kernel block as a two-stage pipeline: a forked child draws
+the streams and forms the kernel values while this process steps. Chunk sums are added in
+run order; chunk and block sizes follow from the dictionary size and the one byte budget of
 :data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import mmap
 import os
 import pickle
 import signal
@@ -53,16 +57,22 @@ MOMENTS_CHECK_SALT = 4
 # signal one or two temporaries: each steps x runs doubles (0.8 MB for 192 runs);
 # the input pairs are a view. The kernel values of the chunk's runs are formed
 # for a block of those steps at a time, in one reused buffer of at most
-# linalg.WORK_BYTES (steps x runs x r doubles, kernel_block); a second buffer of
+# linalg.WORK_BYTES (steps x runs x r doubles, kernel_block), beside a copy of the
+# block's desired values (steps x runs); a second buffer of
 # the same size is the evaluation's work array and then holds the block's
 # stacked G^-1 products. Both stay within a core's cache; larger and smaller
 # blocks were slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS
 # steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
 # overhead of the stream recurrences and of the filter loop serves all the runs
-# of a shipped config in each process that steps its chunk (two for more than
-# 128 runs).
+# of a shipped config in each process that steps its chunk (two where it is split).
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
+
+# Slots of the shared ring of _step_in_pipeline, each a kernel block with its desired
+# values. On the exp2-coherence31 benchmark chunk (64 runs, r = 31, 3,000 steps) on a 2-CPU
+# virtual machine, the Monte-Carlo stage took a median 72.6 ms with four slots, against
+# 81.5, 84.3 and 75.5 ms with two, three and eight, and 98.1 ms in one process (15 runs each).
+RING_SLOTS = 4
 
 # Samples prepended to each run so a recursive plant forgets its zero initial
 # state before measurement starts (poles of the fluid-flow plant have modulus
@@ -230,7 +240,8 @@ class LearningCurve:
 
 class Laps:
     """Wall time of consecutive stages: a lap adds the seconds since the last one (or since
-    the clock was made) to its stage's total and counts it; named stages start at 0.0."""
+    the clock was made or restarted) to its stage's total and counts it; named stages start
+    at 0.0."""
 
     def __init__(self, *stages: str):
         self.seconds = dict.fromkeys(stages, 0.0)
@@ -249,6 +260,10 @@ class Laps:
         for stage in other.seconds:
             self.seconds[stage] = self.seconds.get(stage, 0.0) + other.seconds[stage]
             self.counts[stage] = self.counts.get(stage, 0) + other.counts[stage]
+        self.restart()
+
+    def restart(self) -> None:
+        """Restart this clock: the time since the last lap is no stage."""
         self._last = time.perf_counter()
 
     def rounded(self) -> dict:  # as the manifest records them
@@ -410,49 +425,84 @@ class ExperimentSetup:
     eps_reg: float = 1e-2
 
 
-def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
-               laps: Laps) -> np.ndarray:
-    """Squared a-priori errors summed over ``runs``, all stepped in lockstep.
+def _block_spans(n_iters: int, block: int):
+    """``(t0, b)`` of each kernel block of a chunk: ``block`` steps at a time, a stream block
+    of ``MC_STREAM_STEPS`` steps ending one, so a kernel block is never longer than a stream
+    block."""
+    for t_s in range(0, n_iters, MC_STREAM_STEPS):
+        end = min(t_s + MC_STREAM_STEPS, n_iters)
+        for t0 in range(t_s, end, block):
+            yield t0, min(block, end - t0)
 
-    A block of steps takes its kernel values at once, and for the natural
-    update (and the selective one with ``s_n = r``) its products ``kappa G^-1``
-    in one stacked product, which numpy forms with the same per-matrix BLAS call
-    as a step's own product. The steps then move the coefficients through
-    :func:`kaflab.filters.make_update`. Divergence is looked for once per block: a
-    block in which a run's squared error is first non-finite is stepped again
-    from the coefficients it started with, step by step, so that the
-    :class:`DivergenceError` names the lowest-index run that diverges, as when
-    runs were stepped one by one: its first iteration with a non-finite
-    squared error, its ``||alpha||`` there and its last finite error. A
-    diverging run is stepped on with non-finite values. ``laps`` laps ``stream`` once a
-    stream block is drawn, and ``kernel_values`` and then ``steps`` for each kernel block.
+
+def _slot(kap: np.ndarray, d: np.ndarray) -> tuple:
+    """A kernel block's buffers, the kernel values (steps, runs, r) and the desired values
+    (steps, runs), with their rows: a step's views, made once."""
+    return kap, d, list(kap), list(d)
+
+
+def _kernel_blocks(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
+                   slots, work: np.ndarray):
+    """Form the kernel blocks of ``runs``, each in the next slot of ``slots`` (see
+    :func:`_slot`; the block shape is that of :func:`kernel_block`), and yield
+    ``(t0, b, slot)`` once its first ``b`` rows hold the values of steps ``t0`` to ``t0 + b``.
+
+    The streams are drawn ``MC_STREAM_STEPS`` steps at a time; a block's kernel values are
+    formed with the work array ``work``, of the block shape, and its desired values copied,
+    so that no view of a stream block outlives it. ``laps`` laps ``stream`` once a stream
+    block is drawn and ``kernel_values`` for each kernel block."""
+    streams = stream_blocks(setup.input_gen, setup.system, n_iters,
+                            [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
+    block = kernel_block(len(runs), setup.dictionary.size, n_iters)
+    for (t0, b), slot in zip(_block_spans(n_iters, block), slots):
+        k0 = t0 % MC_STREAM_STEPS
+        if k0 == 0:
+            u_s = d_s = None  # so that the next block is drawn in their place
+            u_s, d_s = next(streams)
+            laps.lap("stream")
+        kernelized_input(setup.dictionary, setup.kernel, u_s[k0:k0 + b], out=slot[0][:b],
+                         work=work)
+        np.copyto(slot[1][:b], d_s[k0:k0 + b])
+        laps.lap("kernel_values")
+        yield t0, b, slot
+
+
+def _step_blocks(setup: ExperimentSetup, runs: range, n_iters: int, blocks, work: np.ndarray,
+                 laps: Laps) -> np.ndarray:
+    """Squared a-priori errors summed over ``runs``, all stepped in lockstep over ``blocks``,
+    the ``(t0, b, slot)`` of :func:`_kernel_blocks`.
+
+    For the natural update (and the selective one with ``s_n = r``) a block's products
+    ``kappa G^-1`` are formed in ``work``, of the block shape, in one stacked product, which
+    numpy forms with the same per-matrix BLAS call as a step's own product. The steps then
+    move the coefficients through :func:`kaflab.filters.make_update`. Divergence is looked
+    for once per block: a block in which a run's squared error is first non-finite is
+    stepped again from the coefficients it started with, step by step, so that the
+    :class:`DivergenceError` names the lowest-index run that diverges, as when runs were
+    stepped one by one: its first iteration with a non-finite squared error, its
+    ``||alpha||`` there and its last finite error. A diverging run is stepped on with
+    non-finite values. ``laps`` laps ``steps`` for each block.
     """
     m, r = len(runs), setup.dictionary.size
     natural = moves_along_g_inv(setup.filter_kind, setup.s_n, r)
     move = make_update(setup.filter_kind, setup.gram, setup.eta, (m, r), setup.s_n,
                        setup.eps_reg)
     block = kernel_block(m, r, n_iters)
-    # The block's two buffers, reused: the kernel values, and the work array that
-    # forms them and then holds their stacked G^-1 products. A kernel block ends
-    # where its stream block ends, so it is never longer than one.
-    kap_buf, work = np.empty((block, m, r)), np.empty((block, m, r))
-    kap_rows, prod_rows = list(kap_buf), list(work)  # a step's rows, as views made once
+    prod_rows = list(work) if natural else [None] * block
     alpha, alpha0 = np.zeros((m, r)), np.empty((m, r))
     e, e2, last = np.empty((block, m)), np.empty((block, m)), np.full(m, np.nan)
     e_rows = list(e)
     total = np.empty(n_iters)
     diverged = {}  # row -> (iteration, ||alpha||, last finite error)
-    streams = stream_blocks(setup.input_gen, setup.system, n_iters,
-                            [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
 
-    def step(t0, b, kap, d_block, check):
+    def step(t0, b, kap, kap_rows, d_rows, check):
         """Step the block from ``alpha``; with ``check``, note each run's first
         non-finite squared error."""
         if natural:
-            np.matmul(kap, setup.gram.g_inv, out=work[:b])
+            np.matmul(kap[:b], setup.gram.g_inv, out=work[:b])
         prev = last
-        for i, kap_i, d_i, e_i, prod_i in zip(range(t0, t0 + b), kap_rows, d_block, e_rows,
-                                              prod_rows if natural else [None] * b):
+        for i, kap_i, d_i, e_i, prod_i in zip(range(t0, t0 + b), kap_rows, d_rows, e_rows,
+                                              prod_rows):
             np.subtract(d_i, np.vecdot(alpha, kap_i, out=e_i), out=e_i)
             if check:
                 for j in np.flatnonzero(~np.isfinite(e_i * e_i)):
@@ -461,28 +511,18 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
             move(alpha, kap_i, e_i, prod_i)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_s in range(0, n_iters, MC_STREAM_STEPS):
-            u_s, d_s = next(streams)
-            d_rows = list(d_s)
-            laps.lap("stream")
-            for k0 in range(0, len(d_s), block):
-                t0, u = t_s + k0, u_s[k0:k0 + block]
-                b = len(u)
-                kap = kernelized_input(setup.dictionary, setup.kernel, u, out=kap_buf[:b],
-                                       work=work)
-                laps.lap("kernel_values")
-                np.copyto(alpha0, alpha)
-                step(t0, b, kap, d_rows[k0:k0 + b], False)
-                np.multiply(e[:b], e[:b], out=e2[:b])
-                if not e2[:b].max() < np.inf:  # also true for a NaN
-                    bad = np.flatnonzero(~np.isfinite(e2[:b]).all(axis=0))
-                    if not diverged.keys() >= set(bad):  # a run diverges first in this block
-                        np.copyto(alpha, alpha0)
-                        step(t0, b, kap, d_rows[k0:k0 + b], True)
-                total[t0:t0 + b] = e2[:b].sum(axis=1)
-                np.copyto(last, e[b - 1])
-                laps.lap("steps")
-            del u_s, d_s, d_rows, u  # so that the next block is drawn in their place
+        for t0, b, (kap, _, kap_rows, d_rows) in blocks:
+            np.copyto(alpha0, alpha)
+            step(t0, b, kap, kap_rows, d_rows, False)
+            np.multiply(e[:b], e[:b], out=e2[:b])
+            if not e2[:b].max() < np.inf:  # also true for a NaN
+                bad = np.flatnonzero(~np.isfinite(e2[:b]).all(axis=0))
+                if not diverged.keys() >= set(bad):  # a run diverges first in this block
+                    np.copyto(alpha, alpha0)
+                    step(t0, b, kap, kap_rows, d_rows, True)
+            total[t0:t0 + b] = e2[:b].sum(axis=1)
+            np.copyto(last, e[b - 1])
+            laps.lap("steps")
     if diverged:
         i, norm, last_e = diverged[min(diverged)]
         raise DivergenceError(
@@ -491,6 +531,19 @@ def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
             last_finite_step=i - 1,
         )
     return total
+
+
+def _run_chunk(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
+               laps: Laps) -> np.ndarray:
+    """Squared a-priori errors summed over ``runs``: :func:`_step_blocks` over
+    :func:`_kernel_blocks`, in this process. One slot is reused from block to block, and
+    one work array forms each block's kernel values and then holds their stacked
+    ``G^-1`` products."""
+    shape = (kernel_block(len(runs), setup.dictionary.size, n_iters), len(runs))
+    work = np.empty((*shape, setup.dictionary.size))
+    slots = itertools.repeat(_slot(np.empty_like(work), np.empty(shape)))
+    blocks = _kernel_blocks(setup, seed, runs, n_iters, laps, slots, work)
+    return _step_blocks(setup, runs, n_iters, blocks, work, laps)
 
 
 def run_chunk_size(r: int) -> int:
@@ -526,35 +579,60 @@ def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
     return n2 if exact else 0
 
 
+def _pipe(files: contextlib.ExitStack) -> tuple:
+    """A new pipe's read and write ends as unbuffered files, closed with ``files``."""
+    rd, wr = os.pipe()
+    return (files.enter_context(open(rd, "rb", buffering=0)),
+            files.enter_context(open(wr, "wb", buffering=0)))
+
+
+@contextlib.contextmanager
+def _forked(child):
+    """Fork a child that runs ``child()`` and exits; in this process, yield ``True``, or
+    ``False`` if ``fork`` raises ``OSError``. The child is killed and reaped on leaving."""
+    try:
+        pid = os.fork()
+    except OSError:
+        yield False
+        return
+    if pid == 0:
+        try:
+            child()
+        finally:
+            os._exit(0)
+    try:
+        yield True
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray:
     """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on
     and sends their sums, or its :class:`DivergenceError`, with its laps; both processes run
     where the scheduler puts them. The child is killed and reaped before this returns or
-    raises; if it sent nothing, its runs step here."""
-    rd, wr = os.pipe()
-    with open(rd, "rb") as reader, open(wr, "wb") as writer:
+    raises; if ``pipe`` or ``fork`` raises ``OSError`` the chunk steps whole here, and if the
+    child sent nothing, its runs step here."""
+    with contextlib.ExitStack() as files:
         try:
-            pid = os.fork()
+            reader, writer = _pipe(files)
         except OSError:
             return _run_chunk(setup, seed, runs, n_iters, laps)
-        if pid == 0:
+
+        def child():
             try:
-                try:
-                    answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
-                except DivergenceError as exc:
-                    answer = (exc, own)
-                pickle.dump(answer, writer)
-                writer.close()
-            finally:
-                os._exit(0)
-        writer.close()
-        try:
+                answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
+            except DivergenceError as exc:
+                answer = (exc, own)
+            pickle.dump(answer, writer)
+
+        with _forked(child) as forked:
+            if not forked:
+                return _run_chunk(setup, seed, runs, n_iters, laps)
+            writer.close()
             first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
             answer = reader.read()
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     second, own = pickle.loads(answer) if answer else (None, Laps())
     laps.merge(own)  # the wait for the child is no stage of this process
     if isinstance(second, DivergenceError):
@@ -563,6 +641,69 @@ def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, l
         return first + _run_chunk(setup, seed, runs[n2:], n_iters, laps)
     counters["mc_processes"] = 2
     return first + second
+
+
+def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
+                      laps: Laps, counters: dict) -> np.ndarray:
+    """The chunk's summed squared errors, in two stages: a forked child runs
+    :func:`_kernel_blocks` into a ring of ``RING_SLOTS`` slots in shared memory, and this
+    process runs :func:`_step_blocks` over them, the same calls on the same values as
+    :func:`_run_chunk`. A byte on one pipe hands a filled slot here, a byte on another hands
+    it back; after its last block the child sends its laps. The child is killed and reaped
+    before this returns or raises. The chunk steps whole here if ``mmap``, ``pipe`` or
+    ``fork`` raises ``OSError``, or, its partial sums discarded, if the child ends before
+    its last block."""
+    m, r = len(runs), setup.dictionary.size
+    block = kernel_block(m, r, n_iters)
+    with contextlib.ExitStack() as files:
+        try:
+            # shared with the child; unmapped when the last array on it is freed
+            ring = np.frombuffer(mmap.mmap(-1, 8 * RING_SLOTS * block * m * (r + 1)))
+            (full_rd, full_wr), (free_rd, free_wr) = _pipe(files), _pipe(files)
+        except OSError:
+            return _run_chunk(setup, seed, runs, n_iters, laps)
+        kaps, ds = np.split(ring, [RING_SLOTS * block * m * r])
+        slots = [_slot(kap, d) for kap, d in zip(kaps.reshape(RING_SLOTS, block, m, r),
+                                                 ds.reshape(RING_SLOTS, block, m))]
+        free_wr.write(bytes(RING_SLOTS))
+
+        def child():
+            free_wr.close()  # so that the end of this process is the end of the free slots
+            own = Laps()
+
+            def free_slots():
+                for slot in itertools.cycle(slots):
+                    if not free_rd.read(1):
+                        return
+                    own.restart()  # the wait for a free slot is no stage
+                    yield slot
+
+            work = np.empty((block, m, r))
+            for _ in _kernel_blocks(setup, seed, runs, n_iters, own, free_slots(), work):
+                full_wr.write(b"\0")
+            pickle.dump(own, full_wr)
+
+        def filled():
+            for i, (t0, b) in enumerate(_block_spans(n_iters, block)):
+                if not full_rd.read(1):
+                    raise EOFError("the child ended before its last block")
+                laps.restart()  # the wait for a filled slot is no stage
+                yield t0, b, slots[i % RING_SLOTS]
+                free_wr.write(b"\0")  # free_rd stays open here, so this never breaks
+            answer = full_rd.read()
+            laps.merge(pickle.loads(answer) if answer else Laps())
+
+        with _forked(child) as forked:
+            if not forked:
+                return _run_chunk(setup, seed, runs, n_iters, laps)
+            full_wr.close()
+            try:
+                total = _step_blocks(setup, runs, n_iters, filled(), np.empty((block, m, r)),
+                                     laps)
+            except EOFError:
+                return _run_chunk(setup, seed, runs, n_iters, laps)
+    counters["mc_processes"] = 2
+    return total
 
 
 def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: int,
@@ -576,23 +717,31 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
     values) and ``steps`` (stepping, stacked products included) as :func:`_run_chunk` laps
     them, summed over processes; ``counters``, if given, gets ``mc_processes``, 1 or 2.
 
-    A chunk of more than 128 runs steps in two processes, this one stepping the runs below its
-    :func:`split_point` and a forked child the rest (:func:`_step_in_two`); it steps whole
-    here with 128 runs or fewer, on one CPU (``os.sched_getaffinity``), without ``os.fork``,
-    when that probe fails and when ``fork`` raises ``OSError``.
+    A chunk of more than 128 runs steps in two processes where :func:`split_point` splits
+    it, this one stepping the runs below that point and a forked child the rest
+    (:func:`_step_in_two`). Any other chunk of more than one kernel block steps as a
+    two-stage pipeline, a forked child forming the kernel blocks that this process steps
+    (:func:`_step_in_pipeline`). Either takes two CPUs (``os.sched_getaffinity``) and
+    ``os.fork``; a chunk of one kernel block, which has nothing to overlap, and any chunk on
+    one CPU or without ``os.fork`` step whole here (:func:`_run_chunk`), as they do when the
+    fork, or the pipe or shared memory it needs, fails.
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
     laps = Laps() if laps is None else laps
     counters = {} if counters is None else counters
     counters["mc_processes"] = 1
-    chunk, total = run_chunk_size(setup.dictionary.size), np.zeros(n_iters)
+    r = setup.dictionary.size
+    chunk, total = run_chunk_size(r), np.zeros(n_iters)
     two = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
     splits = {m: two and m > 128 and split_point(setup, m, n_iters)  # once per chunk size
               for m in {min(chunk, n_runs - start) for start in range(0, n_runs, chunk)}}
     for start in range(0, n_runs, chunk):
         runs = range(start, min(start + chunk, n_runs))
-        n2 = splits[len(runs)]
-        total += (_step_in_two(setup, seed, runs, n_iters, laps, counters, n2) if n2
-                  else _run_chunk(setup, seed, runs, n_iters, laps))
+        if n2 := splits[len(runs)]:
+            total += _step_in_two(setup, seed, runs, n_iters, laps, counters, n2)
+        elif two and kernel_block(len(runs), r, n_iters) < n_iters:
+            total += _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
+        else:
+            total += _run_chunk(setup, seed, runs, n_iters, laps)
     return LearningCurve(mse=total / n_runs)

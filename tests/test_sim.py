@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pickle
 import re
+import signal
 import time
 import tracemalloc
 from unittest import mock
@@ -459,7 +460,8 @@ class TestEngineProperties:
 
 class TestEngineWorkingSet:
     """``_run_chunk`` holds a fixed working set besides its curve ``total``: its two
-    kernel-block buffers, the arrays of one stream block and the runs' generators.
+    kernel-block buffers with the block's desired values, the arrays of one stream block and
+    the runs' generators.
     Python's own allocations, numpy's included, are traced; a later per-step or
     per-block array that is kept, or a larger buffer, fails here."""
 
@@ -603,11 +605,19 @@ class TestTwoProcesses:
         assert counters["mc_processes"] == 1 + (sim.split_point(tiny_setup(), 150, 30) > 0)
         assert os.sched_getaffinity(0) == before
 
-    def test_fork_failure_steps_the_chunk_whole(self):
+    @pytest.mark.parametrize("module, call, n_runs, n_iters", [
+        (sim.os, "fork", 150, 30), (sim.os, "pipe", 150, 30), (sim.os, "fork", 7, 1500),
+        (sim.os, "pipe", 7, 1500), (sim.mmap, "mmap", 7, 1500),
+    ], ids=["fork", "pipe", "fork-pipeline", "pipe-pipeline", "mmap-pipeline"])
+    def test_fork_failure_steps_the_chunk_whole(self, module, call, n_runs, n_iters):
+        """A ``fork``, ``pipe`` or shared ``mmap`` that raises ``OSError`` steps the chunk
+        whole here, split (150 runs) or pipelined (7 runs of three kernel blocks)."""
         setup = tiny_setup()
-        one, _ = curve_on(setup, 150, 30, 5, 1)
-        with mock.patch.object(sim.os, "fork", side_effect=OSError(11, "no process")):
-            two, processes = curve_on(setup, 150, 30, 5, 2)
+        one, _ = curve_on(setup, n_runs, n_iters, 5, 1)
+        with mock.patch.object(module, call,
+                               side_effect=OSError(24, "Too many open files")) as failed:
+            two, processes = curve_on(setup, n_runs, n_iters, 5, 2)
+        assert failed.called
         assert processes == 1
         assert np.array_equal(one, two)
 
@@ -680,6 +690,100 @@ class TestTwoProcesses:
         assert pinned == []
         assert str(err.value) == str(alone.value)
         assert err.value.last_finite_step == alone.value.last_finite_step
+
+
+def blocks_of(n_runs, r, n_iters):
+    """Kernel blocks of a chunk of ``n_runs`` runs over ``r`` centers."""
+    return len(list(sim._block_spans(n_iters, sim.kernel_block(n_runs, r, n_iters))))
+
+
+class TestPipeline:
+    """A chunk that does not split and has more than one kernel block steps as a two-stage
+    pipeline: a forked child forms the kernel blocks into a shared ring, this process steps
+    them, with the bits of one process."""
+
+    DICTIONARIES = {"grid25": (grid_dictionary([-1, -1], [1, 1], 5), GaussianKernel(0.7)),
+                    "drawn31": (sim.Dictionary(np.random.default_rng(7).uniform(-1, 1, (31, 2))),
+                                GaussianKernel(0.3))}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(list(FilterKind)),
+        system=st.sampled_from(list(SystemKind)),
+        dictionary=st.sampled_from(sorted(DICTIONARIES)),
+        eta=st.floats(0.01, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        n_runs=st.integers(1, 128),
+        blocks=st.integers(2, 6),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_pipeline_gives_the_bits_of_one_process(self, kind, system, dictionary, eta, seed,
+                                                     n_runs, blocks, share):
+        d, k = self.DICTIONARIES[dictionary]
+        setup = dataclasses.replace(tiny_setup(filter_kind=kind, system=system, eta=eta),
+                                    dictionary=d, kernel=k, gram=gram(d, k))
+        block = sim.kernel_block(n_runs, d.size, sim.MC_STREAM_STEPS)
+        n_iters = (blocks - 1) * block + 1 + int(share * (block - 1))
+        assert blocks <= blocks_of(n_runs, d.size, n_iters) <= 2 * blocks
+        whole = sim._run_chunk(setup, seed, range(n_runs), n_iters, sim.Laps())
+        piped, processes = curve_on(setup, n_runs, n_iters, seed, 2)
+        assert processes == 2
+        assert np.array_equal(piped, whole / n_runs)
+
+    def test_divergence_gives_the_message_of_one_process(self):
+        """The divergence that every block checks (blocks of 16 steps here) is raised with
+        the message and last finite step of one process, and no child is left."""
+        setup = tiny_setup(eta=500.0)
+        errors = []
+        for n_cpus in (1, 2):
+            with mock.patch.object(sim, "MC_STREAM_STEPS", 16), cpus(n_cpus), \
+                    mock.patch.object(sim, "_step_in_pipeline",
+                                      wraps=sim._step_in_pipeline) as piped, \
+                    np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError) as err:
+                mc_learning_curve(setup, 4, 200, 13)
+            assert_no_child()
+            assert piped.called == (n_cpus == 2)
+            errors.append(err.value)
+        assert str(errors[1]) == str(errors[0])
+        assert errors[1].last_finite_step == errors[0].last_finite_step == 64
+
+    def test_child_killed_after_its_second_block_gives_the_curve_of_one_process(self):
+        setup, parent, real = tiny_setup(), os.getpid(), sim._kernel_blocks
+
+        def killed_after_two(*args):
+            for n, block in enumerate(real(*args)):
+                if os.getpid() != parent and n == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield block
+
+        one, _ = curve_on(setup, 7, 1500, 5, 1)
+        with mock.patch.object(sim, "_kernel_blocks", killed_after_two):
+            two, processes = curve_on(setup, 7, 1500, 5, 2)
+        assert processes == 1
+        assert np.array_equal(one, two)
+
+    def test_child_laps_are_added(self):
+        """The child's stream and kernel-value laps are added to this process's steps: the
+        counts of one process, three stream blocks and twelve kernel blocks here."""
+        one, two = sim.Laps(), sim.Laps()
+        assert blocks_of(100, 9, 1500) == 12
+        curve_on(tiny_setup(), 100, 1500, 5, 1, one)
+        curve_on(tiny_setup(), 100, 1500, 5, 2, two)
+        assert one.counts == two.counts == {"stream": 3, "kernel_values": 12, "steps": 12}
+        assert all(t > 0 for t in two.seconds.values())
+
+    @pytest.mark.parametrize("n_cpus, n_runs, n_iters", [
+        (1, 7, 1500), (1, 150, 30), (1, 7, 300), (2, 7, 300),
+    ], ids=["one_cpu-pipeline", "one_cpu-split", "one_cpu-one_block", "one_block"])
+    def test_steps_whole_without_a_fork(self, n_cpus, n_runs, n_iters):
+        """On one CPU no chunk forks, and a chunk of one kernel block, which has nothing to
+        overlap, steps whole on two."""
+        assert n_cpus == 1 or blocks_of(n_runs, 9, n_iters) == 1
+        with mock.patch.object(sim.os, "fork", side_effect=AssertionError("forked")) as fork:
+            _, processes = curve_on(tiny_setup(), n_runs, n_iters, 5, n_cpus)
+        assert not fork.called
+        assert processes == 1
 
 
 ERRORS = [KaflabError("a"), NotPositiveDefiniteError("b", smallest_eigenvalue=-1e-3),
