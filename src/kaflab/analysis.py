@@ -150,8 +150,10 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
 
     Has as many values as ``x``, also for a curve shorter than the window: the
     centred slice of the full convolution, which is ``mode="same"`` for
-    ``x.size >= window``.
+    ``x.size >= window``. From ``2 x.size - 1`` on, every window covers the whole
+    curve, each value is the same sum, and the window is cut there.
     """
+    window = min(window, 2 * x.size - 1)
     if window <= 1:
         return x
     ones, keep = np.ones(window), slice((window - 1) // 2, (window - 1) // 2 + x.size)

@@ -111,7 +111,7 @@ def _sha256(path: Path) -> str:
 def _write_manifest(command: str, cfg: ExperimentConfig | None, run: Run, blas_threads) -> None:
     """``manifest.json`` in ``run.out``: each output's sha256, the config and seed if any, and,
     outside the hashed outputs, the BLAS build and threads and a lapping command's stages and
-    counters with this process's peak memory, not the forked half of a split chunk's."""
+    counters with this process's peak memory (a forked child's is the engine's counter)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -161,7 +161,8 @@ def _load(args) -> ExperimentConfig | None:
 
 def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
     """The moment model, from the cached exact cross statistics or, when the record is
-    missing or unreadable, from fresh ones; the closed-form moments are recomputed."""
+    missing or unreadable, from fresh ones; and a call that records fresh ones, made once the
+    theory is written. The closed-form moments are recomputed."""
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
     cache_file = cache_dir / f"cross_stats_{moments_cache_key(cfg, d, im)}.json"
@@ -169,13 +170,17 @@ def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
         stats = load_moment_model(cache_file, d.size)
     except (OSError, ValueError):
         stats = None
-    info["moments_cache"] = str(cache_file)
-    info["moments_cache_hit"] = stats is not None
-    if stats is None:
+    hit = stats is not None
+    info["moments_cache"], info["moments_cache_hit"] = str(cache_file), hit
+    if not hit:
         stats = estimate_cross_stats(build_system(cfg), im, d, kern)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        save_moment_model(stats, cache_file)
-    return build_model(d, kern, im, stats.p, stats.d2)
+
+    def record():
+        if not hit:
+            save_moment_model(stats, cache_file)
+
+    return build_model(d, kern, im, stats.p, stats.d2), record
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
     d, info = build_dictionary(cfg)
     check_k_size(d.size)  # before the moments: they cost far more than the refusal
     run.laps.lap("dictionary")
-    model = _obtain_model(cfg, d, info, Path(args.cache_dir or run.out / "moments_cache"))
+    model, record = _obtain_model(cfg, d, info, Path(args.cache_dir or run.out / "moments_cache"))
     run.laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -235,6 +240,7 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
         "transient": transient_note,
         **({} if cfg.filter_kind is THEORY_MODELS else {"theory_models": THEORY_MODELS.value}),
     })
+    record()  # only now: a refused analyze leaves no file in --out
     run.laps.lap("write")
 
     g_eig = model.gram.eigenvalues
@@ -279,6 +285,9 @@ def _check_rows(rows) -> tuple[float, int]:
 
 def cmd_moments_check(args, cfg: ExperimentConfig, run: Run) -> int:
     d, _ = build_dictionary(cfg)
+    if args.fourth_entries > d.size**4:  # a coherence dictionary's r is known only now
+        raise ConfigError(f"--fourth-entries {args.fourth_entries} exceeds the {d.size**4} "
+                          f"distinct fourth-moment entries of r = {d.size} centers")
     im = build_input_model(cfg)
     kern = GaussianKernel(cfg.sigma)
     n = args.samples

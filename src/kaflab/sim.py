@@ -13,8 +13,10 @@ The engine steps a chunk of independent runs in lockstep over those blocks, one 
 run, in a working set fixed before its first step. On two CPUs a chunk of more than 128
 runs steps as two parts in two processes where a probe finds that they keep the bits, and
 any other chunk of more than one kernel block as a two-stage pipeline: a forked child draws
-the streams and forms the kernel values while this process steps. Chunk sums are added in
-run order; chunk and block sizes follow from the dictionary size and the one byte budget of
+the streams and forms the kernel values while this process steps. Both fork through one
+helper, :func:`_in_two_processes`, which falls back to one process, merges the child's laps
+and records its peak memory. Chunk sums are added in run order; chunk and block sizes
+follow from the dictionary size and the one byte budget of
 :data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
 """
 
@@ -586,124 +588,110 @@ def _pipe(files: contextlib.ExitStack) -> tuple:
             files.enter_context(open(wr, "wb", buffering=0)))
 
 
-@contextlib.contextmanager
-def _forked(child):
-    """Fork a child that runs ``child()`` and exits; in this process, yield ``True``, or
-    ``False`` if ``fork`` raises ``OSError``. The child is killed and reaped on leaving."""
-    try:
-        pid = os.fork()
-    except OSError:
-        yield False
-        return
-    if pid == 0:
+def _in_two_processes(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
+                      counters: dict, child, here, rest: range | None = None,
+                      ring_bytes: int = 0) -> np.ndarray:
+    """The chunk's summed squared errors from two processes: a forked child runs
+    ``child(own, ring, rd, wr)`` and this one ``here(ring, rd, wr)``, ``ring`` a shared
+    ``mmap`` of ``ring_bytes`` as doubles (or None), ``rd`` and ``wr`` the process's ends of a
+    pipe each way. The child sends its answer (an array to add, or None) or its
+    :class:`DivergenceError`, pickled with its laps ``own``, which ``laps`` merges; its error
+    is raised once this process's part is done without one. The chunk steps whole here if
+    ``mmap``, ``pipe`` or ``fork`` raises ``OSError``, or ``here`` an ``EOFError`` (a child
+    that ended early); the runs ``rest`` of a child that sent nothing step here. The child is
+    killed and reaped before this returns or raises; ``counters`` gets ``child_peak_rss_mb``,
+    the largest peak resident set of a reaped child (``RUSAGE_CHILDREN``), in MB."""
+    import resource  # POSIX, as os.fork is
+
+    with contextlib.ExitStack() as files:
         try:
-            child()
+            # shared with the child; unmapped when the last array on it is freed
+            ring = np.frombuffer(mmap.mmap(-1, ring_bytes)) if ring_bytes else None
+            (rd, wr), (back_rd, back_wr) = _pipe(files), _pipe(files)
+            pid = os.fork()
+        except OSError:
+            return _run_chunk(setup, seed, runs, n_iters, laps)
+        if pid == 0:
+            try:
+                back_wr.close()  # so that the end of this process ends what it reads
+                try:
+                    answer = child(own := Laps(), ring, back_rd, wr)
+                except DivergenceError as exc:
+                    answer = exc
+                pickle.dump((answer, own), wr)
+            finally:
+                os._exit(0)
+        try:
+            wr.close()  # so that the end of the child ends what this process reads
+            mine, answer = here(ring, rd, back_wr), rd.read()
+        except EOFError:
+            return _run_chunk(setup, seed, runs, n_iters, laps)
         finally:
-            os._exit(0)
-    try:
-        yield True
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            counters["child_peak_rss_mb"] = resource.getrusage(
+                resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    theirs, own = pickle.loads(answer) if answer else (None, Laps())
+    laps.merge(own)  # the wait for the child is no stage of this process
+    if isinstance(theirs, DivergenceError):
+        raise theirs
+    if not answer and rest is not None:
+        return mine + _run_chunk(setup, seed, rest, n_iters, laps)
+    counters["mc_processes"] = 2
+    return mine if theirs is None else mine + theirs
 
 
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray:
-    """The chunk's summed squared errors. A forked child steps the runs from ``runs[n2]`` on
-    and sends their sums, or its :class:`DivergenceError`, with its laps; both processes run
-    where the scheduler puts them. The child is killed and reaped before this returns or
-    raises; if ``pipe`` or ``fork`` raises ``OSError`` the chunk steps whole here, and if the
-    child sent nothing, its runs step here."""
-    with contextlib.ExitStack() as files:
-        try:
-            reader, writer = _pipe(files)
-        except OSError:
-            return _run_chunk(setup, seed, runs, n_iters, laps)
-
-        def child():
-            try:
-                answer = (_run_chunk(setup, seed, runs[n2:], n_iters, own := Laps()), own)
-            except DivergenceError as exc:
-                answer = (exc, own)
-            pickle.dump(answer, writer)
-
-        with _forked(child) as forked:
-            if not forked:
-                return _run_chunk(setup, seed, runs, n_iters, laps)
-            writer.close()
-            first = _run_chunk(setup, seed, runs[:n2], n_iters, laps)
-            answer = reader.read()
-    second, own = pickle.loads(answer) if answer else (None, Laps())
-    laps.merge(own)  # the wait for the child is no stage of this process
-    if isinstance(second, DivergenceError):
-        raise second
-    if second is None:
-        return first + _run_chunk(setup, seed, runs[n2:], n_iters, laps)
-    counters["mc_processes"] = 2
-    return first + second
+    """The chunk's summed squared errors, split by runs: this process steps the runs below
+    ``runs[n2]`` and a forked child the rest (:func:`_in_two_processes`)."""
+    return _in_two_processes(setup, seed, runs, n_iters, laps, counters,
+                             lambda own, *_: _run_chunk(setup, seed, runs[n2:], n_iters, own),
+                             lambda *_: _run_chunk(setup, seed, runs[:n2], n_iters, laps),
+                             rest=runs[n2:])
 
 
 def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
                       laps: Laps, counters: dict) -> np.ndarray:
-    """The chunk's summed squared errors, in two stages: a forked child runs
-    :func:`_kernel_blocks` into a ring of ``RING_SLOTS`` slots in shared memory, and this
-    process runs :func:`_step_blocks` over them, the same calls on the same values as
-    :func:`_run_chunk`. A byte on one pipe hands a filled slot here, a byte on another hands
-    it back; after its last block the child sends its laps. The child is killed and reaped
-    before this returns or raises. The chunk steps whole here if ``mmap``, ``pipe`` or
-    ``fork`` raises ``OSError``, or, its partial sums discarded, if the child ends before
-    its last block."""
+    """The chunk's summed squared errors, in two stages (:func:`_in_two_processes`): a
+    forked child runs :func:`_kernel_blocks` into a shared ring of ``RING_SLOTS`` slots, and
+    this process runs :func:`_step_blocks` over them, the same calls on the same values as
+    :func:`_run_chunk`. A byte on one pipe hands a filled slot here, a byte on the other
+    hands it back."""
     m, r = len(runs), setup.dictionary.size
     block = kernel_block(m, r, n_iters)
-    with contextlib.ExitStack() as files:
-        try:
-            # shared with the child; unmapped when the last array on it is freed
-            ring = np.frombuffer(mmap.mmap(-1, 8 * RING_SLOTS * block * m * (r + 1)))
-            (full_rd, full_wr), (free_rd, free_wr) = _pipe(files), _pipe(files)
-        except OSError:
-            return _run_chunk(setup, seed, runs, n_iters, laps)
+
+    def slots(ring):
         kaps, ds = np.split(ring, [RING_SLOTS * block * m * r])
-        slots = [_slot(kap, d) for kap, d in zip(kaps.reshape(RING_SLOTS, block, m, r),
+        return [_slot(kap, d) for kap, d in zip(kaps.reshape(RING_SLOTS, block, m, r),
                                                  ds.reshape(RING_SLOTS, block, m))]
-        free_wr.write(bytes(RING_SLOTS))
 
-        def child():
-            free_wr.close()  # so that the end of this process is the end of the free slots
-            own = Laps()
+    def child(own, ring, free, full):
+        def free_slots():  # each slot is free at first, then once handed back
+            for i, slot in enumerate(itertools.cycle(slots(ring))):
+                if i >= RING_SLOTS and not free.read(1):
+                    return
+                own.restart()  # the wait for a free slot is no stage
+                yield slot
 
-            def free_slots():
-                for slot in itertools.cycle(slots):
-                    if not free_rd.read(1):
-                        return
-                    own.restart()  # the wait for a free slot is no stage
-                    yield slot
+        for _ in _kernel_blocks(setup, seed, runs, n_iters, own, free_slots(),
+                                np.empty((block, m, r))):
+            full.write(b"\0")
 
-            work = np.empty((block, m, r))
-            for _ in _kernel_blocks(setup, seed, runs, n_iters, own, free_slots(), work):
-                full_wr.write(b"\0")
-            pickle.dump(own, full_wr)
-
-        def filled():
+    def here(ring, full, free):
+        def filled(ring_slots):
             for i, (t0, b) in enumerate(_block_spans(n_iters, block)):
-                if not full_rd.read(1):
+                if not full.read(1):
                     raise EOFError("the child ended before its last block")
                 laps.restart()  # the wait for a filled slot is no stage
-                yield t0, b, slots[i % RING_SLOTS]
-                free_wr.write(b"\0")  # free_rd stays open here, so this never breaks
-            answer = full_rd.read()
-            laps.merge(pickle.loads(answer) if answer else Laps())
+                yield t0, b, ring_slots[i % RING_SLOTS]
+                free.write(b"\0")  # the free slots' read end stays open here: never breaks
 
-        with _forked(child) as forked:
-            if not forked:
-                return _run_chunk(setup, seed, runs, n_iters, laps)
-            full_wr.close()
-            try:
-                total = _step_blocks(setup, runs, n_iters, filled(), np.empty((block, m, r)),
-                                     laps)
-            except EOFError:
-                return _run_chunk(setup, seed, runs, n_iters, laps)
-    counters["mc_processes"] = 2
-    return total
+        return _step_blocks(setup, runs, n_iters, filled(slots(ring)), np.empty((block, m, r)),
+                            laps)
+
+    return _in_two_processes(setup, seed, runs, n_iters, laps, counters, child, here,
+                             ring_bytes=8 * RING_SLOTS * block * m * (r + 1))
 
 
 def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: int,
@@ -715,16 +703,13 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
     bit-identical for a given ``(seed, setup, n_runs, n_iters)``. ``laps``, if given, is
     lapped at the stages ``stream`` (drawing the streams), ``kernel_values`` (forming kernel
     values) and ``steps`` (stepping, stacked products included) as :func:`_run_chunk` laps
-    them, summed over processes; ``counters``, if given, gets ``mc_processes``, 1 or 2.
+    them, summed over processes; ``counters``, if given, gets ``mc_processes``, 1 or 2, and,
+    once a child is forked, ``child_peak_rss_mb``.
 
-    A chunk of more than 128 runs steps in two processes where :func:`split_point` splits
-    it, this one stepping the runs below that point and a forked child the rest
-    (:func:`_step_in_two`). Any other chunk of more than one kernel block steps as a
-    two-stage pipeline, a forked child forming the kernel blocks that this process steps
-    (:func:`_step_in_pipeline`). Either takes two CPUs (``os.sched_getaffinity``) and
-    ``os.fork``; a chunk of one kernel block, which has nothing to overlap, and any chunk on
-    one CPU or without ``os.fork`` step whole here (:func:`_run_chunk`), as they do when the
-    fork, or the pipe or shared memory it needs, fails.
+    On two CPUs (``os.sched_getaffinity``) with ``os.fork``, a chunk of more than 128 runs
+    that :func:`split_point` splits steps by runs (:func:`_step_in_two`), and any other chunk
+    of more than one kernel block as a pipeline (:func:`_step_in_pipeline`), each through
+    :func:`_in_two_processes`. Every other chunk steps whole here (:func:`_run_chunk`).
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")

@@ -10,7 +10,9 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +171,28 @@ class TestSimulate:
             == (tmp_path / "b" / "simulated.csv").read_bytes()
         processes = [read_manifest(tmp_path / run)["counters"]["mc_processes"] for run in "ab"]
         assert processes == [2, 2]  # the 150 runs split at 72 here
+
+    @pytest.mark.parametrize("n_cpus, n_runs, n_iters, forked", [
+        (2, 150, 30, True), (2, 7, 1500, True), (1, 150, 30, False), (1, 7, 1500, False),
+        (2, 7, 300, False),
+    ], ids=["split", "pipeline", "one_cpu-split", "one_cpu-pipeline", "one_block"])
+    def test_manifest_records_the_forked_childs_peak(self, tmp_path, monkeypatch, n_cpus,
+                                                     n_runs, n_iters, forked):
+        """A split (150 runs) or pipelined (7 runs of three kernel blocks) ``simulate``
+        records ``counters.child_peak_rss_mb``, the forked child's peak resident set; one
+        that steps whole, on one CPU or in one kernel block, records none."""
+        import kaflab.sim
+
+        monkeypatch.setattr(kaflab.sim.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        cfg = write_tiny(tmp_path, n_iters=n_iters)
+        cfg.write_text(cfg.read_text().replace("n_runs = 2", f"n_runs = {n_runs}"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        counters = read_manifest(tmp_path / "out")["counters"]
+        assert counters["mc_processes"] == 1 + forked
+        if forked:
+            assert counters["child_peak_rss_mb"] > 0
+        else:
+            assert "child_peak_rss_mb" not in counters
 
     def test_seed_override_changes_stream(self, tmp_path):
         cfg = write_tiny(tmp_path)
@@ -512,6 +536,30 @@ class TestCompare:
         assert "--smooth-window" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    def test_window_past_the_curve_is_cut_where_every_window_covers_it(self, tmp_path):
+        """From 2n - 1 on, each window covers the whole curve of n points: ``metrics.txt``
+        keeps its bytes, the echoed window aside, at that width, one above it and at 10^8,
+        which ends within a second."""
+        from kaflab.sim import LearningCurve, save_learning_curve
+
+        rng, n = np.random.default_rng(6), 300
+        paths = [tmp_path / "sim.csv", tmp_path / "theory.csv"]
+        for path in paths:
+            save_learning_curve(LearningCurve(mse=rng.exponential(1.0, n)), path)
+        texts = {}
+        for window in (2 * n - 1, 2 * n, 10**8):
+            start = time.perf_counter()
+            assert main(["compare", "--sim", str(paths[0]), "--theory", str(paths[1]),
+                         "--out", str(tmp_path / str(window)),
+                         "--smooth-window", str(window)]) == EXIT_OK
+            seconds = time.perf_counter() - start
+            lines = (tmp_path / str(window) / "metrics.txt").read_text().splitlines()
+            assert f"smooth_window = {window}" in lines
+            texts[window] = [line for line in lines if not line.startswith("smooth_window")]
+        assert seconds < 1.0
+        assert texts[2 * n - 1] == texts[2 * n] == texts[10**8]
+        assert len(texts[10**8]) == 8
+
     def test_short_curve_is_smoothed_to_its_own_length(self):
         """A curve shorter than the window keeps its length, and every point of a
         two-point curve averages both: the gap of [1, 1] against [10, 1] is that of
@@ -549,6 +597,23 @@ class TestMomentsCheck:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "# RESULT: PASS" in out
+
+    def test_fourth_entries_above_r4_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        """r^4 is the count of distinct fourth-moment entries (256 on the tiny grid): that
+        many are drawn, one more is refused with exit 2 and one ``config error`` line
+        before any draw."""
+        cfg = write_tiny(tmp_path, seed=17)
+        assert main(["moments-check", "--config", str(cfg), "--samples", "40000",
+                     "--fourth-entries", "256"]) == EXIT_OK
+        assert "# RESULT: PASS" in capsys.readouterr().out
+        monkeypatch.setattr(cli, "mc_second_moment", mock.Mock(side_effect=AssertionError))
+        assert main(["moments-check", "--config", str(cfg), "--samples", "40000",
+                     "--fourth-entries", "257"]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: --fourth-entries 257 exceeds the 256 ")
+        assert err.count("\n") == 1
+        assert not cli.mc_second_moment.called
 
     def test_detects_corrupted_kernel_width(self, tmp_path, monkeypatch, capsys):
         """A biased Monte-Carlo mean, here that of a kernel 10% too wide, fails the
@@ -853,6 +918,25 @@ class TestOneCommandPath:
             assert capsys.readouterr().out == ""
             assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
         assert out.is_dir()
+
+    def test_refused_analyze_leaves_no_cache_record(self, tmp_path, capsys):
+        """The 7 x 7 grid, refused in its transient, leaves no file under ``--out`` with
+        the default cache directory: the cross statistics are recorded only once the theory
+        is written. A cold run there records them, and a warm run reads them."""
+        text = (CONFIGS / "experiment1.cfg").read_text()
+        assert text.count("points_per_axis = 5") == 1
+        cfg = tmp_path / "grid7.cfg"
+        cfg.write_text(text.replace("points_per_axis = 5", "points_per_axis = 7"))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().out == ""
+        assert not any(p.is_file() for p in out.rglob("*"))
+        tiny, hits = write_tiny(tmp_path), []
+        for _ in range(2):
+            assert main(["analyze", "--config", str(tiny), "--out", str(out)]) == EXIT_OK
+            hits.append(read_manifest(out, "moments_cache")["dictionary"]["moments_cache_hit"])
+            assert len(list((out / "moments_cache").iterdir())) == 1
+        assert hits == [False, True]
 
     def test_analyze_seed_picks_the_coherence_calibration_stream(self, tmp_path):
         """``--seed`` is not ignored by ``analyze``: it seeds the calibration stream that a

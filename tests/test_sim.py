@@ -435,22 +435,25 @@ class TestEngineProperties:
     )
     def test_engine_matches_step_functions(self, kind, s_n, eta, system, seed, n_runs,
                                            n_iters):
+        """On one CPU, so every chunk steps whole in this process: TestTwoProcesses and
+        TestPipeline find each of the two-process modes equal to it."""
         setup = tiny_setup(filter_kind=kind, system=system, eta=eta)
         setup = dataclasses.replace(setup, s_n=s_n)
         stepped = np.array([stepped_run(setup, seed, run, n_iters) for run in range(n_runs)])
         # one run is stepped exactly as the step functions step it
         for run in range(n_runs):
             assert np.array_equal(sim._run_single(setup, seed, run, n_iters), stepped[run])
-        assert np.array_equal(mc_learning_curve(setup, 1, n_iters, seed).mse, stepped[0])
-        # in a chunk, a row's matrix product may round differently
-        curve = mc_learning_curve(setup, n_runs, n_iters, seed).mse
+        with cpus(1):
+            assert np.array_equal(mc_learning_curve(setup, 1, n_iters, seed).mse, stepped[0])
+            # in a chunk, a row's matrix product may round differently
+            curve = mc_learning_curve(setup, n_runs, n_iters, seed).mse
         mean = stepped.mean(axis=0)
         assert (np.abs(curve - mean) <= 1e-12 * mean).all()
         # streams drawn three steps at a time give the same bits
-        with mock.patch.object(sim, "MC_STREAM_STEPS", 3):
+        with mock.patch.object(sim, "MC_STREAM_STEPS", 3), cpus(1):
             assert np.array_equal(mc_learning_curve(setup, n_runs, n_iters, seed).mse, curve)
         # one-run chunks and one-step blocks: the sum of the runs stepped alone
-        with mock.patch.object(linalg, "WORK_BYTES", 1):
+        with mock.patch.object(linalg, "WORK_BYTES", 1), cpus(1):
             alone = mc_learning_curve(setup, n_runs, n_iters, seed).mse
         total = np.zeros(n_iters)
         for e2 in stepped:
