@@ -57,9 +57,10 @@ def mean_stability_bound(m: MomentModel) -> float:
 
 
 def check_k_size(r: int) -> None:
-    """Refuse r centers, whose K has r^2 rows, above ``K_CAP``: before any work on them."""
+    """Refuse r centers with r^2 above ``K_CAP``: before any work on them."""
     if r * r > K_CAP:
-        raise KaflabError(f"transition matrix would have {r * r} rows, above the cap of {K_CAP}")
+        raise KaflabError(f"r = {r} centers, above the cap of r <= {int(K_CAP**0.5)}: the "
+                          f"transition matrix would have r(r+1)/2 = {r * (r + 1) // 2} rows")
 
 
 def build_k(m: MomentModel, eta: float) -> KSpectrum:

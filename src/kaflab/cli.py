@@ -5,7 +5,7 @@ output with its content hash, the resolved configuration and the seed, so a
 run can be reproduced byte-identically from the manifest alone.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical
-divergence/instability (including failed moment checks), 4 I/O error.
+divergence/instability (including failed moment checks) or memory exhausted, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -426,6 +426,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except KaflabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

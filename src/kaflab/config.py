@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, KaflabError
 from .kernel import (
+    MAX_DICTIONARY_SIZE,
     Dictionary,
     GaussianKernel,
     coherence_select,
@@ -145,6 +146,8 @@ def _normal(x: float) -> bool:  # a finite normal double: no overflow, no underf
 _POSITIVE = (lambda v: v > 0, "be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_AT_MOST_R = (lambda v: v <= MAX_DICTIONARY_SIZE,
+              f"be <= {MAX_DICTIONARY_SIZE}, the largest dictionary")
 _NORMAL_SQUARE = (lambda v: _normal(v * v), "keep its square finite and normal")
 _NORMAL_WIDTH = (lambda v: _normal(v * v) and _normal(0.5 / (v * v)),
                  "keep sigma^2 and 1/(2 sigma^2) finite and normal")
@@ -222,6 +225,7 @@ def load_config(path) -> ExperimentConfig:
                  "[dictionary] coherence needs exactly one of mu0 or target_size")
         dic.check("mu0", mu0, (lambda v: 0 < v < 1, "lie in (0, 1)"))
         dic.check("target_size", target_size, _AT_LEAST_1)
+        dic.check("target_size", target_size, _AT_MOST_R)
         dic.check("calib_samples", calib_samples, (lambda v: v >= 2, "be >= 2"))
     else:
         raise ConfigError(
@@ -274,7 +278,8 @@ def build_dictionary(cfg: ExperimentConfig) -> tuple[Dictionary, dict]:
     For a coherence dictionary with ``target_size``, the threshold is found by
     bisection over a fixed pregenerated input stream; the resolved value is
     reported in the info dict, and ``truncated`` says whether the size jumped
-    past the target so that only the first ``target_size`` centers were kept.
+    past the target so that only the first ``target_size`` centers were kept. A ``mu0``
+    keeping more than ``MAX_DICTIONARY_SIZE`` centers is a :class:`ConfigError`.
     """
     kern = GaussianKernel(cfg.sigma)
     if cfg.dictionary_kind == "grid":
@@ -285,7 +290,10 @@ def build_dictionary(cfg: ExperimentConfig) -> tuple[Dictionary, dict]:
         return d, {"kind": "grid", "size": d.size}
     samples = calibration_samples(cfg)
     if cfg.mu0 is not None:
-        mu0, d, truncated = cfg.mu0, coherence_select(samples, kern, cfg.mu0), False
+        mu0, truncated = cfg.mu0, False
+        d = coherence_select(samples, kern, mu0, stop_after=MAX_DICTIONARY_SIZE + 1)
+        _require(d.size <= MAX_DICTIONARY_SIZE, f"[dictionary] mu0 = {mu0} keeps more than "
+                 f"{MAX_DICTIONARY_SIZE} centers, the largest dictionary")
     else:
         try:
             mu0, d, truncated = coherence_threshold_for_size(samples, kern, cfg.target_size)

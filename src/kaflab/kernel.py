@@ -22,7 +22,7 @@ from .linalg import pd_sqrt, symmetrize
 # error than the PD check would give.
 DUPLICATE_DISTANCE = 1e-9
 
-# Largest grid dictionary that grid construction builds.
+# Largest dictionary of either kind: a grid or a coherence selection of more centers is refused.
 MAX_DICTIONARY_SIZE = 10_000
 
 THRESHOLD_BISECTION_STEPS = 60  # at most; fewer once no double lies between the ends

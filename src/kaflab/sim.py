@@ -9,15 +9,16 @@ so numpy is the only dependency. :func:`stream_blocks` draws the streams of many
 seeds a block of time steps at a time, carrying every generator and recurrence
 state across blocks, so the Monte-Carlo engine never holds a whole stream.
 
-The engine steps a chunk of independent runs in lockstep over those blocks, one row per
-run, in a working set fixed before its first step. On two CPUs a chunk of more than 128
-runs steps as two parts in two processes where a probe finds that they keep the bits, and
-any other chunk of more than one kernel block as a two-stage pipeline: a forked child draws
-the streams and forms the kernel values while this process steps. Both fork through one
-helper, :func:`_in_two_processes`, which falls back to one process, merges the child's laps
-and records its peak memory. Chunk sums are added in run order; chunk and block sizes
-follow from the dictionary size and the one byte budget of
-:data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
+The engine steps a chunk of independent runs in lockstep over one schedule of kernel
+blocks, one row per run, in a working set fixed before its first step. On two CPUs a chunk of
+more than 128 runs steps as two parts in two processes where a probe finds that they keep the
+bits, and any other chunk of more than one kernel block as a two-stage pipeline: a forked
+child draws the streams and forms the kernel values while this process steps. Both fork
+through :func:`_in_two_processes`, which merges the child's laps, records its peak memory and
+answers None where two processes could not be used: the chunk then steps whole, as does
+every chunk that is not forked. Chunk sums are added in run order; chunk and block sizes
+follow from the dictionary size and the one byte budget of :data:`kaflab.linalg.WORK_BYTES`
+(:func:`kernel_block`).
 """
 
 from __future__ import annotations
@@ -52,20 +53,19 @@ CALIBRATION_SALT = 3
 MOMENTS_CHECK_SALT = 4
 
 # Working memory of the Monte-Carlo engine, none of which grows with the
-# number of iterations. A chunk of runs draws its streams MC_STREAM_STEPS steps
-# at a time, so that each run's two generator calls per block cost little next
-# to its draws. A stream block holds its two arrays of draws, reused from block to
-# block, then the input and the desired signal, and while the plant forms that
-# signal one or two temporaries: each steps x runs doubles (0.8 MB for 192 runs);
-# the input pairs are a view. The kernel values of the chunk's runs are formed
-# for a block of those steps at a time, in one reused buffer of at most
-# linalg.WORK_BYTES (steps x runs x r doubles, kernel_block), beside a copy of the
-# block's desired values (steps x runs); a second buffer of
-# the same size is the evaluation's work array and then holds the block's
-# stacked G^-1 products. Both stay within a core's cache; larger and smaller
-# blocks were slower. A chunk holds as many runs as leave a block MC_BLOCK_STEPS
-# steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step Python
-# overhead of the stream recurrences and of the filter loop serves all the runs
+# number of iterations. A chunk of runs draws its streams as many whole kernel blocks
+# at a time as fit in MC_STREAM_STEPS steps, so that each run's two generator calls
+# per block cost little next to its draws. A stream block holds its two arrays of
+# draws, reused from block to block, then the input and the desired signal, and while
+# the plant forms that signal one or two temporaries: each steps x runs doubles (0.8 MB
+# for 192 runs); the input pairs are a view. The kernel values of the chunk's runs are
+# formed a kernel block at a time, in one reused buffer of at most linalg.WORK_BYTES
+# (steps x runs x r doubles, kernel_block), beside a copy of the block's desired values
+# (steps x runs); a second buffer of the same size is the evaluation's work array and
+# then holds the block's stacked G^-1 products. Both stay within a core's cache; larger
+# and smaller blocks were slower. A chunk holds as many runs as leave a block
+# MC_BLOCK_STEPS steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step
+# Python overhead of the stream recurrences and of the filter loop serves all the runs
 # of a shipped config in each process that steps its chunk (two where it is split).
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
@@ -427,16 +427,6 @@ class ExperimentSetup:
     eps_reg: float = 1e-2
 
 
-def _block_spans(n_iters: int, block: int):
-    """``(t0, b)`` of each kernel block of a chunk: ``block`` steps at a time, a stream block
-    of ``MC_STREAM_STEPS`` steps ending one, so a kernel block is never longer than a stream
-    block."""
-    for t_s in range(0, n_iters, MC_STREAM_STEPS):
-        end = min(t_s + MC_STREAM_STEPS, n_iters)
-        for t0 in range(t_s, end, block):
-            yield t0, min(block, end - t0)
-
-
 def _slot(kap: np.ndarray, d: np.ndarray) -> tuple:
     """A kernel block's buffers, the kernel values (steps, runs, r) and the desired values
     (steps, runs), with their rows: a step's views, made once."""
@@ -447,17 +437,20 @@ def _kernel_blocks(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
                    slots, work: np.ndarray):
     """Form the kernel blocks of ``runs``, each in the next slot of ``slots`` (see
     :func:`_slot`; the block shape is that of :func:`kernel_block`), and yield
-    ``(t0, b, slot)`` once its first ``b`` rows hold the values of steps ``t0`` to ``t0 + b``.
+    ``(t0, b, slot)`` once its first ``b`` rows hold the values of steps ``t0`` to ``t0 + b``,
+    for each ``t0`` of ``range(0, n_iters, block)``: only the last block may be short.
 
-    The streams are drawn ``MC_STREAM_STEPS`` steps at a time; a block's kernel values are
-    formed with the work array ``work``, of the block shape, and its desired values copied,
-    so that no view of a stream block outlives it. ``laps`` laps ``stream`` once a stream
-    block is drawn and ``kernel_values`` for each kernel block."""
-    streams = stream_blocks(setup.input_gen, setup.system, n_iters,
-                            [(seed, MC_RUN_SALT, run) for run in runs], block=MC_STREAM_STEPS)
+    The streams are drawn as many whole kernel blocks at a time as fit in ``MC_STREAM_STEPS``
+    steps; a block's kernel values are formed with the work array ``work``, of the block
+    shape, and its desired values copied, so that no view of a stream block outlives it.
+    ``laps`` laps ``stream`` once a stream block is drawn and ``kernel_values`` for each
+    kernel block."""
     block = kernel_block(len(runs), setup.dictionary.size, n_iters)
-    for (t0, b), slot in zip(_block_spans(n_iters, block), slots):
-        k0 = t0 % MC_STREAM_STEPS
+    span = block * (MC_STREAM_STEPS // block)  # a stream block
+    streams = stream_blocks(setup.input_gen, setup.system, n_iters,
+                            [(seed, MC_RUN_SALT, run) for run in runs], block=span)
+    for t0, slot in zip(range(0, n_iters, block), slots):
+        k0, b = t0 % span, min(block, n_iters - t0)
         if k0 == 0:
             u_s = d_s = None  # so that the next block is drawn in their place
             u_s, d_s = next(streams)
@@ -588,19 +581,17 @@ def _pipe(files: contextlib.ExitStack) -> tuple:
             files.enter_context(open(wr, "wb", buffering=0)))
 
 
-def _in_two_processes(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
-                      counters: dict, child, here, rest: range | None = None,
-                      ring_bytes: int = 0) -> np.ndarray:
-    """The chunk's summed squared errors from two processes: a forked child runs
-    ``child(own, ring, rd, wr)`` and this one ``here(ring, rd, wr)``, ``ring`` a shared
-    ``mmap`` of ``ring_bytes`` as doubles (or None), ``rd`` and ``wr`` the process's ends of a
-    pipe each way. The child sends its answer (an array to add, or None) or its
-    :class:`DivergenceError`, pickled with its laps ``own``, which ``laps`` merges; its error
-    is raised once this process's part is done without one. The chunk steps whole here if
-    ``mmap``, ``pipe`` or ``fork`` raises ``OSError``, or ``here`` an ``EOFError`` (a child
-    that ended early); the runs ``rest`` of a child that sent nothing step here. The child is
-    killed and reaped before this returns or raises; ``counters`` gets ``child_peak_rss_mb``,
-    the largest peak resident set of a reaped child (``RUSAGE_CHILDREN``), in MB."""
+def _in_two_processes(laps: Laps, counters: dict, child, here, ring_bytes=0) -> np.ndarray | None:
+    """The chunk's summed squared errors from two processes, or None where two could not be
+    used: a forked child runs ``child(own, ring, rd, wr)`` and this one ``here(ring, rd, wr)``,
+    ``ring`` a shared ``mmap`` of ``ring_bytes`` as doubles (or None), ``rd`` and ``wr`` the
+    process's ends of a pipe each way. The child sends its answer (an array to add, or None)
+    or its :class:`DivergenceError`, pickled with its laps ``own``, which ``laps`` merges; its
+    error is raised once this process's part is done without one. None comes back if
+    ``mmap``, ``pipe`` or ``fork`` raises ``OSError``, or if the child ends before its answer
+    (``here`` raises ``EOFError``, or the answer is empty or cut short). The child is killed
+    and reaped before this returns or raises; ``counters`` gets ``child_peak_rss_mb``, the
+    largest peak resident set of a reaped child (``RUSAGE_CHILDREN``), in MB."""
     import resource  # POSIX, as os.fork is
 
     with contextlib.ExitStack() as files:
@@ -610,7 +601,7 @@ def _in_two_processes(setup: ExperimentSetup, seed: int, runs: range, n_iters: i
             (rd, wr), (back_rd, back_wr) = _pipe(files), _pipe(files)
             pid = os.fork()
         except OSError:
-            return _run_chunk(setup, seed, runs, n_iters, laps)
+            return None
         if pid == 0:
             try:
                 back_wr.close()  # so that the end of this process ends what it reads
@@ -623,41 +614,37 @@ def _in_two_processes(setup: ExperimentSetup, seed: int, runs: range, n_iters: i
                 os._exit(0)
         try:
             wr.close()  # so that the end of the child ends what this process reads
-            mine, answer = here(ring, rd, back_wr), rd.read()
-        except EOFError:
-            return _run_chunk(setup, seed, runs, n_iters, laps)
+            mine, (theirs, own) = here(ring, rd, back_wr), pickle.loads(rd.read())
+        except (EOFError, pickle.UnpicklingError):  # the child ended before its answer
+            return None
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             counters["child_peak_rss_mb"] = resource.getrusage(
                 resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    theirs, own = pickle.loads(answer) if answer else (None, Laps())
     laps.merge(own)  # the wait for the child is no stage of this process
     if isinstance(theirs, DivergenceError):
         raise theirs
-    if not answer and rest is not None:
-        return mine + _run_chunk(setup, seed, rest, n_iters, laps)
     counters["mc_processes"] = 2
     return mine if theirs is None else mine + theirs
 
 
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
-                 counters: dict, n2: int) -> np.ndarray:
+                 counters: dict, n2: int) -> np.ndarray | None:
     """The chunk's summed squared errors, split by runs: this process steps the runs below
-    ``runs[n2]`` and a forked child the rest (:func:`_in_two_processes`)."""
-    return _in_two_processes(setup, seed, runs, n_iters, laps, counters,
+    ``runs[n2]`` and a forked child the rest (:func:`_in_two_processes`, or None)."""
+    return _in_two_processes(laps, counters,
                              lambda own, *_: _run_chunk(setup, seed, runs[n2:], n_iters, own),
-                             lambda *_: _run_chunk(setup, seed, runs[:n2], n_iters, laps),
-                             rest=runs[n2:])
+                             lambda *_: _run_chunk(setup, seed, runs[:n2], n_iters, laps))
 
 
 def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
-                      laps: Laps, counters: dict) -> np.ndarray:
-    """The chunk's summed squared errors, in two stages (:func:`_in_two_processes`): a
-    forked child runs :func:`_kernel_blocks` into a shared ring of ``RING_SLOTS`` slots, and
-    this process runs :func:`_step_blocks` over them, the same calls on the same values as
-    :func:`_run_chunk`. A byte on one pipe hands a filled slot here, a byte on the other
-    hands it back."""
+                      laps: Laps, counters: dict) -> np.ndarray | None:
+    """The chunk's summed squared errors, in two stages (:func:`_in_two_processes`, or
+    None): a forked child runs :func:`_kernel_blocks` into a shared ring of ``RING_SLOTS``
+    slots, and this process runs :func:`_step_blocks` over them, the same calls on the same
+    values as :func:`_run_chunk`, block by block over ``range(0, n_iters, block)``. A byte on
+    one pipe hands a filled slot here, a byte on the other hands it back."""
     m, r = len(runs), setup.dictionary.size
     block = kernel_block(m, r, n_iters)
 
@@ -680,18 +667,17 @@ def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: i
 
     def here(ring, full, free):
         def filled(ring_slots):
-            for i, (t0, b) in enumerate(_block_spans(n_iters, block)):
+            for i, t0 in enumerate(range(0, n_iters, block)):
                 if not full.read(1):
                     raise EOFError("the child ended before its last block")
                 laps.restart()  # the wait for a filled slot is no stage
-                yield t0, b, ring_slots[i % RING_SLOTS]
+                yield t0, min(block, n_iters - t0), ring_slots[i % RING_SLOTS]
                 free.write(b"\0")  # the free slots' read end stays open here: never breaks
 
         return _step_blocks(setup, runs, n_iters, filled(slots(ring)), np.empty((block, m, r)),
                             laps)
 
-    return _in_two_processes(setup, seed, runs, n_iters, laps, counters, child, here,
-                             ring_bytes=8 * RING_SLOTS * block * m * (r + 1))
+    return _in_two_processes(laps, counters, child, here, 8 * RING_SLOTS * block * m * (r + 1))
 
 
 def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: int,
@@ -709,7 +695,8 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
     On two CPUs (``os.sched_getaffinity``) with ``os.fork``, a chunk of more than 128 runs
     that :func:`split_point` splits steps by runs (:func:`_step_in_two`), and any other chunk
     of more than one kernel block as a pipeline (:func:`_step_in_pipeline`), each through
-    :func:`_in_two_processes`. Every other chunk steps whole here (:func:`_run_chunk`).
+    :func:`_in_two_processes`. Every other chunk, and one that could not use two processes,
+    steps whole here (:func:`_run_chunk`).
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
@@ -723,10 +710,10 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
               for m in {min(chunk, n_runs - start) for start in range(0, n_runs, chunk)}}
     for start in range(0, n_runs, chunk):
         runs = range(start, min(start + chunk, n_runs))
+        part = None
         if n2 := splits[len(runs)]:
-            total += _step_in_two(setup, seed, runs, n_iters, laps, counters, n2)
+            part = _step_in_two(setup, seed, runs, n_iters, laps, counters, n2)
         elif two and kernel_block(len(runs), r, n_iters) < n_iters:
-            total += _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
-        else:
-            total += _run_chunk(setup, seed, runs, n_iters, laps)
+            part = _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
+        total += _run_chunk(setup, seed, runs, n_iters, laps) if part is None else part
     return LearningCurve(mse=total / n_runs)

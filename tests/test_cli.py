@@ -79,11 +79,15 @@ def read_manifest(out, *also):
 
 
 class TestSimulate:
-    def test_manifest_records_the_engine_layers(self, tmp_path):
+    def test_manifest_records_the_engine_layers(self, tmp_path, monkeypatch):
         """``timings_within.monte_carlo`` splits the Monte-Carlo stage into the stream
         draws, the kernel values and the steps, which together take all of it but the
         chunk sums and the curve's checks; ``counters.kernel_values`` counts the kernel
-        values formed, runs x iterations x r."""
+        values formed, runs x iterations x r. On one CPU, so that one process laps them
+        all: a pipeline's laps sum two processes' busy time."""
+        import kaflab.sim
+
+        monkeypatch.setattr(kaflab.sim.os, "sched_getaffinity", lambda pid: {0})
         cfg = write_tiny(tmp_path, n_iters=3000)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -257,8 +261,9 @@ class TestAnalyze:
         cache, out = tmp_path / "cache", tmp_path / "out"
         assert main(["analyze", "--config", str(write_tiny(tmp_path)), "--out", str(out),
                      "--cache-dir", str(cache)]) == EXIT_NUMERIC
-        assert capsys.readouterr().err == \
-            "error: transition matrix would have 16 rows, above the cap of 15\n"
+        assert capsys.readouterr().err == (
+            "error: r = 4 centers, above the cap of r <= 3: the transition matrix would have "
+            "r(r+1)/2 = 10 rows\n")
         assert not cache.exists()
         assert list(out.iterdir()) == []
 
@@ -861,6 +866,45 @@ class TestErrorPaths:
             rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, engine", [("simulate", "mc_learning_curve"),
+                                                 ("analyze", "transient_mse")])
+    def test_memory_error_is_one_line_with_exit_3(self, tmp_path, monkeypatch, capsys, command,
+                                                   engine):
+        """An allocation that fails, as an ``n_iters`` of 2e9 under a 3 GB address-space
+        limit fails, ends in one ``error: out of memory:`` line, exit 3 and no file."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                              "(2000000000,) and data type float64")
+
+        monkeypatch.setattr(cli, engine, too_large)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_tiny(tmp_path)), "--out", str(out)]) \
+            == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == ("error: out of memory: Unable to allocate 14.9 GiB for an array "
+                                "with shape (2000000000,) and data type float64\n")
+        assert captured.out == ""
+        assert not any(p.is_file() for p in out.rglob("*"))
+
+    def test_coherence_dictionary_above_the_largest_is_refused_early(self, tmp_path, capsys):
+        """A ``mu0`` that keeps more than ``MAX_DICTIONARY_SIZE`` centers (17,719 of these
+        20,000 samples) is a config error once the selection holds one more, within seconds
+        and before any ``gram``: one stderr line, exit 2, no file in ``--out``."""
+        from kaflab.kernel import MAX_DICTIONARY_SIZE
+
+        text = (CONFIGS / "experiment2.cfg").read_text()
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(text.replace("target_size = 31\ncalib_samples = 5000",
+                                    "mu0 = 0.99999\ncalib_samples = 20000"))
+        assert "mu0 = 0.99999" in cfg.read_text()
+        out, start = tmp_path / "out", time.monotonic()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert time.monotonic() - start < 10
+        assert capsys.readouterr().err == (
+            f"config error: [dictionary] mu0 = 0.99999 keeps more than {MAX_DICTIONARY_SIZE} "
+            "centers, the largest dictionary\n")
+        assert not any(p.is_file() for p in out.rglob("*"))
 
 
 class TestOneCommandPath:

@@ -108,6 +108,8 @@ OUT_OF_RANGE = [
     ("experiment2", "target_size = 31", "mu0 = 1", "[dictionary] mu0 must lie in (0, 1)"),
     ("experiment2", "target_size = 31", "target_size = 0",
      "[dictionary] target_size must be >= 1"),
+    ("experiment2", "target_size = 31", "target_size = 10001",
+     "[dictionary] target_size must be <= 10000, the largest dictionary"),
     ("experiment2", "calib_samples = 5000", "calib_samples = 1",
      "[dictionary] calib_samples must be >= 2"),
     ("null", "eta = 0.075", "eta = 0", "[filter] eta must be positive"),

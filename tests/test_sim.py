@@ -644,12 +644,14 @@ class TestTwoProcesses:
                 mock.patch.object(sim, "split_point", lambda setup, m, n_iters: root_split(m)):
             yield calls
 
-    def test_child_without_an_answer_leaves_its_part_to_this_process(self):
+    def test_child_without_an_answer_makes_the_chunk_step_whole(self):
+        """A child that ends before its answer leaves the whole chunk to this process, which
+        steps it once its own part is done."""
         setup = tiny_setup()
         one, _ = curve_on(setup, 130, 30, 5, 1)
         with self.patched_chunk(lambda *args: os._exit(1)) as calls:
             two, processes = curve_on(setup, 130, 30, 5, 2)
-        assert calls == [range(self.N2), range(self.N2, 130)]
+        assert calls == [range(self.N2), range(130)]
         assert processes == 1
         assert np.array_equal(one, two)
 
@@ -697,7 +699,7 @@ class TestTwoProcesses:
 
 def blocks_of(n_runs, r, n_iters):
     """Kernel blocks of a chunk of ``n_runs`` runs over ``r`` centers."""
-    return len(list(sim._block_spans(n_iters, sim.kernel_block(n_runs, r, n_iters))))
+    return len(range(0, n_iters, sim.kernel_block(n_runs, r, n_iters)))
 
 
 class TestPipeline:
@@ -727,7 +729,7 @@ class TestPipeline:
                                     dictionary=d, kernel=k, gram=gram(d, k))
         block = sim.kernel_block(n_runs, d.size, sim.MC_STREAM_STEPS)
         n_iters = (blocks - 1) * block + 1 + int(share * (block - 1))
-        assert blocks <= blocks_of(n_runs, d.size, n_iters) <= 2 * blocks
+        assert blocks_of(n_runs, d.size, n_iters) == blocks
         whole = sim._run_chunk(setup, seed, range(n_runs), n_iters, sim.Laps())
         piped, processes = curve_on(setup, n_runs, n_iters, seed, 2)
         assert processes == 2
@@ -766,14 +768,34 @@ class TestPipeline:
         assert processes == 1
         assert np.array_equal(one, two)
 
+    @pytest.mark.parametrize("cut", [0, -1], ids=["no_answer", "answer_cut_short"])
+    def test_child_ended_after_its_last_block_gives_the_curve_of_one_process(self, cut):
+        """A child that ends once its last block is handed over, before its answer is whole,
+        makes the chunk step whole here: every block was stepped, but the chunk counts as
+        one process's."""
+        setup, parent = tiny_setup(), os.getpid()
+
+        def dump(obj, file):  # the child's answer, cut at ``cut``
+            assert os.getpid() != parent
+            file.write(pickle.dumps(obj)[:cut])
+            os._exit(0)
+
+        one, _ = curve_on(setup, 7, 1500, 5, 1)
+        with mock.patch.object(sim.pickle, "dump", dump), \
+                mock.patch.object(sim, "_run_chunk", wraps=sim._run_chunk) as whole:
+            two, processes = curve_on(setup, 7, 1500, 5, 2)
+        assert whole.call_count == 1
+        assert processes == 1
+        assert np.array_equal(one, two)
+
     def test_child_laps_are_added(self):
         """The child's stream and kernel-value laps are added to this process's steps: the
-        counts of one process, three stream blocks and twelve kernel blocks here."""
+        counts of one process, four stream blocks and eleven kernel blocks here."""
         one, two = sim.Laps(), sim.Laps()
-        assert blocks_of(100, 9, 1500) == 12
+        assert blocks_of(100, 9, 1500) == 11
         curve_on(tiny_setup(), 100, 1500, 5, 1, one)
         curve_on(tiny_setup(), 100, 1500, 5, 2, two)
-        assert one.counts == two.counts == {"stream": 3, "kernel_values": 12, "steps": 12}
+        assert one.counts == two.counts == {"stream": 4, "kernel_values": 11, "steps": 11}
         assert all(t > 0 for t in two.seconds.values())
 
     @pytest.mark.parametrize("n_cpus, n_runs, n_iters", [
