@@ -233,8 +233,8 @@ def mc_second_moment(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples
     s2 = np.zeros((d.size, d.size))
     for km in _mc_kernel_chunks(d, k, im, n_samples, rng):
         s1 += km.T @ km
-        km2 = km**2
-        s2 += km2.T @ km2
+        np.square(km, out=km)  # in place: the chunk's squares need no second array
+        s2 += km.T @ km
     return _mean_and_stderr(s1, s2, n_samples)
 
 
@@ -439,15 +439,15 @@ def save_moment_model(stats: CrossStats, path) -> None:
 def load_moment_model(path, r: int) -> CrossStats:
     """Read a record written by :func:`save_moment_model` for ``r`` centers.
 
-    ``OSError`` if the file cannot be read, ``ValueError`` if it is not such a
-    record: truncated, foreign, of another version or of another length.
+    ``OSError`` if the file cannot be read, ``ValueError`` if it is not such a record:
+    truncated, foreign, of another version or length, or with a non-finite ``p`` or ``d2``.
     """
     with open(path, encoding="utf-8") as f:
         rec = json.load(f)
     try:
-        p = np.array(rec["p"], dtype=float)
-        if rec["format"] != _RECORD_FORMAT or p.shape != (r,):
-            raise ValueError(f"format {rec['format']!r}, shape {p.shape}")
-        return CrossStats(p, float(rec["d2"]))
+        p, d2 = np.array(rec["p"], dtype=float), float(rec["d2"])
+        if rec["format"] != _RECORD_FORMAT or p.shape != (r,) or not np.isfinite([*p, d2]).all():
+            raise ValueError(f"format {rec['format']!r}, shape {p.shape}, d2 {d2}")
+        return CrossStats(p, d2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path} is no cross-statistics record for {r} centers: {exc}") from exc

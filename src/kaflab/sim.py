@@ -6,19 +6,20 @@ on the master seed, a purpose salt and an index.
 The AR(1) input and the recursive plant are one all-pole recurrence in plain
 Python, bit-identical to scipy's ``lfilter`` (:func:`kaflab.recurrence.all_pole`),
 so numpy is the only dependency. :func:`stream_blocks` draws the streams of many
-seeds a block of time steps at a time, carrying every generator and recurrence
-state across blocks, so the Monte-Carlo engine never holds a whole stream.
+seeds a block of time steps at a time, every block (and the plant's warm-up before them) on
+one path from the generator and recurrence states of the one before, ``u_0`` the input's
+starting state, so the Monte-Carlo engine never holds a whole stream.
 
 The engine steps a chunk of independent runs in lockstep over one schedule of kernel
 blocks, one row per run, in a working set fixed before its first step. On two CPUs a chunk of
 more than 128 runs steps as two parts in two processes where a probe finds that they keep the
 bits, and any other chunk of more than one kernel block as a two-stage pipeline: a forked
 child draws the streams and forms the kernel values while this process steps. Both fork
-through :func:`_in_two_processes`, which merges the child's laps, records its peak memory and
-answers None where two processes could not be used: the chunk then steps whole, as does
-every chunk that is not forked. Chunk sums are added in run order; chunk and block sizes
-follow from the dictionary size and the one byte budget of :data:`kaflab.linalg.WORK_BYTES`
-(:func:`kernel_block`).
+through :func:`_in_two_processes`, which times each process's part on a clock of its own,
+merges both clocks only when it answers, records the child's peak memory, and answers None
+where two processes could not be used: the chunk then steps whole, as does every chunk that
+is not forked. Chunk sums are added in run order; chunk and block sizes follow from the
+dictionary size and the byte budget :data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
 """
 
 from __future__ import annotations
@@ -352,26 +353,19 @@ def experiment_stream(input_gen: InputGenerator, system: SystemSimulator, n: int
     return u[:, 0], d[:, 0]
 
 
-def stream_blocks(
-    input_gen: InputGenerator,
-    system: SystemSimulator,
-    n: int,
-    seeds,
-    warmup: int | None = None,
-    block: int | None = None,
-):
+def stream_blocks(input_gen: InputGenerator, system: SystemSimulator, n: int, seeds,
+                  warmup: int | None = None, block: int | None = None):
     """The streams of ``seeds`` as time-major blocks ``(u (b, m, 2), d (b, m))``.
 
     Blocks of ``block`` steps (default: all ``n``; the last may be shorter);
-    column j of their concatenation is ``experiment_stream`` of ``seeds[j]``.
-    Each seed's two generators draw its drives and noise one block at a time,
-    which gives the same numbers as one draw; the AR(1) input and the
-    fluid-flow plant carry their :func:`all_pole` states across blocks; and the
-    ``warmup`` leading samples are drawn with the first block and dropped from
-    it. The draws go into two arrays reused from block to block, the noise
-    scaled there as ``Generator.normal`` scales it; each block's input and
-    desired signal are new arrays, ``u`` a read-only :func:`embed_input` view of
-    the input, so a block stays valid after the next is drawn.
+    column j of their concatenation is ``experiment_stream`` of ``seeds[j]``. Each seed's
+    ``u_0`` starts the AR(1) input at ``(y_{-1}, y_{-2}) = (u_0, 0)``, which a start from rest
+    would step to. Every piece, a leading one of ``warmup`` steps that is not yielded and then
+    each block, takes one path: its drives and noise are drawn (in pieces, the numbers of one
+    draw) into two arrays reused from piece to piece, the noise scaled as
+    ``Generator.normal`` scales it, and the input and plant go on from the :func:`all_pole`
+    states of the piece before. Each piece's input and desired signal are new arrays, ``u`` a
+    read-only :func:`embed_input` view of the input, so a block stays valid after the next.
     """
     if n < 1:
         raise ValueError(f"stream length must be >= 1, got {n}")
@@ -381,30 +375,26 @@ def stream_blocks(
     rngs = [[np.random.default_rng(s) for s in np.random.SeedSequence(entropy=e).spawn(2)]
             for e in seeds]
     scale = input_gen.sigma_u * np.sqrt(1.0 - input_gen.rho**2)
-    most = warmup + min(block, n)  # samples drawn for the largest block, the first
+    most = max(warmup, min(block, n))  # samples drawn for the largest piece
     drives, noise = np.empty((len(rngs), most)), np.zeros((len(rngs), most))  # reused
-    u_state = plant_state = np.zeros((2, len(rngs)))
-    for t0 in range(0, n, block):
-        first, skip = t0 == 0, warmup if t0 == 0 else 0
-        steps = skip + min(block, n - t0)
-        u = np.empty((1 + steps, len(rngs)))  # row 0: u_0 in the first block, else the last u
-        for j, ((rng_input, rng_noise), drive, nu) in enumerate(zip(rngs, drives[:, :steps],
-                                                                   noise[:, :steps])):
-            if first:
-                u[0, j] = rng_input.normal(0.0, input_gen.sigma_u)
+    u_state, plant_state = np.zeros((2, len(rngs))), np.zeros((2, len(rngs)))
+    u_state[0] = [rng_input.normal(0.0, input_gen.sigma_u) for rng_input, _ in rngs]
+    for t0 in itertools.chain([-warmup] if warmup else [], range(0, n, block)):
+        steps = -t0 if t0 < 0 else min(block, n - t0)
+        drawn, nu = drives[:, :steps], noise[:, :steps]
+        for (rng_input, rng_noise), drive, nu_j in zip(rngs, drawn, nu):
             rng_input.standard_normal(out=drive)
             if system.noise_sigma > 0:
-                rng_noise.standard_normal(out=nu)
-        if not first:
-            u[0] = u_state[0]
-        np.multiply(scale, drives[:, :steps].T, out=u[1:])
-        y = u if first else u[1:]  # the recurrence starts at u_0, or goes on from the last u
-        _, u_state = all_pole(y, -input_gen.rho, state=u_state, out=y)
-        nu = noise[:, :steps]
+                rng_noise.standard_normal(out=nu_j)
+        u = np.empty((1 + steps, len(rngs)))  # row 0: the last input before the piece
+        u[0] = u_state[0]
+        np.multiply(scale, drawn.T, out=u[1:])
+        _, u_state = all_pole(u[1:], -input_gen.rho, state=u_state, out=u[1:])
         if system.noise_sigma > 0:  # as Generator.normal forms it: 0.0 + sigma z
             np.add(0.0, np.multiply(system.noise_sigma, nu, out=nu), out=nu)
         d, plant_state = system.respond(u, nu.T, plant_state)
-        yield embed_input(u)[skip:], d[skip:]
+        if t0 >= 0:  # the warm-up piece is stepped, not yielded
+            yield embed_input(u), d
         del u, d  # a consumer that lets go of the block frees it before the next is drawn
 
 
@@ -583,15 +573,16 @@ def _pipe(files: contextlib.ExitStack) -> tuple:
 
 def _in_two_processes(laps: Laps, counters: dict, child, here, ring_bytes=0) -> np.ndarray | None:
     """The chunk's summed squared errors from two processes, or None where two could not be
-    used: a forked child runs ``child(own, ring, rd, wr)`` and this one ``here(ring, rd, wr)``,
-    ``ring`` a shared ``mmap`` of ``ring_bytes`` as doubles (or None), ``rd`` and ``wr`` the
-    process's ends of a pipe each way. The child sends its answer (an array to add, or None)
-    or its :class:`DivergenceError`, pickled with its laps ``own``, which ``laps`` merges; its
-    error is raised once this process's part is done without one. None comes back if
-    ``mmap``, ``pipe`` or ``fork`` raises ``OSError``, or if the child ends before its answer
-    (``here`` raises ``EOFError``, or the answer is empty or cut short). The child is killed
-    and reaped before this returns or raises; ``counters`` gets ``child_peak_rss_mb``, the
-    largest peak resident set of a reaped child (``RUSAGE_CHILDREN``), in MB."""
+    used: a forked child runs ``child(clock, ring, rd, wr)`` and this one ``here(clock, ring,
+    rd, wr)``, each on a fresh :class:`Laps` ``clock``, ``ring`` a shared ``mmap`` of
+    ``ring_bytes`` doubles (or None), ``rd`` and ``wr`` the process's ends of a pipe each way.
+    The child's answer (an array to add, or None) or :class:`DivergenceError` comes back
+    pickled with its clock, and ``laps`` merges both clocks; the child's error is raised once
+    this process's part is done without one. None comes back, ``laps`` restarted, if ``mmap``,
+    ``pipe`` or ``fork`` raises ``OSError``, or if the child ends before its answer (``here``
+    raises ``EOFError``, or the answer is empty or cut short). The child is killed and reaped
+    before this returns or raises; ``counters`` gets ``child_peak_rss_mb``, the largest peak
+    resident set of a reaped child (``RUSAGE_CHILDREN``), in MB."""
     import resource  # POSIX, as os.fork is
 
     with contextlib.ExitStack() as files:
@@ -601,41 +592,46 @@ def _in_two_processes(laps: Laps, counters: dict, child, here, ring_bytes=0) -> 
             (rd, wr), (back_rd, back_wr) = _pipe(files), _pipe(files)
             pid = os.fork()
         except OSError:
+            laps.restart()
             return None
         if pid == 0:
             try:
                 back_wr.close()  # so that the end of this process ends what it reads
                 try:
-                    answer = child(own := Laps(), ring, back_rd, wr)
+                    answer = child(theirs := Laps(), ring, back_rd, wr)
                 except DivergenceError as exc:
                     answer = exc
-                pickle.dump((answer, own), wr)
+                pickle.dump((answer, theirs), wr)
             finally:
                 os._exit(0)
         try:
             wr.close()  # so that the end of the child ends what this process reads
-            mine, (theirs, own) = here(ring, rd, back_wr), pickle.loads(rd.read())
+            mine = here(clock := Laps(), ring, rd, back_wr)
+            answer, theirs = pickle.loads(rd.read())
         except (EOFError, pickle.UnpicklingError):  # the child ended before its answer
+            laps.restart()  # the declined part's time is no stage
             return None
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             counters["child_peak_rss_mb"] = resource.getrusage(
                 resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    laps.merge(own)  # the wait for the child is no stage of this process
-    if isinstance(theirs, DivergenceError):
-        raise theirs
+    laps.merge(clock)
+    laps.merge(theirs)  # the wait for the child is no stage of this process
+    if isinstance(answer, DivergenceError):
+        raise answer
     counters["mc_processes"] = 2
-    return mine if theirs is None else mine + theirs
+    return mine if answer is None else mine + answer
 
 
 def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
                  counters: dict, n2: int) -> np.ndarray | None:
     """The chunk's summed squared errors, split by runs: this process steps the runs below
     ``runs[n2]`` and a forked child the rest (:func:`_in_two_processes`, or None)."""
-    return _in_two_processes(laps, counters,
-                             lambda own, *_: _run_chunk(setup, seed, runs[n2:], n_iters, own),
-                             lambda *_: _run_chunk(setup, seed, runs[:n2], n_iters, laps))
+    def part(runs):  # one process's part, stepped on its own clock
+        return lambda clock, *_: _run_chunk(setup, seed, runs, n_iters, clock)
+
+    return _in_two_processes(laps, counters, part(runs[n2:]), part(runs[:n2]))
 
 
 def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
@@ -653,29 +649,29 @@ def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: i
         return [_slot(kap, d) for kap, d in zip(kaps.reshape(RING_SLOTS, block, m, r),
                                                  ds.reshape(RING_SLOTS, block, m))]
 
-    def child(own, ring, free, full):
+    def child(clock, ring, free, full):
         def free_slots():  # each slot is free at first, then once handed back
             for i, slot in enumerate(itertools.cycle(slots(ring))):
                 if i >= RING_SLOTS and not free.read(1):
                     return
-                own.restart()  # the wait for a free slot is no stage
+                clock.restart()  # the wait for a free slot is no stage
                 yield slot
 
-        for _ in _kernel_blocks(setup, seed, runs, n_iters, own, free_slots(),
+        for _ in _kernel_blocks(setup, seed, runs, n_iters, clock, free_slots(),
                                 np.empty((block, m, r))):
             full.write(b"\0")
 
-    def here(ring, full, free):
+    def here(clock, ring, full, free):
         def filled(ring_slots):
             for i, t0 in enumerate(range(0, n_iters, block)):
                 if not full.read(1):
                     raise EOFError("the child ended before its last block")
-                laps.restart()  # the wait for a filled slot is no stage
+                clock.restart()  # the wait for a filled slot is no stage
                 yield t0, min(block, n_iters - t0), ring_slots[i % RING_SLOTS]
                 free.write(b"\0")  # the free slots' read end stays open here: never breaks
 
         return _step_blocks(setup, runs, n_iters, filled(slots(ring)), np.empty((block, m, r)),
-                            laps)
+                            clock)
 
     return _in_two_processes(laps, counters, child, here, 8 * RING_SLOTS * block * m * (r + 1))
 

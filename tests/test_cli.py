@@ -365,7 +365,7 @@ class TestAnalyze:
         else:
             assert lines[-1] == "theory_models = natural_klms"
 
-    @pytest.mark.parametrize("damage", ["truncate", "foreign"])
+    @pytest.mark.parametrize("damage", ["truncate", "foreign", "non_finite"])
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
         cfg = write_tiny(tmp_path)
         cache = tmp_path / "cache"
@@ -375,14 +375,20 @@ class TestAnalyze:
         (record,) = cache.iterdir()
         if damage == "truncate":
             record.write_bytes(record.read_bytes()[: record.stat().st_size // 2])
-        else:
+        elif damage == "foreign":
             record.write_text("n,mse\n0,1.0\n")
+        else:  # a whole record of the right length, its statistics NaN
+            tampered = json.loads(record.read_text())
+            tampered["p"], tampered["d2"] = [float("nan")] * len(tampered["p"]), float("nan")
+            record.write_text(json.dumps(tampered))
         assert main(["analyze", "--config", str(cfg), "--out", str(second),
                      "--cache-dir", str(cache)]) == EXIT_OK
         manifest = read_manifest(second)
         assert manifest["dictionary"]["moments_cache_hit"] is False
         for name in ("theory.csv", "steady_state.txt", "stability.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+        rewritten = json.loads(record.read_text())
+        assert np.isfinite([*rewritten["p"], rewritten["d2"]]).all()
         # the miss rewrote a whole record, which the next run reads
         third = tmp_path / "c"
         assert main(["analyze", "--config", str(cfg), "--out", str(third),

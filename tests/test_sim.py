@@ -646,14 +646,15 @@ class TestTwoProcesses:
 
     def test_child_without_an_answer_makes_the_chunk_step_whole(self):
         """A child that ends before its answer leaves the whole chunk to this process, which
-        steps it once its own part is done."""
-        setup = tiny_setup()
-        one, _ = curve_on(setup, 130, 30, 5, 1)
+        steps it once its own part is done; the clock counts the whole chunk only."""
+        setup, alone, declined = tiny_setup(), sim.Laps(), sim.Laps()
+        one, _ = curve_on(setup, 130, 30, 5, 1, alone)
         with self.patched_chunk(lambda *args: os._exit(1)) as calls:
-            two, processes = curve_on(setup, 130, 30, 5, 2)
+            two, processes = curve_on(setup, 130, 30, 5, 2, declined)
         assert calls == [range(self.N2), range(130)]
         assert processes == 1
         assert np.array_equal(one, two)
+        assert declined.counts == alone.counts
 
     def test_divergence_in_the_child_is_raised_as_in_one_process(self):
         diverging = tiny_setup(eta=500.0)
@@ -772,21 +773,22 @@ class TestPipeline:
     def test_child_ended_after_its_last_block_gives_the_curve_of_one_process(self, cut):
         """A child that ends once its last block is handed over, before its answer is whole,
         makes the chunk step whole here: every block was stepped, but the chunk counts as
-        one process's."""
-        setup, parent = tiny_setup(), os.getpid()
+        one process's, in its curve and on its clock."""
+        setup, parent, alone, declined = tiny_setup(), os.getpid(), sim.Laps(), sim.Laps()
 
         def dump(obj, file):  # the child's answer, cut at ``cut``
             assert os.getpid() != parent
             file.write(pickle.dumps(obj)[:cut])
             os._exit(0)
 
-        one, _ = curve_on(setup, 7, 1500, 5, 1)
+        one, _ = curve_on(setup, 7, 1500, 5, 1, alone)
         with mock.patch.object(sim.pickle, "dump", dump), \
                 mock.patch.object(sim, "_run_chunk", wraps=sim._run_chunk) as whole:
-            two, processes = curve_on(setup, 7, 1500, 5, 2)
+            two, processes = curve_on(setup, 7, 1500, 5, 2, declined)
         assert whole.call_count == 1
         assert processes == 1
         assert np.array_equal(one, two)
+        assert declined.counts == alone.counts == {"stream": 3, "kernel_values": 3, "steps": 3}
 
     def test_child_laps_are_added(self):
         """The child's stream and kernel-value laps are added to this process's steps: the
@@ -1053,7 +1055,7 @@ class TestStreamBlocks:
     @given(
         n=st.integers(1, 50),
         block_share=st.floats(0.0, 1.0),
-        warmup=st.sampled_from([0, 200]),
+        warmup=st.sampled_from([0, 7, 200]),  # a leading piece shorter and longer than a block
         kind=st.sampled_from([SystemKind.POLYNOMIAL, SystemKind.FLUID_FLOW]),
         noise_sigma=st.sampled_from([0.0, 0.05]),
         n_seeds=st.integers(1, 3),
