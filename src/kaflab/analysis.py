@@ -29,7 +29,10 @@ from .sim import LearningCurve
 # matrices, m = r(r+1)/2, that build_k decomposes: 5,050 x 5,050 at r = 100.
 K_CAP = 10_000
 
-TRANSIENT_BLOCK = 1024  # curve steps per block of powers: memory does not grow with n
+# Curve steps per block of powers: memory does not grow with n. The value is part of
+# theory.csv's bits: at one BLAS thread, blocks of 403 or 7 rows move experiment 1's
+# curve, while blocks of 64, 1000 and 1024 rows do not.
+TRANSIENT_BLOCK = 1024
 
 # Window of the moving average applied to curves before the smoothed gap
 # metrics; wide enough to suppress per-iteration Monte-Carlo noise, narrow

@@ -39,7 +39,6 @@ from .config import (
     build_setup,
     build_system,
     load_config,
-    moments_cache_key,
 )
 from .errors import (
     ArtifactError,
@@ -60,6 +59,7 @@ from .moments import (
     mc_fourth_entries,
     mc_second_moment,
     multi_point_moment,
+    record_name,
     save_moment_model,
     second_moment,
 )
@@ -159,30 +159,6 @@ def _load(args) -> ExperimentConfig | None:
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _obtain_model(cfg: ExperimentConfig, d, info: dict, cache_dir: Path):
-    """The moment model, from the cached exact cross statistics or, when the record is
-    missing or unreadable, from fresh ones; and a call that records fresh ones, made once the
-    theory is written. The closed-form moments are recomputed."""
-    im = build_input_model(cfg)
-    kern = GaussianKernel(cfg.sigma)
-    cache_file = cache_dir / f"cross_stats_{moments_cache_key(cfg, d, im)}.json"
-    try:
-        stats = load_moment_model(cache_file, d.size)
-    except (OSError, ValueError):
-        stats = None
-    hit = stats is not None
-    info["moments_cache"], info["moments_cache_hit"] = str(cache_file), hit
-    if not hit:
-        stats = estimate_cross_stats(build_system(cfg), im, d, kern)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-
-    def record():
-        if not hit:
-            save_moment_model(stats, cache_file)
-
-    return build_model(d, kern, im, stats.p, stats.d2), record
-
-
 # ---------------------------------------------------------------------------
 # Commands: each computes and writes its artifacts into ``--out``, which exists
 # ---------------------------------------------------------------------------
@@ -210,7 +186,18 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
     d, info = build_dictionary(cfg)
     check_k_size(d.size)  # before the moments: they cost far more than the refusal
     run.laps.lap("dictionary")
-    model, record = _obtain_model(cfg, d, info, Path(args.cache_dir or run.out / "moments_cache"))
+    im, kern, system = build_input_model(cfg), GaussianKernel(cfg.sigma), build_system(cfg)
+    cache_dir = Path(args.cache_dir or run.out / "moments_cache")
+    cache_file = cache_dir / record_name(system, d, kern, im)
+    try:
+        stats = load_moment_model(cache_file, d.size)
+    except (OSError, ValueError):
+        stats = None
+    fresh = stats is None
+    info["moments_cache"], info["moments_cache_hit"] = str(cache_file), not fresh
+    if fresh:
+        stats = estimate_cross_stats(system, im, d, kern)
+    model = build_model(d, kern, im, stats.p, stats.d2)  # the closed-form moments, recomputed
     run.laps.lap("moments")
 
     bound = mean_stability_bound(model)
@@ -240,7 +227,9 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
         "transient": transient_note,
         **({} if cfg.filter_kind is THEORY_MODELS else {"theory_models": THEORY_MODELS.value}),
     })
-    record()  # only now: a refused analyze leaves no file in --out
+    if fresh:  # only now: a refused analyze leaves nothing in --out
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        save_moment_model(stats, cache_file)
     run.laps.lap("write")
 
     g_eig = model.gram.eigenvalues

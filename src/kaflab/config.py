@@ -10,7 +10,6 @@ objects the library works with.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .kernel import (
     gram,
     grid_dictionary,
 )
-from .moments import CROSS_STATS_FORMAT_VERSION, InputModel
+from .moments import InputModel
 from .sim import (
     CALIBRATION_SALT,
     ExperimentSetup,
@@ -328,15 +327,3 @@ def build_setup(cfg: ExperimentConfig, d: Dictionary) -> ExperimentSetup:
         eps_reg=cfg.eps_reg,
     )
 
-
-def moments_cache_key(cfg: ExperimentConfig, d: Dictionary, im: InputModel) -> str:
-    """Content hash of everything a cross-statistics record depends on: its format
-    version, the dictionary, kernel width and input covariance, the plant and noise level."""
-    h = hashlib.sha256()
-    h.update(f"cross-stats-v{CROSS_STATS_FORMAT_VERSION}".encode())
-    h.update(d.centers.tobytes())
-    h.update(np.float64(cfg.sigma).tobytes())
-    h.update(im.r_u.tobytes())
-    h.update(cfg.system_kind.value.encode())
-    h.update(np.float64(cfg.sigma_nu).tobytes())
-    return h.hexdigest()[:16]

@@ -32,6 +32,7 @@ weighting the input law by one kernel value leaves Gaussian.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -207,14 +208,16 @@ def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
 def _mc_kernel_chunks(d: Dictionary, k: GaussianKernel, im: InputModel, n_samples: int,
                       rng: np.random.Generator):
     """Kernel values (n, r) of ``n_samples`` draws of ``u ~ N(0, R_u)``, ``MC_MOMENT_CHUNK``
-    draws at a time. Each chunk's array is filled a block of draws at a time, through one
-    work array of r doubles a draw within :data:`~kaflab.linalg.WORK_BYTES`: the same bits
-    as the whole chunk at once (:func:`~kaflab.kernel.kernelized_input`)."""
+    draws at a time, each in the leading rows of one array that the next overwrites. Each is
+    filled a block of draws at a time, through one work array of r doubles a draw within
+    :data:`~kaflab.linalg.WORK_BYTES`: the same bits as the whole chunk at once
+    (:func:`~kaflab.kernel.kernelized_input`)."""
     chol, rows = np.linalg.cholesky(im.r_u), linalg.rows_within(8 * d.size)
     work = np.empty((d.size, rows))
+    chunk = np.empty((min(MC_MOMENT_CHUNK, n_samples), d.size))
     for done in range(0, n_samples, MC_MOMENT_CHUNK):
         u = rng.standard_normal((min(MC_MOMENT_CHUNK, n_samples - done), im.dim)) @ chol.T
-        km = np.empty((len(u), d.size))
+        km = chunk[:len(u)]
         for lo in range(0, len(u), rows):
             kernelized_input(d, k, u[lo:lo + rows], out=km[lo:lo + rows], work=work)
         yield km
@@ -253,7 +256,6 @@ def mc_fourth_entries(d: Dictionary, k: GaussianKernel, im: InputModel, entries,
     s2 = np.zeros(len(entries))
     for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng):
         kt = np.ascontiguousarray(km.T)
-        del km
         for e_i, (i, j, s, t) in enumerate(entries):
             prod = kt[pos[i]] * kt[pos[j]] * kt[pos[s]] * kt[pos[t]]
             s1[e_i] += prod.sum()
@@ -426,6 +428,16 @@ CROSS_STATS_FORMAT_VERSION = 4
 _RECORD_FORMAT = f"kaflab-cross-stats-v{CROSS_STATS_FORMAT_VERSION}"
 
 
+def record_name(system, d: Dictionary, k: GaussianKernel, im: InputModel) -> str:
+    """The file name of the record of these inputs' cross statistics: a content hash of the
+    format version, the dictionary, kernel width, input covariance, plant and noise level."""
+    h = hashlib.sha256(f"cross-stats-v{CROSS_STATS_FORMAT_VERSION}".encode())
+    for part in (d.centers.tobytes(), np.float64(k.sigma).tobytes(), im.r_u.tobytes(),
+                 system.kind.value.encode(), np.float64(system.noise_sigma).tobytes()):
+        h.update(part)
+    return f"cross_stats_{h.hexdigest()[:16]}.json"
+
+
 def save_moment_model(stats: CrossStats, path) -> None:
     """Write ``stats`` as JSON through :func:`kaflab.sim.write_atomic`.
 
@@ -440,13 +452,15 @@ def load_moment_model(path, r: int) -> CrossStats:
     """Read a record written by :func:`save_moment_model` for ``r`` centers.
 
     ``OSError`` if the file cannot be read, ``ValueError`` if it is not such a record:
-    truncated, foreign, of another version or length, or with a non-finite ``p`` or ``d2``.
+    truncated, foreign, of another version or length, with a non-finite ``p`` or ``d2``, or
+    with a negative ``d2``, which no signal's power is.
     """
     with open(path, encoding="utf-8") as f:
         rec = json.load(f)
     try:
         p, d2 = np.array(rec["p"], dtype=float), float(rec["d2"])
-        if rec["format"] != _RECORD_FORMAT or p.shape != (r,) or not np.isfinite([*p, d2]).all():
+        if (rec["format"] != _RECORD_FORMAT or p.shape != (r,) or not np.isfinite([*p, d2]).all()
+                or d2 < 0):
             raise ValueError(f"format {rec['format']!r}, shape {p.shape}, d2 {d2}")
         return CrossStats(p, d2)
     except (KeyError, TypeError, ValueError) as exc:

@@ -337,7 +337,8 @@ class TestAnalyze:
     def test_negative_theory_is_a_numerical_error(self, tmp_path, capsys):
         """On a 7 x 7 grid of the first experiment, G is so ill-conditioned that
         rounding drives the transient curve below zero. That is one ``numerical error``
-        line naming the step, the value and K's spectral radius, and no artifact."""
+        line naming the step, the value and K's spectral radius, and nothing in ``--out``,
+        not even the default cache directory."""
         text = (CONFIGS / "experiment1.cfg").read_text()
         assert "points_per_axis = 5" in text
         cfg = tmp_path / "grid7.cfg"
@@ -347,7 +348,7 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: transient curve is negative at step ")
         assert err.count("\n") == 1 and "spectral radius" in err
-        assert [p.name for p in out.iterdir()] == ["moments_cache"]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["natural_klms", "selective", "knlms"])
     def test_says_which_theory_it_wrote(self, tmp_path, kind):
@@ -365,7 +366,7 @@ class TestAnalyze:
         else:
             assert lines[-1] == "theory_models = natural_klms"
 
-    @pytest.mark.parametrize("damage", ["truncate", "foreign", "non_finite"])
+    @pytest.mark.parametrize("damage", ["truncate", "foreign", "non_finite", "negative_d2"])
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
         cfg = write_tiny(tmp_path)
         cache = tmp_path / "cache"
@@ -377,9 +378,12 @@ class TestAnalyze:
             record.write_bytes(record.read_bytes()[: record.stat().st_size // 2])
         elif damage == "foreign":
             record.write_text("n,mse\n0,1.0\n")
-        else:  # a whole record of the right length, its statistics NaN
+        else:  # a whole record of the right length, its statistics NaN or d2 negative
             tampered = json.loads(record.read_text())
-            tampered["p"], tampered["d2"] = [float("nan")] * len(tampered["p"]), float("nan")
+            if damage == "non_finite":
+                tampered["p"], tampered["d2"] = [float("nan")] * len(tampered["p"]), float("nan")
+            else:
+                tampered["d2"] = -1.0
             record.write_text(json.dumps(tampered))
         assert main(["analyze", "--config", str(cfg), "--out", str(second),
                      "--cache-dir", str(cache)]) == EXIT_OK

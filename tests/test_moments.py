@@ -579,6 +579,17 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 load_moment_model(path, 1)
 
+    @pytest.mark.parametrize("name, record", [("null", "cross_stats_0a57a018259c5f20.json"),
+                                              ("experiment1", "cross_stats_d4ad682c3dd9310f.json"),
+                                              ("experiment2", "cross_stats_a51bcf26d6c41275.json")])
+    def test_record_names_are_pinned(self, name, record):
+        """A record's name hashes its format version and the statistics' inputs in one order:
+        another byte or order would make every cache already written a miss."""
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        d, _ = build_dictionary(cfg)
+        assert moments.record_name(build_system(cfg), d, GaussianKernel(cfg.sigma),
+                                   build_input_model(cfg)) == record
+
     def test_rejects_truncated_and_wrong_length_records(self, tmp_path):
         _, _, _, stats, _ = small_model()
         path = tmp_path / "cross_stats.json"
