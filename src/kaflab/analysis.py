@@ -124,10 +124,11 @@ def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
     q = km.eigenvectors
     w = (q.T @ vec_sym(m.r_tilde)) * (q.T @ vec_sym(c0 - c_inf))
     lam, w = km.eigenvalues[w != 0], w[w != 0]  # a zero weight must not meet an infinite power
+    powers = np.empty((min(TRANSIENT_BLOCK, n_steps), lam.size))  # one block's, reused
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, TRANSIENT_BLOCK):
             n = np.arange(start, min(start + TRANSIENT_BLOCK, n_steps + 1))
-            mse[n] = mse_inf + (lam ** n[:, None]) @ w
+            mse[n] = mse_inf + np.power(lam, n[:, None], out=powers[:n.size]) @ w
             bad = n[~np.isfinite(mse[n])]
             if bad.size:
                 raise DivergenceError(f"transient curve is non-finite at step {bad[0]}",

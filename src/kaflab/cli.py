@@ -16,6 +16,7 @@ import datetime
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,11 +194,16 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
         stats = load_moment_model(cache_file, d.size)
     except (OSError, ValueError):
         stats = None
+    if stats is not None:  # the closed-form moments, recomputed
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a hit that is discarded below warns of nothing
+            model = build_model(d, kern, im, stats.p, stats.d2)
+        stats = stats if 0 <= model.j_min < np.inf else None  # else no signal's: a miss
     fresh = stats is None
     info["moments_cache"], info["moments_cache_hit"] = str(cache_file), not fresh
     if fresh:
         stats = estimate_cross_stats(system, im, d, kern)
-    model = build_model(d, kern, im, stats.p, stats.d2)  # the closed-form moments, recomputed
+        model = build_model(d, kern, im, stats.p, stats.d2)
     run.laps.lap("moments")
 
     bound = mean_stability_bound(model)

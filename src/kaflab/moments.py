@@ -245,21 +245,28 @@ def mc_fourth_entries(d: Dictionary, k: GaussianKernel, im: InputModel, entries,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample estimates of selected fourth-tensor entries with standard errors.
 
-    ``entries`` is a sequence of (i, j, s, t) index tuples. Each chunk's kernel
-    values are copied once centers-major, so that the products run over
-    contiguous rows; the products and sums are those of the columns, bit for bit.
+    ``entries`` is a sequence of (i, j, s, t) index tuples. A chunk's kernel values are copied
+    centers-major a block of draws at a time, within :data:`~kaflab.linalg.WORK_BYTES`, so that
+    the products run over contiguous rows, into a row of the chunk's length per entry, whose
+    sums are those of the columns' products, bit for bit; no more rows than centers at once.
     """
-    entries = [tuple(int(a) for a in e) for e in entries]
-    needed = sorted({a for e in entries for a in e})
-    pos = {a: i for i, a in enumerate(needed)}
-    s1 = np.zeros(len(entries))
-    s2 = np.zeros(len(entries))
+    needed = sorted({int(a) for e in entries for a in e})
+    cols = [[needed.index(a) for a in e] for e in entries]  # each entry's columns of a chunk
+    rows, group = linalg.rows_within(8 * len(needed)), min(len(needed), len(cols))
+    work, prods = np.empty((len(needed), rows)), np.empty((group, min(MC_MOMENT_CHUNK, n_samples)))
+    s1, s2 = np.zeros(len(cols)), np.zeros(len(cols))
     for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng):
-        kt = np.ascontiguousarray(km.T)
-        for e_i, (i, j, s, t) in enumerate(entries):
-            prod = kt[pos[i]] * kt[pos[j]] * kt[pos[s]] * kt[pos[t]]
-            s1[e_i] += prod.sum()
-            s2[e_i] += (prod**2).sum()
+        for first in range(0, len(cols), group):
+            for lo in range(0, len(km), rows):
+                kt = work[:, :len(km[lo:lo + rows])]
+                np.copyto(kt, km[lo:lo + rows].T)
+                for prod, (i, j, s, t) in zip(prods[:, lo:lo + rows], cols[first:first + group]):
+                    np.multiply(kt[i], kt[j], out=prod)
+                    prod *= kt[s]
+                    prod *= kt[t]
+            for e_i, prod in zip(range(first, len(cols)), prods[:, :len(km)]):
+                s1[e_i] += prod.sum()
+                s2[e_i] += np.square(prod, out=prod).sum()
     return _mean_and_stderr(s1, s2, n_samples)
 
 

@@ -11,20 +11,21 @@ one path from the generator and recurrence states of the one before, ``u_0`` the
 starting state, so the Monte-Carlo engine never holds a whole stream.
 
 The engine steps a chunk of independent runs in lockstep over one schedule of kernel
-blocks, one row per run, in a working set fixed before its first step. On two CPUs a chunk of
-more than 128 runs steps as two parts in two processes where a probe finds that they keep the
-bits, and any other chunk of more than one kernel block as a two-stage pipeline: a forked
-child draws the streams and forms the kernel values while this process steps. Both fork
-through :func:`_in_two_processes`, which times each process's part on a clock of its own,
-merges both clocks only when it answers, records the child's peak memory, and answers None
-where two processes could not be used: the chunk then steps whole, as does every chunk that
-is not forked. Chunk sums are added in run order; chunk and block sizes follow from the
+blocks, one row per run, in a working set fixed before its first step. A chunk of more than
+128 runs is two parts, cut where numpy's pairwise sum splits (:func:`root_split`). On two CPUs
+they step in two processes, and any other chunk of more than one kernel block as a two-stage
+pipeline: a forked child draws the streams and forms the kernel values while this process
+steps. Both fork through :func:`_in_two_processes`, which times each process's part on a clock
+of its own, merges both clocks only when it answers, records the child's peak memory, and
+answers None where two processes could not be used: the chunk then steps here as on one CPU,
+in its two parts or whole. Chunk sums are added in run order; chunk and block sizes follow from the
 dictionary size and the byte budget :data:`kaflab.linalg.WORK_BYTES` (:func:`kernel_block`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import mmap
 import os
@@ -67,7 +68,7 @@ MOMENTS_CHECK_SALT = 4
 # and smaller blocks were slower. A chunk holds as many runs as leave a block
 # MC_BLOCK_STEPS steps (655 runs at r = 25, 528 at r = 31), so one pass of the per-step
 # Python overhead of the stream recurrences and of the filter loop serves all the runs
-# of a shipped config in each process that steps its chunk (two where it is split).
+# of a shipped config's chunk, or of each of its two parts.
 MC_BLOCK_STEPS = 8
 MC_STREAM_STEPS = 512
 
@@ -538,30 +539,19 @@ def run_chunk_size(r: int) -> int:
 
 def kernel_block(m: int, r: int, n_iters: int) -> int:
     """Steps of a kernel block of ``m`` runs over ``r`` centers within the byte budget, at
-    most a stream block and ``n_iters``: the one rule of :func:`_run_chunk` and its probe."""
+    most a stream block and ``n_iters``: the one rule of :func:`_run_chunk`, chunk or part."""
     return min(rows_within(8 * m * r), MC_STREAM_STEPS, n_iters)
+
+
+def root_split(m: int) -> int:
+    """Runs in the first part of a chunk of ``m``: where numpy's pairwise sum of ``m > 128``
+    doubles splits, half rounded down to a multiple of 8 (its unrolled loop); else 0, no split."""
+    return 0 if m <= 128 else m // 2 - (m // 2) % 8
 
 
 def _run_single(setup: ExperimentSetup, seed: int, run_idx: int, n_iters: int) -> np.ndarray:
     """Squared a-priori error sequence of one independently seeded run."""
     return _run_chunk(setup, seed, range(run_idx, run_idx + 1), n_iters, Laps())
-
-
-def split_point(setup: ExperimentSetup, m: int, n_iters: int) -> int:
-    """Where a chunk of ``m > 128`` runs splits into parts that keep its bits here, else 0: at
-    numpy's pairwise-sum root split, if a fixed (2, m) array's row sums are its parts' sums
-    added and the ``kappa G^-1`` products of fixed rows equal at each part's block shape."""
-    n2, r, rng = m // 2 - (m // 2) % 8, setup.dictionary.size, np.random.default_rng(m)
-    a, x = rng.random((2, m)), rng.random((m, r))
-
-    def product(rows):  # the last matrix of a stacked kernel block of these rows
-        block = kernel_block(len(rows), r, n_iters)
-        return np.matmul(np.broadcast_to(rows, (block, *rows.shape)).copy(), setup.gram.g_inv)[-1]
-
-    exact = (np.array_equal(a.sum(axis=1), a[:, :n2].sum(axis=1) + a[:, n2:].sum(axis=1))
-             and (not moves_along_g_inv(setup.filter_kind, setup.s_n, r)
-                  or np.array_equal(product(x), np.vstack([product(x[:n2]), product(x[n2:])]))))
-    return n2 if exact else 0
 
 
 def _pipe(files: contextlib.ExitStack) -> tuple:
@@ -624,16 +614,6 @@ def _in_two_processes(laps: Laps, counters: dict, child, here, ring_bytes=0) -> 
     return mine if answer is None else mine + answer
 
 
-def _step_in_two(setup: ExperimentSetup, seed: int, runs: range, n_iters: int, laps: Laps,
-                 counters: dict, n2: int) -> np.ndarray | None:
-    """The chunk's summed squared errors, split by runs: this process steps the runs below
-    ``runs[n2]`` and a forked child the rest (:func:`_in_two_processes`, or None)."""
-    def part(runs):  # one process's part, stepped on its own clock
-        return lambda clock, *_: _run_chunk(setup, seed, runs, n_iters, clock)
-
-    return _in_two_processes(laps, counters, part(runs[n2:]), part(runs[:n2]))
-
-
 def _step_in_pipeline(setup: ExperimentSetup, seed: int, runs: range, n_iters: int,
                       laps: Laps, counters: dict) -> np.ndarray | None:
     """The chunk's summed squared errors, in two stages (:func:`_in_two_processes`, or
@@ -688,11 +668,12 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
     them, summed over processes; ``counters``, if given, gets ``mc_processes``, 1 or 2, and,
     once a child is forked, ``child_peak_rss_mb``.
 
-    On two CPUs (``os.sched_getaffinity``) with ``os.fork``, a chunk of more than 128 runs
-    that :func:`split_point` splits steps by runs (:func:`_step_in_two`), and any other chunk
-    of more than one kernel block as a pipeline (:func:`_step_in_pipeline`), each through
-    :func:`_in_two_processes`. Every other chunk, and one that could not use two processes,
-    steps whole here (:func:`_run_chunk`).
+    A chunk of more than 128 runs is two parts cut at :func:`root_split`, whose sums added
+    are its own: the bits are those of the chunk stepped whole where the parts' stacked
+    ``kappa G^-1`` products round as its own. On two CPUs (``os.sched_getaffinity``) with
+    ``os.fork`` the parts step here and in a forked child, and any other chunk of more than one
+    kernel block as a pipeline (:func:`_step_in_pipeline`), through :func:`_in_two_processes`;
+    otherwise, or where that answers None, the parts step in turn here, any other chunk whole.
     """
     if n_runs < 1 or n_iters < 1:
         raise ValueError("n_runs and n_iters must be >= 1")
@@ -702,14 +683,19 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
     r = setup.dictionary.size
     chunk, total = run_chunk_size(r), np.zeros(n_iters)
     two = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
-    splits = {m: two and m > 128 and split_point(setup, m, n_iters)  # once per chunk size
-              for m in {min(chunk, n_runs - start) for start in range(0, n_runs, chunk)}}
+
+    def part(runs):  # a part of a chunk, stepped on the clock it is given
+        return lambda clock, *_: _run_chunk(setup, seed, runs, n_iters, clock)
+
     for start in range(0, n_runs, chunk):
         runs = range(start, min(start + chunk, n_runs))
-        part = None
-        if n2 := splits[len(runs)]:
-            part = _step_in_two(setup, seed, runs, n_iters, laps, counters, n2)
+        n2, sums = root_split(len(runs)), None
+        parts = (runs[:n2], runs[n2:]) if n2 else (runs,)
+        if two and n2:
+            sums = _in_two_processes(laps, counters, part(parts[1]), part(parts[0]))
         elif two and kernel_block(len(runs), r, n_iters) < n_iters:
-            part = _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
-        total += _run_chunk(setup, seed, runs, n_iters, laps) if part is None else part
+            sums = _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
+        if sums is None:  # in turn here, the second part's sums added to the first's
+            sums = functools.reduce(np.add, (part(p)(laps) for p in parts))
+        total += sums
     return LearningCurve(mse=total / n_runs)

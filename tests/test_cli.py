@@ -11,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -366,27 +367,38 @@ class TestAnalyze:
         else:
             assert lines[-1] == "theory_models = natural_klms"
 
-    @pytest.mark.parametrize("damage", ["truncate", "foreign", "non_finite", "negative_d2"])
+    @pytest.mark.parametrize("damage", ["truncate", "foreign", "non_finite", "negative_d2",
+                                        "p_times_10"])
     def test_damaged_cache_is_a_miss(self, tmp_path, damage):
+        """A record that is not whole, or whose statistics are no signal's (non-finite, a
+        negative d2, or a p that makes the minimum MSE negative), is recomputed and
+        rewritten, with the cold run's bytes and no warning."""
         cfg = write_tiny(tmp_path)
         cache = tmp_path / "cache"
         first, second = tmp_path / "a", tmp_path / "b"
         assert main(["analyze", "--config", str(cfg), "--out", str(first),
                      "--cache-dir", str(cache)]) == EXIT_OK
         (record,) = cache.iterdir()
+        cold = record.read_bytes()
         if damage == "truncate":
             record.write_bytes(record.read_bytes()[: record.stat().st_size // 2])
         elif damage == "foreign":
             record.write_text("n,mse\n0,1.0\n")
-        else:  # a whole record of the right length, its statistics NaN or d2 negative
+        else:  # a whole record of the right length, its statistics no signal's
             tampered = json.loads(record.read_text())
             if damage == "non_finite":
                 tampered["p"], tampered["d2"] = [float("nan")] * len(tampered["p"]), float("nan")
-            else:
+            elif damage == "negative_d2":
                 tampered["d2"] = -1.0
+            else:
+                tampered["p"] = [10.0 * p for p in tampered["p"]]
             record.write_text(json.dumps(tampered))
-        assert main(["analyze", "--config", str(cfg), "--out", str(second),
-                     "--cache-dir", str(cache)]) == EXIT_OK
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", "--config", str(cfg), "--out", str(second),
+                         "--cache-dir", str(cache)]) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert record.read_bytes() == cold
         manifest = read_manifest(second)
         assert manifest["dictionary"]["moments_cache_hit"] is False
         for name in ("theory.csv", "steady_state.txt", "stability.txt"):

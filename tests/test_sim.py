@@ -514,15 +514,10 @@ def curve_on(setup, n_runs, n_iters, seed, n_cpus, laps=None):
     return mse, counters["mc_processes"]
 
 
-def root_split(m):
-    """Where numpy's pairwise sum of m > 128 contiguous doubles splits at its root: half,
-    rounded down to a multiple of its 8-way unrolled loop."""
-    return m // 2 - (m // 2) % 8
-
-
 class TestTwoProcesses:
-    """A chunk of more than 128 runs steps its two parts, either side of numpy's root
-    split of the sum, in this process and a forked child, with the bits of one process."""
+    """A chunk of more than 128 runs is always two parts, either side of numpy's root split
+    of the sum: on two CPUs they step in this process and a forked child, on one in turn,
+    with the same bits."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -538,61 +533,65 @@ class TestTwoProcesses:
         setup = tiny_setup(filter_kind=kind, system=system, eta=eta)
         one, alone = curve_on(setup, n_runs, n_iters, seed, 1)
         two, split = curve_on(setup, n_runs, n_iters, seed, 2)
-        assert alone == 1
-        assert split == 1 + (sim.split_point(setup, n_runs, n_iters) > 0)
+        assert (alone, split) == (1, 2)
         assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("r", [25, 31, 81, 100])
     def test_engine_chunks_keep_their_bits(self, r):
-        """At the engine's own chunk sizes (655, 528, 202 and 163 runs), two processes
-        give one's bits whatever the probe decides, and the probe refuses wherever the
-        parts' stacked products differ from the whole chunk's."""
+        """At the engine's own chunk sizes (655, 528, 202 and 163 runs), two processes give
+        one's bits. At r = 25 and 31, where the parts' stacked products equal the whole
+        chunk's, both are also the bits of the chunk stepped whole."""
         side = {25: 5, 81: 9, 100: 10}.get(r)
         d = (grid_dictionary([-1, -1], [1, 1], side) if side else
              sim.Dictionary(np.random.default_rng(7).uniform(-1, 1, (r, 2))))
         k = GaussianKernel(0.7 if r == 25 else 0.3)
         setup = dataclasses.replace(tiny_setup(), dictionary=d, kernel=k, gram=gram(d, k))
         m, n_iters = sim.run_chunk_size(r), 6
-        n2 = root_split(m)
-
-        def product(x):  # as the engine stacks a kernel block of these rows
-            block = max(1, min(linalg.WORK_BYTES // (8 * len(x) * r), n_iters))
-            return np.matmul(np.broadcast_to(x, (block, *x.shape)).copy(), setup.gram.g_inv)[-1]
-
-        kap = np.random.default_rng(r).uniform(0.0, 1.0, (m, r))
-        if not np.array_equal(product(kap), np.concatenate([product(kap[:n2]),
-                                                            product(kap[n2:])])):
-            assert sim.split_point(setup, m, n_iters) == 0
-        assert sim.split_point(setup, m, n_iters) in (0, n2)
-        one, _ = curve_on(setup, m, n_iters, 3, 1)
+        one, alone = curve_on(setup, m, n_iters, 3, 1)
         two, split = curve_on(setup, m, n_iters, 3, 2)
-        assert split == 1 + (sim.split_point(setup, m, n_iters) > 0)
+        assert (alone, split) == (1, 2)
         assert np.array_equal(one, two)
+        if r in (25, 31):
+            whole = sim._run_chunk(setup, 3, range(m), n_iters, sim.Laps())
+            assert np.array_equal(one, whole / m)
 
     def test_numpy_sums_split_at_the_root(self):
         """numpy's pairwise sum of m > 128 contiguous doubles is the sum of its parts
-        either side of ``root_split``, added; a split 8 later is not, for some m. An update
-        that forms no ``kappa G^-1`` product splits there."""
+        either side of ``root_split``, added; a split 8 later is not, for some m. A chunk
+        of at most 128 runs does not split."""
         rng = np.random.default_rng(1400)
-        knlms = tiny_setup(filter_kind=FilterKind.KNLMS)
+        assert [sim.root_split(m) for m in range(1, 129)] == [0] * 128
         elsewhere = []
         for m in range(129, 1401):
             a = rng.standard_normal((2, m)) * 10.0 ** rng.uniform(-6, 6, (2, m))
-            n2 = root_split(m)
+            n2 = sim.root_split(m)
+            assert 0 < n2 < m and n2 % 8 == 0
             assert np.array_equal(a.sum(axis=1), a[:, :n2].sum(axis=1) + a[:, n2:].sum(axis=1))
-            assert sim.split_point(knlms, m, 1) == n2
             elsewhere.append(np.array_equal(a.sum(axis=1),
                                             a[:, :n2 + 8].sum(axis=1) + a[:, n2 + 8:].sum(axis=1)))
         assert not all(elsewhere)
 
     def test_child_laps_are_added(self):
         """The child's stream blocks, kernel blocks and steps are counted with this
-        process's: two parts of one kernel block each count two of every stage."""
+        process's: two parts of one kernel block each count two of every stage, as on one
+        CPU."""
         one, two = sim.Laps(), sim.Laps()
         curve_on(tiny_setup(), 150, 30, 5, 1, one)
         curve_on(tiny_setup(), 150, 30, 5, 2, two)
-        assert one.counts == {"stream": 1, "kernel_values": 1, "steps": 1}
-        assert two.counts == {"stream": 2, "kernel_values": 2, "steps": 2}
+        assert one.counts == two.counts == {"stream": 2, "kernel_values": 2, "steps": 2}
+
+    def test_one_cpu_steps_the_parts_in_turn(self):
+        """On one CPU a chunk of 150 runs steps its parts of 72 and 78 runs one after the
+        other in this process, lapping each stage once a part, with the bits of two CPUs."""
+        setup, laps = tiny_setup(), sim.Laps()
+        two, _ = curve_on(setup, 150, 30, 5, 2)
+        with mock.patch.object(sim, "_run_chunk", wraps=sim._run_chunk) as stepped, \
+                mock.patch.object(sim.os, "fork", side_effect=AssertionError("forked")):
+            one, processes = curve_on(setup, 150, 30, 5, 1, laps)
+        assert [c.args[2] for c in stepped.call_args_list] == [range(72), range(72, 150)]
+        assert processes == 1
+        assert laps.counts == {"stream": 2, "kernel_values": 2, "steps": 2}
+        assert np.array_equal(one, two)
 
     def test_each_process_steps_on_cpus_of_its_own(self):
         """Neither process is pinned: both run where the scheduler puts them, and this
@@ -605,7 +604,7 @@ class TestTwoProcesses:
         before, counters = os.sched_getaffinity(0), {}
         mc_learning_curve(tiny_setup(), 150, 30, 5, counters=counters)
         assert_no_child()
-        assert counters["mc_processes"] == 1 + (sim.split_point(tiny_setup(), 150, 30) > 0)
+        assert counters["mc_processes"] == 2
         assert os.sched_getaffinity(0) == before
 
     @pytest.mark.parametrize("module, call, n_runs, n_iters", [
@@ -614,7 +613,8 @@ class TestTwoProcesses:
     ], ids=["fork", "pipe", "fork-pipeline", "pipe-pipeline", "mmap-pipeline"])
     def test_fork_failure_steps_the_chunk_whole(self, module, call, n_runs, n_iters):
         """A ``fork``, ``pipe`` or shared ``mmap`` that raises ``OSError`` steps the chunk
-        whole here, split (150 runs) or pipelined (7 runs of three kernel blocks)."""
+        here as one CPU does: a split one (150 runs) its parts in turn, a pipelined one (7
+        runs of three kernel blocks) whole."""
         setup = tiny_setup()
         one, _ = curve_on(setup, n_runs, n_iters, 5, 1)
         with mock.patch.object(module, call,
@@ -624,14 +624,14 @@ class TestTwoProcesses:
         assert processes == 1
         assert np.array_equal(one, two)
 
-    N2 = root_split(130)
+    N2 = sim.root_split(130)
 
     @staticmethod
     @contextlib.contextmanager
     def patched_chunk(child, here=None):
         """``_run_chunk`` as ``child(real, *args)`` in a forked child and as
-        ``here(real, *args)`` (default: itself) in this process, the chunk always split;
-        yields the runs of the parts stepped here."""
+        ``here(real, *args)`` (default: itself) in this process; yields the runs of the
+        parts stepped here."""
         real, parent, calls = sim._run_chunk, os.getpid(), []
 
         def run_chunk(*args):
@@ -640,18 +640,18 @@ class TestTwoProcesses:
             calls.append(args[2])
             return (here or (lambda real, *args: real(*args)))(real, *args)
 
-        with mock.patch.object(sim, "_run_chunk", run_chunk), \
-                mock.patch.object(sim, "split_point", lambda setup, m, n_iters: root_split(m)):
+        with mock.patch.object(sim, "_run_chunk", run_chunk):
             yield calls
 
-    def test_child_without_an_answer_makes_the_chunk_step_whole(self):
-        """A child that ends before its answer leaves the whole chunk to this process, which
-        steps it once its own part is done; the clock counts the whole chunk only."""
+    def test_child_without_an_answer_makes_the_parts_step_in_turn(self):
+        """A child that ends before its answer leaves the chunk to this process, which steps
+        both parts in turn once its own part is done, as on one CPU; the clock counts those
+        two parts only."""
         setup, alone, declined = tiny_setup(), sim.Laps(), sim.Laps()
         one, _ = curve_on(setup, 130, 30, 5, 1, alone)
         with self.patched_chunk(lambda *args: os._exit(1)) as calls:
             two, processes = curve_on(setup, 130, 30, 5, 2, declined)
-        assert calls == [range(self.N2), range(130)]
+        assert calls == [range(self.N2), range(self.N2), range(self.N2, 130)]
         assert processes == 1
         assert np.array_equal(one, two)
         assert declined.counts == alone.counts
