@@ -196,7 +196,7 @@ def cmd_analyze(args, cfg: ExperimentConfig, run: Run) -> int:
         stats = None
     if stats is not None:  # the closed-form moments, recomputed
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a hit that is discarded below warns of nothing
+            warnings.filterwarnings("ignore", "minimum MSE is negative")  # a miss, if so
             model = build_model(d, kern, im, stats.p, stats.d2)
         stats = stats if 0 <= model.j_min < np.inf else None  # else no signal's: a miss
     fresh = stats is None

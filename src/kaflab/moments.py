@@ -256,15 +256,16 @@ def mc_fourth_entries(d: Dictionary, k: GaussianKernel, im: InputModel, entries,
     work, prods = np.empty((len(needed), rows)), np.empty((group, min(MC_MOMENT_CHUNK, n_samples)))
     s1, s2 = np.zeros(len(cols)), np.zeros(len(cols))
     for km in _mc_kernel_chunks(Dictionary(d.centers[needed]), k, im, n_samples, rng):
+        out = prods[:, :len(km)]  # the last chunk may be the shorter
         for first in range(0, len(cols), group):
             for lo in range(0, len(km), rows):
                 kt = work[:, :len(km[lo:lo + rows])]
                 np.copyto(kt, km[lo:lo + rows].T)
-                for prod, (i, j, s, t) in zip(prods[:, lo:lo + rows], cols[first:first + group]):
+                for prod, (i, j, s, t) in zip(out[:, lo:lo + rows], cols[first:first + group]):
                     np.multiply(kt[i], kt[j], out=prod)
                     prod *= kt[s]
                     prod *= kt[t]
-            for e_i, prod in zip(range(first, len(cols)), prods[:, :len(km)]):
+            for e_i, prod in zip(range(first, len(cols)), out):
                 s1[e_i] += prod.sum()
                 s2[e_i] += np.square(prod, out=prod).sum()
     return _mean_and_stderr(s1, s2, n_samples)

@@ -25,7 +25,6 @@ dictionary size and the byte budget :data:`kaflab.linalg.WORK_BYTES` (:func:`ker
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import mmap
 import os
@@ -696,6 +695,6 @@ def mc_learning_curve(setup: ExperimentSetup, n_runs: int, n_iters: int, seed: i
         elif two and kernel_block(len(runs), r, n_iters) < n_iters:
             sums = _step_in_pipeline(setup, seed, runs, n_iters, laps, counters)
         if sums is None:  # in turn here, the second part's sums added to the first's
-            sums = functools.reduce(np.add, (part(p)(laps) for p in parts))
+            sums = sum(part(p)(laps) for p in parts)
         total += sums
     return LearningCurve(mse=total / n_runs)

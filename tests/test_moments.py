@@ -197,6 +197,25 @@ class TestFourthTensor:
         for e_i, e in enumerate(entries):
             assert abs(s[e] - mc[e_i]) < 4 * stderr[e_i]
 
+    @pytest.mark.parametrize("n_samples", [250_000, 200_001])
+    def test_entries_keep_the_centers_major_bits(self, n_samples):
+        """A draw count that leaves a short last chunk gives the sums of each chunk copied whole
+        centers-major, bit for bit."""
+        d = grid_dictionary([-1, -1], [1, 1], 3)
+        k, im = GaussianKernel(0.7), InputModel(EXP1_RU)
+        entries = [(0, 1, 2, 3), (4, 4, 8, 0), (5, 6, 7, 8), (2, 2, 2, 2)]
+        s1, s2 = np.zeros(len(entries)), np.zeros(len(entries))
+        chunks = moments._mc_kernel_chunks(d, k, im, n_samples, np.random.default_rng(38))
+        for km in chunks:
+            kt = np.ascontiguousarray(km.T)
+            for e_i, (i, j, s, t) in enumerate(entries):
+                prod = kt[i] * kt[j] * kt[s] * kt[t]
+                s1[e_i] += prod.sum()
+                s2[e_i] += (prod**2).sum()
+        mc = mc_fourth_entries(d, k, im, entries, n_samples, np.random.default_rng(38))
+        for got, want in zip(mc, moments._mean_and_stderr(s1, s2, n_samples)):
+            assert np.array_equal(got, want)
+
 
 def assert_blocked_forms_keep_their_bits(d, k, im, eta):
     """The blocked fourth moments and congruence matrices, and the model's ``t_sym`` and K's
