@@ -460,15 +460,15 @@ def load_moment_model(path, r: int) -> CrossStats:
     """Read a record written by :func:`save_moment_model` for ``r`` centers.
 
     ``OSError`` if the file cannot be read, ``ValueError`` if it is not such a record:
-    truncated, foreign, of another version or length, with a non-finite ``p`` or ``d2``, or
-    with a negative ``d2``, which no signal's power is.
+    truncated, foreign, of another version or length, or with a non-finite ``p`` or ``d2``.
+    A finite record that is still no signal's statistics, a negative ``d2`` among them, is
+    refused by ``kaflab analyze``, whose model of it has a negative minimum MSE.
     """
     with open(path, encoding="utf-8") as f:
         rec = json.load(f)
     try:
         p, d2 = np.array(rec["p"], dtype=float), float(rec["d2"])
-        if (rec["format"] != _RECORD_FORMAT or p.shape != (r,) or not np.isfinite([*p, d2]).all()
-                or d2 < 0):
+        if rec["format"] != _RECORD_FORMAT or p.shape != (r,) or not np.isfinite([*p, d2]).all():
             raise ValueError(f"format {rec['format']!r}, shape {p.shape}, d2 {d2}")
         return CrossStats(p, d2)
     except (KeyError, TypeError, ValueError) as exc:

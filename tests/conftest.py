@@ -403,13 +403,18 @@ def peak_growth_mb(setup: str, measured: str) -> float:
         textwrap.dedent(measured),
         "print(peak_kb() - before)",
     ])
-    src = str(Path(kaflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
+                          env=kaflab_env())
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout) / 1024
+
+
+def kaflab_env(**variables) -> dict:
+    """This process's environment with ``variables``, for a fresh interpreter that imports
+    this checkout's kaflab."""
+    src = str(Path(kaflab.__file__).resolve().parents[1])
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def model_for(dictionary, sigma, system_kind, sigma_nu):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, peak_growth_mb
+from conftest import CONFIGS, kaflab_env, peak_growth_mb
 from kaflab import cli, linalg
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
@@ -301,7 +301,8 @@ class TestAnalyze:
             stability = dict(line.split(" = ") for line in
                              (tmp_path / "cold" / "stability.txt").read_text().splitlines())
             assert m["counters"]["k_spectral_radius"] == float(stability["k_spectral_radius"])
-            assert m["counters"]["cross_stats_source"] == "closed_form"
+            assert (m["counters"]["cross_stats_source"], m["counters"]["cross_stats_samples"]) \
+                == ("closed_form", 0)
             assert set(m["timings"]) == {"dictionary", "moments", "spectrum", "transient",
                                          "steady_state", "write"}
             assert all(t >= 0 for t in m["timings"].values())
@@ -337,18 +338,19 @@ class TestAnalyze:
 
     def test_negative_theory_is_a_numerical_error(self, tmp_path, capsys):
         """On a 7 x 7 grid of the first experiment, G is so ill-conditioned that
-        rounding drives the transient curve below zero. That is one ``numerical error``
-        line naming the step, the value and K's spectral radius, and nothing in ``--out``,
-        not even the default cache directory."""
+        rounding drives the transient curve below zero, after the cross statistics. That is
+        one ``numerical error`` line naming the step, the value and K's spectral radius, no
+        stdout, and nothing in ``--out``, not even the default cache directory's record."""
         text = (CONFIGS / "experiment1.cfg").read_text()
-        assert "points_per_axis = 5" in text
+        assert text.count("points_per_axis = 5") == 1
         cfg = tmp_path / "grid7.cfg"
         cfg.write_text(text.replace("points_per_axis = 5", "points_per_axis = 7"))
         out = tmp_path / "out"
         assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
+        stdout, err = capsys.readouterr()
         assert err.startswith("numerical error: transient curve is negative at step ")
         assert err.count("\n") == 1 and "spectral radius" in err
+        assert stdout == ""
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["natural_klms", "selective", "knlms"])
@@ -889,30 +891,53 @@ class TestErrorPaths:
         assert rc == EXIT_NUMERIC
         assert "numerical error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, engine", [("simulate", "mc_learning_curve"),
-                                                 ("analyze", "transient_mse")])
+    @pytest.mark.parametrize("command, engine", [
+        ("simulate", "mc_learning_curve"), ("analyze", "transient_mse"),
+        pytest.param("simulate", None, id="simulate-address_space_limit"),
+        pytest.param("analyze", None, id="analyze-address_space_limit"),
+    ])
     def test_memory_error_is_one_line_with_exit_3(self, tmp_path, monkeypatch, capsys, command,
                                                    engine):
-        """An allocation that fails, as an ``n_iters`` of 2e9 under a 3 GB address-space
-        limit fails, ends in one ``error: out of memory:`` line, exit 3 and no file."""
-        def too_large(*args, **kwargs):
-            raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
-                              "(2000000000,) and data type float64")
-
-        monkeypatch.setattr(cli, engine, too_large)
+        """An allocation that fails ends in one ``error: out of memory:`` line, exit 3, no
+        stdout and nothing in ``--out``: the engine's, made to raise ``MemoryError``, or,
+        for real, the first experiment's at an ``n_iters`` of 2e9 in a child process under
+        a 3 GB address-space limit."""
         out = tmp_path / "out"
-        assert main([command, "--config", str(write_tiny(tmp_path)), "--out", str(out)]) \
-            == EXIT_NUMERIC
-        captured = capsys.readouterr()
-        assert captured.err == ("error: out of memory: Unable to allocate 14.9 GiB for an array "
-                                "with shape (2000000000,) and data type float64\n")
-        assert captured.out == ""
-        assert not any(p.is_file() for p in out.rglob("*"))
+        if engine is None:
+            if sys.platform != "linux":
+                pytest.skip("the address-space limit is tested on Linux")
+            import resource
 
-    def test_coherence_dictionary_above_the_largest_is_refused_early(self, tmp_path, capsys):
+            text = (CONFIGS / "experiment1.cfg").read_text()
+            assert text.count("n_iters = 10000") == 1
+            cfg = tmp_path / "long.cfg"
+            cfg.write_text(text.replace("n_iters = 10000", "n_iters = 2000000000"))
+            limit = 3_000_000 * 1024
+            proc = subprocess.run(
+                [sys.executable, "-m", "kaflab.cli", command, "--config", str(cfg), "--out",
+                 str(out)], capture_output=True, text=True, env=kaflab_env(),
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        else:
+            def too_large(*args, **kwargs):
+                raise MemoryError("Unable to allocate 14.9 GiB for an array with shape "
+                                  "(2000000000,) and data type float64")
+
+            monkeypatch.setattr(cli, engine, too_large)
+            code = main([command, "--config", str(write_tiny(tmp_path)), "--out", str(out)])
+            stdout, stderr = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert stderr == ("error: out of memory: Unable to allocate 14.9 GiB for an array with "
+                          "shape (2000000000,) and data type float64\n")
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_coherence_dictionary_above_the_largest_is_refused_early(self, tmp_path, capsys,
+                                                                      command):
         """A ``mu0`` that keeps more than ``MAX_DICTIONARY_SIZE`` centers (17,719 of these
         20,000 samples) is a config error once the selection holds one more, within seconds
-        and before any ``gram``: one stderr line, exit 2, no file in ``--out``."""
+        and before any ``gram``: one stderr line, exit 2, nothing in ``--out``."""
         from kaflab.kernel import MAX_DICTIONARY_SIZE
 
         text = (CONFIGS / "experiment2.cfg").read_text()
@@ -921,12 +946,12 @@ class TestErrorPaths:
                                     "mu0 = 0.99999\ncalib_samples = 20000"))
         assert "mu0 = 0.99999" in cfg.read_text()
         out, start = tmp_path / "out", time.monotonic()
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert time.monotonic() - start < 10
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr() == ("", (
             f"config error: [dictionary] mu0 = 0.99999 keeps more than {MAX_DICTIONARY_SIZE} "
-            "centers, the largest dictionary\n")
-        assert not any(p.is_file() for p in out.rglob("*"))
+            "centers, the largest dictionary\n"))
+        assert list(out.iterdir()) == []
 
 
 class TestOneCommandPath:
@@ -985,19 +1010,12 @@ class TestOneCommandPath:
             assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
         assert out.is_dir()
 
-    def test_refused_analyze_leaves_no_cache_record(self, tmp_path, capsys):
-        """The 7 x 7 grid, refused in its transient, leaves no file under ``--out`` with
-        the default cache directory: the cross statistics are recorded only once the theory
-        is written. A cold run there records them, and a warm run reads them."""
-        text = (CONFIGS / "experiment1.cfg").read_text()
-        assert text.count("points_per_axis = 5") == 1
-        cfg = tmp_path / "grid7.cfg"
-        cfg.write_text(text.replace("points_per_axis = 5", "points_per_axis = 7"))
-        out = tmp_path / "out"
-        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-        assert capsys.readouterr().out == ""
-        assert not any(p.is_file() for p in out.rglob("*"))
-        tiny, hits = write_tiny(tmp_path), []
+    def test_refused_analyze_leaves_no_cache_record(self, tmp_path):
+        """The cross statistics are recorded only once the theory is written, so a refused
+        ``analyze`` leaves no record in the default cache directory (the 7 x 7 grid of
+        ``TestAnalyze::test_negative_theory_is_a_numerical_error``). A cold run there
+        records them, and a warm run reads them."""
+        out, tiny, hits = tmp_path / "out", write_tiny(tmp_path), []
         for _ in range(2):
             assert main(["analyze", "--config", str(tiny), "--out", str(out)]) == EXIT_OK
             hits.append(read_manifest(out, "moments_cache")["dictionary"]["moments_cache_hit"])
@@ -1051,18 +1069,14 @@ class TestOneBlasThread:
         """At ``OPENBLAS_NUM_THREADS`` 1 and 2, ``simulate`` (130 runs, split in two
         processes where two CPUs are free) and ``analyze`` write the same bytes; both halves
         of the split chunk step at one thread, and the old count is back after ``main``."""
-        import kaflab
-
         cfg = write_tiny(tmp_path, n_iters=30)
         cfg.write_text(cfg.read_text().replace("n_runs = 2", "n_runs = 130"))
-        src = str(Path(kaflab.__file__).resolve().parents[1])
         sums = {}
         for threads in ("1", "2"):
             out, seen = tmp_path / threads, tmp_path / f"seen-{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                p for p in (src, os.environ.get("PYTHONPATH")) if p))
             proc = subprocess.run([sys.executable, "-c", self.SPY, str(cfg), str(out), str(seen)],
-                                  capture_output=True, text=True, env=env)
+                                  capture_output=True, text=True,
+                                  env=kaflab_env(OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
             before, after, codes = proc.stdout.splitlines()[-1].split(maxsplit=2)
             assert before == after and codes.strip() == "[0, 0]"
@@ -1210,15 +1224,10 @@ def test_config_fields_the_benchmark_reads_exist():
 
 def test_import_needs_no_scipy():
     """A fresh interpreter imports the command line without loading any scipy module."""
-    import kaflab
-
-    src = str(Path(kaflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, kaflab.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=kaflab_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -1227,8 +1236,6 @@ def test_import_needs_no_scipy():
 def test_commands_need_numpy_only(tmp_path):
     """simulate, analyze and compare run on the null config in an interpreter where
     scipy and hypothesis cannot be imported: kaflab depends on numpy alone."""
-    import kaflab
-
     script = textwrap.dedent("""
         import sys
         sys.modules["scipy"] = sys.modules["hypothesis"] = None
@@ -1240,11 +1247,8 @@ def test_commands_need_numpy_only(tmp_path):
             ["compare", "--sim", out + "/sim/simulated.csv",
              "--theory", out + "/th/theory.csv", "--out", out + "/cmp"])])
     """)
-    src = str(Path(kaflab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script, str(CONFIGS / "null.cfg"),
-                           str(tmp_path)], capture_output=True, text=True, env=env)
+                           str(tmp_path)], capture_output=True, text=True, env=kaflab_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0]", proc.stdout + proc.stderr
 

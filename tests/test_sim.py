@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import json
 import os
 import pickle
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import kaflab.sim as sim
 from kaflab import linalg
+from kaflab.cli import EXIT_OK, main
 from kaflab.errors import (
     ArtifactError,
     ConfigError,
@@ -48,7 +50,7 @@ from kaflab.sim import (
     stream_blocks,
     write_atomic,
 )
-from conftest import whole_stream
+from conftest import CONFIGS, whole_stream
 
 
 class TestAr1Stream:
@@ -536,24 +538,47 @@ class TestTwoProcesses:
         assert (alone, split) == (1, 2)
         assert np.array_equal(one, two)
 
-    @pytest.mark.parametrize("r", [25, 31, 81, 100])
-    def test_engine_chunks_keep_their_bits(self, r):
-        """At the engine's own chunk sizes (655, 528, 202 and 163 runs), two processes give
-        one's bits. At r = 25 and 31, where the parts' stacked products equal the whole
-        chunk's, both are also the bits of the chunk stepped whole."""
-        side = {25: 5, 81: 9, 100: 10}.get(r)
-        d = (grid_dictionary([-1, -1], [1, 1], side) if side else
-             sim.Dictionary(np.random.default_rng(7).uniform(-1, 1, (r, 2))))
-        k = GaussianKernel(0.7 if r == 25 else 0.3)
-        setup = dataclasses.replace(tiny_setup(), dictionary=d, kernel=k, gram=gram(d, k))
-        m, n_iters = sim.run_chunk_size(r), 6
-        one, alone = curve_on(setup, m, n_iters, 3, 1)
-        two, split = curve_on(setup, m, n_iters, 3, 2)
+    @pytest.mark.parametrize("case", [25, 31, 81, 100, "experiment1-300", "experiment2-300",
+                                      "experiment2-64"])
+    def test_engine_chunks_keep_their_bits(self, tmp_path, case):
+        """At the engine's own chunk sizes (655, 528, 202 and 163 runs for r = 25, 31, 81
+        and 100), two processes give one's bits. At r = 25 and 31, where the parts' stacked
+        products equal the whole chunk's, both are also the bits of the chunk stepped whole.
+        ``simulate`` on the shipped experiments at their 300 runs (parts of 144 and 156) and
+        on the second at 64 (a pipeline on two CPUs), at 600 steps, past a 512-step stream
+        block, writes the same ``simulated.csv`` on one CPU as on two."""
+        if isinstance(case, str):
+            name, n_runs = case.split("-")
+            text = (CONFIGS / f"{name}.cfg").read_text()
+            assert text.count("n_runs = 300") == text.count("n_iters = 10000") == 1
+            cfg = tmp_path / f"{case}.cfg"
+            cfg.write_text(text.replace("n_runs = 300", f"n_runs = {n_runs}")
+                           .replace("n_iters = 10000", "n_iters = 600"))
+
+            def on(n_cpus):  # simulated.csv's bytes and the processes that stepped it
+                out = tmp_path / str(n_cpus)
+                with cpus(n_cpus):
+                    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+                assert_no_child()
+                manifest = json.loads((out / "manifest.json").read_text())
+                return (out / "simulated.csv").read_bytes(), manifest["counters"]["mc_processes"]
+        else:
+            side = {25: 5, 81: 9, 100: 10}.get(case)
+            d = (grid_dictionary([-1, -1], [1, 1], side) if side else
+                 sim.Dictionary(np.random.default_rng(7).uniform(-1, 1, (case, 2))))
+            k = GaussianKernel(0.7 if case == 25 else 0.3)
+            setup = dataclasses.replace(tiny_setup(), dictionary=d, kernel=k, gram=gram(d, k))
+            m, n_iters = sim.run_chunk_size(case), 6
+
+            def on(n_cpus):
+                mse, processes = curve_on(setup, m, n_iters, 3, n_cpus)
+                return mse.tobytes(), processes
+        (one, alone), (two, split) = on(1), on(2)
         assert (alone, split) == (1, 2)
-        assert np.array_equal(one, two)
-        if r in (25, 31):
+        assert one == two
+        if case in (25, 31):
             whole = sim._run_chunk(setup, 3, range(m), n_iters, sim.Laps())
-            assert np.array_equal(one, whole / m)
+            assert one == (whole / m).tobytes()
 
     def test_numpy_sums_split_at_the_root(self):
         """numpy's pairwise sum of m > 128 contiguous doubles is the sum of its parts
