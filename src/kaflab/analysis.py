@@ -112,8 +112,9 @@ def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
     The step size is ``km.eta``. ``MSE(n) = MSE_inf + sum_k w_k lambda_k^n``, ``w_k =
     (q_k' vec(r_tilde)) (q_k' vec(C_0 - C_inf))``; C_0 is the outer product of the optimal
     transformed weights (zero coefficients), so row 0 is the signal power. An unstable K
-    gives a growing curve; a non-finite MSE raises :class:`DivergenceError`, a negative
-    one :class:`InvariantError`.
+    gives a growing curve; a non-finite MSE raises :class:`DivergenceError`, one below
+    ``j_min`` :class:`InvariantError`: K maps C to ``E[(I - eta x x') C (I - eta x x')]``,
+    so C stays PSD and the excess ``trace(r_tilde C)`` nonnegative in exact arithmetic.
     """
     if not km.eta > 0:
         raise ValueError(f"step size must be positive, got {km.eta}")
@@ -133,11 +134,11 @@ def transient_mse(m: MomentModel, km: KSpectrum, n_steps: int) -> LearningCurve:
             if bad.size:
                 raise DivergenceError(f"transient curve is non-finite at step {bad[0]}",
                                       last_finite_step=int(bad[0]) - 1)
-            neg = n[mse[n] < 0]
+            neg = n[mse[n] < m.j_min]
             if neg.size:
-                raise InvariantError(f"transient curve is negative at step {neg[0]} "
-                                     f"({mse[neg[0]]:.6e}); K has spectral radius "
-                                     f"{km.radius:.17g}")
+                raise InvariantError(f"transient curve is negative at step {neg[0]} less "
+                                     f"j_min ({mse[neg[0]] - m.j_min:.6e}); K has spectral "
+                                     f"radius {km.radius:.17g}")
     return LearningCurve(mse=mse)
 
 

@@ -306,7 +306,7 @@ def cmd_moments_check(args, cfg: ExperimentConfig, run: Run) -> int:
     mc4, stderr4 = mc_fourth_entries(d, kern, im, entries, n, rng4)
     print(f"# fourth-moment check: {len(entries)} entries over {n} samples")
     print("i,j,s,t,closed,mc,stderr,z,verdict")
-    # the centers in sorted order, as fourth_tensor sums them: the same bits, no m x m block
+    # each entry's sorted centers in closed form: fourth_tensor's value to rounding, no m x m block
     closed4 = (multi_point_moment(d.centers[sorted(e)], kern, im) for e in entries)
     worst4, fail4 = _check_rows(zip((",".join(map(str, e)) for e in entries), closed4, mc4, stderr4))
     worst, n_fail = max(worst2, worst4), fail2 + fail4

@@ -49,7 +49,7 @@ class NotStableError(KaflabError):
 
 
 class InvariantError(KaflabError):
-    """A quantity that is nonnegative in exact arithmetic, such as an MSE, came out
+    """A quantity that is nonnegative in exact arithmetic, such as an excess MSE, came out
     negative: rounding has broken the theory on an ill-conditioned model."""
 
 

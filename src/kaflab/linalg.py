@@ -144,13 +144,6 @@ def sym_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, np.where(i == j, 1.0, np.sqrt(2.0))
 
 
-def sym_index(i, j, dim: int):
-    """Position of the pair ``(i, j)``, in either order, among the coordinates of
-    :func:`sym_basis`; works elementwise on index arrays."""
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return lo * (2 * dim - lo + 1) // 2 + hi - lo
-
-
 def sym_congruence(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Matrix of ``C -> (A C B' + B C A') / 2`` (``A C A'`` without ``b``) on symmetric C in
     the coordinates of :func:`sym_basis`: entry (p, q), p = (i, j), q = (s, t), is

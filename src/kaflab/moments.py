@@ -21,6 +21,7 @@ so the expectation is a Gaussian integral with the closed form
 The same formula with K = 2 gives every entry of the kernelized-input
 autocorrelation matrix, and with K = 4 the fourth moments, kept as one m x m
 block on symmetric index pairs (m = r(r+1)/2), so the theory's memory grows as m^2.
+Their exponent splits into a term per pair and an inner product across the two pairs.
 
 Cross statistics
 ----------------
@@ -43,7 +44,7 @@ import numpy as np
 from . import linalg, sim
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 from .kernel import Dictionary, GaussianKernel, GramFactor, gram, kernelized_input
-from .linalg import sym_basis, sym_congruence, sym_eig, sym_index, symmetrize
+from .linalg import sym_basis, sym_congruence, sym_eig, symmetrize
 
 MC_MOMENT_CHUNK = 200_000  # draws per block of the Monte-Carlo moment oracles
 
@@ -96,7 +97,8 @@ class MomentModel:
     r_tilde^-1 p_tilde``, ``j_min = d2 - p_tilde' alpha_star_tilde``, and ``t_sym``, the
     symmetric PSD matrix of ``T(C) = W E[kappa kappa' (W C W) kappa kappa'] W`` in the
     coordinates of :func:`~kaflab.linalg.sym_basis`: ``t_sym = B S_o B'``, B that of ``C ->
-    W C W``, ``S_o = diag(scale) S diag(scale)`` and S the :func:`fourth_tensor` block.
+    W C W``, ``S_o = diag(scale) S diag(scale)`` and S the :func:`fourth_tensor` block, equal
+    on the three pairings of an index multiset within a few ulps of its exponent.
     """
 
     r_kappa: np.ndarray
@@ -174,29 +176,28 @@ def second_moment(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarra
 def fourth_tensor(d: Dictionary, k: GaussianKernel, im: InputModel) -> np.ndarray:
     """Fourth moments on symmetric pairs, ``S[a, b] = E[kappa_i kappa_j kappa_s kappa_t]``.
 
-    a = (i, j) and b = (s, t) run over the m = r(r+1)/2 pairs of
-    :func:`~kaflab.linalg.sym_basis`. Only the distinct index multisets are evaluated;
-    each value is written to the multiset's three pairings in both orders, so S is
-    exactly symmetric and equal on every pairing of a multiset. The multisets go in blocks of
-    leading pairs, each gather within :data:`~kaflab.linalg.WORK_BYTES`: same bits in any.
+    a = (i, j) and b = (s, t) run over the m = r(r+1)/2 pairs of :func:`~kaflab.linalg.sym_basis`.
+    With ``M = (I + 4 R_u / sigma^2)^-1 R_u = sigma^4 F F'``, ``f_a = F'(c_i + c_j)`` and ``h_a =
+    |f_a|^2 / 2 - (|c_i|^2 + |c_j|^2) / (2 sigma^2)``, ``S[a, b] = det^(-1/2) exp(h_a + h_b +
+    f_a'f_b)``, the exponent summed before its ``exp``, so finite wherever S is. Entries (a, b)
+    and (b, a) take the same operations in the same order: S is exactly symmetric, and the
+    same bits in any blocks of rows (within :data:`~kaflab.linalg.WORK_BYTES`).
     """
     c = d.centers
     _check_input_dim(c, im)
-    r = d.size
-    pi, pj, _ = sym_basis(r)
+    pi, pj, _ = sym_basis(d.size)
+    sig2, sq = k.sigma**2, (c**2).sum(axis=1)
+    a_mat = np.eye(im.dim) + (4.0 / sig2) * im.r_u
+    f = (c[pi] + c[pj]) @ (np.linalg.cholesky(symmetrize(np.linalg.solve(a_mat, im.r_u))) / sig2)
+    h = (f**2).sum(axis=1) / 2.0 - (sq[pi] + sq[pj]) / (2.0 * sig2)
     out = np.empty((pi.size, pi.size))
-    rows = linalg.rows_within(8 * 4 * c.shape[1] * pi.size)
+    rows = linalg.rows_within(8 * pi.size)
     for lo in range(0, pi.size, rows):
-        # sorted multisets w <= x <= y <= z: leading pairs (w, x) of this block, (y, z), x <= y
-        first, second = np.nonzero(pj[lo:lo + rows, None] <= pi[None, :])
-        first += lo
-        w, x, y, z = pi[first], pj[first], pi[second], pj[second]
-        gathered = c[np.stack([w, x, y, z], axis=1)]  # (n_multisets, 4, L)
-        vals = _moment_batch(gathered.sum(axis=1), (gathered**2).sum(axis=(1, 2)), 4, k, im)
-        for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y))):
-            a, b = sym_index(*p, r), sym_index(*q, r)
-            out[a, b] = vals
-            out[b, a] = vals
+        block = np.add.outer(h[lo:lo + rows], h, out=out[lo:lo + rows])
+        for col in f.T:
+            block += np.multiply.outer(col[lo:lo + rows], col)
+        np.exp(block, out=block)
+    out *= np.linalg.det(a_mat) ** -0.5
     return out
 
 

@@ -8,8 +8,10 @@ from the (r, r, L) pairwise differences, the Kronecker product,
 the lexicographic vectorization, the full r^4 fourth-moment tensors expanded
 from the library's block on symmetric pairs, the step-by-step transient and mean
 recursions, a filter state's output, the symmetric block of K gathered entry by
-entry, the whole-array forms of the fourth-moment block, the congruence matrix, the
-product B S Bᵀ and K that the library now forms in blocks or in place, the seeded
+entry, the fourth-moment block by its index multisets and the rounding allowed between
+it and the library's split form, the pair index of a symmetric coordinate, the
+whole-array forms of the congruence matrix, the product B S Bᵀ and K that the library
+now forms in blocks or in place, the seeded
 streams drawn whole, and the stream estimate of the cross
 statistics that the library computes exactly. The library itself never builds an
 r^4 array or a whole Monte-Carlo stream. The memory guards measure a fresh
@@ -33,7 +35,7 @@ import kaflab
 from kaflab.config import build_dictionary, load_config
 from kaflab.errors import DimensionMismatchError, DivergenceError, NotPositiveDefiniteError
 from kaflab.kernel import Dictionary, GaussianKernel, gram, grid_dictionary, kernelized_input
-from kaflab.linalg import check_square, pd_sqrt, sym_basis, sym_index, symmetrize
+from kaflab.linalg import check_square, pd_sqrt, sym_basis, symmetrize
 from kaflab.moments import (InputModel, _moment_batch, build_model, estimate_cross_stats,
                              exact_cross_stats, fourth_tensor)
 from kaflab.sim import (InputGenerator, SystemKind, SystemSimulator, all_pole, embed_input,
@@ -161,6 +163,13 @@ def unvec_lex(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
+def sym_index(i, j, dim: int):
+    """Position of the pair ``(i, j)``, in either order, among the coordinates of
+    ``kaflab.linalg.sym_basis``; works elementwise on index arrays."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return lo * (2 * dim - lo + 1) // 2 + hi - lo
+
+
 def expand_pairs(block: np.ndarray, dim: int) -> np.ndarray:
     """The r^4 tensor ``X[i, j, s, t] = block[pair(i, j), pair(s, t)]`` of an m x m
     block indexed by the pairs of ``sym_basis``."""
@@ -170,9 +179,11 @@ def expand_pairs(block: np.ndarray, dim: int) -> np.ndarray:
 
 def fourth_tensor_whole(d, k, im) -> np.ndarray:
     """The m x m fourth-moment block as ``kaflab.moments.fourth_tensor`` formed it before
-    it took its multisets in blocks of leading pairs: every sorted multiset w <= x <= y <=
-    z found, gathered (n_multisets, 4, L) and evaluated at once, then written to its three
-    pairings in both orders. The bit-for-bit reference for the blocked form."""
+    it split each entry over pair sums: every sorted multiset w <= x <= y <= z found,
+    gathered (n_multisets, 4, L) and evaluated at once, then written to its three pairings
+    in both orders, so exactly equal on every pairing. The bit-for-bit reference for
+    ``kaflab moments-check``'s closed fourth moments, and the reference within rounding
+    (:func:`fourth_tensor_tolerance`) for the split form."""
     c, r = d.centers, d.size
     pi, pj, _ = sym_basis(r)
     first, second = np.nonzero(pj[:, None] <= pi[None, :])
@@ -185,6 +196,18 @@ def fourth_tensor_whole(d, k, im) -> np.ndarray:
         out[a, b] = vals
         out[b, a] = vals
     return out
+
+
+def fourth_tensor_tolerance(d, k) -> np.ndarray:
+    """``16 eps (1 + T)`` per entry of the m x m block, T the four centers' summed squared
+    norms over 2 sigma^2: the relative rounding allowed between two forms of one fourth
+    moment, whose exponents each carry a few ulps of T. On the shipped configs and 300 laws
+    like ``test_spectral``'s, the split form reads at most 2.6 eps (1 + T) from
+    :func:`fourth_tensor_whole`, and its pairings at most 2.3 from each other."""
+    pi, pj, _ = sym_basis(d.size)
+    sq = (d.centers**2).sum(axis=1)
+    return 16.0 * np.finfo(float).eps * (1.0 + np.add.outer(sq[pi] + sq[pj], sq[pi] + sq[pj])
+                                         / (2.0 * k.sigma**2))
 
 
 def sym_congruence_whole(a, b=None) -> np.ndarray:
@@ -202,9 +225,9 @@ def sym_congruence_whole(a, b=None) -> np.ndarray:
 def t_sym_whole(d, k, im) -> np.ndarray:
     """A model's ``t_sym`` as ``kaflab.moments.build_model`` formed it before it formed
     the product in place: ``symmetrize(b @ s_o @ b.T)`` over whole-array temporaries, from
-    :func:`fourth_tensor_whole` and :func:`sym_congruence_whole`."""
+    ``kaflab.moments.fourth_tensor`` and :func:`sym_congruence_whole`."""
     scale = sym_basis(d.size)[2]
-    s_o = fourth_tensor_whole(d, k, im)
+    s_o = fourth_tensor(d, k, im)
     s_o *= scale[:, None]
     s_o *= scale
     b = sym_congruence_whole(gram(d, k).g_inv_sqrt)

@@ -20,13 +20,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, kaflab_env, peak_growth_mb
+from conftest import CONFIGS, fourth_tensor_whole, kaflab_env, peak_growth_mb, sym_index
 from kaflab import cli, linalg
 from kaflab.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, compare_curves, main
 from kaflab.config import ExperimentConfig, build_dictionary, build_input_model, load_config
 from kaflab.kernel import GaussianKernel, gram
-from kaflab.linalg import sym_index
-from kaflab.moments import fourth_tensor
 
 TINY_CONFIG = """\
 [kernel]
@@ -338,7 +336,7 @@ class TestAnalyze:
 
     def test_negative_theory_is_a_numerical_error(self, tmp_path, capsys):
         """On a 7 x 7 grid of the first experiment, G is so ill-conditioned that
-        rounding drives the transient curve below zero, after the cross statistics. That is
+        rounding drives the transient curve below j_min, after the cross statistics. That is
         one ``numerical error`` line naming the step, the value and K's spectral radius, no
         stdout, and nothing in ``--out``, not even the default cache directory's record."""
         text = (CONFIGS / "experiment1.cfg").read_text()
@@ -659,9 +657,10 @@ class TestMomentsCheck:
         assert rc == EXIT_NUMERIC
         assert "FAIL" in out
 
-    def test_closed_fourth_moments_are_the_block_entries(self, monkeypatch, capsys):
-        """The closed fourth moments it prints are ``fourth_tensor``'s block entries bit
-        for bit, though only the drawn entries are evaluated."""
+    def test_closed_fourth_moments_are_the_multiset_form_entries(self, monkeypatch, capsys):
+        """The closed fourth moments it prints, each ``multi_point_moment`` of its sorted
+        centers, are the entries of the block by index multisets (``fourth_tensor_whole``)
+        bit for bit, though only the drawn entries are evaluated."""
         import kaflab.cli as cli
 
         tables, check_rows = [], cli._check_rows
@@ -677,7 +676,7 @@ class TestMomentsCheck:
         capsys.readouterr()
         cfg = load_config(path)
         d, _ = build_dictionary(cfg)
-        block = fourth_tensor(d, GaussianKernel(cfg.sigma), build_input_model(cfg))
+        block = fourth_tensor_whole(d, GaussianKernel(cfg.sigma), build_input_model(cfg))
         entries = [tuple(map(int, index.split(","))) for index, *_ in tables[1]]
         expected = [block[sym_index(i, j, d.size), sym_index(s, t, d.size)]
                     for i, j, s, t in entries]

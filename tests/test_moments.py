@@ -31,9 +31,10 @@ from kaflab.moments import (
     second_moment,
 )
 from kaflab.sim import InputGenerator, SystemKind, SystemSimulator, stationary_covariance
-from conftest import (CONFIGS, EXP1_SEED, fourth_tensor_whole, full_fourth_tensor, input_model,
-                      k_sym_whole, one_block_cross_stats, peak_growth_mb, s_tilde,
-                      sym_congruence_whole, t_sym_whole)
+from conftest import (CONFIGS, EXP1_SEED, expand_pairs, fourth_tensor_tolerance,
+                      fourth_tensor_whole, full_fourth_tensor, input_model, k_sym_whole,
+                      one_block_cross_stats, peak_growth_mb, s_tilde, sym_congruence_whole,
+                      t_sym_whole)
 
 
 def two_point_reference(c_l, c_m, sigma, r_u):
@@ -176,15 +177,35 @@ class TestFourthTensor:
             )
 
     def test_permutation_symmetry_exact(self):
+        """The library's tensor is exactly symmetric in its pairs and within each pair; the
+        form by index multisets is also exactly equal across pairings."""
         d = grid_dictionary([-1, -1], [1, 1], 3)
-        s = full_fourth_tensor(d, GaussianKernel(0.7), InputModel(EXP1_RU))
+        k, im = GaussianKernel(0.7), InputModel(EXP1_RU)
+        s = full_fourth_tensor(d, k, im)
+        s_whole = expand_pairs(fourth_tensor_whole(d, k, im), d.size)
         rng = np.random.default_rng(36)
         for _ in range(50):
             i, j, a, b = rng.integers(0, d.size, 4)
             assert s[i, j, a, b] == s[a, b, i, j]
             assert s[i, j, a, b] == s[j, i, b, a]
             assert s[i, j, a, b] == s[b, a, j, i]
-            assert s[i, j, a, b] == s[i, a, j, b]
+            assert s_whole[i, j, a, b] == s_whole[i, a, j, b]
+
+    @pytest.mark.parametrize("name", ["null", "experiment1", "experiment2", "grid4"])
+    def test_within_rounding_of_the_multiset_form(self, name):
+        """Entry by entry within ``16 eps (1 + T) S + tiny`` of the form by index multisets, T
+        the four centers' summed squared norms over 2 sigma^2, on the shipped configs and on a
+        2 x 2 grid at +-4 with sigma = 0.2. There the cross term ``x_a'M x_b / sigma^4`` reaches
+        779, so a form that exponentiates it apart, ``D_g exp(...) D_g``, gives inf and nan."""
+        if name == "grid4":
+            d, k, im = grid_dictionary([-4, -4], [4, 4], 2), GaussianKernel(0.2), input_model()
+        else:
+            cfg = load_config(CONFIGS / f"{name}.cfg")
+            d, k, im = build_dictionary(cfg)[0], GaussianKernel(cfg.sigma), build_input_model(cfg)
+        s, s_whole = fourth_tensor(d, k, im), fourth_tensor_whole(d, k, im)
+        assert np.isfinite(s).all()
+        bound = fourth_tensor_tolerance(d, k) * s_whole + np.finfo(float).tiny
+        assert (np.abs(s - s_whole) <= bound).all()
 
     def test_entries_match_mc(self):
         d = grid_dictionary([-1, -1], [1, 1], 3)
@@ -218,12 +239,16 @@ class TestFourthTensor:
 
 
 def assert_blocked_forms_keep_their_bits(d, k, im, eta):
-    """The blocked fourth moments and congruence matrices, and the model's ``t_sym`` and K's
-    symmetric block formed in place, equal their whole-array forms bit for bit. A Gram
-    matrix that is not positive definite ends the check after the first two."""
+    """The fourth moments at this block budget equal those at a budget that holds all m rows,
+    and the blocked congruence matrices, the model's ``t_sym`` and K's symmetric block formed
+    in place equal their whole-array forms, bit for bit. A Gram matrix that is not positive
+    definite ends the check after the first three."""
     r = d.size
     a, b = np.random.default_rng(r).standard_normal((2, r, r))
-    assert np.array_equal(fourth_tensor(d, k, im), fourth_tensor_whole(d, k, im))
+    m = r * (r + 1) // 2
+    with mock.patch.object(linalg, "WORK_BYTES", 8 * m * m):
+        one_block = fourth_tensor(d, k, im)
+    assert np.array_equal(fourth_tensor(d, k, im), one_block)
     assert np.array_equal(linalg.sym_congruence(a), sym_congruence_whole(a))
     assert np.array_equal(linalg.sym_congruence(a, b), sym_congruence_whole(a, b))
     alpha = np.full(r, 0.1)
@@ -243,8 +268,8 @@ class TestBlockedFormsKeepTheirBits:
     @pytest.mark.parametrize("budget", [linalg.WORK_BYTES, 1])
     @pytest.mark.parametrize("name", ["null", "experiment1", "experiment2"])
     def test_shipped_dictionaries(self, name, budget):
-        """At the shipped block budget (several blocks for r = 25 and 31) and at one leading
-        pair, one row, per block."""
+        """At the shipped block budget (several congruence blocks for r = 25 and 31, two
+        fourth-moment blocks for r = 31) and at one row per block."""
         cfg = load_config(CONFIGS / f"{name}.cfg")
         d, _ = build_dictionary(cfg)
         with mock.patch.object(linalg, "WORK_BYTES", budget):
@@ -256,8 +281,8 @@ class TestBlockedFormsKeepTheirBits:
            sigma=st.floats(0.2, 0.8), eta=st.floats(0.01, 0.5),
            budget=st.one_of(st.just(1), st.integers(1, 2**21)))
     @example(r=1, seed=0, sigma=0.5, eta=0.075, budget=2**20)
-    @example(r=40, seed=1, sigma=0.3, eta=0.075, budget=1)  # one leading pair per block
-    # r = 13, m = 91: blocks of 3 leading pairs and of 6 congruence rows, neither dividing m
+    @example(r=40, seed=1, sigma=0.3, eta=0.075, budget=1)  # one row per block
+    # r = 13, m = 91: blocks of 24 fourth-moment rows and of 6 congruence rows, neither dividing m
     @example(r=13, seed=2, sigma=0.4, eta=0.075, budget=3 * 64 * 91)
     def test_drawn_dictionaries(self, r, seed, sigma, eta, budget):
         """r centers drawn uniformly over [-2, 2]^2, at any block budget."""

@@ -8,7 +8,8 @@ region to far beyond it. The engine's symmetric block, eigenvalues, radius
 and transient curve are checked against the lexicographic matrix
 ``conftest.lex_k`` and the step-by-step recursion ``conftest.transient_states``.
 The fourth moments are checked too: the block of ``fourth_tensor`` is exactly
-symmetric, equal on the three pairings of each index multiset and bounded by
+symmetric, within rounding of the block by index multisets and equal within rounding on
+the three pairings of each multiset (the block by multisets exactly), and bounded by
 Cauchy-Schwarz, and the model's ``t_sym`` is symmetric and PSD.
 """
 
@@ -18,11 +19,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lex_k, transient_states, vec_lex
+from conftest import (fourth_tensor_tolerance, fourth_tensor_whole, lex_k, sym_index,
+                      transient_states, vec_lex)
 from kaflab.analysis import build_k, mean_stability_bound, steady_state_mse, transient_mse
 from kaflab.errors import DivergenceError
 from kaflab.kernel import Dictionary, GaussianKernel
-from kaflab.linalg import sym_eig, sym_index, unvec_sym
+from kaflab.linalg import sym_eig, unvec_sym
 from kaflab.moments import InputModel, build_model, fourth_tensor, second_moment
 from kaflab.sim import stationary_covariance
 
@@ -137,14 +139,34 @@ def test_fourth_moment_block_is_symmetric(law):
     assert np.array_equal(s, s.T)
 
 
+def pairings(r):
+    """Each sorted index multiset w <= x <= y <= z as its three pairings' block positions."""
+    for w, x, y, z in itertools.combinations_with_replacement(range(r), 4):
+        yield [(sym_index(*p, r), sym_index(*q, r))
+               for p, q in (((w, x), (y, z)), ((w, y), (x, z)), ((w, z), (x, y)))]
+
+
 @PROPERTY
 @given(laws())
 def test_fourth_moment_block_agrees_on_every_pairing(law):
-    s, r = fourth_tensor(*law), law[0].size
-    for w, x, y, z in itertools.combinations_with_replacement(range(r), 4):
-        value = s[sym_index(w, x, r), sym_index(y, z, r)]
-        assert s[sym_index(w, y, r), sym_index(x, z, r)] == value
-        assert s[sym_index(w, z, r), sym_index(x, y, r)] == value
+    s, r = fourth_tensor_whole(*law), law[0].size
+    for first, *others in pairings(r):
+        for other in others:
+            assert s[other] == s[first]
+
+
+@PROPERTY
+@given(laws())
+def test_fourth_moment_block_is_the_multiset_form_within_rounding(law):
+    """Entry by entry, and pairing against pairing, within ``16 eps (1 + T) S + tiny``, T the
+    four centers' summed squared norms over 2 sigma^2."""
+    d, k, _ = law
+    s, s_whole = fourth_tensor(*law), fourth_tensor_whole(*law)
+    tol, tiny = fourth_tensor_tolerance(d, k), np.finfo(float).tiny
+    assert (np.abs(s - s_whole) <= tol * s_whole + tiny).all()
+    for first, *others in pairings(d.size):
+        for other in others:
+            assert abs(s[other] - s[first]) <= tol[first] * s[first] + tiny
 
 
 @PROPERTY
